@@ -2,10 +2,12 @@
 //! isolation on the medium world.
 
 use borges_bench::{llm, medium_scrape, medium_world};
-use borges_core::ner::{extract, NerConfig};
+use borges_core::ner::{extract, plan, NerConfig};
 use borges_core::orgkeys::{oid_p_groups, oid_w_groups};
 use borges_core::web::favicon::favicon_inference;
 use borges_core::web::rr::rr_inference;
+use borges_llm::ChatModel;
+use borges_parallel::stream_indexed;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -26,14 +28,23 @@ fn bench_features(c: &mut Criterion) {
     group.bench_function("ner_extract", |b| {
         b.iter(|| black_box(extract(&world.pdb, &model, NerConfig::default())))
     });
-    group.bench_function("ner_extract_parallel_4", |b| {
+    // The pooled path: the plan's requests on a pool of 4 workers, each
+    // its own key, replies folded in request order.
+    group.bench_function("ner_extract_pooled_4", |b| {
         b.iter(|| {
-            black_box(borges_core::ner::extract_parallel(
-                &world.pdb,
-                &model,
-                NerConfig::default(),
+            let plan = plan(&world.pdb, NerConfig::default(), &Default::default());
+            let mut replies = Vec::with_capacity(plan.requests().len());
+            let indices: Vec<usize> = (0..plan.requests().len()).collect();
+            stream_indexed(
+                &indices,
                 4,
-            ))
+                |&j| j as u64,
+                |_, _| Ok(()),
+                |_| {},
+                |_, &j| model.complete(&plan.requests()[j]),
+                |_, reply| replies.push(reply),
+            );
+            black_box(plan.fold(replies))
         })
     });
     group.bench_function("rr_inference", |b| {

@@ -1,20 +1,20 @@
-//! Ingest bench: staged pipeline vs streaming scheduler under injected
-//! fetch latency.
+//! Ingest bench: the sequential pipeline vs the pooled engine under
+//! injected fetch latency.
 //!
-//! The streaming scheduler's claim is *overlap*, not fan-out: while
-//! fetches wait on the (simulated) network, NER and the union-find
-//! precompile run on the compute thread, and up to `workers` in-flight
-//! fetches hide each other's latency. To make that claim measurable on
-//! any host, every fetch is wrapped in a real `thread::sleep` — the
-//! only honest stand-in for network latency the simulator lacks. The
-//! staged legs pay that latency serially (or across `threads` crawl
-//! workers); the streaming legs pay it `workers`-wide while compiling.
+//! The pooled engine's claim is *overlap*, not fan-out: every remote
+//! call waits on the (simulated) network inside one pool of `in_flight`
+//! workers, so up to `in_flight` fetches and LLM calls hide each
+//! other's latency while the caller's thread derives the registry half
+//! of the compile. To make that claim measurable on any host, every fetch is
+//! wrapped in a real `thread::sleep` — the only honest stand-in for
+//! network latency the simulator lacks. The sequential leg pays that
+//! latency serially; the pooled legs pay it `in_flight`-wide (budget 1
+//! isolates the compute overlap from the latency hiding).
 //!
 //! Because the win is latency hiding rather than parallel compute, it
-//! shows up even on a single-CPU host; a baseline recorded there is
-//! tagged "overlap-only" in results/README.md. Outputs are pinned
-//! byte-identical to staged by tests/streaming.rs, so this sweep
-//! measures pure schedule, not drift.
+//! shows up even on a single-CPU host. Outputs are pinned byte-identical
+//! to the sequential run by tests/streaming.rs, so this sweep measures
+//! pure schedule, not drift.
 //!
 //! The host CPU count is printed at startup (and recorded in the JSON
 //! baseline) so recorded numbers are interpretable without trusting a
@@ -54,17 +54,15 @@ fn large_world() -> &'static SyntheticInternet {
 struct IngestFixture {
     label: &'static str,
     world: &'static SyntheticInternet,
-    /// Injected per-fetch latency, sized so the staged leg fits the
+    /// Injected per-fetch latency, sized so the sequential leg fits the
     /// harness time budget while still dominating the crawl stage.
     delay_us: u64,
     samples: usize,
 }
 
 fn bench_ingest(c: &mut Criterion) {
-    eprintln!(
-        "bench host: {} CPU(s) online",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("bench host: {cpus} CPU(s) online");
 
     let fixtures = [
         IngestFixture {
@@ -105,24 +103,13 @@ fn bench_ingest(c: &mut Criterion) {
         group.bench_function("staged_sequential", |b| {
             b.iter(|| black_box(Borges::run(&world.whois, &world.pdb, client(), &model)))
         });
-        group.bench_function("staged_threads_4", |b| {
-            b.iter(|| {
-                black_box(Borges::run_parallel(
-                    &world.whois,
-                    &world.pdb,
-                    client(),
-                    &model,
-                    4,
-                ))
-            })
-        });
-        for workers in [4usize, 8] {
+        for in_flight in [1usize, 4, 8] {
             let opts = StreamOptions {
-                workers,
-                max_in_flight: workers,
+                in_flight,
+                threads: cpus,
                 ..StreamOptions::default()
             };
-            group.bench_function(&format!("streaming_workers_{workers}"), |b| {
+            group.bench_function(&format!("pooled_in_flight_{in_flight}"), |b| {
                 b.iter(|| {
                     black_box(Borges::run_streaming(
                         &world.whois,

@@ -7,14 +7,14 @@ use borges_core::mapfile;
 use borges_core::orgfactor::organization_factor;
 use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
 use borges_core::{AsOrgMapping, SnapshotState};
-use borges_llm::{CachingModel, FlakyModel, SimLlm};
+use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_serve::{Reloader, Server, ServerConfig};
 use borges_synthnet::io::{save, DatasetBundle};
 use borges_synthnet::{generate_to_dir, EvolutionEvent, GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{CacheReport, Telemetry, Verbosity};
 use borges_types::Asn;
-use borges_websim::{FlakyWebClient, SimWebClient};
+use borges_websim::{FlakyWebClient, SimWebClient, WebClient};
 use std::path::Path;
 
 const HELP: &str = "\
@@ -34,32 +34,32 @@ USAGE:
       country codes). Generating the same seed with and without
       --evolve yields a before/after snapshot pair for `--timeline`.
   borges map --data DIR --out FILE [--features all|none|LIST] [--seed N] [--threads N]
-             [--streaming] [--max-in-flight N] [--per-host-rps R]
+             [--max-in-flight N] [--per-host-rps R]
              [--fault-rate R] [--retries N] [--chaos-seed N]
              [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
              [--state-out DIR] [--store-out FILE] [--timeline DIR]
       Run the pipeline over a bundle and write the mapping.
       LIST is comma-separated from: oid_p, na, rr, favicons.
       --threads defaults to the machine's available parallelism; it
-      drives the crawl, the LLM extraction, mapping materialization,
-      and the sharded union-find replay of evidence edges (output is
-      byte-identical to --threads 1 at every thread count).
-      --streaming selects the streaming ingest engine: the crawl
-      overlaps NER extraction and evidence compilation behind a
-      bounded-concurrency scheduler (--threads fetch workers) with
-      per-host FIFO admission. Output is byte-identical to the staged
-      pipeline — including under --fault-rate chaos, which composes.
-      --max-in-flight N caps fetches started but not yet completed
-      (default 8); --per-host-rps R token-bucket rate-limits each host
-      to R admissions per second of virtual pacing time. Both require
-      --streaming. Scheduler accounting lands in the run ledger's
-      worker rows (ingest_* stages), never in canonical outputs.
+      sizes the CPU work: the sharded union-find replay of evidence
+      edges and mapping materialization. At 2 or more, every remote
+      call (crawl fetches, NER and favicon LLM calls) runs on one I/O
+      pool, NER overlapping the crawl; --threads 1 runs the sequential
+      reference. Output is byte-identical to --threads 1 at every
+      setting, including under --fault-rate chaos.
+      --max-in-flight N sizes the I/O pool: how many remote calls wait
+      on the network at once (default 4, independent of --threads).
+      --per-host-rps R token-bucket rate-limits each host's fetches to
+      R admissions per second of virtual pacing time. Both need the
+      pool, so --threads 1 rejects them. Scheduler accounting lands in
+      the run ledger's worker rows (ingest_* stages), never in
+      canonical outputs.
       --fault-rate R injects seeded transient transport faults (R in
       [0,1]) at both the crawl and the LLM boundary; --retries N caps
       recovery at N retries per call (default 4; 0 disables recovery);
       --chaos-seed decorrelates fault episodes and backoff jitter
       (default 7). Giving any of the three selects the resilient
-      (sequential) pipeline and appends a per-feature coverage report.
+      pipeline and appends a per-feature coverage report.
       --trace-out writes the canonical span journal (JSONL, identical
       across thread counts); --metrics-out writes the counters and
       duration histograms in Prometheus exposition format;
@@ -414,39 +414,33 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
     }))
 }
 
-/// The `map` command's streaming knobs, parsed from `--streaming` /
-/// `--max-in-flight` / `--per-host-rps`. `None` when `--streaming` was
-/// not given — in which case the companion knobs are usage errors, so a
-/// typo'd invocation fails before any I/O rather than silently running
-/// the staged pipeline.
+/// The `map` command's I/O-pool knobs, parsed from `--max-in-flight` /
+/// `--per-host-rps`. Both schedule the pool, which `--threads 1` does
+/// not run, so there they are usage errors: a mistaken invocation fails
+/// before any I/O rather than silently ignoring a knob.
 fn stream_opts(
     opts: &Options,
     chaos: &Option<ChaosOpts>,
     threads: usize,
-) -> Result<Option<StreamOptions>, CliError> {
-    let streaming = opts.boolean("streaming");
+) -> Result<StreamOptions, CliError> {
     let max_in_flight = opts.optional("max-in-flight")?;
     let per_host_rps = opts.optional("per-host-rps")?;
-    if !streaming {
-        if max_in_flight.is_some() {
-            return Err(CliError::Usage(
-                "--max-in-flight only applies to the streaming pipeline; add --streaming"
-                    .to_string(),
-            ));
+    for (flag, value) in [
+        ("max-in-flight", max_in_flight),
+        ("per-host-rps", per_host_rps),
+    ] {
+        if threads == 1 && value.is_some() {
+            return Err(CliError::Usage(format!(
+                "--{flag} schedules the I/O pool, which only runs at --threads 2 or more \
+                 (this run has --threads 1)"
+            )));
         }
-        if per_host_rps.is_some() {
-            return Err(CliError::Usage(
-                "--per-host-rps only applies to the streaming pipeline; add --streaming"
-                    .to_string(),
-            ));
-        }
-        return Ok(None);
     }
-    let max_in_flight = match max_in_flight {
+    let in_flight = match max_in_flight {
         Some(n) => match n.parse::<usize>() {
             Ok(0) => {
                 return Err(CliError::Usage(
-                    "--max-in-flight 0 would admit no fetches; pass 1 or more \
+                    "--max-in-flight 0 would admit no calls; pass 1 or more \
                      (or omit for the default)"
                         .to_string(),
                 ))
@@ -458,7 +452,7 @@ fn stream_opts(
                 )))
             }
         },
-        None => StreamOptions::default().max_in_flight,
+        None => borges_core::pipeline::DEFAULT_IN_FLIGHT,
     };
     let per_host_rps = match per_host_rps {
         Some(r) => Some(
@@ -471,14 +465,53 @@ fn stream_opts(
         ),
         None => None,
     };
-    Ok(Some(StreamOptions {
-        workers: threads,
-        max_in_flight,
+    Ok(StreamOptions {
+        in_flight,
         per_host_rps,
         policy: chaos.as_ref().map(|c| c.policy),
         threads,
         ..StreamOptions::default()
-    }))
+    })
+}
+
+/// `map`'s ingest over `web` and `model`: the pooled engine at
+/// `stream.threads > 1`, else the sequential reference (resilient when
+/// a retry policy is set). Returns the pipeline and its ledger label.
+fn ingest<C: WebClient + Sync>(
+    bundle: &DatasetBundle,
+    web: C,
+    model: &(dyn ChatModel + Sync),
+    stream: &StreamOptions,
+    tel: &Telemetry,
+) -> (Borges, &'static str) {
+    let (whois, pdb) = (&bundle.whois, &bundle.pdb);
+    match (stream.threads > 1, stream.policy) {
+        (true, policy) => {
+            tel.verbose(format!(
+                "pooled pipeline: {} threads, {} calls in flight",
+                stream.threads, stream.in_flight
+            ));
+            let label = if policy.is_some() {
+                "parallel-resilient"
+            } else {
+                "parallel"
+            };
+            let borges = Borges::run_streaming_traced(whois, pdb, web, model, stream, tel);
+            (borges, label)
+        }
+        (false, Some(policy)) => {
+            tel.verbose("resilient sequential pipeline");
+            let borges = Borges::run_resilient_traced(whois, pdb, web, model, policy, tel);
+            (borges, "resilient")
+        }
+        (false, None) => {
+            tel.verbose("sequential pipeline");
+            (
+                Borges::run_traced(whois, pdb, web, model, tel),
+                "sequential",
+            )
+        }
+    }
 }
 
 fn coverage_lines(borges: &Borges) -> String {
@@ -511,7 +544,6 @@ fn map(opts: &Options) -> Result<String, CliError> {
         "fault-rate",
         "retries",
         "chaos-seed",
-        "streaming",
         "max-in-flight",
         "per-host-rps",
         "trace-out",
@@ -550,14 +582,11 @@ fn map(opts: &Options) -> Result<String, CliError> {
     // ledger's cache row) are observable end to end.
     let llm = CachingModel::new(SimLlm::new(seed));
     let mut coverage = String::new();
-    let (mut borges, pipeline) = if let Some(stream) = &stream {
-        // The streaming engine overlaps crawl, NER, and compilation;
-        // per-host FIFO admission keeps it byte-identical to the staged
-        // pipelines — chaos composes (stream.policy carries it).
-        if let Some(chaos) = &chaos {
+    let (mut borges, pipeline) = match &chaos {
+        Some(chaos) => {
             tel.verbose(format!(
-                "streaming pipeline: {} workers, {} in flight, fault rate {}, chaos seed {}",
-                stream.workers, stream.max_in_flight, chaos.fault_rate, chaos.chaos_seed
+                "fault rate {}, chaos seed {}",
+                chaos.fault_rate, chaos.chaos_seed
             ));
             let plan = EpisodePlan {
                 transient_rate: chaos.fault_rate,
@@ -573,78 +602,17 @@ fn map(opts: &Options) -> Result<String, CliError> {
                     ..plan
                 },
             );
-            let borges =
-                Borges::run_streaming_traced(&bundle.whois, &bundle.pdb, web, &model, stream, &tel);
-            coverage = coverage_lines(&borges);
-            (borges, "streaming")
-        } else {
-            tel.verbose(format!(
-                "streaming pipeline: {} workers, {} in flight",
-                stream.workers, stream.max_in_flight
-            ));
-            let borges = Borges::run_streaming_traced(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-                stream,
-                &tel,
-            );
-            (borges, "streaming")
+            let ingested = ingest(&bundle, web, &model, &stream, &tel);
+            coverage = coverage_lines(&ingested.0);
+            ingested
         }
-    } else if let Some(chaos) = chaos {
-        // The resilient path is sequential: fault bursts are stateful per
-        // subject, so interleaving would perturb which attempt of a burst
-        // each worker observes.
-        tel.verbose(format!(
-            "resilient pipeline: fault rate {}, chaos seed {}",
-            chaos.fault_rate, chaos.chaos_seed
-        ));
-        let plan = EpisodePlan {
-            transient_rate: chaos.fault_rate,
-            permanent_rate: 0.0,
-            max_burst: 3,
-            seed: chaos.chaos_seed,
-        };
-        let web = FlakyWebClient::new(SimWebClient::browser(&bundle.web), plan);
-        let model = FlakyModel::new(
-            &llm,
-            EpisodePlan {
-                seed: chaos.chaos_seed ^ 0x4c4c_4d00,
-                ..plan
-            },
-        );
-        let borges = Borges::run_resilient_traced(
-            &bundle.whois,
-            &bundle.pdb,
-            web,
-            &model,
-            chaos.policy,
-            &tel,
-        );
-        coverage = coverage_lines(&borges);
-        (borges, "resilient")
-    } else if threads > 1 {
-        tel.verbose(format!("parallel pipeline over {threads} threads"));
-        let borges = Borges::run_parallel_traced(
-            &bundle.whois,
-            &bundle.pdb,
+        None => ingest(
+            &bundle,
             SimWebClient::browser(&bundle.web),
             &llm,
-            threads,
+            &stream,
             &tel,
-        );
-        (borges, "parallel")
-    } else {
-        tel.verbose("sequential pipeline");
-        let borges = Borges::run_traced(
-            &bundle.whois,
-            &bundle.pdb,
-            SimWebClient::browser(&bundle.web),
-            &llm,
-            &tel,
-        );
-        (borges, "sequential")
+        ),
     };
     tel.verbose(format!(
         "crawl: {} entries, {} reachable URLs; ner: {} LLM calls",
@@ -1914,88 +1882,25 @@ mod tests {
     fn streaming_flag_validation_fails_before_any_io() {
         // Data paths are deliberately nonexistent: a Usage error proves
         // the flags were rejected before the command opened anything.
+        let map = |extra: &[&'static str]| {
+            let mut cmd = vec!["map", "--data", "/no/such", "--out", "y"];
+            cmd.extend_from_slice(extra);
+            cmd
+        };
         for cmd in [
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--max-in-flight",
-                "0",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--max-in-flight",
-                "nope",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--per-host-rps",
-                "0",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--per-host-rps",
-                "-2.5",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--per-host-rps",
-                "NaN",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--streaming",
-                "--per-host-rps",
-                "fast",
-            ],
-            // The streaming knobs without --streaming are incompatible:
-            // the invocation would otherwise silently run staged.
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--max-in-flight",
-                "4",
-            ],
-            vec![
-                "map",
-                "--data",
-                "/no/such",
-                "--out",
-                "y",
-                "--per-host-rps",
-                "2.5",
-            ],
-            // And --streaming is a map-only flag.
+            map(&["--threads", "2", "--max-in-flight", "0"]),
+            map(&["--threads", "2", "--max-in-flight", "nope"]),
+            map(&["--threads", "2", "--per-host-rps", "0"]),
+            map(&["--threads", "2", "--per-host-rps", "-2.5"]),
+            map(&["--threads", "2", "--per-host-rps", "NaN"]),
+            map(&["--threads", "2", "--per-host-rps", "fast"]),
+            // The pool knobs at --threads 1 would silently do nothing:
+            // the sequential reference runs no pool.
+            map(&["--threads", "1", "--max-in-flight", "4"]),
+            map(&["--threads", "1", "--per-host-rps", "2.5"]),
+            // No opt-in flag exists: the pool is what map runs by default.
+            map(&["--streaming"]),
+            // And the knobs are map-only flags.
             vec![
                 "remap",
                 "--data",
@@ -2004,7 +1909,8 @@ mod tests {
                 "s",
                 "--out",
                 "y",
-                "--streaming",
+                "--max-in-flight",
+                "4",
             ],
         ] {
             let err = run(&args(&cmd)).unwrap_err();
@@ -2028,90 +1934,65 @@ mod tests {
         ]))
         .unwrap();
 
-        let staged_map = dir.join("staged.map");
-        let staged_trace = dir.join("staged.trace.jsonl");
-        let staged_metrics = dir.join("staged.prom");
-        run(&args(&[
-            "map",
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            staged_map.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--trace-out",
-            staged_trace.to_str().unwrap(),
-            "--metrics-out",
-            staged_metrics.to_str().unwrap(),
-            "-q",
-        ]))
-        .unwrap();
+        let map = |stem: &str, extra: &[&str]| {
+            let paths = [".map", ".trace.jsonl", ".prom", ".report.json"]
+                .map(|ext| dir.join(format!("{stem}{ext}")).display().to_string());
+            let mut cmd = vec![
+                "map",
+                "--data",
+                data.to_str().unwrap(),
+                "--out",
+                &paths[0],
+                "--trace-out",
+                &paths[1],
+                "--metrics-out",
+                &paths[2],
+                "--report-out",
+                &paths[3],
+                "-q",
+            ];
+            cmd.extend_from_slice(extra);
+            let out = run(&args(&cmd)).unwrap();
+            let read = |p: &String| std::fs::read_to_string(p).unwrap();
+            (out, paths.each_ref().map(read))
+        };
+        let (_, sequential) = map("sequential", &["--threads", "1"]);
+        let (_, [pooled_map, pooled_trace, pooled_metrics, report]) = map(
+            "pooled",
+            &[
+                "--threads",
+                "2",
+                "--max-in-flight",
+                "3",
+                "--per-host-rps",
+                "0.5",
+            ],
+        );
 
-        let streamed_map = dir.join("streamed.map");
-        let streamed_trace = dir.join("streamed.trace.jsonl");
-        let streamed_metrics = dir.join("streamed.prom");
-        let report = dir.join("streamed.report.json");
-        run(&args(&[
-            "map",
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            streamed_map.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--streaming",
-            "--max-in-flight",
-            "3",
-            "--per-host-rps",
-            "0.5",
-            "--trace-out",
-            streamed_trace.to_str().unwrap(),
-            "--metrics-out",
-            streamed_metrics.to_str().unwrap(),
-            "--report-out",
-            report.to_str().unwrap(),
-            "-q",
-        ]))
-        .unwrap();
-
-        // The scheduler is invisible in every canonical artifact.
-        let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();
-        assert_eq!(read(&staged_map), read(&streamed_map));
-        assert_eq!(read(&staged_trace), read(&streamed_trace));
-        assert_eq!(read(&staged_metrics), read(&streamed_metrics));
+        // The pool is invisible in every canonical artifact.
+        assert_eq!(sequential[0], pooled_map);
+        assert_eq!(sequential[1], pooled_trace);
+        assert_eq!(sequential[2], pooled_metrics);
 
         // ...and visible exactly where it belongs: the worker ledger.
-        let report = borges_telemetry::RunReport::from_json(&read(&report)).unwrap();
-        assert_eq!(report.pipeline, "streaming");
+        let report = borges_telemetry::RunReport::from_json(&report).unwrap();
+        assert_eq!(report.pipeline, "parallel");
         assert!(report.accounted());
-        let stages: Vec<&str> = report.workers.iter().map(|w| w.stage.as_str()).collect();
+        let row = |stage: &str| report.workers.iter().find(|w| w.stage == stage);
         for stage in borges_telemetry::ingest::ALL_STAGES {
-            assert!(stages.contains(&stage), "missing {stage} in {stages:?}");
+            assert!(row(stage).is_some(), "missing {stage}");
         }
-        let throttle = report
-            .workers
-            .iter()
-            .find(|w| w.stage == borges_telemetry::ingest::THROTTLE_STAGE)
-            .unwrap();
+        let throttle = row(borges_telemetry::ingest::THROTTLE_STAGE).unwrap();
         assert!(throttle.items > 0, "0.5 rps must have throttled");
+        let in_flight = row(borges_telemetry::ingest::IN_FLIGHT_STAGE).unwrap();
+        assert!((1..=3).contains(&in_flight.items), "{in_flight:?}");
 
-        // Chaos composes: a streaming chaotic run still recovers fully
-        // and matches the staged mapping.
-        let chaos_map = dir.join("chaos.map");
-        let out = run(&args(&[
-            "map",
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            chaos_map.to_str().unwrap(),
-            "--streaming",
-            "--fault-rate",
-            "0.15",
-            "-q",
-        ]))
-        .unwrap();
+        // Chaos composes: the pooled resilient engine recovers fully and
+        // matches the sequential mapping.
+        let (out, [chaos_map, ..]) = map("chaos", &["--threads", "2", "--fault-rate", "0.15"]);
         assert!(out.contains("coverage:"), "{out}");
-        assert_eq!(read(&staged_map), read(&chaos_map));
+        assert!(out.contains("abandoned      0"), "{out}");
+        assert_eq!(sequential[0], chaos_map);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

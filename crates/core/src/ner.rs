@@ -13,21 +13,20 @@
 //!    `notes`/`aka` text; non-routable ASNs and the subject's own ASN are
 //!    dropped too.
 
-use borges_llm::chat::{ChatModel, ChatRequest};
+use borges_llm::chat::{ChatModel, ChatRequest, ChatResponse};
 use borges_llm::ner::all_routable_numbers;
 use borges_llm::prompts::{build_ie_prompt, parse_ie_reply};
-use borges_peeringdb::PdbSnapshot;
-use borges_resilience::ResilienceStats;
+use borges_peeringdb::{PdbNetwork, PdbSnapshot};
+use borges_resilience::{ResilienceStats, TransportError};
 use borges_types::Asn;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters for the extraction funnel (§5.2's "notes and aka" numbers).
 ///
-/// Stats from disjoint entry batches combine with `+=` — that is how
-/// [`extract_parallel`] folds its per-chunk partials. The one
+/// Stats from disjoint entry batches combine with `+=`. The one
 /// non-additive field, `extracted_asns` (a *distinct* count), is summed
-/// like the rest and then recomputed over the merged result by the
-/// caller.
+/// like the rest; only a run over the merged batches gives the distinct
+/// count across them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NerStats {
     /// PeeringDB entries in the snapshot.
@@ -175,157 +174,190 @@ pub fn extract(pdb: &PdbSnapshot, model: &dyn ChatModel, config: NerConfig) -> N
 /// filters and no call is issued. `stats.llm_calls` counts physical
 /// calls only, so the funnel invariant
 /// `llm_abandoned + parsed == llm_calls` still holds.
+///
+/// Sends the [`plan`]'s requests one at a time, in plan order.
 pub fn extract_with_memo(
     pdb: &PdbSnapshot,
     model: &dyn ChatModel,
     config: NerConfig,
     memo: &BTreeMap<Asn, NerMemoEntry>,
 ) -> NerResult {
-    let mut result = extract_over(pdb.nets(), model, config, memo);
-    finalize(&mut result);
-    result
+    let plan = plan(pdb, config, memo);
+    let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
+    plan.fold(replies)
 }
 
-/// Like [`extract`], issuing LLM calls from `threads` worker threads.
+/// One entry past the input filter: the subject, its text fingerprint,
+/// and the memoized findings that answer it without a call (`None`: the
+/// next request of the plan answers it).
+struct Subject<'a> {
+    net: &'a PdbNetwork,
+    fp: u64,
+    memo: Option<Vec<Asn>>,
+}
+
+/// The LLM calls an extraction run needs, listed before any is sent.
 ///
-/// Entries are independent and the result maps are ASN-keyed, so the
-/// output is identical to the sequential run — this is how a production
-/// deployment keeps thousands of API calls off the critical path.
-pub fn extract_parallel(
-    pdb: &PdbSnapshot,
-    model: &(dyn ChatModel + Sync),
+/// [`plan`] applies the input filter and the memo; [`NerPlan::fold`]
+/// applies the output filter and the funnel counters to the replies.
+/// Requests are listed in snapshot order and fold reads the replies in
+/// that same order, so *who* sends them — one at a time, or a pool
+/// completing them in any order — cannot change the result.
+pub struct NerPlan<'a> {
     config: NerConfig,
-    threads: usize,
-) -> NerResult {
-    let nets: Vec<&borges_peeringdb::PdbNetwork> = pdb.nets().collect();
-    let empty = BTreeMap::new();
-    let partials = borges_parallel::map_chunks(&nets, threads, |chunk| {
-        extract_over(chunk.iter().copied(), model, config, &empty)
-    });
-    let mut result = NerResult::default();
-    for partial in partials {
-        result.stats += partial.stats;
-        result.per_entry.extend(partial.per_entry);
-        result.memo.extend(partial.memo);
-        result.memo_hits += partial.memo_hits;
-    }
-    // `+=` summed the per-chunk distinct counts; recompute the true
-    // cross-chunk distinct count.
-    finalize(&mut result);
-    result
+    subjects: Vec<Subject<'a>>,
+    requests: Vec<ChatRequest>,
+    /// The funnel counters the input filter fills in.
+    stats: NerStats,
 }
 
-/// Computes the cross-entry aggregate (distinct extracted ASNs).
-fn finalize(result: &mut NerResult) {
-    let distinct: BTreeSet<Asn> = result
-        .per_entry
-        .values()
-        .flat_map(|v| v.iter().copied())
-        .collect();
-    result.stats.extracted_asns = distinct.len();
-}
-
-/// The per-entry extraction loop (no cross-entry aggregates).
-fn extract_over<'a>(
-    nets: impl Iterator<Item = &'a borges_peeringdb::PdbNetwork>,
-    model: &dyn ChatModel,
+/// Lists the extraction calls for every network in `pdb`: entries
+/// without text (or, with the input filter on, without digits) need
+/// none, and entries whose text fingerprint matches `memo` replay the
+/// memoized findings instead.
+pub fn plan<'a>(
+    pdb: &'a PdbSnapshot,
     config: NerConfig,
     memo: &BTreeMap<Asn, NerMemoEntry>,
-) -> NerResult {
-    let mut result = NerResult::default();
-    for net in nets {
-        result.stats.entries_total += 1;
+) -> NerPlan<'a> {
+    let mut plan = NerPlan {
+        config,
+        subjects: Vec::new(),
+        requests: Vec::new(),
+        stats: NerStats::default(),
+    };
+    for net in pdb.nets() {
+        plan.stats.entries_total += 1;
         if !net.has_text() {
             continue;
         }
-        result.stats.entries_with_text += 1;
+        plan.stats.entries_with_text += 1;
         let numeric = net.has_numeric_text();
         if numeric {
-            result.stats.entries_numeric += 1;
+            plan.stats.entries_numeric += 1;
             if net.aka_has_digit() {
-                result.stats.numeric_in_aka += 1;
+                plan.stats.numeric_in_aka += 1;
             }
             if net.notes_has_digit() {
-                result.stats.numeric_in_notes += 1;
+                plan.stats.numeric_in_notes += 1;
             }
         }
         if config.input_filter && !numeric {
             continue;
         }
-
         let fp = crate::delta::ner_text_fp(&net.notes, &net.aka);
-        let findings: Vec<Asn> = match memo.get(&net.asn) {
-            // A memoized reply for unchanged text: replay the parsed
-            // findings through the identical filters below, no call.
-            Some(entry) if entry.fp == fp => {
-                result.memo_hits += 1;
-                entry.findings.clone()
-            }
+        let memo = match memo.get(&net.asn) {
+            Some(entry) if entry.fp == fp => Some(entry.findings.clone()),
             _ => {
                 let prompt = build_ie_prompt(net.asn, &net.notes, &net.aka);
-                // The call is counted before it is made: an abandoned call
-                // is still an attempted call, so
-                // `llm_abandoned + parsed == llm_calls` holds by construction.
-                result.stats.llm_calls += 1;
-                let reply = match model.complete(&ChatRequest::user(prompt)) {
-                    Ok(reply) => reply,
-                    Err(_transport) => {
-                        // Budgets exhausted (or a hard block): record the
-                        // loss and degrade gracefully — the other entries
-                        // still extract. Failures are never memoized.
-                        result.stats.llm_abandoned += 1;
-                        continue;
-                    }
-                };
-                result.stats.usage += reply.usage;
-                parse_ie_reply(&reply.text)
-                    .into_iter()
-                    .map(|f| f.asn)
-                    .collect()
+                plan.requests.push(ChatRequest::user(prompt));
+                None
             }
         };
-        // Memoize every answered entry (empty findings included) so any
-        // run's state can seed a later incremental remap.
-        result.memo.insert(
-            net.asn,
-            NerMemoEntry {
-                fp,
-                findings: findings.clone(),
-            },
-        );
-        if findings.is_empty() {
-            continue;
-        }
-
-        // Output filter: the reply may only name numbers present in the
-        // source text.
-        let allowed: BTreeSet<u32> = if config.output_filter {
-            all_routable_numbers(&format!("{}\n{}", net.notes, net.aka))
-                .into_iter()
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
-
-        let mut siblings: Vec<Asn> = Vec::new();
-        for asn in findings {
-            if asn == net.asn {
-                continue;
-            }
-            if config.output_filter && (!allowed.contains(&asn.value()) || !asn.is_routable()) {
-                result.stats.filtered_out += 1;
-                continue;
-            }
-            siblings.push(asn);
-        }
-        siblings.sort_unstable();
-        siblings.dedup();
-        if !siblings.is_empty() {
-            result.stats.entries_with_siblings += 1;
-            result.per_entry.insert(net.asn, siblings);
-        }
+        plan.subjects.push(Subject { net, fp, memo });
     }
-    result
+    plan
+}
+
+impl NerPlan<'_> {
+    /// The calls to send, in canonical (snapshot) order.
+    pub fn requests(&self) -> &[ChatRequest] {
+        &self.requests
+    }
+
+    /// Applies the stage to the replies — one per request, in request
+    /// order — and returns its result.
+    pub fn fold(
+        self,
+        replies: impl IntoIterator<Item = Result<ChatResponse, TransportError>>,
+    ) -> NerResult {
+        let config = self.config;
+        let mut replies = replies.into_iter();
+        let mut result = NerResult {
+            stats: self.stats,
+            ..NerResult::default()
+        };
+        for Subject { net, fp, memo } in self.subjects {
+            let findings: Vec<Asn> = match memo {
+                // A memoized reply for unchanged text: replay the parsed
+                // findings through the identical filters below, no call.
+                Some(findings) => {
+                    result.memo_hits += 1;
+                    findings
+                }
+                None => {
+                    // An abandoned call is still an attempted call, so
+                    // `llm_abandoned + parsed == llm_calls` holds by
+                    // construction.
+                    result.stats.llm_calls += 1;
+                    let reply = match replies.next().expect("one reply per request") {
+                        Ok(reply) => reply,
+                        Err(_transport) => {
+                            // Budgets exhausted (or a hard block): record
+                            // the loss and degrade gracefully — the other
+                            // entries still extract. Failures are never
+                            // memoized.
+                            result.stats.llm_abandoned += 1;
+                            continue;
+                        }
+                    };
+                    result.stats.usage += reply.usage;
+                    parse_ie_reply(&reply.text)
+                        .into_iter()
+                        .map(|f| f.asn)
+                        .collect()
+                }
+            };
+            // Memoize every answered entry (empty findings included) so any
+            // run's state can seed a later incremental remap.
+            result.memo.insert(
+                net.asn,
+                NerMemoEntry {
+                    fp,
+                    findings: findings.clone(),
+                },
+            );
+            if findings.is_empty() {
+                continue;
+            }
+
+            // Output filter: the reply may only name numbers present in the
+            // source text.
+            let allowed: BTreeSet<u32> = if config.output_filter {
+                all_routable_numbers(&format!("{}\n{}", net.notes, net.aka))
+                    .into_iter()
+                    .collect()
+            } else {
+                BTreeSet::new()
+            };
+
+            let mut siblings: Vec<Asn> = Vec::new();
+            for asn in findings {
+                if asn == net.asn {
+                    continue;
+                }
+                if config.output_filter && (!allowed.contains(&asn.value()) || !asn.is_routable()) {
+                    result.stats.filtered_out += 1;
+                    continue;
+                }
+                siblings.push(asn);
+            }
+            siblings.sort_unstable();
+            siblings.dedup();
+            if !siblings.is_empty() {
+                result.stats.entries_with_siblings += 1;
+                result.per_entry.insert(net.asn, siblings);
+            }
+        }
+        assert!(replies.next().is_none(), "one reply per request");
+        let distinct: BTreeSet<Asn> = result
+            .per_entry
+            .values()
+            .flat_map(|v| v.iter().copied())
+            .collect();
+        result.stats.extracted_asns = distinct.len();
+        result
+    }
 }
 
 #[cfg(test)]
@@ -333,7 +365,8 @@ mod tests {
     use super::*;
     use borges_llm::chat::ChatResponse;
     use borges_llm::SimLlm;
-    use borges_peeringdb::{PdbNetwork, PdbOrganization};
+    use borges_peeringdb::PdbOrganization;
+    use borges_resilience::stable_hash;
     use borges_types::PdbOrgId;
 
     fn snapshot(entries: &[(u32, &str, &str)]) -> PdbSnapshot {
@@ -461,8 +494,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_extraction_is_identical_to_sequential() {
+    fn numbered_snapshot() -> PdbSnapshot {
         let entries: Vec<(u32, String, String)> = (1..60)
             .map(|i| {
                 (
@@ -476,14 +508,73 @@ mod tests {
             .iter()
             .map(|(a, n, k)| (*a, n.as_str(), k.as_str()))
             .collect();
-        let pdb = snapshot(&borrowed);
+        snapshot(&borrowed)
+    }
+
+    #[test]
+    fn parallel_extraction_is_identical_to_sequential() {
+        // The pooled path: every request its own key on a pool of
+        // `in_flight` workers, replies released in request order.
+        let pdb = numbered_snapshot();
         let llm = SimLlm::new(5);
         let sequential = extract(&pdb, &llm, NerConfig::default());
-        for threads in [1, 2, 3, 7] {
-            let parallel = extract_parallel(&pdb, &llm, NerConfig::default(), threads);
+        for in_flight in [1, 2, 3, 7] {
+            let plan = plan(&pdb, NerConfig::default(), &BTreeMap::new());
+            let mut replies = Vec::new();
+            borges_parallel::stream_indexed(
+                plan.requests(),
+                in_flight,
+                |r| stable_hash(r.full_text().as_bytes()),
+                |_, _| Ok(()),
+                |_| {},
+                |_, r| llm.complete(r),
+                |_, reply| replies.push(reply),
+            );
+            let parallel = plan.fold(replies);
             assert_eq!(parallel.per_entry, sequential.per_entry);
-            assert_eq!(parallel.stats, sequential.stats, "{threads} threads");
+            assert_eq!(parallel.memo, sequential.memo);
+            assert_eq!(parallel.stats, sequential.stats, "{in_flight} in flight");
         }
+    }
+
+    #[test]
+    fn folding_replies_completed_in_any_order_is_identical() {
+        let pdb = numbered_snapshot();
+        let llm = SimLlm::new(5);
+        let sequential = extract(&pdb, &llm, NerConfig::default());
+        let n = plan(&pdb, NerConfig::default(), &BTreeMap::new())
+            .requests()
+            .len();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let strided: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
+        for order in [reversed, strided] {
+            let plan = plan(&pdb, NerConfig::default(), &BTreeMap::new());
+            let mut slots: Vec<Option<_>> = (0..n).map(|_| None).collect();
+            for &i in &order {
+                slots[i] = Some(llm.complete(&plan.requests()[i]));
+            }
+            let folded = plan.fold(slots.into_iter().map(Option::unwrap));
+            assert_eq!(folded.per_entry, sequential.per_entry);
+            assert_eq!(folded.memo, sequential.memo);
+            assert_eq!(folded.stats, sequential.stats);
+        }
+    }
+
+    #[test]
+    fn plan_lists_only_calls_the_filters_and_memo_leave() {
+        let pdb = snapshot(&[
+            (3320, "Our subsidiaries: AS6855 and AS5391.", ""),
+            (100, "Leading regional provider.", ""),
+            (200, "", ""),
+            (300, "peering AS174", ""),
+        ]);
+        let llm = SimLlm::flawless();
+        let all = plan(&pdb, NerConfig::default(), &BTreeMap::new());
+        assert_eq!(all.requests().len(), 2, "input filter drops 100 and 200");
+        let first = extract(&pdb, &llm, NerConfig::default());
+        let replay = plan(&pdb, NerConfig::default(), &first.memo);
+        assert!(replay.requests().is_empty(), "the memo answers both");
+        assert_eq!(replay.fold(Vec::new()).per_entry, first.per_entry);
     }
 
     #[test]

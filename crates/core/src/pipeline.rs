@@ -26,19 +26,19 @@ use crate::delta::{
 use crate::mapping::AsOrgMapping;
 use crate::ner::{extract, extract_with_memo, NerConfig, NerResult};
 use crate::orgkeys;
-use crate::unionfind::SegmentFeed;
-use crate::unionfind::{DenseUnionFind, ShardReport, UnionFind};
+use crate::unionfind::{DenseUnionFind, SegmentFeed, ShardReport, UnionFind};
 use crate::web::favicon::{favicon_inference, favicon_inference_memo, FaviconInference};
 use crate::web::rr::{rr_inference, RrInference};
 use crate::world::{
     CompiledWorld, FaviconGroupRecord, NerEntryRecord, RrGroupRecord, ServingExtras,
 };
-use borges_llm::chat::ChatModel;
+use borges_llm::chat::{ChatModel, ChatRequest, ChatResponse};
 use borges_llm::RetryingModel;
-use borges_parallel::{stream_indexed, StreamConfig, StreamLedger};
+use borges_parallel::{stream_indexed, StreamLedger};
 use borges_peeringdb::PdbSnapshot;
 use borges_resilience::{
     stable_hash, BreakerConfig, Clock, RateLimiterRegistry, ResilienceStats, RetryPolicy, SimClock,
+    TransportError,
 };
 use borges_telemetry::{
     CacheReport, CacheStats, CoverageRow, CrawlFunnel, DeltaEdgeRow, DeltaRecordRow, DeltaReport,
@@ -47,8 +47,8 @@ use borges_telemetry::{
 };
 use borges_types::{Asn, AsnInterner, Url};
 use borges_websim::{
-    ReportAssembler, RetryingWebClient, ScrapeReport, ScrapeStats, Scraper, StreamingWebClient,
-    WebClient,
+    ReportAssembler, Resolution, RetryingWebClient, ScrapeReport, ScrapeStats, Scraper,
+    StreamingWebClient, WebClient,
 };
 use borges_whois::WhoisRegistry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -245,26 +245,6 @@ fn segment_edge_count<K>(segments: &[EdgeSegment<K>]) -> usize {
 }
 
 impl CompiledEvidence {
-    /// Full (non-incremental) compilation: a fresh interner over the
-    /// sorted universe, every segment derived from scratch. With
-    /// `threads > 1` the OID_W base closure is replayed sharded (see
-    /// [`CompiledEvidence::build`]); the result is byte-identical either
-    /// way.
-    #[allow(clippy::too_many_arguments)]
-    fn compile(
-        universe: BTreeSet<Asn>,
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        ner: &NerResult,
-        rr: &RrInference,
-        favicon: &FaviconInference,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let interner = AsnInterner::new(universe);
-        Self::build(interner, None, whois, pdb, ner, rr, favicon, threads, tel).0
-    }
-
     /// Incremental recompilation against persisted snapshot-T state:
     /// the interner evolves append-only (surviving ASNs keep their
     /// dense ids, departures are tombstoned, arrivals get fresh or
@@ -300,11 +280,11 @@ impl CompiledEvidence {
                 stats.asns_added += 1;
             }
         }
+        let registry = RegistryHalf::derive(&interner, Some(state), whois, pdb, threads);
         let (compiled, [oid_w, oid_p, na, rr_d, favicons]) = Self::build(
             interner,
+            registry,
             Some(state),
-            whois,
-            pdb,
             ner,
             rr,
             favicon,
@@ -319,55 +299,48 @@ impl CompiledEvidence {
         (compiled, stats)
     }
 
-    /// The shared segment-merge tail of both compilation paths. `prior`
-    /// is `None` for a full compile (every segment derives fresh). The
-    /// OID_W base closure is always rebuilt from the segment edges —
-    /// a union-find cannot un-union a retired bridge, and the rebuild
-    /// is cheap next to group re-derivation.
+    /// The shared segment-merge tail of both compilation paths: the
+    /// crawl-dependent features on top of a [`RegistryHalf`] derived
+    /// against the same `prior` (`None` for a full compile, where every
+    /// segment derives fresh). The OID_W base closure is always rebuilt
+    /// from the segment edges — a union-find cannot un-union a retired
+    /// bridge, and the rebuild is cheap next to group re-derivation.
     ///
     /// With `threads > 1` the base replay runs sharded
-    /// ([`DenseUnionFind::union_edge_lists_sharded`], DESIGN.md §11):
-    /// byte-identical output, with per-shard accounting stamped into
-    /// `tel`'s worker-timing ledger only — never the canonical trace or
-    /// metrics snapshot, which must not vary with thread count.
+    /// ([`SegmentFeed`], DESIGN.md §11): byte-identical output, with
+    /// per-shard accounting stamped into `tel`'s worker-timing ledger
+    /// only — never the canonical trace or metrics snapshot, which must
+    /// not vary with thread count.
     #[allow(clippy::too_many_arguments)]
     fn build(
         interner: AsnInterner,
+        registry: RegistryHalf,
         prior: Option<&SnapshotState>,
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
         ner: &NerResult,
         rr: &RrInference,
         favicon: &FaviconInference,
         threads: usize,
         tel: &Telemetry,
     ) -> (Self, [SegmentDelta; 5]) {
-        let (p_w, p_p, p_na, p_rr, p_f) = match prior {
-            Some(s) => (
-                s.prior_oid_w(),
-                s.prior_oid_p(),
-                s.prior_na(),
-                s.prior_rr(),
-                s.prior_favicons(),
-            ),
+        let (p_na, p_rr, p_f) = match prior {
+            Some(s) => (s.prior_na(), s.prior_rr(), s.prior_favicons()),
             None => Default::default(),
         };
-        let (oid_w, d_w) = delta::merge_feature(&interner, &p_w, delta::keyed_whois_groups(whois));
-        let (oid_p, d_p) = delta::merge_feature(&interner, &p_p, delta::keyed_pdb_groups(pdb));
         let (na, d_na) = delta::merge_feature(&interner, &p_na, delta::keyed_ner_groups(ner));
         let (rr, d_rr) = delta::merge_feature(&interner, &p_rr, delta::keyed_rr_groups(rr));
         let (favicons, d_f) =
             delta::merge_feature(&interner, &p_f, delta::keyed_favicon_groups(favicon));
 
+        let RegistryHalf {
+            oid_w,
+            oid_p,
+            feed,
+            deltas: [d_w, d_p],
+        } = registry;
         let mut base = DenseUnionFind::new(interner.len());
+        let report = feed.finish(&mut base, || tel.now_ms());
         if threads > 1 {
-            let lists: Vec<&[(u32, u32)]> = oid_w.iter().map(|seg| seg.edges.as_slice()).collect();
-            let report = base.union_edge_lists_sharded(&lists, threads, || tel.now_ms());
             record_shard_report(tel, "compile", &report);
-        } else {
-            for seg in &oid_w {
-                base.union_edges(&seg.edges);
-            }
         }
 
         (
@@ -383,94 +356,71 @@ impl CompiledEvidence {
             [d_w, d_p, d_na, d_rr, d_f],
         )
     }
-
-    /// The streaming compile tail: finishes a [`StreamPrecompiled`]
-    /// (whose registry-derived segments and OID_W base feed were built
-    /// *during* the crawl overlap window) with the crawl-dependent
-    /// features. Runs the exact same `merge_feature` derivations and
-    /// the same sharded base replay as [`CompiledEvidence::compile`] —
-    /// the work is merely scheduled earlier, so the result is
-    /// byte-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn compile_from_stream(
-        interner: AsnInterner,
-        oid_w: Vec<EdgeSegment<String>>,
-        oid_p: Vec<EdgeSegment<u64>>,
-        feed: SegmentFeed,
-        ner: &NerResult,
-        rr: &RrInference,
-        favicon: &FaviconInference,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let (na, _) =
-            delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_ner_groups(ner));
-        let (rr, _) = delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_rr_groups(rr));
-        let (favicons, _) = delta::merge_feature(
-            &interner,
-            &BTreeMap::new(),
-            delta::keyed_favicon_groups(favicon),
-        );
-        let mut base = DenseUnionFind::new(interner.len());
-        let report = feed.finish(&mut base, || tel.now_ms());
-        if threads > 1 {
-            record_shard_report(tel, "compile", &report);
-        }
-        CompiledEvidence {
-            interner,
-            base,
-            oid_w,
-            oid_p,
-            na,
-            rr,
-            favicons,
-        }
-    }
 }
 
-/// The crawl-independent compilation work a streaming run performs
-/// while fetches are still in flight: the fixed universe, the interner,
-/// both registry org-key groupings, the OID_W/OID_P edge segments, and
-/// a [`SegmentFeed`] already loaded with every OID_W edge, ready for
-/// the sharded base replay at compile time.
-struct StreamPrecompiled {
-    interner: AsnInterner,
+/// The half of a compile that reads the registries alone (WHOIS and
+/// PeeringDB): the OID_W and OID_P edge segments, and the OID_W edges
+/// bucketed for the base replay. It needs no crawl and no LLM, so the
+/// pooled engine derives it while its calls are in flight.
+struct RegistryHalf {
     oid_w: Vec<EdgeSegment<String>>,
     oid_p: Vec<EdgeSegment<u64>>,
     feed: SegmentFeed,
-    oid_w_groups: Vec<Vec<Asn>>,
-    oid_p_groups: Vec<Vec<Asn>>,
+    deltas: [SegmentDelta; 2],
 }
 
-impl StreamPrecompiled {
-    /// Compiles everything derivable from the registries alone —
-    /// scheduled on the compute thread while the crawl scheduler owns
-    /// the I/O. `threads` sizes the eventual base replay's shard count,
-    /// matching what the staged compile would use.
-    fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, threads: usize) -> Self {
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        universe.extend(pdb.nets().map(|n| n.asn));
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
-        let interner = AsnInterner::new(universe);
-        let (oid_w, _) = delta::merge_feature(
-            &interner,
-            &BTreeMap::new(),
-            delta::keyed_whois_groups(whois),
-        );
-        let (oid_p, _) =
-            delta::merge_feature(&interner, &BTreeMap::new(), delta::keyed_pdb_groups(pdb));
+impl RegistryHalf {
+    /// Derives the registry segments against `prior` (`None`: from
+    /// scratch), bucketing the OID_W edges for a replay over `threads`
+    /// shards.
+    fn derive(
+        interner: &AsnInterner,
+        prior: Option<&SnapshotState>,
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        threads: usize,
+    ) -> Self {
+        let (p_w, p_p) = match prior {
+            Some(s) => (s.prior_oid_w(), s.prior_oid_p()),
+            None => Default::default(),
+        };
+        let (oid_w, d_w) = delta::merge_feature(interner, &p_w, delta::keyed_whois_groups(whois));
+        let (oid_p, d_p) = delta::merge_feature(interner, &p_p, delta::keyed_pdb_groups(pdb));
         let mut feed = SegmentFeed::new(interner.len(), threads);
         for seg in &oid_w {
             feed.feed(&seg.edges);
         }
-        StreamPrecompiled {
-            interner,
+        RegistryHalf {
             oid_w,
             oid_p,
             feed,
-            oid_w_groups,
-            oid_p_groups,
+            deltas: [d_w, d_p],
+        }
+    }
+}
+
+/// Everything a full compile derives before the crawl-dependent
+/// features: the universe's interner, the [`RegistryHalf`], and both
+/// registry org-key groupings.
+struct Precompiled {
+    interner: AsnInterner,
+    registry: RegistryHalf,
+    oid_w_groups: Vec<Vec<Asn>>,
+    oid_p_groups: Vec<Vec<Asn>>,
+}
+
+impl Precompiled {
+    fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, threads: usize) -> Self {
+        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
+        // PeeringDB networks missing from WHOIS (rare, but real dumps have
+        // them) still belong to the mapping universe.
+        universe.extend(pdb.nets().map(|n| n.asn));
+        let interner = AsnInterner::new(universe);
+        Precompiled {
+            registry: RegistryHalf::derive(&interner, None, whois, pdb, threads),
+            interner,
+            oid_w_groups: orgkeys::oid_w_groups(whois),
+            oid_p_groups: orgkeys::oid_p_groups(pdb),
         }
     }
 }
@@ -565,10 +515,8 @@ pub struct Borges {
     pub favicon: FaviconInference,
     /// Crawl funnel statistics (§5.2).
     pub scrape_stats: ScrapeStats,
-    /// Hit/miss counters of the crawl's fetch (redirect) cache.
-    /// Observational only — under a parallel crawl, racing misses on the
-    /// same URL may each count — so it feeds the run ledger, never the
-    /// `PartialEq`-compared funnel stats.
+    /// Hit/miss counters of the crawl's fetch (redirect) cache. Feeds
+    /// the run ledger, not the funnel stats.
     pub web_cache: CacheStats,
     /// Per-record fingerprints of the inputs this run consumed, captured
     /// so [`Borges::snapshot_state`] can persist them for a later
@@ -667,26 +615,32 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference) {
     span.field("llm_calls", favicon.stats.llm_calls);
 }
 
-/// Knobs for the streaming ingest engine ([`Borges::run_streaming`]).
+/// The default in-flight budget of the pooled ingest engine: remote
+/// calls (page fetches and LLM completions) waiting on the network at
+/// once. Independent of `threads`, which sizes CPU work — a call that
+/// waits uses no CPU. Each live pool thread also costs resident memory
+/// (its malloc arena), which is why the budget stays small and one pool
+/// size serves every stage (DESIGN.md §14).
+pub const DEFAULT_IN_FLIGHT: usize = 4;
+
+/// Knobs for the pooled ingest engine ([`Borges::run_streaming`]).
 #[derive(Clone)]
 pub struct StreamOptions {
-    /// Worker threads in the fetch pool.
-    pub workers: usize,
-    /// Global cap on fetches started but not yet completed.
-    pub max_in_flight: usize,
+    /// The in-flight budget: how many remote calls — crawl fetches, NER
+    /// and favicon completions alike — wait on the network at once. The
+    /// pool runs one worker per unit of budget.
+    pub in_flight: usize,
     /// Per-host admission rate (requests per second of pacing-clock
     /// time); `None` disables rate limiting.
     pub per_host_rps: Option<f64>,
     /// Instantaneous per-host burst allowance for the token buckets.
     pub burst: u32,
     /// Retry policy for the web and LLM boundaries. `None` runs the
-    /// bare stack (the streaming twin of [`Borges::run_parallel`]);
-    /// `Some` runs the resilient stack (the streaming twin of
-    /// [`Borges::run_resilient`]), with per-host breakers at
-    /// [`BreakerConfig::standard`].
+    /// bare stack (what [`Borges::run_parallel`] runs); `Some` runs the
+    /// resilient stack (the pooled twin of [`Borges::run_resilient`]),
+    /// with per-host breakers at [`BreakerConfig::standard`].
     pub policy: Option<RetryPolicy>,
-    /// Compute parallelism: NER fan-out (bare stack only) and the
-    /// compile-time base replay's shard count.
+    /// Compute parallelism: the compile-time base replay's shard count.
     pub threads: usize,
     /// The pacing clock token buckets read and throttled workers sleep
     /// on. Virtual ([`SimClock`]) by default, so throttled runs are
@@ -699,8 +653,7 @@ pub struct StreamOptions {
 impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
-            workers: 8,
-            max_in_flight: 8,
+            in_flight: DEFAULT_IN_FLIGHT,
             per_host_rps: None,
             burst: 1,
             policy: None,
@@ -713,8 +666,7 @@ impl Default for StreamOptions {
 impl std::fmt::Debug for StreamOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamOptions")
-            .field("workers", &self.workers)
-            .field("max_in_flight", &self.max_in_flight)
+            .field("in_flight", &self.in_flight)
             .field("per_host_rps", &self.per_host_rps)
             .field("burst", &self.burst)
             .field("policy", &self.policy)
@@ -723,9 +675,9 @@ impl std::fmt::Debug for StreamOptions {
     }
 }
 
-/// One crawl entry prepared for the streaming scheduler: the parse and
-/// host-key work is done once up front so the admission gate and the
-/// per-key FIFO discipline never re-parse under the scheduler lock.
+/// One crawl entry prepared for the pool: the parse and host-key work
+/// is done once up front so the admission gate and the per-key FIFO
+/// discipline never re-parse under the scheduler lock.
 struct StreamEntry<'a> {
     asn: Asn,
     raw: &'a str,
@@ -761,10 +713,81 @@ fn stream_entries(pdb: &PdbSnapshot) -> Vec<StreamEntry<'_>> {
         .collect()
 }
 
-/// Stamps one streaming run's scheduler accounting into the
+/// One remote call of an ingest, queued on the I/O pool.
+enum Call<'a> {
+    /// A crawl entry's fetch.
+    Fetch(StreamEntry<'a>),
+    /// The NER plan's request with this index.
+    Complete(usize),
+}
+
+/// What a [`Call`] returned.
+enum Reply {
+    Fetched(Asn, Resolution),
+    Completed(Result<ChatResponse, TransportError>),
+}
+
+/// Queues `entries`' fetches and `completions` LLM requests as one list,
+/// spread evenly so both kinds are in flight from the start (the pool
+/// claims the lowest ready index first, so requests queued after the
+/// whole crawl would wait for it). Each kind keeps its own order.
+fn interleave(entries: Vec<StreamEntry<'_>>, completions: usize) -> Vec<Call<'_>> {
+    let fetches = entries.len();
+    let mut entries = entries.into_iter();
+    let mut calls = Vec::with_capacity(fetches + completions);
+    let mut done = 0;
+    for j in 0..completions {
+        // Request j goes after the fetches that sit before (j+1)/(n+1)
+        // of the crawl.
+        let upto = (j + 1) * fetches / (completions + 1);
+        calls.extend(entries.by_ref().take(upto - done).map(Call::Fetch));
+        done = upto;
+        calls.push(Call::Complete(j));
+    }
+    calls.extend(entries.map(Call::Fetch));
+    calls
+}
+
+/// Sends `requests` through `model` on a pool of `in_flight` workers,
+/// each request its own key, and returns the replies in request order.
+fn complete_pooled(
+    model: &(dyn ChatModel + Sync),
+    requests: &[ChatRequest],
+    in_flight: usize,
+) -> Vec<Result<ChatResponse, TransportError>> {
+    let indices: Vec<usize> = (0..requests.len()).collect();
+    let mut replies = Vec::with_capacity(requests.len());
+    stream_indexed(
+        &indices,
+        in_flight,
+        |&j| j as u64,
+        |_, _| Ok(()),
+        |_| {},
+        |_, &j| model.complete(&requests[j]),
+        |_, reply| replies.push(reply),
+    );
+    replies
+}
+
+/// What the overlap phase of the pooled engine ([`Borges::overlap`])
+/// hands to the replay phase.
+struct Overlapped {
+    /// The crawl report, assembled in canonical entry order.
+    report: ScrapeReport,
+    /// The folded NER result.
+    ner: NerResult,
+    /// Virtual backoff the NER boundary spent (zero on the bare stack).
+    ner_backoff_ms: u64,
+    /// The pool's scheduler accounting.
+    ledger: StreamLedger,
+    /// The registry side of the compile, derived during the pool.
+    pre: Precompiled,
+}
+
+/// Stamps one pooled run's scheduler accounting into the
 /// worker-timing ledger (stage names from [`borges_telemetry::ingest`]).
 /// Ledger rows only — the canonical trace and metrics snapshot must
-/// stay byte-identical to the staged run, and the worker ledger is
+/// stay byte-identical to the sequential run, and the worker ledger is
 /// exactly the schedule-variant surface both exclude (DESIGN.md §8).
 fn record_ingest_ledger(tel: &Telemetry, ledger: &StreamLedger) {
     if !tel.is_enabled() {
@@ -850,10 +873,13 @@ impl Borges {
         )
     }
 
-    /// Like [`Borges::run`], fanning the crawl and the LLM calls out over
-    /// `threads` worker threads. Produces results identical to the
-    /// sequential run (entries are independent; all aggregation is
-    /// key-canonical) — only wall-clock time changes.
+    /// Like [`Borges::run`], on the pooled ingest engine: every remote
+    /// call — crawl fetches, NER and favicon completions — runs on one
+    /// pool of [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl,
+    /// while `threads` sizes the CPU work (the sharded compile).
+    /// Produces results identical to the sequential run — only
+    /// wall-clock time changes. [`Borges::run_streaming`] takes the
+    /// engine's other knobs.
     pub fn run_parallel<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -875,7 +901,10 @@ impl Borges {
     /// same logical spans, span fields, and metrics as
     /// [`Borges::run_traced`] — worker scheduling shows up only in
     /// runtime spans and [`WorkerTiming`] rows, which canonicalization
-    /// and the metrics snapshot exclude by design.
+    /// and the metrics snapshot exclude by design. Unlike
+    /// [`Borges::run_streaming_traced`] it leaves the pool's scheduler
+    /// rows out, so its whole run ledger reproduces byte for byte
+    /// across repeated runs.
     pub fn run_parallel_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -884,24 +913,11 @@ impl Borges {
         threads: usize,
         tel: &Telemetry,
     ) -> Self {
-        let root = tel.span("run");
-        let scraper = Scraper::new(web_client);
-        let report = stage(tel, &root, "crawl", |span| {
-            let entries: Vec<(Asn, &str)> =
-                pdb.nets().map(|n| (n.asn, n.website.as_str())).collect();
-            let report = scraper.crawl_parallel(entries, threads);
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-        let ner = stage(tel, &root, "ner", |span| {
-            let ner = crate::ner::extract_parallel(pdb, model, NerConfig::default(), threads);
-            annotate_ner(span, &ner);
-            ner
-        });
-        Self::assemble(
-            whois, pdb, &report, ner, model, web_cache, threads, tel, &root,
-        )
+        let opts = StreamOptions {
+            threads,
+            ..StreamOptions::default()
+        };
+        Self::pooled(whois, pdb, web_client, model, &opts, tel).0
     }
 
     /// Like [`Borges::run`], with every boundary wrapped in the
@@ -997,7 +1013,7 @@ impl Borges {
         });
 
         Self::finish(
-            whois, pdb, &report, ner, rr, favicon, web_cache, 1, tel, &root,
+            whois, pdb, &report, ner, rr, favicon, web_cache, None, 1, tel, &root,
         )
     }
 
@@ -1085,24 +1101,25 @@ impl Borges {
         )
     }
 
-    /// Streaming ingest: [`Borges::run`] with the crawl overlapped
-    /// against NER extraction and registry-side evidence compilation
-    /// (DESIGN.md §14). A bounded-concurrency scheduler
-    /// ([`borges_parallel::stream_indexed`]) drives `opts.workers`
-    /// fetch workers under a global `opts.max_in_flight` cap and
-    /// optional per-host token-bucket rate limits, serializing fetches
-    /// per host in canonical input order; completions flow through a
+    /// The pooled ingest engine: [`Borges::run`] with every remote call
+    /// on one pool of `opts.in_flight` workers (DESIGN.md §14). The NER
+    /// requests join the crawl's queue, interleaved with the fetches, so
+    /// the LLM waits overlap the crawl; fetches stay FIFO per host and
+    /// optionally rate-limited per host. Completions flow through a
     /// key-canonical reassembly buffer into an incremental
-    /// [`ReportAssembler`] while later fetches are still in flight.
+    /// [`ReportAssembler`] while later calls are still in flight. The
+    /// favicon step-2 calls run on a pool of the same size once the
+    /// crawl report exists; compilation is the sequential run's, sharded
+    /// over `opts.threads`.
     ///
     /// Determinism contract: the mapping, canonical trace, and metrics
-    /// snapshot are **byte-identical** to the staged run
-    /// ([`Borges::run_parallel`] bare, [`Borges::run_resilient`] when
-    /// `opts.policy` is set) at every worker count, in-flight cap, and
-    /// rate limit — including under recoverable transport faults.
-    /// Scheduler concurrency shows up only in [`WorkerTiming`] ledger
-    /// rows (stage names from [`borges_telemetry::ingest`]), the one
-    /// surface the contract excludes.
+    /// snapshot are **byte-identical** to the sequential run
+    /// ([`Borges::run`] bare, [`Borges::run_resilient`] when
+    /// `opts.policy` is set) at every budget and rate limit — including
+    /// under recoverable transport faults. Scheduler concurrency shows
+    /// up only in [`WorkerTiming`] ledger rows (stage names from
+    /// [`borges_telemetry::ingest`]), the one surface the contract
+    /// excludes.
     pub fn run_streaming<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1113,18 +1130,8 @@ impl Borges {
         Self::run_streaming_traced(whois, pdb, web_client, model, opts, &Telemetry::disabled())
     }
 
-    /// Like [`Borges::run_streaming`], recording into `tel`.
-    ///
-    /// Two phases keep the canonical surfaces schedule-independent.
-    /// **Phase A (overlap)** runs the crawl scheduler concurrently with
-    /// one compute thread doing NER and [`StreamPrecompiled::build`];
-    /// nothing touches the telemetry clock or opens spans — resilient
-    /// fetches spend their backoff on per-call private clocks whose
-    /// total is accumulated. **Phase B (replay)** opens the `run` span
-    /// at virtual t=0 and replays each stage in staged order, sleeping
-    /// the accumulated virtual backoff inside the matching stage span,
-    /// so timestamps and stage-duration histograms land exactly where
-    /// the staged run puts them.
+    /// Like [`Borges::run_streaming`], recording into `tel`, the pool's
+    /// scheduler accounting included (the `ingest_*` worker rows).
     pub fn run_streaming_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1133,6 +1140,31 @@ impl Borges {
         opts: &StreamOptions,
         tel: &Telemetry,
     ) -> Self {
+        let (borges, ledger) = Self::pooled(whois, pdb, web_client, model, opts, tel);
+        record_ingest_ledger(tel, &ledger);
+        borges
+    }
+
+    /// The pooled engine behind [`Borges::run_streaming_traced`] and
+    /// [`Borges::run_parallel_traced`], returning the pool's ledger.
+    ///
+    /// Two phases keep the canonical surfaces schedule-independent.
+    /// **Phase A (overlap, [`Borges::overlap`])** runs the pool; nothing
+    /// touches the telemetry clock or opens spans — resilient calls
+    /// spend their backoff on private clocks whose totals are
+    /// accumulated. **Phase B (replay)** opens the `run` span at virtual
+    /// t=0 and replays each stage in sequential order, sleeping the
+    /// accumulated virtual backoff inside the matching stage span, so
+    /// timestamps and stage-duration histograms land exactly where the
+    /// sequential run puts them.
+    fn pooled<C: WebClient + Sync>(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        web_client: C,
+        model: &(dyn ChatModel + Sync),
+        opts: &StreamOptions,
+        tel: &Telemetry,
+    ) -> (Self, StreamLedger) {
         let fetcher = match opts.policy {
             Some(policy) => StreamingWebClient::resilient(web_client, policy)
                 .with_breakers(BreakerConfig::standard())
@@ -1140,44 +1172,17 @@ impl Borges {
             None => StreamingWebClient::bare(web_client),
         };
         let scraper = Scraper::new(&fetcher);
-        let entries = stream_entries(pdb);
-        let limiter = opts
-            .per_host_rps
-            .map(|rps| RateLimiterRegistry::new(rps, opts.burst));
-        let config = StreamConfig {
-            workers: opts.workers,
-            max_in_flight: opts.max_in_flight,
-        };
-
-        let mut assembler = ReportAssembler::new();
-        let (ledger, compute_out) = std::thread::scope(|scope| {
-            let compute = scope.spawn(|| {
-                let pre = StreamPrecompiled::build(whois, pdb, opts.threads);
-                let ner = Self::stream_ner(pdb, model, NerConfig::default(), opts, tel);
-                (pre, ner)
-            });
-            let ledger = stream_indexed(
-                &entries,
-                &config,
-                |e| e.key,
-                |_key, e| match (&limiter, &e.host) {
-                    (Some(registry), Some(host)) => {
-                        registry.limiter(host).try_acquire(opts.pacing.now_ms())
-                    }
-                    _ => Ok(()),
-                },
-                |ms| opts.pacing.sleep_ms(ms),
-                |_, e| scraper.resolve(e.raw),
-                |index, resolution| assembler.push(entries[index].asn, resolution),
-            );
-            let compute_out = match compute.join() {
-                Ok(out) => out,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (ledger, compute_out)
-        });
-        let (pre, (ner, ner_backoff_ms)) = compute_out;
-        let mut report = assembler.finish();
+        let overlapped = Self::overlap(
+            whois,
+            pdb,
+            stream_entries(pdb),
+            &|raw| scraper.resolve(raw),
+            model,
+            NerConfig::default(),
+            opts,
+            tel,
+        );
+        let mut report = overlapped.report;
         if opts.policy.is_some() {
             report.stats.resilience = fetcher.stats();
         }
@@ -1188,50 +1193,28 @@ impl Borges {
             tel.clock().sleep_ms(fetcher.backoff_total_ms());
             annotate_crawl(span, &report.stats);
         });
-        record_ingest_ledger(tel, &ledger);
-        Self::assemble_streaming(
+        let borges = Self::assemble_streaming(
             whois,
             pdb,
             &report,
-            ner,
-            ner_backoff_ms,
+            overlapped.ner,
+            overlapped.ner_backoff_ms,
             model,
             opts,
             web_cache,
-            pre,
+            overlapped.pre,
             tel,
             &root,
-        )
+        );
+        (borges, overlapped.ledger)
     }
 
-    /// [`Borges::from_scrape`]'s streaming twin: NER runs on a compute
-    /// thread while the main thread builds the registry-side evidence,
-    /// then the canonical stages replay. Byte-identical to
-    /// [`Borges::from_scrape`] /
-    /// [`Borges::from_scrape_parallel`] over the same inputs.
-    pub fn from_scrape_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-    ) -> Self {
-        Self::from_scrape_streaming_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            opts,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::from_scrape_streaming`], recording into `tel`.
-    /// As with [`Borges::from_scrape_traced`] there is no crawl stage,
-    /// so the trace has no `run/crawl` span and the redirect-cache
-    /// ledger row reads zero.
+    /// [`Borges::from_scrape_traced`] on the pooled engine: the NER
+    /// requests run on a pool of `opts.in_flight` workers, then the
+    /// canonical stages replay. Byte-identical to
+    /// [`Borges::from_scrape`] over the same inputs; there is no crawl
+    /// stage, so the trace has no `run/crawl` span and the
+    /// redirect-cache ledger row reads zero.
     pub fn from_scrape_streaming_traced(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1241,69 +1224,135 @@ impl Borges {
         opts: &StreamOptions,
         tel: &Telemetry,
     ) -> Self {
-        let ((ner, ner_backoff_ms), pre) = std::thread::scope(|scope| {
-            let compute = scope.spawn(|| Self::stream_ner(pdb, model, ner_config, opts, tel));
-            let pre = StreamPrecompiled::build(whois, pdb, opts.threads);
-            match compute.join() {
-                Ok(ner) => (ner, pre),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        });
+        let overlapped = Self::overlap(
+            whois,
+            pdb,
+            Vec::new(),
+            &|_| unreachable!("no crawl entries were queued"),
+            model,
+            ner_config,
+            opts,
+            tel,
+        );
         let root = tel.span("run");
         Self::assemble_streaming(
             whois,
             pdb,
             report,
-            ner,
-            ner_backoff_ms,
+            overlapped.ner,
+            overlapped.ner_backoff_ms,
             model,
             opts,
             CacheStats::default(),
-            pre,
+            overlapped.pre,
             tel,
             &root,
         )
     }
 
-    /// Phase-A NER for the streaming constructors. Resilient runs wrap
-    /// the model in a [`RetryingModel`] on a *private* [`SimClock`] —
-    /// the telemetry clock must not move before phase B replays the
-    /// crawl — and return the virtual backoff spend for the `ner` stage
-    /// replay. Backoff schedules depend only on (attempt, key), never on
-    /// absolute time, so the spend equals what the staged run's shared
-    /// clock would have accumulated. Bare runs fan out over
-    /// `opts.threads` with zero virtual spend.
-    fn stream_ner(
+    /// Phase A of the pooled engine: every fetch of `entries` (through
+    /// `resolve`) and every request of the NER plan run on one pool of
+    /// `opts.in_flight` workers, interleaved. Fetches keep their per-host
+    /// keys; each NER request gets a key of its own, so per-host FIFO
+    /// applies only to fetches.
+    ///
+    /// Resilient runs send NER through a [`RetryingModel`] on a
+    /// *private* [`SimClock`] — the telemetry clock must not move before
+    /// phase B replays the crawl — and return its virtual backoff spend
+    /// for the `ner` stage replay. Its requests share one key instead:
+    /// the model's single breaker counts one failure streak across
+    /// calls, so they must run one at a time in plan order, as in the
+    /// sequential resilient run. Backoff schedules depend only on
+    /// (attempt, key), never on absolute time, so the spend equals what
+    /// the sequential run's shared clock would have accumulated.
+    #[allow(clippy::too_many_arguments)]
+    fn overlap(
+        whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
+        entries: Vec<StreamEntry<'_>>,
+        resolve: &(dyn Fn(&str) -> Resolution + Sync),
         model: &(dyn ChatModel + Sync),
         ner_config: NerConfig,
         opts: &StreamOptions,
         tel: &Telemetry,
-    ) -> (NerResult, u64) {
-        match opts.policy {
-            Some(policy) => {
-                let clock = Arc::new(SimClock::new());
-                let ner_model = RetryingModel::new(model, policy)
-                    .with_breaker(BreakerConfig::standard())
-                    .with_clock(clock.clone())
-                    .with_telemetry(tel.clone(), "ner");
-                let mut ner = extract(pdb, &ner_model, ner_config);
-                ner.stats.resilience = ner_model.stats();
-                (ner, clock.now_ms())
-            }
-            None => (
-                crate::ner::extract_parallel(pdb, model, ner_config, opts.threads),
-                0,
-            ),
+    ) -> Overlapped {
+        let ner_plan = crate::ner::plan(pdb, ner_config, &BTreeMap::new());
+        let ner_clock = Arc::new(SimClock::new());
+        let retrying = opts.policy.map(|policy| {
+            RetryingModel::new(model, policy)
+                .with_breaker(BreakerConfig::standard())
+                .with_clock(ner_clock.clone())
+                .with_telemetry(tel.clone(), "ner")
+        });
+        let ner_model: &(dyn ChatModel + Sync) = match &retrying {
+            Some(retrying) => retrying,
+            None => model,
+        };
+        let limiter = opts
+            .per_host_rps
+            .map(|rps| RateLimiterRegistry::new(rps, opts.burst));
+        let calls = interleave(entries, ner_plan.requests().len());
+        let serial_ner = retrying.is_some();
+
+        let mut assembler = ReportAssembler::new();
+        let mut ner_replies = Vec::with_capacity(ner_plan.requests().len());
+        let mut pre = None;
+        let ledger = stream_indexed(
+            &calls,
+            opts.in_flight,
+            |call| match call {
+                // Fetch keys are even and NER keys odd, so the two kinds
+                // never share a FIFO queue.
+                Call::Fetch(e) => e.key << 1,
+                Call::Complete(_) if serial_ner => 1,
+                Call::Complete(j) => (*j as u64) << 1 | 1,
+            },
+            |_key, call| match (call, &limiter) {
+                (Call::Fetch(e), Some(registry)) => match &e.host {
+                    Some(host) => registry.limiter(host).try_acquire(opts.pacing.now_ms()),
+                    None => Ok(()),
+                },
+                _ => Ok(()),
+            },
+            |ms| opts.pacing.sleep_ms(ms),
+            |_, call| match call {
+                Call::Fetch(e) => Reply::Fetched(e.asn, resolve(e.raw)),
+                Call::Complete(j) => Reply::Completed(ner_model.complete(&ner_plan.requests()[*j])),
+            },
+            |_, reply| {
+                // The consumer idles while calls are in flight: it
+                // derives the registry side of the compile on the first
+                // completion, and later completions queue meanwhile.
+                pre.get_or_insert_with(|| Precompiled::build(whois, pdb, opts.threads));
+                match reply {
+                    Reply::Fetched(asn, resolution) => assembler.push(asn, resolution),
+                    Reply::Completed(reply) => ner_replies.push(reply),
+                }
+            },
+        );
+        let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, opts.threads));
+        let mut ner = ner_plan.fold(ner_replies);
+        if let Some(retrying) = &retrying {
+            ner.stats.resilience = retrying.stats();
+        }
+        Overlapped {
+            report: assembler.finish(),
+            ner,
+            ner_backoff_ms: ner_clock.now_ms(),
+            ledger,
+            pre,
         }
     }
 
-    /// Phase-B tail of the streaming constructors: replays the `ner`
-    /// stage (virtual backoff + annotations), runs the pure `rr`
-    /// inference, runs the `favicon` stage *live* on the telemetry clock
-    /// (it is sequential and starts at the same virtual instant as in
-    /// the staged run, so spans, metrics, and breaker events land
-    /// identically), then finishes with the precompiled evidence.
+    /// Phase-B tail of the pooled constructors: replays the `ner` stage
+    /// (virtual backoff + annotations), runs the pure `rr` inference,
+    /// runs the `favicon` stage, then hands off to [`Borges::finish`].
+    /// Bare runs send the favicon step-2 calls on a pool of
+    /// `opts.in_flight` workers; resilient runs send them one at a time
+    /// *live* on the telemetry clock (the favicon model has one breaker
+    /// too, and the stage starts at the same virtual instant as in the
+    /// sequential run, so spans, metrics, and breaker events land
+    /// identically).
     #[allow(clippy::too_many_arguments)]
     fn assemble_streaming(
         whois: &WhoisRegistry,
@@ -1314,7 +1363,7 @@ impl Borges {
         model: &(dyn ChatModel + Sync),
         opts: &StreamOptions,
         web_cache: CacheStats,
-        pre: StreamPrecompiled,
+        pre: Precompiled,
         tel: &Telemetry,
         root: &Span,
     ) -> Self {
@@ -1339,12 +1388,17 @@ impl Borges {
                     favicon.stats.resilience = favicon_model.stats();
                     favicon
                 }
-                None => favicon_inference(report, model),
+                None => {
+                    let plan = crate::web::favicon::plan(report, true, &BTreeMap::new());
+                    let replies = complete_pooled(model, plan.requests(), opts.in_flight);
+                    plan.fold(replies)
+                }
             };
             annotate_favicon(span, &favicon);
             favicon
         });
-        Self::finish_streaming(
+
+        Self::finish(
             whois,
             pdb,
             report,
@@ -1352,66 +1406,11 @@ impl Borges {
             rr,
             favicon,
             web_cache,
-            pre,
+            Some(pre),
             opts.threads,
             tel,
             root,
         )
-    }
-
-    /// Shared tail of the streaming constructors — the streaming
-    /// analogue of [`Borges::finish`], consuming the
-    /// [`StreamPrecompiled`] built during the overlap window instead of
-    /// re-deriving the universe and registry evidence. Span fields and
-    /// metrics are identical to the staged tail because every value
-    /// comes from the same derivations.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        rr: RrInference,
-        favicon: FaviconInference,
-        web_cache: CacheStats,
-        pre: StreamPrecompiled,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let StreamPrecompiled {
-            interner,
-            oid_w,
-            oid_p,
-            feed,
-            oid_w_groups,
-            oid_p_groups,
-        } = pre;
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-        let compiled = stage(tel, root, "compile", |span| {
-            let compiled = CompiledEvidence::compile_from_stream(
-                interner, oid_w, oid_p, feed, &ner, &rr, &favicon, threads, tel,
-            );
-            span.field("asns", compiled.interner.live_len());
-            span.field("ner_links", segment_edge_count(&compiled.na));
-            compiled
-        });
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
-            ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache,
-            fingerprints,
-            delta: None,
-            world_epoch: 0,
-        };
-        borges.stamp_metrics(tel);
-        borges
     }
 
     /// Shared tail of the sequential bare-stack constructors: runs NER,
@@ -1464,17 +1463,19 @@ impl Borges {
             favicon
         });
         Self::finish(
-            whois, pdb, report, ner, rr, favicon, web_cache, threads, tel, root,
+            whois, pdb, report, ner, rr, favicon, web_cache, None, threads, tel, root,
         )
     }
 
     /// Shared tail of every constructor: fixes the universe and compiles
-    /// all (pre-computed) evidence to dense edge lists. Takes the web
-    /// inferences ready-made so callers can run them behind whatever
-    /// client/model stack they choose (see [`Borges::run_resilient`]).
-    /// Also where every stage funnel is stamped into the metrics
-    /// registry — from the merged stats, never per item inside workers,
-    /// so sequential and parallel runs emit identical snapshots.
+    /// all (pre-computed) evidence to dense edge lists — finishing `pre`
+    /// when the registry side was derived already (the pooled engine
+    /// does it while its calls are in flight). Takes the web inferences
+    /// ready-made so callers can run them behind whatever client/model
+    /// stack they choose (see [`Borges::run_resilient`]). Also where
+    /// every stage funnel is stamped into the metrics registry — from
+    /// the merged stats, never per item inside workers, so sequential
+    /// and parallel runs emit identical snapshots.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         whois: &WhoisRegistry,
@@ -1484,24 +1485,27 @@ impl Borges {
         rr: RrInference,
         favicon: FaviconInference,
         web_cache: CacheStats,
+        pre: Option<Precompiled>,
         threads: usize,
         tel: &Telemetry,
         root: &Span,
     ) -> Self {
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        // PeeringDB networks missing from WHOIS (rare, but real dumps have
-        // them) still belong to the mapping universe.
-        universe.extend(pdb.nets().map(|n| n.asn));
-
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
         let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-        let compiled = stage(tel, root, "compile", |span| {
-            let compiled =
-                CompiledEvidence::compile(universe, whois, pdb, &ner, &rr, &favicon, threads, tel);
+        let (compiled, oid_w_groups, oid_p_groups) = stage(tel, root, "compile", |span| {
+            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, threads));
+            let (compiled, _) = CompiledEvidence::build(
+                pre.interner,
+                pre.registry,
+                None,
+                &ner,
+                &rr,
+                &favicon,
+                threads,
+                tel,
+            );
             span.field("asns", compiled.interner.live_len());
             span.field("ner_links", segment_edge_count(&compiled.na));
-            compiled
+            (compiled, pre.oid_w_groups, pre.oid_p_groups)
         });
 
         let borges = Borges {

@@ -15,9 +15,12 @@
 //!    it.
 
 use crate::blocklists::blocked_for_favicon;
-use borges_llm::chat::{ChatModel, ChatRequest, Content, DecodingParams, Message, Role};
+use borges_llm::chat::{
+    ChatModel, ChatRequest, ChatResponse, Content, DecodingParams, Message, Role,
+};
 use borges_llm::classifier::KNOWN_FRAMEWORKS;
 use borges_llm::prompts::{build_classifier_prompt, parse_classifier_reply, ClassifierReply};
+use borges_resilience::TransportError;
 use borges_types::{Asn, FaviconHash, Url};
 use borges_websim::ScrapeReport;
 use std::collections::BTreeMap;
@@ -143,16 +146,69 @@ pub fn favicon_inference_with(
 /// call: when a favicon's URL-list fingerprint matches a memoized
 /// verdict, the verdict is replayed and no call is issued.
 /// `stats.llm_calls` counts physical calls only.
+///
+/// Sends the [`plan`]'s requests one at a time, in plan order.
 pub fn favicon_inference_memo(
     report: &ScrapeReport,
     model: &dyn ChatModel,
     apply_blocklist: bool,
     memo: &BTreeMap<FaviconHash, FaviconMemo>,
 ) -> FaviconInference {
-    let mut out = FaviconInference::default();
-    let by_favicon = report.asns_by_favicon();
-    out.stats.favicons_total = by_favicon.len();
+    let plan = plan(report, apply_blocklist, memo);
+    let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
+    plan.fold(replies)
+}
 
+/// How step 2 answers a shared-favicon group.
+enum Step2 {
+    /// Step 1 merged every URL of the group: no verdict needed.
+    Settled,
+    /// A memoized verdict for the identical URL list.
+    Replay(FaviconMemo),
+    /// The next request of the plan; `u64` is the URL-list fingerprint
+    /// the reply will be memoized under.
+    Ask(u64),
+}
+
+/// One favicon shared by at least two distinct (non-blocklisted) final
+/// URLs, analysed up to the step-2 call.
+struct SharedFavicon {
+    favicon: FaviconHash,
+    /// Step 1's merge groups (same favicon + same brand label).
+    step1: Vec<Vec<Asn>>,
+    urls: Vec<Url>,
+    asns: Vec<Asn>,
+    step2: Step2,
+}
+
+/// The step-2 classifier calls a favicon run needs, listed before any
+/// is sent.
+///
+/// [`plan`] applies the blocklist, step 1 and the memo;
+/// [`FaviconPlan::fold`] applies the verdicts and the funnel counters to
+/// the replies. Requests are listed in favicon order and fold reads the
+/// replies in that same order, so *who* sends them — one at a time, or a
+/// pool completing them in any order — cannot change the result.
+pub(crate) struct FaviconPlan {
+    favicons_total: usize,
+    shared: Vec<SharedFavicon>,
+    requests: Vec<ChatRequest>,
+}
+
+/// Lists the step-2 calls for the favicons of `report`: only groups that
+/// span several brand labels need the model, and groups whose URL list
+/// matches `memo` replay the memoized verdict instead.
+pub(crate) fn plan(
+    report: &ScrapeReport,
+    apply_blocklist: bool,
+    memo: &BTreeMap<FaviconHash, FaviconMemo>,
+) -> FaviconPlan {
+    let by_favicon = report.asns_by_favicon();
+    let mut plan = FaviconPlan {
+        favicons_total: by_favicon.len(),
+        shared: Vec::new(),
+        requests: Vec::new(),
+    };
     for (favicon, entries) in by_favicon {
         // Blocklist, then collapse to distinct final URLs (a URL may carry
         // several ASNs when several networks landed on it).
@@ -170,8 +226,6 @@ pub fn favicon_inference_memo(
         if by_url.len() < 2 {
             continue; // favicon grouping needs at least two distinct URLs
         }
-        out.stats.favicons_shared += 1;
-        out.stats.urls_in_shared += by_url.len();
 
         // Step 1: partition by brand label.
         let mut by_label: BTreeMap<&str, Vec<&(Url, Vec<Asn>)>> = BTreeMap::new();
@@ -182,134 +236,174 @@ pub fn favicon_inference_memo(
                 None => unlabeled += 1,
             }
         }
+        let mut step1 = Vec::new();
         let mut step1_merged_everything = false;
-        let mut any_step1 = false;
         for group in by_label.values() {
             if group.len() >= 2 {
-                any_step1 = true;
-                let asns: Vec<Asn> = group
-                    .iter()
-                    .flat_map(|(_, asns)| asns.iter().copied())
-                    .collect();
-                out.groups.push(asns);
-                out.group_favicons.push(favicon);
-                out.stats.merged_by_step1 += 1;
+                step1.push(
+                    group
+                        .iter()
+                        .flat_map(|(_, asns)| asns.iter().copied())
+                        .collect(),
+                );
                 if group.len() == by_url.len() {
                     step1_merged_everything = true;
                 }
             }
         }
-        if any_step1 {
-            out.stats.same_label_groups += 1;
-        }
 
-        let group_urls: Vec<Url> = by_url.values().map(|(u, _)| u.clone()).collect();
-        let mut group_asns: Vec<Asn> = by_url
+        let mut asns: Vec<Asn> = by_url
             .values()
             .flat_map(|(_, asns)| asns.iter().copied())
             .collect();
-        group_asns.sort_unstable();
-        group_asns.dedup();
+        asns.sort_unstable();
+        asns.dedup();
 
-        if step1_merged_everything && unlabeled == 0 {
-            out.decisions.push(GroupDecision {
-                favicon,
-                urls: group_urls,
-                asns: group_asns,
-                step1_merged_all: true,
-                outcome: GroupOutcome::MergedByStep1,
-            });
-            continue;
-        }
-
-        // Step 2: one LLM call for the whole favicon group — unless a
-        // memoized verdict for the identical URL list can be replayed.
-        let urls: Vec<String> = by_url.values().map(|(u, _)| u.canonical()).collect();
-        let fp = crate::delta::favicon_urls_fp(&urls);
-        let verdict = match memo.get(&favicon) {
-            Some(entry) if entry.fp == fp => {
-                out.memo_hits += 1;
-                match &entry.named {
-                    Some(name) => ClassifierReply::Name(name.clone()),
-                    None => ClassifierReply::DontKnow,
+        let step2 = if step1_merged_everything && unlabeled == 0 {
+            Step2::Settled
+        } else {
+            // Step 2: one LLM call for the whole favicon group — unless a
+            // memoized verdict for the identical URL list can be replayed.
+            let urls: Vec<String> = by_url.values().map(|(u, _)| u.canonical()).collect();
+            let fp = crate::delta::favicon_urls_fp(&urls);
+            match memo.get(&favicon) {
+                Some(entry) if entry.fp == fp => Step2::Replay(entry.clone()),
+                _ => {
+                    plan.requests.push(ChatRequest {
+                        messages: vec![Message {
+                            role: Role::User,
+                            parts: vec![
+                                Content::Text(build_classifier_prompt(&urls)),
+                                Content::Image { favicon },
+                            ],
+                        }],
+                        params: DecodingParams::deterministic(),
+                    });
+                    Step2::Ask(fp)
                 }
-            }
-            _ => {
-                let request = ChatRequest {
-                    messages: vec![Message {
-                        role: Role::User,
-                        parts: vec![
-                            Content::Text(build_classifier_prompt(&urls)),
-                            Content::Image { favicon },
-                        ],
-                    }],
-                    params: DecodingParams::deterministic(),
-                };
-                // Count the call before issuing it, so the funnel stays
-                // exact (`llm_abandoned + parsed == llm_calls`) on every
-                // path out.
-                out.stats.llm_calls += 1;
-                let reply = match model.complete(&request) {
-                    Ok(reply) => reply,
-                    Err(_transport) => {
-                        // Failures are never memoized: the next run
-                        // retries the call.
-                        out.stats.llm_abandoned += 1;
-                        out.decisions.push(GroupDecision {
-                            favicon,
-                            urls: group_urls,
-                            asns: group_asns,
-                            step1_merged_all: false,
-                            outcome: GroupOutcome::Abandoned,
-                        });
-                        continue;
-                    }
-                };
-                out.stats.usage += reply.usage;
-                parse_classifier_reply(&reply.text)
             }
         };
-        out.memo.insert(
+        plan.shared.push(SharedFavicon {
             favicon,
-            FaviconMemo {
-                fp,
-                named: match &verdict {
-                    ClassifierReply::Name(name) => Some(name.clone()),
-                    ClassifierReply::DontKnow => None,
-                },
-            },
-        );
-        let outcome = match verdict {
-            ClassifierReply::Name(name) => {
-                if is_framework_name(&name) {
-                    out.stats.framework_rejections += 1;
-                    GroupOutcome::RejectedFramework
-                } else {
-                    out.groups.push(group_asns.clone());
-                    out.group_favicons.push(favicon);
-                    out.stats.merged_by_llm += 1;
-                    GroupOutcome::MergedByLlm
-                }
+            step1,
+            urls: by_url.into_values().map(|(u, _)| u).collect(),
+            asns,
+            step2,
+        });
+    }
+    plan
+}
+
+impl FaviconPlan {
+    /// The step-2 calls to send, in canonical (favicon) order.
+    pub fn requests(&self) -> &[ChatRequest] {
+        &self.requests
+    }
+
+    /// Applies the decision tree to the replies — one per request, in
+    /// request order — and returns the stage's output.
+    pub fn fold(
+        self,
+        replies: impl IntoIterator<Item = Result<ChatResponse, TransportError>>,
+    ) -> FaviconInference {
+        let mut replies = replies.into_iter();
+        let mut out = FaviconInference::default();
+        out.stats.favicons_total = self.favicons_total;
+        for shared in self.shared {
+            let SharedFavicon {
+                favicon,
+                step1,
+                urls,
+                asns,
+                step2,
+            } = shared;
+            out.stats.favicons_shared += 1;
+            out.stats.urls_in_shared += urls.len();
+            if !step1.is_empty() {
+                out.stats.same_label_groups += 1;
             }
-            ClassifierReply::DontKnow => {
-                out.stats.dont_know += 1;
+            for group in step1 {
+                out.groups.push(group);
+                out.group_favicons.push(favicon);
+                out.stats.merged_by_step1 += 1;
+            }
+            let outcome = match step2 {
+                Step2::Settled => GroupOutcome::MergedByStep1,
+                Step2::Replay(entry) => {
+                    out.memo_hits += 1;
+                    out.apply_verdict(favicon, entry.fp, entry.named, &asns)
+                }
+                Step2::Ask(fp) => {
+                    // Count the call before reading its reply, so the
+                    // funnel stays exact (`llm_abandoned + parsed ==
+                    // llm_calls`) on every path out.
+                    out.stats.llm_calls += 1;
+                    match replies.next().expect("one reply per request") {
+                        Ok(reply) => {
+                            out.stats.usage += reply.usage;
+                            let named = match parse_classifier_reply(&reply.text) {
+                                ClassifierReply::Name(name) => Some(name),
+                                ClassifierReply::DontKnow => None,
+                            };
+                            out.apply_verdict(favicon, fp, named, &asns)
+                        }
+                        Err(_transport) => {
+                            // Failures are never memoized: the next run
+                            // retries the call.
+                            out.stats.llm_abandoned += 1;
+                            GroupOutcome::Abandoned
+                        }
+                    }
+                }
+            };
+            out.decisions.push(GroupDecision {
+                favicon,
+                urls,
+                asns,
+                step1_merged_all: outcome == GroupOutcome::MergedByStep1,
+                outcome,
+            });
+        }
+        assert!(replies.next().is_none(), "one reply per request");
+
+        for g in &mut out.groups {
+            g.sort_unstable();
+            g.dedup();
+        }
+        out
+    }
+}
+
+impl FaviconInference {
+    /// Memoizes a step-2 verdict for `favicon` and applies it: a company
+    /// name merges `asns`, a technology name or a decline (`None`)
+    /// rejects them.
+    fn apply_verdict(
+        &mut self,
+        favicon: FaviconHash,
+        fp: u64,
+        named: Option<String>,
+        asns: &[Asn],
+    ) -> GroupOutcome {
+        let outcome = match &named {
+            Some(name) if is_framework_name(name) => {
+                self.stats.framework_rejections += 1;
+                GroupOutcome::RejectedFramework
+            }
+            Some(_) => {
+                self.groups.push(asns.to_vec());
+                self.group_favicons.push(favicon);
+                self.stats.merged_by_llm += 1;
+                GroupOutcome::MergedByLlm
+            }
+            None => {
+                self.stats.dont_know += 1;
                 GroupOutcome::RejectedUnknown
             }
         };
-        out.decisions.push(GroupDecision {
-            favicon,
-            urls: group_urls,
-            asns: group_asns,
-            step1_merged_all: false,
-            outcome,
-        });
+        self.memo.insert(favicon, FaviconMemo { fp, named });
+        outcome
     }
-
-    for g in &mut out.groups {
-        g.sort_unstable();
-        g.dedup();
-    }
-    out
 }
 
 /// Is a classifier reply the name of a web technology rather than a
@@ -513,6 +607,40 @@ mod tests {
         assert_eq!(inf.stats.merged_by_step1, 1);
         assert_eq!(inf.stats.framework_rejections, 1);
         assert_eq!(inf.stats.dont_know, 1);
+    }
+
+    #[test]
+    fn folding_replies_completed_in_any_order_is_identical() {
+        let llm = SimLlm::flawless();
+        let sequential = favicon_inference(&report(), &llm);
+        let outcomes = |inf: &FaviconInference| -> Vec<(FaviconHash, GroupOutcome)> {
+            inf.decisions
+                .iter()
+                .map(|d| (d.favicon, d.outcome.clone()))
+                .collect()
+        };
+        // Every completion order of the three step-2 calls.
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let plan = plan(&report(), true, &BTreeMap::new());
+            assert_eq!(plan.requests().len(), 3);
+            let mut slots = [None, None, None];
+            for i in order {
+                slots[i] = Some(llm.complete(&plan.requests()[i]));
+            }
+            let folded = plan.fold(slots.into_iter().map(Option::unwrap));
+            assert_eq!(folded.groups, sequential.groups, "{order:?}");
+            assert_eq!(folded.group_favicons, sequential.group_favicons);
+            assert_eq!(folded.memo, sequential.memo);
+            assert_eq!(folded.stats, sequential.stats);
+            assert_eq!(outcomes(&folded), outcomes(&sequential));
+        }
     }
 
     #[test]

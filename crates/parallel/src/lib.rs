@@ -1,18 +1,17 @@
 //! # borges-parallel
 //!
-//! Chunked scoped-thread fan-out, shared by every embarrassingly
-//! parallel stage of the workspace: the web crawl, the LLM extraction
-//! loop, and mapping materialization across feature combinations.
+//! Chunked scoped-thread fan-out, shared by the embarrassingly parallel
+//! CPU stages of the workspace: the sharded union-find replay and
+//! mapping materialization across feature combinations.
 //!
-//! All three stages have the same shape — a slice of independent work
-//! items, a pure per-item (or per-chunk) function, and key-canonical
-//! downstream assembly that makes the result independent of execution
-//! order. The helpers here encode exactly that shape with
-//! `std::thread::scope`, replacing the hand-rolled copies that used to
-//! live in each crate:
+//! Both have the same shape — a slice of independent work items, a
+//! pure per-item (or per-chunk) function, and key-canonical downstream
+//! assembly that makes the result independent of execution order. The
+//! helpers here encode exactly that shape with `std::thread::scope`,
+//! replacing the hand-rolled copies that used to live in each crate:
 //!
-//! * results come back **in input order** (handles are joined in spawn
-//!   order), so callers need no re-sorting;
+//! * results come back **in input order**, so callers need no
+//!   re-sorting;
 //! * items are split into at most `threads` contiguous chunks of
 //!   near-equal size (`ceil(len / threads)`), one worker thread per
 //!   chunk — cheap for coarse items, and deterministic;
@@ -22,17 +21,18 @@
 //! The crate is dependency-free so any layer — including the web
 //! simulator, which sits *below* the core pipeline — can use it.
 //!
-//! The [`stream`] module is the non-batch sibling: a bounded-concurrency
-//! streaming scheduler (per-key FIFO, global in-flight cap, injectable
-//! admission gate) whose completions are re-ordered into canonical input
-//! order by a reassembly buffer before the consumer sees them.
+//! The [`stream`] module is the non-batch sibling, for waits rather than
+//! compute: a streaming scheduler (per-key FIFO, a fixed in-flight
+//! budget, an injectable admission gate) whose completions are
+//! re-ordered into canonical input order by a reassembly buffer before
+//! the consumer sees them. It carries every remote call of an ingest.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod stream;
 
-pub use stream::{stream_indexed, ReassemblyBuffer, StreamConfig, StreamLedger};
+pub use stream::{stream_indexed, ReassemblyBuffer, StreamLedger};
 
 /// The worker-thread count to use when the caller has no opinion: the
 /// machine's available parallelism, or 1 when it cannot be determined
@@ -59,18 +59,65 @@ where
 {
     let threads = threads.max(1);
     let chunk_size = items.len().div_ceil(threads).max(1);
+    run_pool(items.chunks(chunk_size).collect(), &f, || ()).0
+}
+
+/// Runs `work(state)` for every element of `states`, each on its own
+/// scoped thread, while `meanwhile` runs on the calling thread; returns
+/// the workers' results in `states` order, and `meanwhile`'s. A worker
+/// panic propagates to the caller.
+///
+/// Workers start one after another, each making its first heap
+/// allocation before the next is spawned, and retire in reverse order
+/// once `meanwhile` has returned. glibc gives a new thread the malloc
+/// arena released most recently and never trims a thread arena's top,
+/// so a pool that retires last-in-first-out hands its arenas back in the
+/// order it took them, and threads spawned later (a server's workers,
+/// the next pool) keep landing on the same arenas. Retiring in
+/// completion order reshuffles them instead, and every arena a large
+/// allocator lands on stays resident at its peak: a process that ingests
+/// repeatedly then holds several such heaps where one would do.
+pub(crate) fn run_pool<S, R, M>(
+    states: Vec<S>,
+    work: impl Fn(S) -> R + Sync,
+    meanwhile: impl FnOnce() -> M,
+) -> (Vec<R>, M)
+where
+    S: Send,
+    R: Send,
+{
+    use std::sync::mpsc;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(|| f(chunk)))
-            .collect();
-        handles
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let mut retirees = Vec::with_capacity(states.len());
+        for state in states {
+            let (retire_tx, retire_rx) = mpsc::channel::<()>();
+            let started_tx = started_tx.clone();
+            let work = &work;
+            let handle = scope.spawn(move || {
+                drop(std::hint::black_box(Box::new(0u8)));
+                let _ = started_tx.send(());
+                let result = work(state);
+                let _ = retire_rx.recv();
+                result
+            });
+            let _ = started_rx.recv();
+            retirees.push((retire_tx, handle));
+        }
+        let during = meanwhile();
+        let mut results: Vec<R> = retirees
             .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(result) => result,
-                Err(panic) => std::panic::resume_unwind(panic),
+            .rev()
+            .map(|(retire_tx, handle)| {
+                let _ = retire_tx.send(());
+                match handle.join() {
+                    Ok(result) => result,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             })
-            .collect()
+            .collect();
+        results.reverse();
+        (results, during)
     })
 }
 
@@ -200,6 +247,29 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn pool_results_keep_state_order_while_the_caller_works_alongside() {
+        // Every worker waits for a token only `meanwhile` hands out: the
+        // pool must run the caller's closure while its workers are live.
+        let (token_tx, token_rx) = std::sync::mpsc::channel::<usize>();
+        let token_rx = std::sync::Mutex::new(token_rx);
+        let (results, handed) = run_pool(
+            (0..5).collect(),
+            |i: usize| {
+                token_rx.lock().unwrap().recv().unwrap();
+                i * 10
+            },
+            || {
+                for t in 0..5 {
+                    token_tx.send(t).unwrap();
+                }
+                5
+            },
+        );
+        assert_eq!(results, vec![0, 10, 20, 30, 40]);
+        assert_eq!(handed, 5);
+    }
 
     #[test]
     fn results_preserve_input_order() {

@@ -2,11 +2,16 @@
 //!
 //! The staged fan-out helpers in the crate root split a finished batch
 //! into chunks; this module is the *streaming* front-end: a fixed pool
-//! of workers pulls items off a deterministic work queue under a global
-//! in-flight cap, per-key FIFO serialization, and an injectable
-//! admission gate (per-host token buckets, in the crawl's case), and a
-//! channel feeds completions to a consumer that sees them in canonical
-//! input order via a [`ReassemblyBuffer`] — never in completion order.
+//! of `in_flight` workers pulls items off a deterministic work queue
+//! under per-key FIFO serialization and an injectable admission gate
+//! (per-host token buckets, in the crawl's case), and a channel feeds
+//! completions to a consumer that sees them in canonical input order via
+//! a [`ReassemblyBuffer`] — never in completion order.
+//!
+//! The pool size *is* the in-flight budget: a worker blocks on the one
+//! item it holds, so the number of items started but not completed can
+//! never exceed the number of workers, and a separate cap below it
+//! would only idle threads.
 //!
 //! Two scheduling invariants carry the determinism story:
 //!
@@ -34,26 +39,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
-/// Sizing knobs for [`stream_indexed`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Worker threads pulling from the queue (clamped to ≥ 1).
-    pub workers: usize,
-    /// Global cap on items started but not yet completed (clamped to
-    /// ≥ 1). With blocking workers the effective in-flight count is
-    /// also bounded by `workers`.
-    pub max_in_flight: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            workers: 4,
-            max_in_flight: 8,
-        }
-    }
-}
-
 /// What one [`stream_indexed`] run did — schedule-variant observability
 /// (high-water marks, throttle spend) for the caller's worker-timing
 /// ledger. Never feeds canonical outputs.
@@ -72,7 +57,7 @@ pub struct StreamLedger {
     /// Highest number of out-of-order completions parked in the
     /// reassembly buffer.
     pub reassembly_high_water: usize,
-    /// Items each worker completed (length = configured workers).
+    /// Items each worker completed (length = the in-flight budget).
     pub per_worker: Vec<u64>,
 }
 
@@ -165,8 +150,9 @@ struct SchedState {
     throttle_wait_ms: u64,
 }
 
-/// Runs every item of `items` through `work` on a bounded worker pool
-/// and feeds the results to `consume` in canonical input order.
+/// Runs every item of `items` through `work` on a pool of `in_flight`
+/// workers (clamped to ≥ 1) and feeds the results to `consume` in
+/// canonical input order.
 ///
 /// * `key_of` buckets items for FIFO serialization (per host, for a
 ///   crawl): at most one item per key in flight, started in input
@@ -185,7 +171,7 @@ struct SchedState {
 /// everything `consume` observes is schedule-independent.
 pub fn stream_indexed<T, R>(
     items: &[T],
-    config: &StreamConfig,
+    in_flight: usize,
     key_of: impl Fn(&T) -> u64 + Sync,
     admit: impl Fn(u64, &T) -> Result<(), u64> + Sync,
     sleep: impl Fn(u64) + Sync,
@@ -196,8 +182,7 @@ where
     T: Sync,
     R: Send,
 {
-    let workers = config.workers.max(1);
-    let max_in_flight = config.max_in_flight.max(1);
+    let workers = in_flight.max(1);
     let mut ledger = StreamLedger {
         items: items.len(),
         per_worker: vec![0; workers],
@@ -223,126 +208,113 @@ where
     });
     let wakeup = Condvar::new();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    // One sender per worker: the channel closes, ending the consumer
+    // below, exactly when every worker has left the queue.
+    let senders: Vec<_> = (0..workers).map(|_| tx.clone()).collect();
+    drop(tx);
 
-    let worker_counts: Vec<Mutex<u64>> = (0..workers).map(|_| Mutex::new(0)).collect();
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let state = &state;
-            let wakeup = &wakeup;
-            let key_of = &key_of;
-            let admit = &admit;
-            let sleep = &sleep;
-            let work = &work;
-            let counts = &worker_counts;
-            scope.spawn(move || {
-                loop {
-                    // Claim phase: find the lowest-index startable,
-                    // admissible item, or learn why we cannot.
-                    let claimed = {
-                        let mut guard = state.lock().expect("scheduler lock");
-                        loop {
-                            if guard.outstanding == 0 {
-                                return;
-                            }
-                            let mut chosen = None;
-                            let mut min_wait: Option<u64> = None;
-                            if guard.in_flight < max_in_flight {
-                                for &index in guard.ready.iter() {
-                                    let key = key_of(&items[index]);
-                                    match admit(key, &items[index]) {
-                                        Ok(()) => {
-                                            chosen = Some(index);
-                                            break;
-                                        }
-                                        Err(wait_ms) => {
-                                            let wait_ms = wait_ms.max(1);
-                                            min_wait = Some(match min_wait {
-                                                Some(w) => w.min(wait_ms),
-                                                None => wait_ms,
-                                            });
-                                        }
-                                    }
+    let (per_worker, ()) = crate::run_pool(
+        senders,
+        |tx| {
+            let mut completed = 0u64;
+            loop {
+                // Claim phase: find the lowest-index startable,
+                // admissible item, or learn why we cannot.
+                let index = {
+                    let mut guard = state.lock().expect("scheduler lock");
+                    loop {
+                        if guard.outstanding == 0 {
+                            return completed;
+                        }
+                        let mut chosen = None;
+                        let mut min_wait: Option<u64> = None;
+                        for &index in guard.ready.iter() {
+                            let key = key_of(&items[index]);
+                            match admit(key, &items[index]) {
+                                Ok(()) => {
+                                    chosen = Some(index);
+                                    break;
+                                }
+                                Err(wait_ms) => {
+                                    let wait_ms = wait_ms.max(1);
+                                    min_wait = Some(match min_wait {
+                                        Some(w) => w.min(wait_ms),
+                                        None => wait_ms,
+                                    });
                                 }
                             }
-                            if let Some(index) = chosen {
-                                guard.ready.remove(&index);
-                                let key = key_of(&items[index]);
-                                let queue =
-                                    guard.queues.get_mut(&key).expect("claimed key has a queue");
-                                let head = queue.pop_front();
-                                debug_assert_eq!(head, Some(index));
-                                guard.in_flight += 1;
-                                guard.high_water = guard.high_water.max(guard.in_flight);
-                                break Some(index);
-                            }
-                            if let Some(wait_ms) = min_wait {
-                                // Everything startable is throttled:
-                                // wait out the nearest token on the
-                                // pacing clock, without the lock.
-                                guard.throttle_waits += 1;
-                                guard.throttle_wait_ms += wait_ms;
-                                drop(guard);
-                                sleep(wait_ms);
-                                guard = state.lock().expect("scheduler lock");
-                                continue;
-                            }
-                            // Nothing startable: every pending key is
-                            // busy or the in-flight cap is reached. A
-                            // completion will wake us.
-                            guard = wakeup.wait(guard).expect("scheduler lock");
                         }
-                    };
-                    let Some(index) = claimed else { return };
-
-                    let result = work(index, &items[index]);
-
-                    {
-                        let mut guard = state.lock().expect("scheduler lock");
-                        guard.in_flight -= 1;
-                        guard.outstanding -= 1;
-                        let key = key_of(&items[index]);
-                        if let Some(queue) = guard.queues.get(&key) {
-                            if let Some(&next_head) = queue.front() {
-                                guard.ready.insert(next_head);
-                            }
+                        if let Some(index) = chosen {
+                            guard.ready.remove(&index);
+                            let key = key_of(&items[index]);
+                            let queue =
+                                guard.queues.get_mut(&key).expect("claimed key has a queue");
+                            let head = queue.pop_front();
+                            debug_assert_eq!(head, Some(index));
+                            guard.in_flight += 1;
+                            guard.high_water = guard.high_water.max(guard.in_flight);
+                            break index;
                         }
-                        wakeup.notify_all();
+                        if let Some(wait_ms) = min_wait {
+                            // Everything startable is throttled: wait
+                            // out the nearest token on the pacing clock,
+                            // without the lock.
+                            guard.throttle_waits += 1;
+                            guard.throttle_wait_ms += wait_ms;
+                            drop(guard);
+                            sleep(wait_ms);
+                            guard = state.lock().expect("scheduler lock");
+                            continue;
+                        }
+                        // Nothing startable: every pending key is busy.
+                        // A completion will wake us.
+                        guard = wakeup.wait(guard).expect("scheduler lock");
                     }
-                    *counts[worker].lock().expect("worker count lock") += 1;
-                    if tx.send((index, result)).is_err() {
-                        return;
+                };
+
+                let result = work(index, &items[index]);
+
+                {
+                    let mut guard = state.lock().expect("scheduler lock");
+                    guard.in_flight -= 1;
+                    guard.outstanding -= 1;
+                    let key = key_of(&items[index]);
+                    if let Some(queue) = guard.queues.get(&key) {
+                        if let Some(&next_head) = queue.front() {
+                            guard.ready.insert(next_head);
+                        }
                     }
+                    wakeup.notify_all();
                 }
-            });
-        }
-        drop(tx);
-
-        // Consumer: canonical-order release on the caller's thread,
-        // overlapping with whatever is still in flight.
-        let mut buffer = ReassemblyBuffer::new();
-        let mut released = 0usize;
-        for (index, result) in rx {
-            buffer.push(index, result, |i, r| {
-                consume(i, r);
-                released += 1;
-            });
-        }
-        assert_eq!(released, items.len(), "every item releases exactly once");
-        assert!(buffer.is_drained());
-        ledger.completed = released;
-        ledger.reassembly_high_water = buffer.high_water();
-    });
+                completed += 1;
+                if tx.send((index, result)).is_err() {
+                    return completed;
+                }
+            }
+        },
+        || {
+            // Consumer: canonical-order release on the caller's thread,
+            // overlapping with whatever is still in flight.
+            let mut buffer = ReassemblyBuffer::new();
+            let mut released = 0usize;
+            for (index, result) in rx {
+                buffer.push(index, result, |i, r| {
+                    consume(i, r);
+                    released += 1;
+                });
+            }
+            assert_eq!(released, items.len(), "every item releases exactly once");
+            assert!(buffer.is_drained());
+            ledger.completed = released;
+            ledger.reassembly_high_water = buffer.high_water();
+        },
+    );
 
     let guard = state.into_inner().expect("scheduler lock");
     ledger.in_flight_high_water = guard.high_water;
     ledger.throttle_waits = guard.throttle_waits;
     ledger.throttle_wait_ms = guard.throttle_wait_ms;
-    ledger.per_worker = worker_counts
-        .into_iter()
-        .map(|c| c.into_inner().expect("worker count lock"))
-        .collect();
+    ledger.per_worker = per_worker;
     ledger
 }
 
@@ -415,24 +387,11 @@ mod tests {
     #[test]
     fn streams_everything_in_order_across_configs() {
         let items: Vec<u64> = (0..200).collect();
-        for config in [
-            StreamConfig {
-                workers: 1,
-                max_in_flight: 1,
-            },
-            StreamConfig {
-                workers: 4,
-                max_in_flight: 2,
-            },
-            StreamConfig {
-                workers: 8,
-                max_in_flight: 64,
-            },
-        ] {
+        for in_flight in [1, 2, 8] {
             let mut seen = Vec::new();
             let ledger = stream_indexed(
                 &items,
-                &config,
+                in_flight,
                 |item| item % 7, // several items share each key
                 |_, _| Ok(()),
                 |_| {},
@@ -445,7 +404,7 @@ mod tests {
                 assert_eq!(*index, position, "canonical release order");
                 assert_eq!(*result, 2 * *index as u64);
             }
-            assert!(ledger.in_flight_high_water <= config.max_in_flight.max(1));
+            assert!(ledger.in_flight_high_water <= in_flight);
             assert_eq!(
                 ledger.per_worker.iter().sum::<u64>(),
                 items.len() as u64,
@@ -461,13 +420,9 @@ mod tests {
         let items: Vec<u64> = (0..40).map(|i| i % 4).collect();
         let running: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         let starts: Mutex<Vec<Vec<usize>>> = Mutex::new(vec![Vec::new(); 4]);
-        let config = StreamConfig {
-            workers: 8,
-            max_in_flight: 8,
-        };
         stream_indexed(
             &items,
-            &config,
+            8,
             |item| *item,
             |_, _| Ok(()),
             |_| {},
@@ -491,14 +446,10 @@ mod tests {
     fn in_flight_cap_is_respected() {
         let items: Vec<u64> = (0..50).collect();
         let in_flight = AtomicUsize::new(0);
-        let config = StreamConfig {
-            workers: 8,
-            max_in_flight: 3,
-        };
         let ledger = stream_indexed(
             &items,
-            &config,
-            |item| *item, // all keys distinct: the cap is the only brake
+            3,
+            |item| *item, // all keys distinct: the budget is the only brake
             |_, _| Ok(()),
             |_| {},
             |_, _| {
@@ -514,6 +465,31 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_budget_is_reached_with_enough_work() {
+        // Every item waits at a barrier sized to the budget, so no item
+        // completes until `in_flight` of them are in flight at once: the
+        // high-water mark must reach the budget, not stop below it.
+        for in_flight in [1, 4, 8] {
+            let items: Vec<u64> = (0..3 * in_flight as u64).collect();
+            let barrier = std::sync::Barrier::new(in_flight);
+            let ledger = stream_indexed(
+                &items,
+                in_flight,
+                |item| *item,
+                |_, _| Ok(()),
+                |_| {},
+                |_, _| {
+                    barrier.wait();
+                },
+                |_, _| {},
+            );
+            assert_eq!(ledger.in_flight_high_water, in_flight);
+            assert_eq!(ledger.per_worker.len(), in_flight);
+            assert_eq!(ledger.completed, items.len());
+        }
+    }
+
+    #[test]
     fn throttled_admission_waits_and_still_drains() {
         // A gate that refuses each key's first ask, then admits: the
         // scheduler must spend waits on the virtual pacing clock and
@@ -522,14 +498,10 @@ mod tests {
         let asked: Mutex<std::collections::HashSet<u64>> =
             Mutex::new(std::collections::HashSet::new());
         let virtual_ms = AtomicU64::new(0);
-        let config = StreamConfig {
-            workers: 4,
-            max_in_flight: 4,
-        };
         let mut seen = 0usize;
         let ledger = stream_indexed(
             &items,
-            &config,
+            4,
             |item| item % 5,
             |key, _| {
                 if asked.lock().unwrap().insert(key) {
@@ -554,7 +526,7 @@ mod tests {
         let items: Vec<u64> = Vec::new();
         let ledger = stream_indexed(
             &items,
-            &StreamConfig::default(),
+            4,
             |item| *item,
             |_, _| Ok(()),
             |_| {},

@@ -1,12 +1,12 @@
-//! Stage names for streaming-ingest ledger rows.
+//! Stage names for pooled-ingest ledger rows.
 //!
-//! The streaming scheduler (`borges-parallel`'s `stream_indexed`) reports
+//! The ingest pool (`borges-parallel`'s `stream_indexed`) reports
 //! its observability — per-worker completion counts, the in-flight
 //! high-water mark, throttle stalls, and the reassembly-buffer high-water
 //! mark — as [`crate::WorkerTiming`] ledger rows rather than metrics.
 //! Ledger rows are the one schedule-variant surface the determinism
 //! contract already carves out (DESIGN.md §8); metrics snapshots must
-//! stay byte-identical between staged and streaming runs, so streaming
+//! stay byte-identical between sequential and pooled runs, so pool
 //! concurrency data may never touch the metrics registry.
 //!
 //! These constants are the `stage` values those rows carry. They live in
@@ -14,12 +14,13 @@
 //! renderers (readers) agree on the vocabulary without string literals
 //! drifting apart.
 
-/// One row per scheduler worker: `chunk` is the worker index, `items`
-/// the number of fetches that worker completed.
+/// One row per pool worker: `chunk` is the worker index, `items` the
+/// number of remote calls (fetches and NER completions) that worker
+/// completed.
 pub const WORKER_STAGE: &str = "ingest_worker";
 
 /// Single row: `items` is the high-water mark of concurrently in-flight
-/// fetches (bounded by `--max-in-flight`).
+/// calls (bounded by `--max-in-flight`).
 pub const IN_FLIGHT_STAGE: &str = "ingest_in_flight";
 
 /// Single row: `items` counts scheduler passes in which every queued
@@ -31,7 +32,7 @@ pub const THROTTLE_STAGE: &str = "ingest_throttle";
 /// most out-of-order completions ever parked awaiting canonical release.
 pub const REASSEMBLY_STAGE: &str = "ingest_reassembly";
 
-/// All streaming-ingest stage names, in the order the pipeline emits them.
+/// All pooled-ingest stage names, in the order the pipeline emits them.
 pub const ALL_STAGES: [&str; 4] = [
     WORKER_STAGE,
     IN_FLIGHT_STAGE,

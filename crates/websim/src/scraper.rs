@@ -192,10 +192,9 @@ impl<C: WebClient> Scraper<C> {
     }
 
     /// Hit/miss counters for the fetch (redirect) cache. The cache is
-    /// unbounded, so `evictions` is always 0. Under a parallel crawl,
-    /// threads racing on the same uncached URL may each count a miss —
-    /// the counters are observational and feed the run ledger only, never
-    /// the `PartialEq`-compared funnel stats.
+    /// unbounded, so `evictions` is always 0. Every crawl path fetches a
+    /// given URL's entries one at a time (a pooled crawl serializes them
+    /// per host), so each distinct URL misses exactly once.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.cache_hits.load(Ordering::Relaxed),
@@ -219,27 +218,13 @@ impl<C: WebClient> Scraper<C> {
         assemble(resolved)
     }
 
-    /// Like [`Scraper::crawl`], fetching with `threads` worker threads.
-    ///
-    /// Fetches are pure and per-entry independent, and assembly is
-    /// order-canonical (ASN-keyed maps), so the report is byte-identical
-    /// to the sequential one — parallelism only changes wall-clock time.
-    /// In a production deployment this is where a pool of headless
-    /// browsers would sit.
-    pub fn crawl_parallel(&self, entries: Vec<(Asn, &str)>, threads: usize) -> ScrapeReport
-    where
-        C: Sync,
-    {
-        let resolved =
-            borges_parallel::map_items(&entries, threads, |(asn, raw)| (*asn, self.resolve(raw)));
-        assemble(resolved)
-    }
-
     /// Parses and fetches one raw website field — the per-entry unit of
-    /// crawl work. Public so the streaming ingest path can schedule
-    /// resolutions individually (per-host rate-limited, bounded
-    /// in-flight) and feed the outcomes to a [`ReportAssembler`]; the
-    /// batch paths above are thin wrappers over the same call.
+    /// crawl work. Public so the pooled ingest engine can schedule
+    /// resolutions individually (per-host FIFO and rate-limited, within
+    /// an in-flight budget) and feed the outcomes to a
+    /// [`ReportAssembler`]; [`Scraper::crawl`] is a thin wrapper over the
+    /// same call. In a production deployment the pool is where the
+    /// headless browsers sit.
     pub fn resolve(&self, raw: &str) -> Resolution {
         let raw = raw.trim();
         if raw.is_empty() {
@@ -548,21 +533,43 @@ mod tests {
 
     #[test]
     fn parallel_crawl_is_identical_to_sequential() {
+        // The pooled path: resolutions keyed per host on a pool of
+        // `in_flight` workers, folded in entry order as they release.
         let web = web();
-        let scraper = Scraper::new(SimWebClient::browser(&web));
         let entries = vec![
             (Asn::new(22822), "www.limelight.com"),
             (Asn::new(15133), "www.edgecast.com"),
             (Asn::new(174), "www.cogentco.com"),
+            (Asn::new(23), "http://www.cogentco.com/"),
             (Asn::new(99), "www.gone.example"),
             (Asn::new(98), ""),
             (Asn::new(97), "not a url at all"),
         ];
-        let sequential = scraper.crawl(entries.clone());
-        for threads in [1, 2, 3, 8] {
+        let reference = Scraper::new(SimWebClient::browser(&web));
+        let sequential = reference.crawl(entries.clone());
+        assert_eq!(reference.cache_stats().hits, 1);
+        for in_flight in [1, 2, 3, 8] {
             let scraper = Scraper::new(SimWebClient::browser(&web));
-            let parallel = scraper.crawl_parallel(entries.clone(), threads);
-            assert_eq!(parallel, sequential, "diverged with {threads} threads");
+            let mut assembler = ReportAssembler::new();
+            borges_parallel::stream_indexed(
+                &entries,
+                in_flight,
+                |(_, raw)| {
+                    let host = raw.trim().parse::<Url>().map(|u| u.host().to_string());
+                    borges_resilience::stable_hash(host.unwrap_or_default().as_bytes())
+                },
+                |_, _| Ok(()),
+                |_| {},
+                |_, (_, raw)| scraper.resolve(raw),
+                |i, resolution| assembler.push(entries[i].0, resolution),
+            );
+            assert_eq!(
+                assembler.finish(),
+                sequential,
+                "diverged at {in_flight} in flight"
+            );
+            // Per-host FIFO: the repeated cogentco URL hits the cache.
+            assert_eq!(scraper.cache_stats(), reference.cache_stats());
         }
     }
 

@@ -1,45 +1,46 @@
 //! The streaming-ingest determinism contract, pinned end to end.
 //!
-//! `Borges::run_streaming` overlaps the crawl with NER and evidence
-//! compilation behind a bounded-concurrency, rate-limited scheduler —
-//! and must be **invisible** in every canonical output. Three contracts
-//! (DESIGN.md §14):
+//! `Borges::run_streaming` (the engine behind `Borges::run_parallel`)
+//! runs every remote call of an ingest on one pool of `in_flight`
+//! workers — NER overlapping the crawl — behind a rate-limited
+//! scheduler, and must be **invisible** in every canonical output.
+//! Three contracts (DESIGN.md §14):
 //!
 //! 1. **Schedule-independence.** Mapfiles (all 16 feature combinations),
 //!    the canonical trace journal, and the metrics snapshot are
-//!    byte-identical to the staged run at every worker count, in-flight
-//!    cap, and per-host rate limit.
+//!    byte-identical to the sequential run at every in-flight budget
+//!    and per-host rate limit, and the pool sends exactly the requests
+//!    the sequential run sends.
 //! 2. **Chaos-independence.** Under recoverable transport faults (the
-//!    `tests/chaos.rs` model) the streaming resilient run reproduces the
-//!    staged resilient run bit for bit, and coverage stays complete.
+//!    `tests/chaos.rs` model) the pooled resilient run reproduces the
+//!    sequential resilient run bit for bit, and coverage stays complete.
 //! 3. **Accounting.** Under unrecoverable outages the run still
 //!    completes with `abandoned + succeeded == attempted` per feature,
 //!    and the scheduler's own ledger rows balance: per-worker completion
-//!    counts sum to the entry count.
+//!    counts sum to the entries plus the NER calls.
 
 use borges_core::mapfile;
 use borges_core::ner::NerConfig;
 use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
-use borges_llm::{FlakyModel, SimLlm};
-use borges_resilience::{EpisodePlan, RetryPolicy};
+use borges_llm::{ChatModel, ChatRequest, ChatResponse, FlakyModel, SimLlm};
+use borges_resilience::{EpisodePlan, RetryPolicy, TransportError};
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{ingest, RunReport, Telemetry, Verbosity};
 use borges_websim::{FlakyWebClient, Scraper, SimWebClient};
+use std::sync::Mutex;
 
 fn world() -> SyntheticInternet {
     SyntheticInternet::generate(&GeneratorConfig::tiny(17))
 }
 
 fn opts(
-    workers: usize,
-    max_in_flight: usize,
+    in_flight: usize,
     per_host_rps: Option<f64>,
     policy: Option<RetryPolicy>,
     threads: usize,
 ) -> StreamOptions {
     StreamOptions {
-        workers,
-        max_in_flight,
+        in_flight,
         per_host_rps,
         policy,
         threads,
@@ -78,28 +79,91 @@ fn streaming_bare_run_is_byte_identical_to_staged() {
     assert!(reference.0.contains("\"run/crawl\""), "{}", reference.0);
 
     for threads in [1, 4] {
-        for (workers, max_in_flight, rps) in [
-            (1, 1, None),
-            (4, 2, None),
-            (8, 8, Some(50.0)),
-            (3, 7, Some(2.0)),
-        ] {
+        for (in_flight, rps) in [(1, None), (2, None), (8, Some(50.0)), (3, Some(2.0))] {
             let tel = Telemetry::sim(Verbosity::Quiet);
             let streamed = Borges::run_streaming_traced(
                 &world.whois,
                 &world.pdb,
                 SimWebClient::browser(&world.web),
                 &llm,
-                &opts(workers, max_in_flight, rps, None, threads),
+                &opts(in_flight, rps, None, threads),
                 &tel,
             );
             assert_eq!(
                 fingerprint(&streamed, &tel),
                 reference,
-                "streaming diverged at workers={workers} in_flight={max_in_flight} \
-                 rps={rps:?} threads={threads}"
+                "streaming diverged at in_flight={in_flight} rps={rps:?} threads={threads}"
             );
         }
+    }
+}
+
+/// Records every request it is asked to complete, then answers it.
+struct Recorder {
+    inner: SimLlm,
+    requests: Mutex<Vec<String>>,
+}
+
+impl Recorder {
+    fn new() -> Self {
+        Recorder {
+            inner: SimLlm::new(99),
+            requests: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The recorded requests as a sorted multiset.
+    fn sorted(&self) -> Vec<String> {
+        let mut requests = self.requests.lock().unwrap().clone();
+        requests.sort();
+        requests
+    }
+}
+
+impl ChatModel for Recorder {
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, TransportError> {
+        self.requests.lock().unwrap().push(format!("{request:?}"));
+        self.inner.complete(request)
+    }
+
+    fn model_id(&self) -> &str {
+        self.inner.model_id()
+    }
+}
+
+#[test]
+fn pooled_runs_send_exactly_the_sequential_requests() {
+    let world = world();
+    let sequential = Recorder::new();
+    let reference = Borges::run(
+        &world.whois,
+        &world.pdb,
+        SimWebClient::browser(&world.web),
+        &sequential,
+    );
+    let calls = reference.ner.stats.llm_calls + reference.favicon.stats.llm_calls;
+    let expected = sequential.sorted();
+    assert_eq!(expected.len(), calls);
+    assert!(calls > 0);
+    for in_flight in [1, 4, 8] {
+        let pooled = Recorder::new();
+        let streamed = Borges::run_streaming(
+            &world.whois,
+            &world.pdb,
+            SimWebClient::browser(&world.web),
+            &pooled,
+            &opts(in_flight, None, None, 2),
+        );
+        let sent = pooled.sorted();
+        assert_eq!(sent, expected, "request multiset at in_flight={in_flight}");
+        let mut distinct = sent.clone();
+        distinct.dedup();
+        assert_eq!(distinct.len(), sent.len(), "a request was sent twice");
+        assert_eq!(streamed.ner.stats.llm_calls, reference.ner.stats.llm_calls);
+        assert_eq!(
+            streamed.favicon.stats.llm_calls,
+            reference.favicon.stats.llm_calls
+        );
     }
 }
 
@@ -123,7 +187,7 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
         let reference = fingerprint(&staged, &tel);
 
         for threads in [1, 4] {
-            for (workers, max_in_flight, rps) in [(4, 4, None), (6, 3, Some(25.0))] {
+            for (in_flight, rps) in [(4, None), (3, Some(25.0))] {
                 let tel = Telemetry::sim(Verbosity::Quiet);
                 let llm =
                     FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
@@ -135,14 +199,14 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
                         EpisodePlan::calibrated(seed),
                     ),
                     &llm,
-                    &opts(workers, max_in_flight, rps, Some(policy), threads),
+                    &opts(in_flight, rps, Some(policy), threads),
                     &tel,
                 );
                 assert_eq!(
                     fingerprint(&streamed, &tel),
                     reference,
-                    "seed {seed}: streaming chaos diverged at workers={workers} \
-                     in_flight={max_in_flight} rps={rps:?} threads={threads}"
+                    "seed {seed}: streaming chaos diverged at in_flight={in_flight} \
+                     rps={rps:?} threads={threads}"
                 );
                 let coverage = streamed.coverage();
                 assert!(coverage.accounted(), "seed {seed}: ledger must balance");
@@ -186,7 +250,7 @@ fn streaming_outage_runs_account_for_every_loss() {
                 EpisodePlan::with_outages(seed),
             ),
             &llm,
-            &opts(4, 4, Some(10.0), Some(RetryPolicy::none()), 1),
+            &opts(4, Some(10.0), Some(RetryPolicy::none()), 1),
         );
         let coverage = degraded.coverage();
         assert!(
@@ -224,10 +288,11 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
         &world.pdb,
         SimWebClient::browser(&world.web),
         &llm,
-        &opts(4, max_in_flight, Some(0.5), None, 1),
+        &opts(max_in_flight, Some(0.5), None, 1),
         &tel,
     );
-    let entries = world.pdb.nets().count() as u64;
+    // The pool carries every crawl entry and every NER call.
+    let calls = (world.pdb.nets().count() + streamed.ner.stats.llm_calls) as u64;
     let timings = tel.worker_timings();
 
     let worker_total: u64 = timings
@@ -236,8 +301,8 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
         .map(|t| t.items)
         .sum();
     assert_eq!(
-        worker_total, entries,
-        "per-worker completions must sum to the entry count"
+        worker_total, calls,
+        "per-worker completions must sum to the entries plus the NER calls"
     );
     let in_flight = timings
         .iter()
@@ -297,7 +362,7 @@ fn from_scrape_streaming_matches_from_scrape() {
             &report,
             &llm,
             NerConfig::default(),
-            &opts(4, 4, None, None, threads),
+            &opts(4, None, None, threads),
             &tel,
         );
         assert_eq!(
