@@ -25,8 +25,8 @@
 //! The host CPU count is printed at startup so recorded baselines are
 //! interpretable without trusting a hand-written note.
 
-use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::Borges;
+use borges_bench::{ingest_scraped, medium_world, SEED};
+use borges_core::pipeline::IngestOptions;
 use borges_core::SnapshotState;
 use borges_llm::SimLlm;
 use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
@@ -133,14 +133,8 @@ fn bench_compile(c: &mut Criterion) {
 
         // The snapshot-T state the remap legs start from, and the 1%
         // churned T+1 they re-map.
-        let state: SnapshotState = Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
-            &scrape,
-            &model,
-            Default::default(),
-        )
-        .snapshot_state();
+        let state: SnapshotState =
+            ingest_scraped(world, &scrape, &model, &IngestOptions::default()).snapshot_state();
         let (t1, churn_report) = churn(world, 1.0, SEED ^ 1);
         let t1_scrape = crawl(&t1);
         eprintln!(
@@ -153,18 +147,18 @@ fn bench_compile(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("compile/{}", fixture.label));
         group.sample_size(10);
         for threads in [1usize, 4, 16] {
+            let full = IngestOptions {
+                threads,
+                ..IngestOptions::default()
+            };
+            let remap = IngestOptions {
+                threads,
+                prior: Some(&state),
+                ..IngestOptions::default()
+            };
             reset_peak_rss();
             group.bench_function(&format!("full_threads_{threads}"), |b| {
-                b.iter(|| {
-                    black_box(Borges::from_scrape_parallel(
-                        &world.whois,
-                        &world.pdb,
-                        &scrape,
-                        &model,
-                        Default::default(),
-                        threads,
-                    ))
-                })
+                b.iter(|| black_box(ingest_scraped(world, &scrape, &model, &full)))
             });
             eprintln!(
                 "{}: full compile at {} thread(s) peak RSS {:.0} MiB",
@@ -175,17 +169,7 @@ fn bench_compile(c: &mut Criterion) {
 
             reset_peak_rss();
             group.bench_function(&format!("remap_churn1_threads_{threads}"), |b| {
-                b.iter(|| {
-                    black_box(Borges::remap_parallel(
-                        &t1.whois,
-                        &t1.pdb,
-                        &t1_scrape,
-                        &model,
-                        Default::default(),
-                        &state,
-                        threads,
-                    ))
-                })
+                b.iter(|| black_box(ingest_scraped(&t1, &t1_scrape, &model, &remap)))
             });
             eprintln!(
                 "{}: 1%-churn remap at {} thread(s) peak RSS {:.0} MiB",

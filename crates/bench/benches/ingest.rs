@@ -21,10 +21,11 @@
 //! hand-written note.
 
 use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::{Borges, StreamOptions};
+use borges_core::pipeline::{Borges, IngestOptions, StreamOptions, WebSource};
 use borges_llm::SimLlm;
 use borges_resilience::TransportError;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_types::Url;
 use borges_websim::{FetchResult, SimWebClient, WebClient};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -104,19 +105,23 @@ fn bench_ingest(c: &mut Criterion) {
             b.iter(|| black_box(Borges::run(&world.whois, &world.pdb, client(), &model)))
         });
         for in_flight in [1usize, 4, 8] {
-            let opts = StreamOptions {
-                in_flight,
+            let opts = IngestOptions {
+                pool: Some(StreamOptions {
+                    in_flight,
+                    ..StreamOptions::default()
+                }),
                 threads: cpus,
-                ..StreamOptions::default()
+                ..IngestOptions::default()
             };
             group.bench_function(&format!("pooled_in_flight_{in_flight}"), |b| {
                 b.iter(|| {
-                    black_box(Borges::run_streaming(
+                    black_box(Borges::ingest(
                         &world.whois,
                         &world.pdb,
-                        client(),
+                        WebSource::Crawl(&client()),
                         &model,
                         &opts,
+                        &Telemetry::disabled(),
                     ))
                 })
             });

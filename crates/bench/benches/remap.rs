@@ -1,6 +1,7 @@
-//! Incremental re-mapping bench: [`Borges::remap`] against a fresh
-//! [`Borges::from_scrape`] of the same T+1 snapshot, swept across churn
-//! rates (0% / 1% / 10% / 100% of ASNs mutated).
+//! Incremental re-mapping bench: a remap ([`Borges::ingest`] over T's
+//! persisted state) against a fresh full ingest of the same T+1
+//! snapshot, swept across churn rates (0% / 1% / 10% / 100% of ASNs
+//! mutated).
 //!
 //! Both paths run over a *pre-computed* crawl of T+1 — crawling is the
 //! same cost for both, so the bench isolates what the delta engine
@@ -23,8 +24,8 @@
 //! The host CPU count is printed at startup so recorded baselines are
 //! interpretable without trusting a hand-written note.
 
-use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::Borges;
+use borges_bench::{ingest_scraped, medium_world, SEED};
+use borges_core::pipeline::{Borges, IngestOptions};
 use borges_core::SnapshotState;
 use borges_llm::{ChatModel, ChatRequest, ChatResponse, SimLlm};
 use borges_resilience::TransportError;
@@ -79,15 +80,7 @@ fn base_state() -> &'static SnapshotState {
     static STATE: OnceLock<SnapshotState> = OnceLock::new();
     STATE.get_or_init(|| {
         let world = medium_world();
-        let model = llm();
-        Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
-            &crawl(world),
-            &model,
-            Default::default(),
-        )
-        .snapshot_state()
+        ingest_scraped(world, &crawl(world), &llm(), &IngestOptions::default()).snapshot_state()
     })
 }
 
@@ -96,7 +89,11 @@ fn bench_remap(c: &mut Criterion) {
         "bench host: {} CPU(s) online",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let state = base_state();
+    let full_opts = IngestOptions::default();
+    let inc_opts = IngestOptions {
+        prior: Some(base_state()),
+        ..IngestOptions::default()
+    };
     let mut group = c.benchmark_group("remap");
     group.sample_size(10);
 
@@ -108,15 +105,8 @@ fn bench_remap(c: &mut Criterion) {
         );
         let scrape = crawl(&t1);
         let model = llm();
-        let full = Borges::from_scrape(&t1.whois, &t1.pdb, &scrape, &model, Default::default());
-        let inc = Borges::remap(
-            &t1.whois,
-            &t1.pdb,
-            &scrape,
-            &model,
-            Default::default(),
-            state,
-        );
+        let full = ingest_scraped(&t1, &scrape, &model, &full_opts);
+        let inc = ingest_scraped(&t1, &scrape, &model, &inc_opts);
         eprintln!(
             "churn {percent}%: {} of {} ASNs mutated; LLM calls full={} incremental={}",
             report.selected,
@@ -125,27 +115,10 @@ fn bench_remap(c: &mut Criterion) {
             llm_calls(&inc),
         );
         group.bench_function(&format!("full_compile_churn_{percent}"), |b| {
-            b.iter(|| {
-                black_box(Borges::from_scrape(
-                    &t1.whois,
-                    &t1.pdb,
-                    &scrape,
-                    &model,
-                    Default::default(),
-                ))
-            })
+            b.iter(|| black_box(ingest_scraped(&t1, &scrape, &model, &full_opts)))
         });
         group.bench_function(&format!("incremental_churn_{percent}"), |b| {
-            b.iter(|| {
-                black_box(Borges::remap(
-                    &t1.whois,
-                    &t1.pdb,
-                    &scrape,
-                    &model,
-                    Default::default(),
-                    state,
-                ))
-            })
+            b.iter(|| black_box(ingest_scraped(&t1, &scrape, &model, &inc_opts)))
         });
     }
     group.finish();

@@ -11,8 +11,8 @@
 //! Decode + replay is the whole happy-path cold start; the gap between
 //! that sum and the compile leg is the store's value proposition.
 
-use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::Borges;
+use borges_bench::{ingest_scraped, medium_world, SEED};
+use borges_core::pipeline::{Borges, IngestOptions};
 use borges_llm::SimLlm;
 use borges_store::{decode_world, encode_world};
 use borges_websim::{Scraper, SimWebClient};
@@ -24,13 +24,7 @@ fn bench_store(c: &mut Criterion) {
     let model = SimLlm::new(SEED);
     let scraper = Scraper::new(SimWebClient::browser(&world.web));
     let scrape = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-    let borges = Borges::from_scrape(
-        &world.whois,
-        &world.pdb,
-        &scrape,
-        &model,
-        Default::default(),
-    );
+    let borges = ingest_scraped(world, &scrape, &model, &IngestOptions::default());
     let compiled = borges.to_world();
     let bytes = encode_world(&compiled);
     eprintln!(

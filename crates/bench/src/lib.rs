@@ -4,9 +4,10 @@
 //! numbers are comparable across runs and benches. Worlds are built once
 //! per process via `OnceLock`.
 
-use borges_core::pipeline::Borges;
-use borges_llm::SimLlm;
+use borges_core::pipeline::{Borges, IngestOptions, WebSource};
+use borges_llm::{ChatModel, SimLlm};
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_websim::{ScrapeReport, Scraper, SimWebClient};
 use std::sync::OnceLock;
 
@@ -40,18 +41,33 @@ pub fn medium_scrape() -> &'static ScrapeReport {
     })
 }
 
+/// [`Borges::ingest`] over an earlier crawl of `world`, untraced: no
+/// crawl stage runs, so compile-bound benches time the rest alone.
+pub fn ingest_scraped(
+    world: &SyntheticInternet,
+    report: &ScrapeReport,
+    model: &(dyn ChatModel + Sync),
+    opts: &IngestOptions<'_>,
+) -> Borges {
+    Borges::ingest(
+        &world.whois,
+        &world.pdb,
+        WebSource::Scraped(report),
+        model,
+        opts,
+        &Telemetry::disabled(),
+    )
+}
+
 /// A fully computed pipeline over the medium world (computed once).
 pub fn medium_pipeline() -> &'static Borges {
     static PIPELINE: OnceLock<Borges> = OnceLock::new();
     PIPELINE.get_or_init(|| {
-        let world = medium_world();
-        let model = llm();
-        Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
+        ingest_scraped(
+            medium_world(),
             medium_scrape(),
-            &model,
-            Default::default(),
+            &llm(),
+            &IngestOptions::default(),
         )
     })
 }

@@ -5,7 +5,7 @@ use borges_core::diff::diff;
 use borges_core::impact::OrgNamer;
 use borges_core::mapfile;
 use borges_core::orgfactor::organization_factor;
-use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
 use borges_core::{AsOrgMapping, SnapshotState};
 use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
@@ -330,19 +330,6 @@ fn open_timeline(dir: &str) -> Result<borges_timeline::Timeline, CliError> {
         .map_err(|e| CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into()))
 }
 
-/// Appends the compiled world to the timeline at `dir` as its next
-/// epoch, returning the new link. Runs *before* `--store-out` so the
-/// stamped epoch lands in both artifacts.
-fn append_timeline(
-    borges: &mut Borges,
-    dir: &str,
-) -> Result<borges_timeline::TimelineLink, CliError> {
-    let mut timeline = open_timeline(dir)?;
-    timeline
-        .append(borges)
-        .map_err(|e| CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into()))
-}
-
 /// `--threads`, defaulting to the machine's parallelism. Zero is a
 /// usage error everywhere it appears: zero workers would run nothing.
 fn parse_threads(opts: &Options) -> Result<usize, CliError> {
@@ -360,12 +347,13 @@ fn parse_threads(opts: &Options) -> Result<usize, CliError> {
 }
 
 /// The `map` command's resilience knobs, parsed from
-/// `--fault-rate` / `--retries` / `--chaos-seed`. `None` when none of
-/// the three flags were given (the bare fast path).
+/// `--fault-rate` / `--retries` / `--chaos-seed`: the seeded transient
+/// faults both boundaries inject, and the retry policy that recovers
+/// them. `None` when none of the three flags were given (the bare fast
+/// path).
 struct ChaosOpts {
-    fault_rate: f64,
+    plan: EpisodePlan,
     policy: RetryPolicy,
-    chaos_seed: u64,
 }
 
 fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
@@ -408,21 +396,27 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
         None => RetryPolicy::standard(chaos_seed),
     };
     Ok(Some(ChaosOpts {
-        fault_rate,
+        plan: EpisodePlan {
+            transient_rate: fault_rate,
+            permanent_rate: 0.0,
+            max_burst: 3,
+            seed: chaos_seed,
+        },
         policy,
-        chaos_seed,
     }))
 }
 
-/// The `map` command's I/O-pool knobs, parsed from `--max-in-flight` /
-/// `--per-host-rps`. Both schedule the pool, which `--threads 1` does
-/// not run, so there they are usage errors: a mistaken invocation fails
-/// before any I/O rather than silently ignoring a knob.
-fn stream_opts(
+/// `map`'s ingest options: the retry policy from the resilience flags,
+/// and at `--threads` 2 or more the I/O pool, sized by
+/// `--max-in-flight` / `--per-host-rps`. Both pool knobs schedule the
+/// pool, which `--threads 1` does not run, so there they are usage
+/// errors: a mistaken invocation fails before any I/O rather than
+/// silently ignoring a knob.
+fn ingest_opts(
     opts: &Options,
     chaos: &Option<ChaosOpts>,
     threads: usize,
-) -> Result<StreamOptions, CliError> {
+) -> Result<IngestOptions<'static>, CliError> {
     let max_in_flight = opts.optional("max-in-flight")?;
     let per_host_rps = opts.optional("per-host-rps")?;
     for (flag, value) in [
@@ -465,52 +459,24 @@ fn stream_opts(
         ),
         None => None,
     };
-    Ok(StreamOptions {
-        in_flight,
-        per_host_rps,
+    Ok(IngestOptions {
         policy: chaos.as_ref().map(|c| c.policy),
+        pool: (threads > 1).then_some(StreamOptions {
+            in_flight,
+            per_host_rps,
+        }),
         threads,
-        ..StreamOptions::default()
+        ..IngestOptions::default()
     })
 }
 
-/// `map`'s ingest over `web` and `model`: the pooled engine at
-/// `stream.threads > 1`, else the sequential reference (resilient when
-/// a retry policy is set). Returns the pipeline and its ledger label.
-fn ingest<C: WebClient + Sync>(
-    bundle: &DatasetBundle,
-    web: C,
-    model: &(dyn ChatModel + Sync),
-    stream: &StreamOptions,
-    tel: &Telemetry,
-) -> (Borges, &'static str) {
-    let (whois, pdb) = (&bundle.whois, &bundle.pdb);
-    match (stream.threads > 1, stream.policy) {
-        (true, policy) => {
-            tel.verbose(format!(
-                "pooled pipeline: {} threads, {} calls in flight",
-                stream.threads, stream.in_flight
-            ));
-            let label = if policy.is_some() {
-                "parallel-resilient"
-            } else {
-                "parallel"
-            };
-            let borges = Borges::run_streaming_traced(whois, pdb, web, model, stream, tel);
-            (borges, label)
-        }
-        (false, Some(policy)) => {
-            tel.verbose("resilient sequential pipeline");
-            let borges = Borges::run_resilient_traced(whois, pdb, web, model, policy, tel);
-            (borges, "resilient")
-        }
-        (false, None) => {
-            tel.verbose("sequential pipeline");
-            (
-                Borges::run_traced(whois, pdb, web, model, tel),
-                "sequential",
-            )
-        }
+/// The run ledger's label for how `map` ingested.
+fn pipeline_label(ingest: &IngestOptions<'_>) -> &'static str {
+    match (ingest.pool.is_some(), ingest.policy.is_some()) {
+        (false, false) => "sequential",
+        (false, true) => "resilient",
+        (true, false) => "parallel",
+        (true, true) => "parallel-resilient",
     }
 }
 
@@ -532,6 +498,110 @@ fn coverage_lines(borges: &Borges) -> String {
         row("favicon groups", c.favicon_groups),
         recovered
     )
+}
+
+/// The output flags `map` and `remap` share, validated before any I/O.
+struct Outputs<'a> {
+    mapfile: &'a str,
+    state: Option<&'a str>,
+    timeline: Option<&'a str>,
+    store: Option<&'a str>,
+    trace: Option<&'a str>,
+    metrics: Option<&'a str>,
+    report: Option<&'a str>,
+}
+
+impl<'a> Outputs<'a> {
+    /// `state_flag` names the snapshot-state directory flag.
+    fn parse(opts: &'a Options, state_flag: &str) -> Result<Self, CliError> {
+        Ok(Outputs {
+            mapfile: opts.required("out")?,
+            state: opts.optional(state_flag)?,
+            timeline: opts.optional("timeline")?,
+            store: opts.optional("store-out")?,
+            trace: opts.optional("trace-out")?,
+            metrics: opts.optional("metrics-out")?,
+            report: opts.optional("report-out")?,
+        })
+    }
+}
+
+/// The publish tail `map` and `remap` share: materializes `features`,
+/// writes the mapfile and the snapshot state, appends the world to the
+/// timeline, writes the store artifact, then the trace, metrics and run
+/// ledger (labelled `label`). The timeline append runs before the store
+/// artifact is written: it stamps the chain epoch into the world, and
+/// the artifact must carry it too. Returns the mapping and the stdout
+/// row the append adds.
+fn publish(
+    out: &Outputs<'_>,
+    mut borges: Borges,
+    features: FeatureSet,
+    label: &str,
+    threads: usize,
+    llm: &CachingModel<SimLlm>,
+    tel: &Telemetry,
+) -> Result<(AsOrgMapping, String), CliError> {
+    let mapping = borges
+        .mappings_parallel_traced(std::slice::from_ref(&features), threads, tel)
+        .pop()
+        .expect("one feature set in, one mapping out");
+    write_artifact_file(out.mapfile, mapfile::serialize(&mapping))?;
+    if let Some(dir) = out.state {
+        write_state(&borges, dir)?;
+        tel.debug(format!("snapshot state written to {dir}"));
+    }
+    let link = out
+        .timeline
+        .map(|dir| {
+            let link = open_timeline(dir)?.append(&mut borges).map_err(|e| {
+                CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into())
+            })?;
+            tel.debug(format!(
+                "timeline epoch {} appended ({})",
+                link.epoch, link.world_digest
+            ));
+            Ok(link)
+        })
+        .transpose()?;
+    let timeline_row = link.as_ref().map_or_else(String::new, |link| {
+        format!(
+            "timeline: epoch {} appended ({})\n",
+            link.epoch, link.world_digest
+        )
+    });
+    if let Some(path) = out.store {
+        let digest = borges_store::write_artifact(Path::new(path), &borges.to_world())
+            .map_err(CliError::failed)?;
+        tel.debug(format!("world store artifact written to {path} ({digest})"));
+    }
+
+    if out.trace.is_some() || out.metrics.is_some() || out.report.is_some() {
+        let mut report = borges.run_report(tel, label, threads);
+        report
+            .caches
+            .push(CacheReport::new("llm.response", llm.cache_stats()));
+        if let Some(link) = &link {
+            report.timeline = borges_telemetry::TimelineReport {
+                appended: true,
+                epoch: link.epoch,
+                world_digest: link.world_digest.clone(),
+            };
+        }
+        if let Some(path) = out.trace {
+            write_artifact_file(path, tel.trace_jsonl_canonical())?;
+            tel.debug(format!("trace journal written to {path}"));
+        }
+        if let Some(path) = out.metrics {
+            write_artifact_file(path, report.metrics.to_prometheus())?;
+            tel.debug(format!("metrics written to {path}"));
+        }
+        if let Some(path) = out.report {
+            write_artifact_file(path, report.to_json_pretty())?;
+            tel.debug(format!("run ledger written to {path}"));
+        }
+    }
+    Ok((mapping, timeline_row))
 }
 
 fn map(opts: &Options) -> Result<String, CliError> {
@@ -556,15 +626,13 @@ fn map(opts: &Options) -> Result<String, CliError> {
         "q",
     ])?;
     let data = opts.required("data")?;
-    let out = opts.required("out")?;
+    let outputs = Outputs::parse(opts, "state-out")?;
     let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
     let seed = seed_of(opts)?;
     let chaos = chaos_opts(opts)?;
     let threads = parse_threads(opts)?;
-    let stream = stream_opts(opts, &chaos, threads)?;
-    let trace_out = opts.optional("trace-out")?;
-    let metrics_out = opts.optional("metrics-out")?;
-    let report_out = opts.optional("report-out")?;
+    let ingest = ingest_opts(opts, &chaos, threads)?;
+    let label = pipeline_label(&ingest);
 
     // One telemetry context per run, on a virtual clock: spans, metrics,
     // and narration all flow through it. Enabling it unconditionally is
@@ -581,38 +649,49 @@ fn map(opts: &Options) -> Result<String, CliError> {
     // The LLM sits behind a response cache so repeated prompts (and the
     // ledger's cache row) are observable end to end.
     let llm = CachingModel::new(SimLlm::new(seed));
-    let mut coverage = String::new();
-    let (mut borges, pipeline) = match &chaos {
-        Some(chaos) => {
+    // The resilience flags put both boundaries behind seeded faults.
+    let (web, model): (
+        Box<dyn WebClient + Sync + '_>,
+        Box<dyn ChatModel + Sync + '_>,
+    ) = match &chaos {
+        Some(ChaosOpts { plan, .. }) => {
             tel.verbose(format!(
                 "fault rate {}, chaos seed {}",
-                chaos.fault_rate, chaos.chaos_seed
+                plan.transient_rate, plan.seed
             ));
-            let plan = EpisodePlan {
-                transient_rate: chaos.fault_rate,
-                permanent_rate: 0.0,
-                max_burst: 3,
-                seed: chaos.chaos_seed,
+            let model_plan = EpisodePlan {
+                seed: plan.seed ^ 0x4c4c_4d00,
+                ..*plan
             };
-            let web = FlakyWebClient::new(SimWebClient::browser(&bundle.web), plan);
-            let model = FlakyModel::new(
-                &llm,
-                EpisodePlan {
-                    seed: chaos.chaos_seed ^ 0x4c4c_4d00,
-                    ..plan
-                },
-            );
-            let ingested = ingest(&bundle, web, &model, &stream, &tel);
-            coverage = coverage_lines(&ingested.0);
-            ingested
+            (
+                Box::new(FlakyWebClient::new(
+                    SimWebClient::browser(&bundle.web),
+                    *plan,
+                )),
+                Box::new(FlakyModel::new(&llm, model_plan)),
+            )
         }
-        None => ingest(
-            &bundle,
-            SimWebClient::browser(&bundle.web),
-            &llm,
-            &stream,
-            &tel,
+        None => (Box::new(SimWebClient::browser(&bundle.web)), Box::new(&llm)),
+    };
+    tel.verbose(match (ingest.pool, ingest.policy) {
+        (Some(pool), _) => format!(
+            "pooled pipeline: {threads} threads, {} calls in flight",
+            pool.in_flight
         ),
+        (None, Some(_)) => "resilient sequential pipeline".to_string(),
+        (None, None) => "sequential pipeline".to_string(),
+    });
+    let borges = Borges::ingest(
+        &bundle.whois,
+        &bundle.pdb,
+        WebSource::Crawl(&*web),
+        &*model,
+        &ingest,
+        &tel,
+    );
+    let coverage = match chaos {
+        Some(_) => coverage_lines(&borges),
+        None => String::new(),
     };
     tel.verbose(format!(
         "crawl: {} entries, {} reachable URLs; ner: {} LLM calls",
@@ -620,65 +699,10 @@ fn map(opts: &Options) -> Result<String, CliError> {
         borges.scrape_stats.reachable_urls,
         borges.ner.stats.llm_calls
     ));
-    let mapping = borges
-        .mappings_parallel_traced(std::slice::from_ref(&features), threads, &tel)
-        .pop()
-        .expect("one feature set in, one mapping out");
-    write_artifact_file(out, mapfile::serialize(&mapping))?;
-    if let Some(dir) = opts.optional("state-out")? {
-        write_state(&borges, dir)?;
-        tel.debug(format!("snapshot state written to {dir}"));
-    }
-    // Timeline append runs before --store-out: it stamps the chain
-    // epoch into the world, and the store artifact must carry it too.
-    let mut timeline_row = String::new();
-    let mut appended_link: Option<(u64, String)> = None;
-    if let Some(dir) = opts.optional("timeline")? {
-        let link = append_timeline(&mut borges, dir)?;
-        tel.debug(format!(
-            "timeline epoch {} appended ({})",
-            link.epoch, link.world_digest
-        ));
-        timeline_row = format!(
-            "timeline: epoch {} appended ({})\n",
-            link.epoch, link.world_digest
-        );
-        appended_link = Some((link.epoch, link.world_digest));
-    }
-    if let Some(path) = opts.optional("store-out")? {
-        let digest = borges_store::write_artifact(Path::new(path), &borges.to_world())
-            .map_err(CliError::failed)?;
-        tel.debug(format!("world store artifact written to {path} ({digest})"));
-    }
-
-    if trace_out.is_some() || metrics_out.is_some() || report_out.is_some() {
-        let mut report = borges.run_report(&tel, pipeline, threads);
-        report
-            .caches
-            .push(CacheReport::new("llm.response", llm.cache_stats()));
-        if let Some((epoch, world_digest)) = &appended_link {
-            report.timeline = borges_telemetry::TimelineReport {
-                appended: true,
-                epoch: *epoch,
-                world_digest: world_digest.clone(),
-            };
-        }
-        if let Some(path) = trace_out {
-            write_artifact_file(path, tel.trace_jsonl_canonical())?;
-            tel.debug(format!("trace journal written to {path}"));
-        }
-        if let Some(path) = metrics_out {
-            write_artifact_file(path, report.metrics.to_prometheus())?;
-            tel.debug(format!("metrics written to {path}"));
-        }
-        if let Some(path) = report_out {
-            write_artifact_file(path, report.to_json_pretty())?;
-            tel.debug(format!("run ledger written to {path}"));
-        }
-    }
+    let (mapping, timeline_row) = publish(&outputs, borges, features, label, threads, &llm, &tel)?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n{}{}",
-        out,
+        outputs.mapfile,
         mapping.asn_count(),
         mapping.org_count(),
         features.label(),
@@ -733,13 +757,10 @@ fn remap(opts: &Options) -> Result<String, CliError> {
         "q",
     ])?;
     let data = opts.required("data")?;
-    let out = opts.required("out")?;
+    let outputs = Outputs::parse(opts, "out-state")?;
     let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
     let seed = seed_of(opts)?;
     let threads = parse_threads(opts)?;
-    let trace_out = opts.optional("trace-out")?;
-    let metrics_out = opts.optional("metrics-out")?;
-    let report_out = opts.optional("report-out")?;
 
     let tel = Telemetry::sim(verbosity_of(opts));
     let state = load_state(opts.required("base-state")?)?;
@@ -752,14 +773,17 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let llm = CachingModel::new(SimLlm::new(seed));
     let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
     let report = scraper.crawl(bundle.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-    let mut borges = Borges::remap_parallel_traced(
+    let ingest = IngestOptions {
+        threads,
+        prior: Some(&state),
+        ..IngestOptions::default()
+    };
+    let borges = Borges::ingest(
         &bundle.whois,
         &bundle.pdb,
-        &report,
+        WebSource::Scraped(&report),
         &llm,
-        borges_core::ner::NerConfig::default(),
-        &state,
-        threads,
+        &ingest,
         &tel,
     );
     let d = borges.delta.as_ref().expect("remap records delta stats");
@@ -774,67 +798,16 @@ fn remap(opts: &Options) -> Result<String, CliError> {
         .iter()
         .map(|(_, s)| (s.segments_retained, s.edges_retained))
         .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
-    // Copied out: the timeline append below needs the pipeline mutably.
+    // Copied out: the publish tail takes the pipeline.
     let dirty_records = d.records.dirty();
     let llm_calls_saved = d.llm_calls_saved();
 
-    let mapping = borges
-        .mappings_parallel_traced(std::slice::from_ref(&features), threads, &tel)
-        .pop()
-        .expect("one feature set in, one mapping out");
-    write_artifact_file(out, mapfile::serialize(&mapping))?;
-    if let Some(dir) = opts.optional("out-state")? {
-        write_state(&borges, dir)?;
-        tel.debug(format!("updated snapshot state written to {dir}"));
-    }
-    // As in `map`: the timeline append stamps the chain epoch into the
-    // world before the store artifact is written.
-    let mut timeline_row = String::new();
-    let mut appended_link: Option<(u64, String)> = None;
-    if let Some(dir) = opts.optional("timeline")? {
-        let link = append_timeline(&mut borges, dir)?;
-        tel.debug(format!(
-            "timeline epoch {} appended ({})",
-            link.epoch, link.world_digest
-        ));
-        timeline_row = format!(
-            "timeline: epoch {} appended ({})\n",
-            link.epoch, link.world_digest
-        );
-        appended_link = Some((link.epoch, link.world_digest));
-    }
-    if let Some(path) = opts.optional("store-out")? {
-        let digest = borges_store::write_artifact(Path::new(path), &borges.to_world())
-            .map_err(CliError::failed)?;
-        tel.debug(format!("world store artifact written to {path} ({digest})"));
-    }
-
-    if trace_out.is_some() || metrics_out.is_some() || report_out.is_some() {
-        let mut ledger = borges.run_report(&tel, "remap", threads);
-        ledger
-            .caches
-            .push(CacheReport::new("llm.response", llm.cache_stats()));
-        if let Some((epoch, world_digest)) = &appended_link {
-            ledger.timeline = borges_telemetry::TimelineReport {
-                appended: true,
-                epoch: *epoch,
-                world_digest: world_digest.clone(),
-            };
-        }
-        if let Some(path) = trace_out {
-            write_artifact_file(path, tel.trace_jsonl_canonical())?;
-        }
-        if let Some(path) = metrics_out {
-            write_artifact_file(path, ledger.metrics.to_prometheus())?;
-        }
-        if let Some(path) = report_out {
-            write_artifact_file(path, ledger.to_json_pretty())?;
-        }
-    }
+    let (mapping, timeline_row) =
+        publish(&outputs, borges, features, "remap", threads, &llm, &tel)?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n\
          delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n{}",
-        out,
+        outputs.mapfile,
         mapping.asn_count(),
         mapping.org_count(),
         features.label(),
@@ -1037,13 +1010,18 @@ fn serve(opts: &Options) -> Result<String, CliError> {
             let llm = CachingModel::new(SimLlm::new(seed));
             let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
             let report = scraper.crawl(bundle.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            Ok(Borges::remap(
+            let state = current.snapshot_state();
+            let ingest = IngestOptions {
+                prior: Some(&state),
+                ..IngestOptions::default()
+            };
+            Ok(Borges::ingest(
                 &bundle.whois,
                 &bundle.pdb,
-                &report,
+                WebSource::Scraped(&report),
                 &llm,
-                borges_core::ner::NerConfig::default(),
-                &current.snapshot_state(),
+                &ingest,
+                &Telemetry::disabled(),
             ))
         })
     };

@@ -390,8 +390,9 @@ pub fn merge_feature<K: Ord + Clone>(
     (segments, delta)
 }
 
-/// Everything a [`Borges::remap`](crate::pipeline::Borges::remap) run
-/// knows about the work it avoided — record churn, interner evolution,
+/// Everything an incremental remap — a
+/// [`Borges::ingest`](crate::pipeline::Borges::ingest) over a prior
+/// state — knows about the work it avoided — record churn, interner evolution,
 /// per-feature segment reuse, and LLM reply memoization.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaStats {

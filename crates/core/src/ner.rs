@@ -163,26 +163,10 @@ impl Default for NerConfig {
     }
 }
 
-/// Runs the extraction stage over every network in the snapshot.
+/// Runs the extraction stage over every network in the snapshot,
+/// sending the [`plan`]'s requests one at a time, in plan order.
 pub fn extract(pdb: &PdbSnapshot, model: &dyn ChatModel, config: NerConfig) -> NerResult {
-    extract_with_memo(pdb, model, config, &BTreeMap::new())
-}
-
-/// Like [`extract`], but consults `memo` before each LLM call: when the
-/// subject's `notes`/`aka` fingerprint matches a memoized reply, the
-/// stored findings are replayed through the identical downstream
-/// filters and no call is issued. `stats.llm_calls` counts physical
-/// calls only, so the funnel invariant
-/// `llm_abandoned + parsed == llm_calls` still holds.
-///
-/// Sends the [`plan`]'s requests one at a time, in plan order.
-pub fn extract_with_memo(
-    pdb: &PdbSnapshot,
-    model: &dyn ChatModel,
-    config: NerConfig,
-    memo: &BTreeMap<Asn, NerMemoEntry>,
-) -> NerResult {
-    let plan = plan(pdb, config, memo);
+    let plan = plan(pdb, config, &BTreeMap::new());
     let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
     plan.fold(replies)
 }
@@ -214,7 +198,10 @@ pub struct NerPlan<'a> {
 /// Lists the extraction calls for every network in `pdb`: entries
 /// without text (or, with the input filter on, without digits) need
 /// none, and entries whose text fingerprint matches `memo` replay the
-/// memoized findings instead.
+/// memoized findings instead: the fold runs them through the identical
+/// downstream filters, and no call is issued. `stats.llm_calls` counts
+/// physical calls only, so the funnel invariant
+/// `llm_abandoned + parsed == llm_calls` still holds.
 pub fn plan<'a>(
     pdb: &'a PdbSnapshot,
     config: NerConfig,
@@ -494,6 +481,18 @@ mod tests {
         );
     }
 
+    /// Plans over `memo`, sends the remaining requests one at a time,
+    /// and folds the replies.
+    fn extract_over_memo(
+        pdb: &PdbSnapshot,
+        model: &dyn ChatModel,
+        memo: &BTreeMap<Asn, NerMemoEntry>,
+    ) -> NerResult {
+        let plan = plan(pdb, NerConfig::default(), memo);
+        let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
+        plan.fold(replies)
+    }
+
     fn numbered_snapshot() -> PdbSnapshot {
         let entries: Vec<(u32, String, String)> = (1..60)
             .map(|i| {
@@ -590,7 +589,7 @@ mod tests {
 
         // Re-run over the same snapshot seeded with the memo: identical
         // extraction, zero physical calls.
-        let replay = extract_with_memo(&pdb, &llm, NerConfig::default(), &first.memo);
+        let replay = extract_over_memo(&pdb, &llm, &first.memo);
         assert_eq!(replay.per_entry, first.per_entry);
         assert_eq!(replay.memo, first.memo);
         assert_eq!(replay.memo_hits, 1);
@@ -604,7 +603,7 @@ mod tests {
         let pdb_t1 = snapshot(&[(3320, "Our subsidiaries: AS5391.", "")]);
         let llm = SimLlm::flawless();
         let first = extract(&pdb_t0, &llm, NerConfig::default());
-        let second = extract_with_memo(&pdb_t1, &llm, NerConfig::default(), &first.memo);
+        let second = extract_over_memo(&pdb_t1, &llm, &first.memo);
         assert_eq!(second.memo_hits, 0, "changed text must not replay");
         assert_eq!(second.stats.llm_calls, 1);
         assert_eq!(

@@ -1,8 +1,9 @@
 //! The Borges pipeline: feature computation and combination.
 //!
-//! [`Borges::run`] executes every stage once — organization keys (§4.1),
-//! LLM extraction (§4.2), the web crawl and both web inferences (§4.3) —
-//! and caches their merge evidence. [`Borges::mapping`] then materializes
+//! [`Borges::ingest`] executes every stage once — organization keys
+//! (§4.1), LLM extraction (§4.2), the web crawl and both web inferences
+//! (§4.3) — and caches their merge evidence. [`Borges::run`] is its
+//! sequential reference over a crawl. [`Borges::mapping`] then materializes
 //! the AS-to-Organization mapping for **any subset of features**
 //! (Table 6 evaluates all 16 combinations).
 //!
@@ -24,10 +25,10 @@ use crate::delta::{
     SourceFingerprints,
 };
 use crate::mapping::AsOrgMapping;
-use crate::ner::{extract, extract_with_memo, NerConfig, NerResult};
+use crate::ner::{self, NerConfig, NerMemoEntry, NerResult};
 use crate::orgkeys;
 use crate::unionfind::{DenseUnionFind, SegmentFeed, ShardReport, UnionFind};
-use crate::web::favicon::{favicon_inference, favicon_inference_memo, FaviconInference};
+use crate::web::favicon::{self, FaviconInference};
 use crate::web::rr::{rr_inference, RrInference};
 use crate::world::{
     CompiledWorld, FaviconGroupRecord, NerEntryRecord, RrGroupRecord, ServingExtras,
@@ -51,6 +52,7 @@ use borges_websim::{
     StreamingWebClient, WebClient,
 };
 use borges_whois::WhoisRegistry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -224,10 +226,9 @@ pub struct FeatureContribution {
 ///
 /// The edge lists are partitioned into [`EdgeSegment`]s keyed by the
 /// source record that derived them. A full compile and an incremental
-/// [`CompiledEvidence::apply_delta`] run the *same* segment-merge code
-/// ([`delta::merge_feature`]) — the full path just starts from an empty
-/// prior, which is what makes incremental-equals-full structural rather
-/// than coincidental.
+/// one run the *same* segment-merge code ([`delta::merge_feature`]) —
+/// the full path just starts from an empty prior, which is what makes
+/// incremental-equals-full structural rather than coincidental.
 #[derive(Debug, Clone)]
 struct CompiledEvidence {
     interner: AsnInterner,
@@ -245,66 +246,15 @@ fn segment_edge_count<K>(segments: &[EdgeSegment<K>]) -> usize {
 }
 
 impl CompiledEvidence {
-    /// Incremental recompilation against persisted snapshot-T state:
-    /// the interner evolves append-only (surviving ASNs keep their
-    /// dense ids, departures are tombstoned, arrivals get fresh or
-    /// resurrected slots), and only segments whose member fingerprint
-    /// moved are re-derived — the per-feature union-find replay then
-    /// happens lazily in [`Borges::mapping`], exactly as on a full run.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_delta(
-        state: &SnapshotState,
-        universe: &BTreeSet<Asn>,
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        ner: &NerResult,
-        rr: &RrInference,
-        favicon: &FaviconInference,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> (Self, DeltaStats) {
-        let mut interner = AsnInterner::from_slots(state.slot_pairs());
-        let mut stats = DeltaStats::default();
-        for asn in interner.live_asns() {
-            if universe.contains(&asn) {
-                stats.asns_retained += 1;
-            } else {
-                interner.retire(asn);
-                stats.asns_retired += 1;
-            }
-        }
-        // Ascending order keeps appended slot ids deterministic.
-        for &asn in universe {
-            if !interner.contains(asn) {
-                interner.append(asn);
-                stats.asns_added += 1;
-            }
-        }
-        let registry = RegistryHalf::derive(&interner, Some(state), whois, pdb, threads);
-        let (compiled, [oid_w, oid_p, na, rr_d, favicons]) = Self::build(
-            interner,
-            registry,
-            Some(state),
-            ner,
-            rr,
-            favicon,
-            threads,
-            tel,
-        );
-        stats.oid_w = oid_w;
-        stats.oid_p = oid_p;
-        stats.na = na;
-        stats.rr = rr_d;
-        stats.favicons = favicons;
-        (compiled, stats)
-    }
-
-    /// The shared segment-merge tail of both compilation paths: the
-    /// crawl-dependent features on top of a [`RegistryHalf`] derived
-    /// against the same `prior` (`None` for a full compile, where every
-    /// segment derives fresh). The OID_W base closure is always rebuilt
-    /// from the segment edges — a union-find cannot un-union a retired
-    /// bridge, and the rebuild is cheap next to group re-derivation.
+    /// The segment-merge tail of every compile: the crawl-dependent
+    /// features on top of a [`RegistryHalf`] derived against the same
+    /// `prior`. With `None` every segment derives fresh; with a persisted
+    /// snapshot-T state only segments whose member fingerprint moved are
+    /// re-derived, and the per-feature union-find replay then happens
+    /// lazily in [`Borges::mapping`], exactly as on a full run. The OID_W
+    /// base closure is always rebuilt from the segment edges — a
+    /// union-find cannot un-union a retired bridge, and the rebuild is
+    /// cheap next to group re-derivation.
     ///
     /// With `threads > 1` the base replay runs sharded
     /// ([`SegmentFeed`], DESIGN.md §11): byte-identical output, with
@@ -361,7 +311,7 @@ impl CompiledEvidence {
 /// The half of a compile that reads the registries alone (WHOIS and
 /// PeeringDB): the OID_W and OID_P edge segments, and the OID_W edges
 /// bucketed for the base replay. It needs no crawl and no LLM, so the
-/// pooled engine derives it while its calls are in flight.
+/// pooled front derives it while its calls are in flight.
 struct RegistryHalf {
     oid_w: Vec<EdgeSegment<String>>,
     oid_p: Vec<EdgeSegment<u64>>,
@@ -399,28 +349,64 @@ impl RegistryHalf {
     }
 }
 
-/// Everything a full compile derives before the crawl-dependent
-/// features: the universe's interner, the [`RegistryHalf`], and both
-/// registry org-key groupings.
+/// Everything a compile derives before the crawl-dependent features:
+/// the universe's interner, the [`RegistryHalf`], and both registry
+/// org-key groupings.
 struct Precompiled {
     interner: AsnInterner,
     registry: RegistryHalf,
     oid_w_groups: Vec<Vec<Asn>>,
     oid_p_groups: Vec<Vec<Asn>>,
+    /// The interner evolution's `asns_*` accounting (all zero without a
+    /// prior state); the compile fills in the rest.
+    delta: DeltaStats,
 }
 
 impl Precompiled {
-    fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, threads: usize) -> Self {
+    /// Fixes the universe and derives the registry half against `prior`.
+    /// Without a prior the interner is fresh. With one it evolves
+    /// append-only from the persisted slots: surviving ASNs keep their
+    /// dense ids, departures are tombstoned, and arrivals get fresh or
+    /// resurrected slots.
+    fn build(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        prior: Option<&SnapshotState>,
+        threads: usize,
+    ) -> Self {
         let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
         // PeeringDB networks missing from WHOIS (rare, but real dumps have
         // them) still belong to the mapping universe.
         universe.extend(pdb.nets().map(|n| n.asn));
-        let interner = AsnInterner::new(universe);
+        let mut delta = DeltaStats::default();
+        let interner = match prior {
+            None => AsnInterner::new(universe),
+            Some(state) => {
+                let mut interner = AsnInterner::from_slots(state.slot_pairs());
+                for asn in interner.live_asns() {
+                    if universe.contains(&asn) {
+                        delta.asns_retained += 1;
+                    } else {
+                        interner.retire(asn);
+                        delta.asns_retired += 1;
+                    }
+                }
+                // Ascending order keeps appended slot ids deterministic.
+                for &asn in &universe {
+                    if !interner.contains(asn) {
+                        interner.append(asn);
+                        delta.asns_added += 1;
+                    }
+                }
+                interner
+            }
+        };
         Precompiled {
-            registry: RegistryHalf::derive(&interner, None, whois, pdb, threads),
+            registry: RegistryHalf::derive(&interner, prior, whois, pdb, threads),
             interner,
             oid_w_groups: orgkeys::oid_w_groups(whois),
             oid_p_groups: orgkeys::oid_p_groups(pdb),
+            delta,
         }
     }
 }
@@ -520,10 +506,11 @@ pub struct Borges {
     pub web_cache: CacheStats,
     /// Per-record fingerprints of the inputs this run consumed, captured
     /// so [`Borges::snapshot_state`] can persist them for a later
-    /// [`Borges::remap`] to diff against.
+    /// incremental remap to diff against.
     fingerprints: SourceFingerprints,
-    /// Delta accounting when this pipeline was built incrementally by
-    /// [`Borges::remap`]; `None` on full runs.
+    /// Delta accounting when this pipeline was built incrementally (an
+    /// ingest over a prior state, [`IngestOptions::prior`]); `None` on
+    /// full runs.
     pub delta: Option<DeltaStats>,
     /// Timeline epoch this world was published at; `0` until a timeline
     /// append stamps it (see [`Borges::set_world_epoch`]). Exported
@@ -592,7 +579,7 @@ fn record_shard_report(tel: &Telemetry, ctx: &str, report: &ShardReport) {
 
 // Span annotations per stage. Every value is a merged funnel number —
 // proven schedule-independent by `parallel_pipeline_matches_sequential` —
-// never a per-worker observation.
+// never a per-worker observation. Incremental runs add the memo hits.
 
 fn annotate_crawl(span: &Span, stats: &ScrapeStats) {
     span.field("entries_with_website", stats.entries_with_website);
@@ -600,9 +587,12 @@ fn annotate_crawl(span: &Span, stats: &ScrapeStats) {
     span.field("entries_abandoned", stats.entries_abandoned);
 }
 
-fn annotate_ner(span: &Span, ner: &NerResult) {
+fn annotate_ner(span: &Span, ner: &NerResult, incremental: bool) {
     span.field("llm_calls", ner.stats.llm_calls);
     span.field("extracted_asns", ner.stats.extracted_asns);
+    if incremental {
+        span.field("memo_hits", ner.memo_hits);
+    }
 }
 
 fn annotate_rr(span: &Span, rr: &RrInference) {
@@ -610,9 +600,12 @@ fn annotate_rr(span: &Span, rr: &RrInference) {
     span.field("shared_final_urls", rr.stats.shared_final_urls);
 }
 
-fn annotate_favicon(span: &Span, favicon: &FaviconInference) {
+fn annotate_favicon(span: &Span, favicon: &FaviconInference, incremental: bool) {
     span.field("groups", favicon.groups.len());
     span.field("llm_calls", favicon.stats.llm_calls);
+    if incremental {
+        span.field("memo_hits", favicon.memo_hits);
+    }
 }
 
 /// The default in-flight budget of the pooled ingest engine: remote
@@ -623,31 +616,23 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference) {
 /// size serves every stage (DESIGN.md §14).
 pub const DEFAULT_IN_FLIGHT: usize = 4;
 
-/// Knobs for the pooled ingest engine ([`Borges::run_streaming`]).
-#[derive(Clone)]
+/// The token buckets' per-host burst: one admission at a time.
+const PER_HOST_BURST: u32 = 1;
+
+/// The I/O pool of an ingest ([`IngestOptions::pool`], DESIGN.md §14):
+/// every remote call — crawl fetches, NER and favicon completions —
+/// waits on the network from one pool, NER overlapping the crawl.
+#[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
-    /// The in-flight budget: how many remote calls — crawl fetches, NER
-    /// and favicon completions alike — wait on the network at once. The
-    /// pool runs one worker per unit of budget.
+    /// The in-flight budget: how many remote calls wait on the network
+    /// at once. The pool runs one worker per unit of budget.
     pub in_flight: usize,
-    /// Per-host admission rate (requests per second of pacing-clock
-    /// time); `None` disables rate limiting.
+    /// Per-host admission rate for crawl fetches, in requests per second
+    /// of pacing time; `None` disables rate limiting. Pacing runs on a
+    /// virtual clock of the run's own ([`SimClock`]), so a throttled run
+    /// never actually waits and stays deterministic: the limit shapes the
+    /// schedule only, never a canonical output.
     pub per_host_rps: Option<f64>,
-    /// Instantaneous per-host burst allowance for the token buckets.
-    pub burst: u32,
-    /// Retry policy for the web and LLM boundaries. `None` runs the
-    /// bare stack (what [`Borges::run_parallel`] runs); `Some` runs the
-    /// resilient stack (the pooled twin of [`Borges::run_resilient`]),
-    /// with per-host breakers at [`BreakerConfig::standard`].
-    pub policy: Option<RetryPolicy>,
-    /// Compute parallelism: the compile-time base replay's shard count.
-    pub threads: usize,
-    /// The pacing clock token buckets read and throttled workers sleep
-    /// on. Virtual ([`SimClock`]) by default, so throttled runs are
-    /// deterministic and never actually wait; a production deployment
-    /// passes [`borges_resilience::SystemClock`]. Pacing affects
-    /// wall-clock scheduling only — never canonical outputs.
-    pub pacing: Arc<dyn Clock>,
 }
 
 impl Default for StreamOptions {
@@ -655,23 +640,58 @@ impl Default for StreamOptions {
         StreamOptions {
             in_flight: DEFAULT_IN_FLIGHT,
             per_host_rps: None,
-            burst: 1,
-            policy: None,
-            threads: 1,
-            pacing: Arc::new(SimClock::new()),
         }
     }
 }
 
-impl std::fmt::Debug for StreamOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamOptions")
-            .field("in_flight", &self.in_flight)
-            .field("per_host_rps", &self.per_host_rps)
-            .field("burst", &self.burst)
-            .field("policy", &self.policy)
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
+/// Where an ingest's web evidence comes from.
+#[derive(Clone, Copy)]
+pub enum WebSource<'a> {
+    /// Crawl every PeeringDB website through this client: the trace has
+    /// a `crawl` stage and the ledger a redirect-cache row.
+    Crawl(&'a (dyn WebClient + Sync)),
+    /// A report scraped earlier (ablations, benches, and remaps, which
+    /// re-crawl before they re-map): there is no `crawl` stage, and the
+    /// redirect-cache ledger row reads zero.
+    Scraped(&'a ScrapeReport),
+}
+
+/// How an ingest runs: everything [`Borges::ingest`] takes besides its
+/// inputs. The default is the sequential reference — bare stack, no
+/// pool, one thread, full compile.
+#[derive(Debug, Clone)]
+pub struct IngestOptions<'a> {
+    /// The NER stage's input and output filters (§4.2).
+    pub ner: NerConfig,
+    /// Retry policy for the web and LLM boundaries. `None` runs the bare
+    /// stack; `Some` runs the resilient one: per-host circuit breakers on
+    /// the web, and one breaker per LLM stage (NER and the favicon
+    /// classifier keep separate state, so a meltdown in one stage cannot
+    /// poison the other's budget accounting), all at
+    /// [`BreakerConfig::standard`].
+    pub policy: Option<RetryPolicy>,
+    /// The I/O pool. `None` sends every remote call one at a time, in
+    /// canonical order: the sequential reference.
+    pub pool: Option<StreamOptions>,
+    /// Compute parallelism: the shard count of the compile's base replay.
+    pub threads: usize,
+    /// Persisted state of an earlier snapshot. `Some` makes the ingest an
+    /// incremental remap: the LLM stages replay its memos for records
+    /// whose text did not change, the interner evolves from its slots,
+    /// and every edge segment whose member fingerprint is untouched is
+    /// reused.
+    pub prior: Option<&'a SnapshotState>,
+}
+
+impl Default for IngestOptions<'_> {
+    fn default() -> Self {
+        IngestOptions {
+            ner: NerConfig::default(),
+            policy: None,
+            pool: None,
+            threads: 1,
+            prior: None,
+        }
     }
 }
 
@@ -748,40 +768,86 @@ fn interleave(entries: Vec<StreamEntry<'_>>, completions: usize) -> Vec<Call<'_>
     calls
 }
 
-/// Sends `requests` through `model` on a pool of `in_flight` workers,
-/// each request its own key, and returns the replies in request order.
-fn complete_pooled(
-    model: &(dyn ChatModel + Sync),
-    requests: &[ChatRequest],
-    in_flight: usize,
-) -> Vec<Result<ChatResponse, TransportError>> {
-    let indices: Vec<usize> = (0..requests.len()).collect();
-    let mut replies = Vec::with_capacity(requests.len());
-    stream_indexed(
-        &indices,
-        in_flight,
-        |&j| j as u64,
-        |_, _| Ok(()),
-        |_| {},
-        |_, &j| model.complete(&requests[j]),
-        |_, reply| replies.push(reply),
-    );
-    replies
+/// One LLM stage's model stack: `model` itself on the bare stack, or
+/// `model` behind a [`RetryingModel`] of the stage's own, with one
+/// breaker, backoff slept on the clock it was given, and telemetry
+/// under the stage's boundary label.
+struct LlmStack<'m> {
+    model: &'m (dyn ChatModel + Sync),
+    retrying: Option<RetryingModel<&'m (dyn ChatModel + Sync)>>,
 }
 
-/// What the overlap phase of the pooled engine ([`Borges::overlap`])
-/// hands to the replay phase.
-struct Overlapped {
-    /// The crawl report, assembled in canonical entry order.
-    report: ScrapeReport,
-    /// The folded NER result.
+impl<'m> LlmStack<'m> {
+    fn new(
+        model: &'m (dyn ChatModel + Sync),
+        policy: Option<RetryPolicy>,
+        clock: Arc<dyn Clock>,
+        tel: &Telemetry,
+        boundary: &str,
+    ) -> Self {
+        let retrying = policy.map(|policy| {
+            RetryingModel::new(model, policy)
+                .with_breaker(BreakerConfig::standard())
+                .with_clock(clock)
+                .with_telemetry(tel.clone(), boundary)
+        });
+        LlmStack { model, retrying }
+    }
+
+    fn model(&self) -> &(dyn ChatModel + Sync) {
+        match &self.retrying {
+            Some(retrying) => retrying,
+            None => self.model,
+        }
+    }
+
+    /// Sends `requests` and returns the replies in request order: one at
+    /// a time, or on a pool of `in_flight` workers, each request its own
+    /// key.
+    fn send(
+        &self,
+        requests: &[ChatRequest],
+        in_flight: Option<usize>,
+    ) -> Vec<Result<ChatResponse, TransportError>> {
+        let model = self.model();
+        let Some(in_flight) = in_flight else {
+            return requests.iter().map(|r| model.complete(r)).collect();
+        };
+        let indices: Vec<usize> = (0..requests.len()).collect();
+        let mut replies = Vec::with_capacity(requests.len());
+        stream_indexed(
+            &indices,
+            in_flight,
+            |&j| j as u64,
+            |_, _| Ok(()),
+            |_| {},
+            |_, &j| model.complete(&requests[j]),
+            |_, reply| replies.push(reply),
+        );
+        replies
+    }
+
+    /// What the retry stack spent (zero on the bare stack).
+    fn stats(&self) -> ResilienceStats {
+        self.retrying
+            .as_ref()
+            .map_or_else(ResilienceStats::default, RetryingModel::stats)
+    }
+}
+
+/// What an ingest's crawl and NER front hands to the rest of the body.
+struct Front<'w> {
+    /// The open root span: `run`, or `remap` over a prior state.
+    root: Span,
+    /// The web evidence: crawled by the front, or scraped earlier.
+    report: Cow<'w, ScrapeReport>,
+    /// The crawl's redirect-cache counters (zero without a crawl).
+    web_cache: CacheStats,
     ner: NerResult,
-    /// Virtual backoff the NER boundary spent (zero on the bare stack).
-    ner_backoff_ms: u64,
-    /// The pool's scheduler accounting.
-    ledger: StreamLedger,
-    /// The registry side of the compile, derived during the pool.
-    pre: Precompiled,
+    /// The registry side of the compile, when the front derived it.
+    pre: Option<Precompiled>,
+    /// The pool's scheduler accounting, when the pool ran.
+    ledger: Option<StreamLedger>,
 }
 
 /// Stamps one pooled run's scheduler accounting into the
@@ -826,13 +892,68 @@ fn record_ingest_ledger(tel: &Telemetry, ledger: &StreamLedger) {
 }
 
 impl Borges {
-    /// Runs every stage: crawls the web through `web_client`, extracts
-    /// siblings with `model`, and caches all merge evidence.
-    pub fn run<C: WebClient>(
+    /// Runs every stage — the web evidence (§4.3, crawled through a
+    /// client or scraped earlier), LLM extraction with `model` (§4.2),
+    /// both web inferences, and the compile of all merge evidence. The
+    /// one body behind every constructor; `opts` says how it runs:
+    ///
+    /// - **Front.** Only the crawl and NER stages have two
+    ///   implementations. Without `opts.pool` every remote call is sent
+    ///   one at a time, in canonical order, live on the telemetry clock:
+    ///   the sequential reference. With it, every fetch and NER request
+    ///   runs on one pool of `in_flight` workers, interleaved so the LLM
+    ///   waits overlap the crawl; fetches stay FIFO per host and
+    ///   optionally rate-limited per host (DESIGN.md §14). The `rr`
+    ///   stage, the favicon stage, the compile and the metrics exist
+    ///   once.
+    /// - **Resilience.** `opts.policy` wraps every boundary in retries
+    ///   and circuit breakers. The retry spend of each boundary is
+    ///   stamped into the matching stats block, and [`Borges::coverage`]
+    ///   reports what survived: when faults are not recoverable, the run
+    ///   still completes, abandoned work is counted, and the mapping is
+    ///   built from the evidence that survived.
+    /// - **Increment.** `opts.prior` turns the run into a remap: the
+    ///   trace opens `remap` instead of `run`, compiles in an `apply`
+    ///   stage, and carries `memo_hits` on the `ner` and `favicon`
+    ///   spans; [`Borges::delta`] and the `borges_delta_*` counters
+    ///   account the reuse.
+    ///
+    /// Determinism contract: the mapping, canonical trace and metrics
+    /// snapshot depend on the inputs, `opts.ner`, `opts.policy` and
+    /// whether a prior is given — never on the pool, its budget and rate
+    /// limit, or `threads` — over the bare stack and under transport
+    /// faults the policy recovers (it then erases them entirely). Under
+    /// unrecoverable outages the pooled front may legitimately differ
+    /// from the sequential one (breaker open windows time out on
+    /// per-call clocks). A remap is **byte-identical** to the full
+    /// ingest of the same inputs, because both run the same derivation
+    /// code and the remap only skips work proven unchanged. Scheduling
+    /// shows up only in [`WorkerTiming`] ledger rows: when the pool
+    /// runs, its `ingest_*` rows (stage names from
+    /// [`borges_telemetry::ingest`]).
+    pub fn ingest(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        web: WebSource<'_>,
+        model: &(dyn ChatModel + Sync),
+        opts: &IngestOptions<'_>,
+        tel: &Telemetry,
+    ) -> Self {
+        let (borges, ledger) = Self::ingest_body(whois, pdb, web, model, opts, tel);
+        if let Some(ledger) = &ledger {
+            record_ingest_ledger(tel, ledger);
+        }
+        borges
+    }
+
+    /// Runs every stage on the sequential reference ingest: crawls the
+    /// web through `web_client`, extracts siblings with `model`, and
+    /// caches all merge evidence.
+    pub fn run<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         web_client: C,
-        model: &dyn ChatModel,
+        model: &(dyn ChatModel + Sync),
     ) -> Self {
         Self::run_traced(whois, pdb, web_client, model, &Telemetry::disabled())
     }
@@ -845,41 +966,29 @@ impl Borges {
     /// canonical journal and the metrics snapshot are identical to what
     /// [`Borges::run_parallel_traced`] emits — the determinism contract
     /// of DESIGN.md §8, pinned by `tests/telemetry.rs`.
-    pub fn run_traced<C: WebClient>(
+    pub fn run_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         web_client: C,
-        model: &dyn ChatModel,
+        model: &(dyn ChatModel + Sync),
         tel: &Telemetry,
     ) -> Self {
-        let root = tel.span("run");
-        let scraper = Scraper::new(web_client);
-        let report = stage(tel, &root, "crawl", |span| {
-            let report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-        Self::extract_and_assemble(
+        Self::ingest(
             whois,
             pdb,
-            &report,
+            WebSource::Crawl(&web_client),
             model,
-            NerConfig::default(),
-            web_cache,
-            1,
+            &IngestOptions::default(),
             tel,
-            &root,
         )
     }
 
-    /// Like [`Borges::run`], on the pooled ingest engine: every remote
-    /// call — crawl fetches, NER and favicon completions — runs on one
-    /// pool of [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl,
-    /// while `threads` sizes the CPU work (the sharded compile).
-    /// Produces results identical to the sequential run — only
-    /// wall-clock time changes. [`Borges::run_streaming`] takes the
-    /// engine's other knobs.
+    /// Like [`Borges::run`], on the pooled ingest: every remote call —
+    /// crawl fetches, NER and favicon completions — runs on one pool of
+    /// [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl, while
+    /// `threads` sizes the CPU work (the sharded compile). Produces
+    /// results identical to the sequential run — only wall-clock time
+    /// changes. [`Borges::ingest`] takes the pool's other knobs.
     pub fn run_parallel<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -902,9 +1011,9 @@ impl Borges {
     /// [`Borges::run_traced`] — worker scheduling shows up only in
     /// runtime spans and [`WorkerTiming`] rows, which canonicalization
     /// and the metrics snapshot exclude by design. Unlike
-    /// [`Borges::run_streaming_traced`] it leaves the pool's scheduler
-    /// rows out, so its whole run ledger reproduces byte for byte
-    /// across repeated runs.
+    /// [`Borges::ingest`] it leaves the pool's scheduler rows out, so
+    /// its whole run ledger reproduces byte for byte across repeated
+    /// runs.
     pub fn run_parallel_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -913,393 +1022,301 @@ impl Borges {
         threads: usize,
         tel: &Telemetry,
     ) -> Self {
-        let opts = StreamOptions {
-            threads,
-            ..StreamOptions::default()
-        };
-        Self::pooled(whois, pdb, web_client, model, &opts, tel).0
-    }
-
-    /// Like [`Borges::run`], with every boundary wrapped in the
-    /// resilience stack: the web client behind a
-    /// [`RetryingWebClient`] with per-host circuit breakers, and the chat
-    /// model behind one [`RetryingModel`] per LLM stage (NER and the
-    /// favicon classifier get separate retry/breaker state, so a meltdown
-    /// in one stage cannot poison the other's budget accounting).
-    ///
-    /// The retry/breaker spend of each boundary is stamped into the
-    /// matching stats block ([`ScrapeStats::resilience`],
-    /// [`NerStats::resilience`](crate::ner::NerStats),
-    /// [`FaviconStats::resilience`](crate::web::favicon::FaviconStats)),
-    /// and [`Borges::coverage`] reports what survived.
-    ///
-    /// Determinism contract: over a fault-free (or recoverable-within-
-    /// budget) world this produces a mapping **bit-identical** to
-    /// [`Borges::run`] over the bare stack — retries erase recoverable
-    /// faults entirely. When faults are not recoverable, the run still
-    /// completes: abandoned work is counted, the mapping is built from
-    /// the evidence that survived, and every abandoned record shows up in
-    /// the coverage report.
-    pub fn run_resilient<C: WebClient>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &dyn ChatModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        Self::run_resilient_traced(
+        Self::ingest_body(
             whois,
             pdb,
-            web_client,
+            WebSource::Crawl(&web_client),
             model,
-            policy,
-            &Telemetry::disabled(),
+            &IngestOptions {
+                pool: Some(StreamOptions::default()),
+                threads,
+                ..IngestOptions::default()
+            },
+            tel,
+        )
+        .0
+    }
+
+    /// Incrementally re-maps snapshot T+1 against persisted snapshot-T
+    /// `state`: [`Borges::ingest`] over the re-crawled T+1 `report`, with
+    /// the LLM calls sent one at a time and the compile's base replay
+    /// sharded over `threads`. Byte-identical to a full ingest of the
+    /// same inputs at every thread count.
+    ///
+    /// `report` is the *re-crawled* T+1 web observation: crawling is
+    /// cheap next to LLM calls and the web can drift even when the
+    /// registries did not, so it is never carried over from T.
+    #[allow(clippy::too_many_arguments)]
+    pub fn remap_parallel_traced(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        report: &ScrapeReport,
+        model: &(dyn ChatModel + Sync),
+        ner_config: NerConfig,
+        state: &SnapshotState,
+        threads: usize,
+        tel: &Telemetry,
+    ) -> Self {
+        Self::ingest(
+            whois,
+            pdb,
+            WebSource::Scraped(report),
+            model,
+            &IngestOptions {
+                ner: ner_config,
+                threads,
+                prior: Some(state),
+                ..IngestOptions::default()
+            },
+            tel,
         )
     }
 
-    /// Like [`Borges::run_resilient`], recording into `tel`. On top of
-    /// the stage spans and funnels, the retry wrappers themselves emit
-    /// per-boundary attempt/recovery/abandonment counters, call-duration
-    /// histograms, and [`BreakerEvent`]s — and they share the telemetry
-    /// clock, so virtual backoff spend is visible in stage durations.
-    pub fn run_resilient_traced<C: WebClient>(
+    /// The body of [`Borges::ingest`], returning the pool's ledger
+    /// instead of recording it.
+    fn ingest_body(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
-        web_client: C,
-        model: &dyn ChatModel,
-        policy: RetryPolicy,
+        web: WebSource<'_>,
+        model: &(dyn ChatModel + Sync),
+        opts: &IngestOptions<'_>,
         tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        let breaker = BreakerConfig::standard();
-        let web = RetryingWebClient::new(web_client, policy)
-            .with_breakers(breaker)
-            .with_clock(tel.clock())
-            .with_telemetry(tel.clone());
-        let scraper = Scraper::new(&web);
-        let report = stage(tel, &root, "crawl", |span| {
-            let mut report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
-            report.stats.resilience = web.stats();
-            annotate_crawl(span, &report.stats);
-            report
-        });
-        let web_cache = scraper.cache_stats();
-
-        let ner = stage(tel, &root, "ner", |span| {
-            let ner_model = RetryingModel::new(model, policy)
-                .with_breaker(breaker)
-                .with_clock(tel.clock())
-                .with_telemetry(tel.clone(), "ner");
-            let mut ner = extract(pdb, &ner_model, NerConfig::default());
-            ner.stats.resilience = ner_model.stats();
-            annotate_ner(span, &ner);
-            ner
-        });
+    ) -> (Self, Option<StreamLedger>) {
+        let prior = opts.prior;
+        let ner_memo = prior.map(SnapshotState::ner_memo_map).unwrap_or_default();
+        let root = if prior.is_some() { "remap" } else { "run" };
+        let Front {
+            root,
+            report,
+            web_cache,
+            ner,
+            pre,
+            ledger,
+        } = match &opts.pool {
+            None => Self::front_sequential(pdb, web, model, opts, &ner_memo, tel, root),
+            Some(pool) => {
+                Self::front_pooled(whois, pdb, web, model, opts, pool, &ner_memo, tel, root)
+            }
+        };
 
         let rr = stage(tel, &root, "rr", |span| {
             let rr = rr_inference(&report);
             annotate_rr(span, &rr);
             rr
         });
+        let favicon_memo = prior
+            .map(SnapshotState::favicon_memo_map)
+            .unwrap_or_default();
         let favicon = stage(tel, &root, "favicon", |span| {
-            let favicon_model = RetryingModel::new(model, policy)
-                .with_breaker(breaker)
-                .with_clock(tel.clock())
-                .with_telemetry(tel.clone(), "favicon");
-            let mut favicon = favicon_inference(&report, &favicon_model);
-            favicon.stats.resilience = favicon_model.stats();
-            annotate_favicon(span, &favicon);
+            // The stage's retrying model has one breaker, whose failure
+            // streak must count the calls in plan order: resilient runs
+            // send them one at a time, live on the telemetry clock.
+            let stack = LlmStack::new(model, opts.policy, tel.clock(), tel, "favicon");
+            let in_flight = opts
+                .pool
+                .filter(|_| opts.policy.is_none())
+                .map(|pool| pool.in_flight);
+            let plan = favicon::plan(&report, true, &favicon_memo);
+            let replies = stack.send(plan.requests(), in_flight);
+            let mut favicon = plan.fold(replies);
+            favicon.stats.resilience = stack.stats();
+            annotate_favicon(span, &favicon, prior.is_some());
             favicon
         });
 
-        Self::finish(
-            whois, pdb, &report, ner, rr, favicon, web_cache, None, 1, tel, &root,
-        )
-    }
-
-    /// Like [`Borges::run`] but with a pre-computed scrape report and an
-    /// explicit NER configuration (used by ablations and benches to avoid
-    /// re-crawling).
-    pub fn from_scrape(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-    ) -> Self {
-        Self::from_scrape_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::from_scrape`], but with the evidence compilation's
-    /// OID_W base replay sharded over `threads` workers
-    /// ([`CompiledEvidence::build`]). LLM extraction stays sequential —
-    /// this entry point exists for compile-bound workloads (the compile
-    /// bench, large-world CLI runs) where the crawl and LLM stages are
-    /// pre-computed or memoized. Byte-identical to
-    /// [`Borges::from_scrape`] at every thread count.
-    pub fn from_scrape_parallel(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        threads: usize,
-    ) -> Self {
-        Self::from_scrape_parallel_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            threads,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::from_scrape`], recording into `tel`. There is no
-    /// crawl stage (the report is pre-computed), so the trace has no
-    /// `run/crawl` span and the redirect-cache ledger row reads zero.
-    pub fn from_scrape_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        tel: &Telemetry,
-    ) -> Self {
-        Self::from_scrape_parallel_traced(whois, pdb, report, model, ner_config, 1, tel)
-    }
-
-    /// [`Borges::from_scrape_parallel`] recording into `tel`.
-    pub fn from_scrape_parallel_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("run");
-        Self::extract_and_assemble(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            CacheStats::default(),
-            threads,
-            tel,
-            &root,
-        )
-    }
-
-    /// The pooled ingest engine: [`Borges::run`] with every remote call
-    /// on one pool of `opts.in_flight` workers (DESIGN.md §14). The NER
-    /// requests join the crawl's queue, interleaved with the fetches, so
-    /// the LLM waits overlap the crawl; fetches stay FIFO per host and
-    /// optionally rate-limited per host. Completions flow through a
-    /// key-canonical reassembly buffer into an incremental
-    /// [`ReportAssembler`] while later calls are still in flight. The
-    /// favicon step-2 calls run on a pool of the same size once the
-    /// crawl report exists; compilation is the sequential run's, sharded
-    /// over `opts.threads`.
-    ///
-    /// Determinism contract: the mapping, canonical trace, and metrics
-    /// snapshot are **byte-identical** to the sequential run
-    /// ([`Borges::run`] bare, [`Borges::run_resilient`] when
-    /// `opts.policy` is set) at every budget and rate limit — including
-    /// under recoverable transport faults. Scheduler concurrency shows
-    /// up only in [`WorkerTiming`] ledger rows (stage names from
-    /// [`borges_telemetry::ingest`]), the one surface the contract
-    /// excludes.
-    pub fn run_streaming<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-    ) -> Self {
-        Self::run_streaming_traced(whois, pdb, web_client, model, opts, &Telemetry::disabled())
-    }
-
-    /// Like [`Borges::run_streaming`], recording into `tel`, the pool's
-    /// scheduler accounting included (the `ingest_*` worker rows).
-    pub fn run_streaming_traced<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> Self {
-        let (borges, ledger) = Self::pooled(whois, pdb, web_client, model, opts, tel);
-        record_ingest_ledger(tel, &ledger);
-        borges
-    }
-
-    /// The pooled engine behind [`Borges::run_streaming_traced`] and
-    /// [`Borges::run_parallel_traced`], returning the pool's ledger.
-    ///
-    /// Two phases keep the canonical surfaces schedule-independent.
-    /// **Phase A (overlap, [`Borges::overlap`])** runs the pool; nothing
-    /// touches the telemetry clock or opens spans — resilient calls
-    /// spend their backoff on private clocks whose totals are
-    /// accumulated. **Phase B (replay)** opens the `run` span at virtual
-    /// t=0 and replays each stage in sequential order, sleeping the
-    /// accumulated virtual backoff inside the matching stage span, so
-    /// timestamps and stage-duration histograms land exactly where the
-    /// sequential run puts them.
-    fn pooled<C: WebClient + Sync>(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        web_client: C,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> (Self, StreamLedger) {
-        let fetcher = match opts.policy {
-            Some(policy) => StreamingWebClient::resilient(web_client, policy)
-                .with_breakers(BreakerConfig::standard())
-                .with_telemetry(tel.clone()),
-            None => StreamingWebClient::bare(web_client),
-        };
-        let scraper = Scraper::new(&fetcher);
-        let overlapped = Self::overlap(
-            whois,
-            pdb,
-            stream_entries(pdb),
-            &|raw| scraper.resolve(raw),
-            model,
-            NerConfig::default(),
-            opts,
-            tel,
-        );
-        let mut report = overlapped.report;
-        if opts.policy.is_some() {
-            report.stats.resilience = fetcher.stats();
-        }
-        let web_cache = scraper.cache_stats();
-
-        let root = tel.span("run");
-        stage(tel, &root, "crawl", |span| {
-            tel.clock().sleep_ms(fetcher.backoff_total_ms());
-            annotate_crawl(span, &report.stats);
+        // The compile: funnels and span fields come from the merged
+        // stats, never per item inside workers, so every front emits an
+        // identical trace and metrics snapshot.
+        let fingerprints = SourceFingerprints::capture(whois, pdb, &report);
+        let compile = if prior.is_some() { "apply" } else { "compile" };
+        let (compiled, oid_w_groups, oid_p_groups, delta) = stage(tel, &root, compile, |span| {
+            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, prior, opts.threads));
+            let (compiled, [oid_w, oid_p, na, rr_delta, favicons]) = CompiledEvidence::build(
+                pre.interner,
+                pre.registry,
+                prior,
+                &ner,
+                &rr,
+                &favicon,
+                opts.threads,
+                tel,
+            );
+            span.field("asns", compiled.interner.live_len());
+            let delta = match prior {
+                None => {
+                    span.field("ner_links", segment_edge_count(&compiled.na));
+                    None
+                }
+                Some(state) => {
+                    let delta = DeltaStats {
+                        records: SnapshotDelta::compute(&state.fingerprints(), &fingerprints),
+                        oid_w,
+                        oid_p,
+                        na,
+                        rr: rr_delta,
+                        favicons,
+                        ner_reused: ner.memo_hits,
+                        ner_recomputed: ner.stats.llm_calls,
+                        favicon_reused: favicon.memo_hits,
+                        favicon_recomputed: favicon.stats.llm_calls,
+                        ..pre.delta
+                    };
+                    span.field("records_dirty", delta.records.dirty());
+                    span.field(
+                        "segments_retained",
+                        delta
+                            .edge_rows()
+                            .iter()
+                            .map(|(_, d)| d.segments_retained)
+                            .sum::<usize>(),
+                    );
+                    Some(delta)
+                }
+            };
+            (compiled, pre.oid_w_groups, pre.oid_p_groups, delta)
         });
-        let borges = Self::assemble_streaming(
-            whois,
-            pdb,
-            &report,
-            overlapped.ner,
-            overlapped.ner_backoff_ms,
-            model,
-            opts,
+
+        let borges = Borges {
+            compiled,
+            oid_w_groups,
+            oid_p_groups,
+            ner,
+            rr,
+            favicon,
+            scrape_stats: report.stats.clone(),
             web_cache,
-            overlapped.pre,
-            tel,
-            &root,
-        );
-        (borges, overlapped.ledger)
-    }
-
-    /// [`Borges::from_scrape_traced`] on the pooled engine: the NER
-    /// requests run on a pool of `opts.in_flight` workers, then the
-    /// canonical stages replay. Byte-identical to
-    /// [`Borges::from_scrape`] over the same inputs; there is no crawl
-    /// stage, so the trace has no `run/crawl` span and the
-    /// redirect-cache ledger row reads zero.
-    pub fn from_scrape_streaming_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> Self {
-        let overlapped = Self::overlap(
-            whois,
-            pdb,
-            Vec::new(),
-            &|_| unreachable!("no crawl entries were queued"),
-            model,
-            ner_config,
-            opts,
-            tel,
-        );
-        let root = tel.span("run");
-        Self::assemble_streaming(
-            whois,
-            pdb,
-            report,
-            overlapped.ner,
-            overlapped.ner_backoff_ms,
-            model,
-            opts,
-            CacheStats::default(),
-            overlapped.pre,
-            tel,
-            &root,
-        )
-    }
-
-    /// Phase A of the pooled engine: every fetch of `entries` (through
-    /// `resolve`) and every request of the NER plan run on one pool of
-    /// `opts.in_flight` workers, interleaved. Fetches keep their per-host
-    /// keys; each NER request gets a key of its own, so per-host FIFO
-    /// applies only to fetches.
-    ///
-    /// Resilient runs send NER through a [`RetryingModel`] on a
-    /// *private* [`SimClock`] — the telemetry clock must not move before
-    /// phase B replays the crawl — and return its virtual backoff spend
-    /// for the `ner` stage replay. Its requests share one key instead:
-    /// the model's single breaker counts one failure streak across
-    /// calls, so they must run one at a time in plan order, as in the
-    /// sequential resilient run. Backoff schedules depend only on
-    /// (attempt, key), never on absolute time, so the spend equals what
-    /// the sequential run's shared clock would have accumulated.
-    #[allow(clippy::too_many_arguments)]
-    fn overlap(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        entries: Vec<StreamEntry<'_>>,
-        resolve: &(dyn Fn(&str) -> Resolution + Sync),
-        model: &(dyn ChatModel + Sync),
-        ner_config: NerConfig,
-        opts: &StreamOptions,
-        tel: &Telemetry,
-    ) -> Overlapped {
-        let ner_plan = crate::ner::plan(pdb, ner_config, &BTreeMap::new());
-        let ner_clock = Arc::new(SimClock::new());
-        let retrying = opts.policy.map(|policy| {
-            RetryingModel::new(model, policy)
-                .with_breaker(BreakerConfig::standard())
-                .with_clock(ner_clock.clone())
-                .with_telemetry(tel.clone(), "ner")
-        });
-        let ner_model: &(dyn ChatModel + Sync) = match &retrying {
-            Some(retrying) => retrying,
-            None => model,
+            fingerprints,
+            delta,
+            world_epoch: 0,
         };
-        let limiter = opts
+        borges.stamp_metrics(tel);
+        borges.stamp_delta_metrics(tel);
+        (borges, ledger)
+    }
+
+    /// The sequential reference front: opens the root span, then runs
+    /// the `crawl` stage (when `web` asks for a crawl) and the `ner`
+    /// stage live, sending every call one at a time in canonical order.
+    /// Under a retry policy the web client sits behind a
+    /// [`RetryingWebClient`] and NER behind a [`RetryingModel`] of its
+    /// own, both sleeping on the telemetry clock, so virtual backoff
+    /// spend shows in the stage durations.
+    fn front_sequential<'w>(
+        pdb: &PdbSnapshot,
+        web: WebSource<'w>,
+        model: &(dyn ChatModel + Sync),
+        opts: &IngestOptions<'_>,
+        ner_memo: &BTreeMap<Asn, NerMemoEntry>,
+        tel: &Telemetry,
+        root: &str,
+    ) -> Front<'w> {
+        let root = tel.span(root);
+        let (report, web_cache) = match web {
+            WebSource::Scraped(report) => (Cow::Borrowed(report), CacheStats::default()),
+            WebSource::Crawl(client) => {
+                let retrying = opts.policy.map(|policy| {
+                    RetryingWebClient::new(client, policy)
+                        .with_breakers(BreakerConfig::standard())
+                        .with_clock(tel.clock())
+                        .with_telemetry(tel.clone())
+                });
+                let scraper = Scraper::new(match &retrying {
+                    Some(retrying) => retrying as &dyn WebClient,
+                    None => client,
+                });
+                let report = stage(tel, &root, "crawl", |span| {
+                    let mut report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
+                    if let Some(retrying) = &retrying {
+                        report.stats.resilience = retrying.stats();
+                    }
+                    annotate_crawl(span, &report.stats);
+                    report
+                });
+                (Cow::Owned(report), scraper.cache_stats())
+            }
+        };
+        let ner = stage(tel, &root, "ner", |span| {
+            let stack = LlmStack::new(model, opts.policy, tel.clock(), tel, "ner");
+            let plan = ner::plan(pdb, opts.ner, ner_memo);
+            let replies = stack.send(plan.requests(), None);
+            let mut ner = plan.fold(replies);
+            ner.stats.resilience = stack.stats();
+            annotate_ner(span, &ner, opts.prior.is_some());
+            ner
+        });
+        Front {
+            root,
+            report,
+            web_cache,
+            ner,
+            pre: None,
+            ledger: None,
+        }
+    }
+
+    /// The pooled front (DESIGN.md §14), in two phases that keep the
+    /// canonical surfaces schedule-independent.
+    ///
+    /// **Phase A** runs every crawl fetch and every NER request on one
+    /// pool of `pool.in_flight` workers, interleaved; nothing touches
+    /// the telemetry clock or opens spans. Fetches keep their per-host
+    /// keys; each NER request gets a key of its own, so per-host FIFO
+    /// applies only to fetches. Resilient fetches spend their backoff on
+    /// private per-call clocks, and resilient NER runs through a
+    /// [`RetryingModel`] on a private [`SimClock`]; both totals are
+    /// accumulated. Resilient NER requests share one key instead: the
+    /// model's single breaker counts one failure streak across calls, so
+    /// they must run one at a time in plan order, as in the sequential
+    /// front. Backoff schedules depend only on (attempt, key), never on
+    /// absolute time, so the spend equals what the sequential front's
+    /// shared clock would have accumulated.
+    ///
+    /// **Phase B** then opens the root span at virtual t=0 and replays
+    /// the `crawl` and `ner` stages, sleeping each one's accumulated
+    /// virtual backoff inside its span, so timestamps and stage-duration
+    /// histograms land exactly where the sequential front puts them.
+    #[allow(clippy::too_many_arguments)]
+    fn front_pooled<'w>(
+        whois: &WhoisRegistry,
+        pdb: &PdbSnapshot,
+        web: WebSource<'w>,
+        model: &(dyn ChatModel + Sync),
+        opts: &IngestOptions<'_>,
+        pool: &StreamOptions,
+        ner_memo: &BTreeMap<Asn, NerMemoEntry>,
+        tel: &Telemetry,
+        root: &str,
+    ) -> Front<'w> {
+        let fetcher = match web {
+            WebSource::Crawl(client) => Some(match opts.policy {
+                Some(policy) => StreamingWebClient::resilient(client, policy)
+                    .with_breakers(BreakerConfig::standard())
+                    .with_telemetry(tel.clone()),
+                None => StreamingWebClient::bare(client),
+            }),
+            WebSource::Scraped(_) => None,
+        };
+        let scraper = fetcher.as_ref().map(Scraper::new);
+        let entries = match &scraper {
+            Some(_) => stream_entries(pdb),
+            None => Vec::new(),
+        };
+        let ner_plan = ner::plan(pdb, opts.ner, ner_memo);
+        let ner_clock = Arc::new(SimClock::new());
+        let ner_model = LlmStack::new(model, opts.policy, ner_clock.clone(), tel, "ner");
+        let serial_ner = opts.policy.is_some();
+        let limiter = pool
             .per_host_rps
-            .map(|rps| RateLimiterRegistry::new(rps, opts.burst));
+            .map(|rps| RateLimiterRegistry::new(rps, PER_HOST_BURST));
+        let pacing = SimClock::new();
         let calls = interleave(entries, ner_plan.requests().len());
-        let serial_ner = retrying.is_some();
 
         let mut assembler = ReportAssembler::new();
         let mut ner_replies = Vec::with_capacity(ner_plan.requests().len());
         let mut pre = None;
         let ledger = stream_indexed(
             &calls,
-            opts.in_flight,
+            pool.in_flight,
             |call| match call {
                 // Fetch keys are even and NER keys odd, so the two kinds
                 // never share a FIFO queue.
@@ -1309,377 +1326,71 @@ impl Borges {
             },
             |_key, call| match (call, &limiter) {
                 (Call::Fetch(e), Some(registry)) => match &e.host {
-                    Some(host) => registry.limiter(host).try_acquire(opts.pacing.now_ms()),
+                    Some(host) => registry.limiter(host).try_acquire(pacing.now_ms()),
                     None => Ok(()),
                 },
                 _ => Ok(()),
             },
-            |ms| opts.pacing.sleep_ms(ms),
+            |ms| pacing.sleep_ms(ms),
             |_, call| match call {
-                Call::Fetch(e) => Reply::Fetched(e.asn, resolve(e.raw)),
-                Call::Complete(j) => Reply::Completed(ner_model.complete(&ner_plan.requests()[*j])),
+                Call::Fetch(e) => {
+                    let scraper = scraper
+                        .as_ref()
+                        .expect("fetches are queued only for a crawl");
+                    Reply::Fetched(e.asn, scraper.resolve(e.raw))
+                }
+                Call::Complete(j) => {
+                    Reply::Completed(ner_model.model().complete(&ner_plan.requests()[*j]))
+                }
             },
             |_, reply| {
                 // The consumer idles while calls are in flight: it
                 // derives the registry side of the compile on the first
                 // completion, and later completions queue meanwhile.
-                pre.get_or_insert_with(|| Precompiled::build(whois, pdb, opts.threads));
+                pre.get_or_insert_with(|| Precompiled::build(whois, pdb, opts.prior, opts.threads));
                 match reply {
                     Reply::Fetched(asn, resolution) => assembler.push(asn, resolution),
                     Reply::Completed(reply) => ner_replies.push(reply),
                 }
             },
         );
-        let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, opts.threads));
+        let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, opts.prior, opts.threads));
         let mut ner = ner_plan.fold(ner_replies);
-        if let Some(retrying) = &retrying {
-            ner.stats.resilience = retrying.stats();
-        }
-        Overlapped {
-            report: assembler.finish(),
-            ner,
-            ner_backoff_ms: ner_clock.now_ms(),
-            ledger,
-            pre,
-        }
-    }
+        ner.stats.resilience = ner_model.stats();
 
-    /// Phase-B tail of the pooled constructors: replays the `ner` stage
-    /// (virtual backoff + annotations), runs the pure `rr` inference,
-    /// runs the `favicon` stage, then hands off to [`Borges::finish`].
-    /// Bare runs send the favicon step-2 calls on a pool of
-    /// `opts.in_flight` workers; resilient runs send them one at a time
-    /// *live* on the telemetry clock (the favicon model has one breaker
-    /// too, and the stage starts at the same virtual instant as in the
-    /// sequential run, so spans, metrics, and breaker events land
-    /// identically).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_streaming(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        ner_backoff_ms: u64,
-        model: &(dyn ChatModel + Sync),
-        opts: &StreamOptions,
-        web_cache: CacheStats,
-        pre: Precompiled,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let ner = stage(tel, root, "ner", |span| {
-            tel.clock().sleep_ms(ner_backoff_ms);
-            annotate_ner(span, &ner);
-            ner
-        });
-        let rr = stage(tel, root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon = stage(tel, root, "favicon", |span| {
-            let favicon = match opts.policy {
-                Some(policy) => {
-                    let favicon_model = RetryingModel::new(model, policy)
-                        .with_breaker(BreakerConfig::standard())
-                        .with_clock(tel.clock())
-                        .with_telemetry(tel.clone(), "favicon");
-                    let mut favicon = favicon_inference(report, &favicon_model);
-                    favicon.stats.resilience = favicon_model.stats();
-                    favicon
-                }
-                None => {
-                    let plan = crate::web::favicon::plan(report, true, &BTreeMap::new());
-                    let replies = complete_pooled(model, plan.requests(), opts.in_flight);
-                    plan.fold(replies)
-                }
-            };
-            annotate_favicon(span, &favicon);
-            favicon
-        });
-
-        Self::finish(
-            whois,
-            pdb,
-            report,
-            ner,
-            rr,
-            favicon,
-            web_cache,
-            Some(pre),
-            opts.threads,
-            tel,
-            root,
-        )
-    }
-
-    /// Shared tail of the sequential bare-stack constructors: runs NER,
-    /// then hands off to [`Borges::assemble`].
-    #[allow(clippy::too_many_arguments)]
-    fn extract_and_assemble(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        web_cache: CacheStats,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let ner = stage(tel, root, "ner", |span| {
-            let ner = extract(pdb, model, ner_config);
-            annotate_ner(span, &ner);
-            ner
-        });
-        Self::assemble(
-            whois, pdb, report, ner, model, web_cache, threads, tel, root,
-        )
-    }
-
-    /// Shared tail of the bare-stack constructors: runs the web
-    /// inferences over `model` directly, then hands off to
-    /// [`Borges::finish`].
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        model: &dyn ChatModel,
-        web_cache: CacheStats,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let rr = stage(tel, root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon = stage(tel, root, "favicon", |span| {
-            let favicon = favicon_inference(report, model);
-            annotate_favicon(span, &favicon);
-            favicon
-        });
-        Self::finish(
-            whois, pdb, report, ner, rr, favicon, web_cache, None, threads, tel, root,
-        )
-    }
-
-    /// Shared tail of every constructor: fixes the universe and compiles
-    /// all (pre-computed) evidence to dense edge lists — finishing `pre`
-    /// when the registry side was derived already (the pooled engine
-    /// does it while its calls are in flight). Takes the web inferences
-    /// ready-made so callers can run them behind whatever client/model
-    /// stack they choose (see [`Borges::run_resilient`]). Also where
-    /// every stage funnel is stamped into the metrics registry — from
-    /// the merged stats, never per item inside workers, so sequential
-    /// and parallel runs emit identical snapshots.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        ner: NerResult,
-        rr: RrInference,
-        favicon: FaviconInference,
-        web_cache: CacheStats,
-        pre: Option<Precompiled>,
-        threads: usize,
-        tel: &Telemetry,
-        root: &Span,
-    ) -> Self {
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-        let (compiled, oid_w_groups, oid_p_groups) = stage(tel, root, "compile", |span| {
-            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, threads));
-            let (compiled, _) = CompiledEvidence::build(
-                pre.interner,
-                pre.registry,
-                None,
-                &ner,
-                &rr,
-                &favicon,
-                threads,
-                tel,
-            );
-            span.field("asns", compiled.interner.live_len());
-            span.field("ner_links", segment_edge_count(&compiled.na));
-            (compiled, pre.oid_w_groups, pre.oid_p_groups)
-        });
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
-            ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache,
-            fingerprints,
-            delta: None,
-            world_epoch: 0,
+        let root = tel.span(root);
+        let (report, web_cache) = match (web, &fetcher, &scraper) {
+            (WebSource::Scraped(report), ..) => (Cow::Borrowed(report), CacheStats::default()),
+            (WebSource::Crawl(_), Some(fetcher), Some(scraper)) => {
+                let mut report = assembler.finish();
+                report.stats.resilience = fetcher.stats();
+                stage(tel, &root, "crawl", |span| {
+                    tel.clock().sleep_ms(fetcher.backoff_total_ms());
+                    annotate_crawl(span, &report.stats);
+                });
+                (Cow::Owned(report), scraper.cache_stats())
+            }
+            (WebSource::Crawl(_), ..) => unreachable!("a crawl has a fetcher"),
         };
-        borges.stamp_metrics(tel);
-        borges
-    }
-
-    /// Incrementally re-maps snapshot T+1 against persisted snapshot-T
-    /// state: LLM stages replay memoized replies for records whose text
-    /// did not change, and evidence compilation reuses every edge
-    /// segment whose member fingerprint is untouched
-    /// ([`CompiledEvidence`]'s delta path). The keystone contract — the
-    /// result is **byte-identical** to [`Borges::from_scrape`] over the
-    /// same T+1 inputs — holds because both paths run the same
-    /// derivation code and only skip work proven unchanged.
-    ///
-    /// `report` is the *re-crawled* T+1 web observation: crawling is
-    /// cheap next to LLM calls and the web can drift even when the
-    /// registries did not, so it is never carried over from T.
-    pub fn remap(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-    ) -> Self {
-        Self::remap_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            state,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::remap`], with the rebuilt OID_W base closure
-    /// replayed sharded over `threads` workers — the `--threads` flag's
-    /// effect on the incremental path. Byte-identical to
-    /// [`Borges::remap`] at every thread count.
-    pub fn remap_parallel(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-        threads: usize,
-    ) -> Self {
-        Self::remap_parallel_traced(
-            whois,
-            pdb,
-            report,
-            model,
-            ner_config,
-            state,
-            threads,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Borges::remap`], recording into `tel`: a `remap` root span
-    /// with `ner`/`rr`/`favicon` stage children plus an `apply` stage
-    /// for the delta compilation, the usual funnel counters, and
-    /// `borges_delta_*` counters for the reuse accounting.
-    pub fn remap_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-        tel: &Telemetry,
-    ) -> Self {
-        Self::remap_parallel_traced(whois, pdb, report, model, ner_config, state, 1, tel)
-    }
-
-    /// [`Borges::remap_parallel`] recording into `tel`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn remap_parallel_traced(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        report: &ScrapeReport,
-        model: &dyn ChatModel,
-        ner_config: NerConfig,
-        state: &SnapshotState,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let root = tel.span("remap");
-        let ner_memo = state.ner_memo_map();
         let ner = stage(tel, &root, "ner", |span| {
-            let ner = extract_with_memo(pdb, model, ner_config, &ner_memo);
-            annotate_ner(span, &ner);
-            span.field("memo_hits", ner.memo_hits);
+            tel.clock().sleep_ms(ner_clock.now_ms());
+            annotate_ner(span, &ner, opts.prior.is_some());
             ner
         });
-        let rr = stage(tel, &root, "rr", |span| {
-            let rr = rr_inference(report);
-            annotate_rr(span, &rr);
-            rr
-        });
-        let favicon_memo = state.favicon_memo_map();
-        let favicon = stage(tel, &root, "favicon", |span| {
-            let favicon = favicon_inference_memo(report, model, true, &favicon_memo);
-            annotate_favicon(span, &favicon);
-            span.field("memo_hits", favicon.memo_hits);
-            favicon
-        });
-
-        let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
-        universe.extend(pdb.nets().map(|n| n.asn));
-        let oid_w_groups = orgkeys::oid_w_groups(whois);
-        let oid_p_groups = orgkeys::oid_p_groups(pdb);
-        let fingerprints = SourceFingerprints::capture(whois, pdb, report);
-
-        let (compiled, mut dstats) = stage(tel, &root, "apply", |span| {
-            let (compiled, mut dstats) = CompiledEvidence::apply_delta(
-                state, &universe, whois, pdb, &ner, &rr, &favicon, threads, tel,
-            );
-            dstats.records = SnapshotDelta::compute(&state.fingerprints(), &fingerprints);
-            span.field("asns", compiled.interner.live_len());
-            span.field("records_dirty", dstats.records.dirty());
-            span.field(
-                "segments_retained",
-                dstats
-                    .edge_rows()
-                    .iter()
-                    .map(|(_, d)| d.segments_retained)
-                    .sum::<usize>(),
-            );
-            (compiled, dstats)
-        });
-        dstats.ner_reused = ner.memo_hits;
-        dstats.ner_recomputed = ner.stats.llm_calls;
-        dstats.favicon_reused = favicon.memo_hits;
-        dstats.favicon_recomputed = favicon.stats.llm_calls;
-
-        let borges = Borges {
-            compiled,
-            oid_w_groups,
-            oid_p_groups,
+        Front {
+            root,
+            report,
+            web_cache,
             ner,
-            rr,
-            favicon,
-            scrape_stats: report.stats.clone(),
-            web_cache: CacheStats::default(),
-            fingerprints,
-            delta: Some(dstats),
-            world_epoch: 0,
-        };
-        borges.stamp_metrics(tel);
-        borges.stamp_delta_metrics(tel);
-        borges
+            pre: Some(pre),
+            ledger: Some(ledger),
+        }
     }
 
     /// The persistable compiled state of this run: interner slots, edge
     /// segments, source fingerprints, and the LLM reply memos — exactly
-    /// what a later [`Borges::remap`] needs. Captured on *every* run
-    /// (full or incremental), so remaps chain: T → T+1 → T+2.
+    /// what a later remap ([`IngestOptions::prior`]) needs. Captured on
+    /// *every* run (full or incremental), so remaps chain: T → T+1 → T+2.
     pub fn snapshot_state(&self) -> SnapshotState {
         SnapshotState::build(
             &self.compiled.interner,
@@ -2504,6 +2215,52 @@ mod tests {
     use borges_synthnet::{GeneratorConfig, SyntheticInternet};
     use borges_websim::SimWebClient;
 
+    /// The sequential ingest over a crawl through `web`, resilient under
+    /// `policy`.
+    fn resilient(
+        world: &SyntheticInternet,
+        web: impl WebClient + Sync,
+        model: &(dyn ChatModel + Sync),
+        policy: RetryPolicy,
+        tel: &Telemetry,
+    ) -> Borges {
+        let opts = IngestOptions {
+            policy: Some(policy),
+            ..IngestOptions::default()
+        };
+        Borges::ingest(
+            &world.whois,
+            &world.pdb,
+            WebSource::Crawl(&web),
+            model,
+            &opts,
+            tel,
+        )
+    }
+
+    /// The sequential ingest over a scraped `report`, incremental when
+    /// `prior` is given.
+    fn ingest_scraped(
+        world: &SyntheticInternet,
+        report: &ScrapeReport,
+        prior: Option<&SnapshotState>,
+        tel: &Telemetry,
+    ) -> Borges {
+        let opts = IngestOptions {
+            prior,
+            ..IngestOptions::default()
+        };
+        let llm = SimLlm::flawless();
+        Borges::ingest(
+            &world.whois,
+            &world.pdb,
+            WebSource::Scraped(report),
+            &llm,
+            &opts,
+            tel,
+        )
+    }
+
     fn pipeline() -> (SyntheticInternet, Borges) {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let llm = SimLlm::flawless();
@@ -2781,12 +2538,12 @@ mod tests {
             SimWebClient::browser(&world.web),
             &llm,
         );
-        let resilient = Borges::run_resilient(
-            &world.whois,
-            &world.pdb,
+        let resilient = resilient(
+            &world,
             SimWebClient::browser(&world.web),
             &llm,
-            borges_resilience::RetryPolicy::standard(11),
+            RetryPolicy::standard(11),
+            &Telemetry::disabled(),
         );
         for features in FeatureSet::all_combinations() {
             assert_eq!(resilient.mapping(features), bare.mapping(features));
@@ -2811,7 +2568,7 @@ mod tests {
     #[test]
     fn chaos_recoverable_faults_yield_a_bit_identical_mapping() {
         use borges_llm::FlakyModel;
-        use borges_resilience::{EpisodePlan, RetryPolicy};
+        use borges_resilience::EpisodePlan;
         use borges_websim::FlakyWebClient;
 
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
@@ -2827,12 +2584,12 @@ mod tests {
                 EpisodePlan::calibrated(seed),
             );
             let flaky_llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 1));
-            let chaotic = Borges::run_resilient(
-                &world.whois,
-                &world.pdb,
+            let chaotic = resilient(
+                &world,
                 flaky_web,
                 &flaky_llm,
                 RetryPolicy::standard(seed),
+                &Telemetry::disabled(),
             );
             // The keystone: every recoverable episode is erased entirely.
             for features in FeatureSet::all_combinations() {
@@ -2859,7 +2616,7 @@ mod tests {
     #[test]
     fn chaos_unrecoverable_faults_degrade_with_full_accounting() {
         use borges_llm::FlakyModel;
-        use borges_resilience::{EpisodePlan, RetryPolicy};
+        use borges_resilience::EpisodePlan;
         use borges_websim::FlakyWebClient;
 
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
@@ -2875,12 +2632,12 @@ mod tests {
             EpisodePlan::with_outages(7),
         );
         let flaky_llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(8));
-        let degraded = Borges::run_resilient(
-            &world.whois,
-            &world.pdb,
+        let degraded = resilient(
+            &world,
             flaky_web,
             &flaky_llm,
             RetryPolicy::none(),
+            &Telemetry::disabled(),
         );
 
         // The run completed and every loss is on the books.
@@ -3009,12 +2766,11 @@ mod tests {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let llm = SimLlm::flawless();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let borges = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
+        let borges = resilient(
+            &world,
             SimWebClient::browser(&world.web),
             &llm,
-            borges_resilience::RetryPolicy::standard(11),
+            RetryPolicy::standard(11),
             &tel,
         );
         let report = borges.run_report(&tel, "resilient", 1);
@@ -3069,24 +2825,10 @@ mod tests {
     /// inputs and asserts the keystone: every feature combination's
     /// mapfile is byte-identical.
     fn assert_remap_matches_full(world: &SyntheticInternet, state: &SnapshotState) {
-        let llm = SimLlm::flawless();
         let scraper = Scraper::new(SimWebClient::browser(&world.web));
         let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-        let full = Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-        );
-        let inc = Borges::remap(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-            state,
-        );
+        let full = ingest_scraped(world, &report, None, &Telemetry::disabled());
+        let inc = ingest_scraped(world, &report, Some(state), &Telemetry::disabled());
         assert_eq!(inc.universe(), full.universe());
         for f in FeatureSet::all_combinations() {
             assert_eq!(
@@ -3100,29 +2842,14 @@ mod tests {
     #[test]
     fn remap_of_unchanged_world_is_byte_identical_and_llm_free() {
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
-        let llm = SimLlm::flawless();
         let scraper = Scraper::new(SimWebClient::browser(&world.web));
         let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-        let t0 = Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-        );
-        let state = t0.snapshot_state();
+        let state = ingest_scraped(&world, &report, None, &Telemetry::disabled()).snapshot_state();
         assert_remap_matches_full(&world, &state);
 
         // With nothing changed, every LLM answer replays from the memo
         // and every edge segment is carried over verbatim.
-        let inc = Borges::remap(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-            &state,
-        );
+        let inc = ingest_scraped(&world, &report, Some(&state), &Telemetry::disabled());
         assert_eq!(inc.ner.stats.llm_calls, 0, "NER must replay from memo");
         assert_eq!(
             inc.favicon.stats.llm_calls, 0,
@@ -3146,11 +2873,9 @@ mod tests {
         // Correctness must not depend on reuse actually happening.
         let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
         let t1 = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
-        let llm = SimLlm::flawless();
         let scraper = Scraper::new(SimWebClient::browser(&t0.web));
         let report = scraper.crawl(t0.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-        let state = Borges::from_scrape(&t0.whois, &t0.pdb, &report, &llm, NerConfig::default())
-            .snapshot_state();
+        let state = ingest_scraped(&t0, &report, None, &Telemetry::disabled()).snapshot_state();
         assert_remap_matches_full(&t1, &state);
     }
 
@@ -3158,27 +2883,11 @@ mod tests {
     fn remap_emits_stage_spans_and_delta_counters() {
         use borges_telemetry::{Telemetry, Verbosity};
         let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
-        let llm = SimLlm::flawless();
         let scraper = Scraper::new(SimWebClient::browser(&world.web));
         let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-        let state = Borges::from_scrape(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-        )
-        .snapshot_state();
+        let state = ingest_scraped(&world, &report, None, &Telemetry::disabled()).snapshot_state();
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let inc = Borges::remap_traced(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-            &state,
-            &tel,
-        );
+        let inc = ingest_scraped(&world, &report, Some(&state), &tel);
         let paths: Vec<String> = tel.trace_records().iter().map(|r| r.path.clone()).collect();
         for path in [
             "remap",

@@ -56,8 +56,8 @@ pub struct FaviconStats {
     pub usage: borges_llm::chat::Usage,
     /// Retry/breaker accounting when the stage ran behind a
     /// [`RetryingModel`](borges_llm::RetryingModel) (stamped by
-    /// [`Borges::run_resilient`](crate::pipeline::Borges::run_resilient);
-    /// zero otherwise).
+    /// [`Borges::ingest`](crate::pipeline::Borges::ingest) under a retry
+    /// policy; zero otherwise).
     pub resilience: borges_resilience::ResilienceStats,
 }
 
@@ -133,28 +133,14 @@ pub fn favicon_inference(report: &ScrapeReport, model: &dyn ChatModel) -> Favico
 
 /// Like [`favicon_inference`], with the Appendix D.2 blocklist optionally
 /// disabled (the ablation companion of
-/// [`rr_inference_with`](crate::web::rr::rr_inference_with)).
+/// [`rr_inference_with`](crate::web::rr::rr_inference_with)). Sends the
+/// [`plan`]'s requests one at a time, in plan order.
 pub fn favicon_inference_with(
     report: &ScrapeReport,
     model: &dyn ChatModel,
     apply_blocklist: bool,
 ) -> FaviconInference {
-    favicon_inference_memo(report, model, apply_blocklist, &BTreeMap::new())
-}
-
-/// Like [`favicon_inference_with`], consulting `memo` before each step-2
-/// call: when a favicon's URL-list fingerprint matches a memoized
-/// verdict, the verdict is replayed and no call is issued.
-/// `stats.llm_calls` counts physical calls only.
-///
-/// Sends the [`plan`]'s requests one at a time, in plan order.
-pub fn favicon_inference_memo(
-    report: &ScrapeReport,
-    model: &dyn ChatModel,
-    apply_blocklist: bool,
-    memo: &BTreeMap<FaviconHash, FaviconMemo>,
-) -> FaviconInference {
-    let plan = plan(report, apply_blocklist, memo);
+    let plan = plan(report, apply_blocklist, &BTreeMap::new());
     let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
     plan.fold(replies)
 }
@@ -197,7 +183,8 @@ pub(crate) struct FaviconPlan {
 
 /// Lists the step-2 calls for the favicons of `report`: only groups that
 /// span several brand labels need the model, and groups whose URL list
-/// matches `memo` replay the memoized verdict instead.
+/// fingerprint matches `memo` replay the memoized verdict instead, with
+/// no call issued. `stats.llm_calls` counts physical calls only.
 pub(crate) fn plan(
     report: &ScrapeReport,
     apply_blocklist: bool,
@@ -452,6 +439,18 @@ mod tests {
             .build()
     }
 
+    /// Plans over `memo`, sends the remaining requests one at a time,
+    /// and folds the replies.
+    fn infer_over_memo(
+        report: &ScrapeReport,
+        model: &dyn ChatModel,
+        memo: &BTreeMap<FaviconHash, FaviconMemo>,
+    ) -> FaviconInference {
+        let plan = plan(report, true, memo);
+        let replies: Vec<_> = plan.requests().iter().map(|r| model.complete(r)).collect();
+        plan.fold(replies)
+    }
+
     fn report() -> ScrapeReport {
         let web = world();
         let scraper = Scraper::new(SimWebClient::browser(&web));
@@ -651,7 +650,7 @@ mod tests {
         assert_eq!(first.memo_hits, 0);
         assert_eq!(first.groups.len(), first.group_favicons.len());
 
-        let replay = favicon_inference_memo(&report(), &llm, true, &first.memo);
+        let replay = infer_over_memo(&report(), &llm, &first.memo);
         assert_eq!(replay.groups, first.groups);
         assert_eq!(replay.group_favicons, first.group_favicons);
         assert_eq!(replay.memo, first.memo);
@@ -694,7 +693,7 @@ mod tests {
             (Asn::new(4), "www.claropr.com"),
             (Asn::new(10), "www.clarobr.com"),
         ]);
-        let inf = favicon_inference_memo(&report, &llm, true, &first.memo);
+        let inf = infer_over_memo(&report, &llm, &first.memo);
         assert_eq!(inf.memo_hits, 0, "grown URL list must not replay");
         assert_eq!(inf.stats.llm_calls, 1);
         assert_eq!(

@@ -30,7 +30,8 @@
 //! The serve crate does no IO beyond its sockets: snapshot loading and
 //! remapping arrive as an injected [`server::Reloader`] closure, which
 //! is how `borges serve` (the CLI face) ties `POST /v1/admin/reload` to
-//! [`borges_core::Borges::remap`] without this crate knowing about
+//! an incremental remap ([`borges_core::Borges::ingest`] over the
+//! serving world's snapshot state) without this crate knowing about
 //! files.
 
 #![deny(missing_docs)]

@@ -112,7 +112,7 @@ pub struct ServerHooks {
 }
 
 /// Produces the next [`Borges`] for a reload, given the one currently
-/// serving (so it can run [`Borges::remap`] against the current
+/// serving (so it can remap with [`Borges::ingest`] against the current
 /// snapshot state) and, when `POST /v1/admin/reload` carried a
 /// `{"store": "<path>"}` body, the store-artifact path the caller asked
 /// to swap to. Injected by the embedder: the serve crate does no IO of

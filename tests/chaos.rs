@@ -17,12 +17,12 @@
 //! The seed sweep width is controlled by `BORGES_CHAOS_SEEDS`
 //! (default 3); CI's soak job raises it.
 
-use borges_core::pipeline::{Borges, FeatureSet};
-use borges_llm::{FlakyModel, SimLlm};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
+use borges_llm::{ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{RunReport, Telemetry, Verbosity};
-use borges_websim::{FlakyWebClient, SimWebClient};
+use borges_websim::{FlakyWebClient, SimWebClient, WebClient};
 
 fn chaos_seeds() -> u64 {
     std::env::var("BORGES_CHAOS_SEEDS")
@@ -40,6 +40,29 @@ fn flawless(world: &SyntheticInternet) -> Borges {
     )
 }
 
+/// The sequential ingest of `world` over `web` and `llm`, resilient
+/// under `policy`.
+fn resilient(
+    world: &SyntheticInternet,
+    web: impl WebClient + Sync,
+    llm: &(dyn ChatModel + Sync),
+    policy: RetryPolicy,
+    tel: &Telemetry,
+) -> Borges {
+    let opts = IngestOptions {
+        policy: Some(policy),
+        ..IngestOptions::default()
+    };
+    Borges::ingest(
+        &world.whois,
+        &world.pdb,
+        WebSource::Crawl(&web),
+        llm,
+        &opts,
+        tel,
+    )
+}
+
 #[test]
 fn chaos_recoverable_worlds_map_bit_identically() {
     let world = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
@@ -50,12 +73,12 @@ fn chaos_recoverable_worlds_map_bit_identically() {
             EpisodePlan::calibrated(seed),
         );
         let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
-        let chaotic = Borges::run_resilient(
-            &world.whois,
-            &world.pdb,
+        let chaotic = resilient(
+            &world,
             web,
             &llm,
             RetryPolicy::standard(seed),
+            &Telemetry::disabled(),
         );
 
         for features in FeatureSet::all_combinations() {
@@ -93,8 +116,13 @@ fn chaos_degraded_worlds_account_for_every_loss() {
             EpisodePlan::with_outages(seed),
         );
         let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(seed ^ 0xFACE));
-        let degraded =
-            Borges::run_resilient(&world.whois, &world.pdb, web, &llm, RetryPolicy::none());
+        let degraded = resilient(
+            &world,
+            web,
+            &llm,
+            RetryPolicy::none(),
+            &Telemetry::disabled(),
+        );
 
         // No silent drops: every feature's ledger balances.
         let coverage = degraded.coverage();
@@ -144,8 +172,7 @@ fn chaos_run_ledgers_balance_and_reproduce_across_seeds() {
         let tel = Telemetry::sim(Verbosity::Quiet);
         let web = FlakyWebClient::new(SimWebClient::browser(&world.web), plan(seed));
         let llm = FlakyModel::new(SimLlm::flawless(), plan(seed ^ 0xFACE));
-        let borges =
-            Borges::run_resilient_traced(&world.whois, &world.pdb, web, &llm, *policy, &tel);
+        let borges = resilient(&world, web, &llm, *policy, &tel);
         borges.run_report(&tel, "resilient", 1).to_json_pretty()
     };
     for seed in 1..=chaos_seeds() {
@@ -193,7 +220,7 @@ fn chaos_retries_beyond_the_burst_change_nothing_more() {
             max_attempts: attempts,
             ..RetryPolicy::standard(5)
         };
-        Borges::run_resilient(&world.whois, &world.pdb, web, &llm, policy)
+        resilient(&world, web, &llm, policy, &Telemetry::disabled())
     };
     let tight = run_with(4); // burst <= 3 ⇒ 4 attempts always suffice
     let roomy = run_with(9);

@@ -7,51 +7,104 @@
 //! regimes: nothing dirty (pure replay), a little dirty (the intended
 //! workload), mostly dirty, and everything dirty (full replacement,
 //! where correctness must not depend on any reuse actually happening).
+//! The execution is one more input: both snapshots ingest sequentially,
+//! on the I/O pool, or behind a retry policy over a faulty model, and
+//! the remap must still equal the sequential full build.
 
-use borges_core::ner::NerConfig;
-use borges_core::pipeline::{Borges, FeatureSet};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
 use borges_core::{mapfile, SnapshotState};
-use borges_llm::SimLlm;
+use borges_llm::{ChatModel, FlakyModel, SimLlm};
+use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_websim::{ScrapeReport, Scraper, SimWebClient};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// How an ingest sends its calls.
+#[derive(Debug, Clone, Copy)]
+enum Execution {
+    /// One call at a time over the bare stack.
+    Sequential,
+    /// The I/O pool at its default budget, the compile sharded over two
+    /// threads.
+    Pool,
+    /// One call at a time behind a retry policy, over a model that
+    /// injects calibrated transient faults.
+    Resilient,
+}
+
+const EXECUTIONS: [Execution; 3] = [Execution::Sequential, Execution::Pool, Execution::Resilient];
 
 fn crawl(world: &SyntheticInternet) -> ScrapeReport {
     let scraper = Scraper::new(SimWebClient::browser(&world.web));
     scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())))
 }
 
-fn full(world: &SyntheticInternet, report: &ScrapeReport) -> Borges {
-    let llm = SimLlm::flawless();
-    Borges::from_scrape(&world.whois, &world.pdb, report, &llm, NerConfig::default())
-}
-
-fn remap(world: &SyntheticInternet, report: &ScrapeReport, state: &SnapshotState) -> Borges {
-    let llm = SimLlm::flawless();
-    Borges::remap(
+/// Ingests `world` over a `report` scraped earlier: a full build, or a
+/// remap against `prior`.
+fn ingest(
+    world: &SyntheticInternet,
+    report: &ScrapeReport,
+    prior: Option<&SnapshotState>,
+    execution: Execution,
+) -> Borges {
+    let flawless = SimLlm::flawless();
+    let flaky = FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(7));
+    let (model, opts): (&(dyn ChatModel + Sync), _) = match execution {
+        Execution::Sequential => (&flawless, IngestOptions::default()),
+        Execution::Pool => (
+            &flawless,
+            IngestOptions {
+                pool: Some(StreamOptions::default()),
+                threads: 2,
+                ..IngestOptions::default()
+            },
+        ),
+        Execution::Resilient => (
+            &flaky,
+            IngestOptions {
+                policy: Some(RetryPolicy::standard(7)),
+                ..IngestOptions::default()
+            },
+        ),
+    };
+    Borges::ingest(
         &world.whois,
         &world.pdb,
-        report,
-        &llm,
-        NerConfig::default(),
-        state,
+        WebSource::Scraped(report),
+        model,
+        &IngestOptions { prior, ..opts },
+        &Telemetry::disabled(),
     )
 }
 
+fn full(world: &SyntheticInternet, report: &ScrapeReport) -> Borges {
+    ingest(world, report, None, Execution::Sequential)
+}
+
+fn remap(world: &SyntheticInternet, report: &ScrapeReport, state: &SnapshotState) -> Borges {
+    ingest(world, report, Some(state), Execution::Sequential)
+}
+
 /// The keystone: incremental output is byte-identical to a fresh
-/// compile of T+1, for every feature combination. Also pins interner-id
-/// stability — every ASN present in both snapshots keeps its dense id.
-fn assert_incremental_equivalence(t0: &SyntheticInternet, t1: &SyntheticInternet) {
-    let state0 = full(t0, &crawl(t0)).snapshot_state();
+/// compile of T+1, for every feature combination, whichever way both
+/// snapshots were ingested. Also pins interner-id stability — every ASN
+/// present in both snapshots keeps its dense id.
+fn assert_incremental_equivalence(
+    t0: &SyntheticInternet,
+    t1: &SyntheticInternet,
+    execution: Execution,
+) {
+    let state0 = ingest(t0, &crawl(t0), None, execution).snapshot_state();
     let report1 = crawl(t1);
     let fresh = full(t1, &report1);
-    let inc = remap(t1, &report1, &state0);
+    let inc = ingest(t1, &report1, Some(&state0), execution);
     for features in FeatureSet::all_combinations() {
         assert_eq!(
             mapfile::serialize(&inc.mapping(features)),
             mapfile::serialize(&fresh.mapping(features)),
-            "remap diverged from full compile for {features:?}"
+            "{execution:?} remap diverged from full compile for {features:?}"
         );
     }
     // Survivor ids are append-only stable across the remap.
@@ -82,7 +135,9 @@ fn churn_sweep_preserves_byte_identity() {
     let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
     for percent in [0.0, 1.0, 10.0, 100.0] {
         let (t1, report) = churn(&t0, percent, 23);
-        assert_incremental_equivalence(&t0, &t1);
+        for execution in EXECUTIONS {
+            assert_incremental_equivalence(&t0, &t1, execution);
+        }
         if percent == 0.0 {
             assert_eq!(report.selected, 0);
         } else {
@@ -120,7 +175,9 @@ fn degenerate_full_replacement_delta_still_matches() {
     // surviving-ASN overlap is whatever the generators happen to share.
     let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(11));
     let t1 = SyntheticInternet::generate(&GeneratorConfig::tiny(99));
-    assert_incremental_equivalence(&t0, &t1);
+    for execution in EXECUTIONS {
+        assert_incremental_equivalence(&t0, &t1, execution);
+    }
 }
 
 #[test]
@@ -162,13 +219,14 @@ proptest! {
         world_seed in prop::sample::select(vec![11u64, 17, 42]),
         churn_seed in 0u64..1000,
         percent_hundredths in 0u32..10_000,
+        execution in prop::sample::select(EXECUTIONS.to_vec()),
     ) {
         let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(world_seed));
         let (t1, _) = churn(&t0, f64::from(percent_hundredths) / 100.0, churn_seed);
-        let state0 = full(&t0, &crawl(&t0)).snapshot_state();
+        let state0 = ingest(&t0, &crawl(&t0), None, execution).snapshot_state();
         let report1 = crawl(&t1);
         let fresh = full(&t1, &report1);
-        let inc = remap(&t1, &report1, &state0);
+        let inc = ingest(&t1, &report1, Some(&state0), execution);
         // ALL and NONE bracket the evidence spectrum; the dedicated
         // sweep test covers every combination on fixed fixtures.
         for features in [FeatureSet::ALL, FeatureSet::NONE] {

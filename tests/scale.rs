@@ -13,11 +13,12 @@
 //!   `generate_to_dir` loads, maps, and carries the same ground truth
 //!   the materialized generator would have written.
 
-use borges_core::pipeline::{Borges, FeatureSet};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
 use borges_core::{mapfile, DenseUnionFind};
 use borges_llm::SimLlm;
 use borges_synthnet::io::{save, DatasetBundle};
 use borges_synthnet::{generate_to_dir, GeneratorConfig, SyntheticInternet};
+use borges_telemetry::Telemetry;
 use borges_types::Asn;
 use borges_websim::SimWebClient;
 use proptest::prelude::*;
@@ -124,36 +125,37 @@ fn sharded_compile_and_remap_match_their_sequential_twins() {
     let llm = SimLlm::new(47);
     let scraper = borges_websim::Scraper::new(SimWebClient::browser(&world.web));
     let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-    let ner_config = borges_core::ner::NerConfig::default();
+    let ingest = |opts: &IngestOptions<'_>| {
+        Borges::ingest(
+            &world.whois,
+            &world.pdb,
+            WebSource::Scraped(&report),
+            &llm,
+            opts,
+            &Telemetry::disabled(),
+        )
+    };
 
-    let sequential = Borges::from_scrape(&world.whois, &world.pdb, &report, &llm, ner_config);
+    let sequential = ingest(&IngestOptions::default());
     let expected = mapfile::serialize(&sequential.mapping(FeatureSet::ALL));
     let state = sequential.snapshot_state();
 
     for threads in [2, 3, 7] {
-        let compiled = Borges::from_scrape_parallel(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            ner_config,
+        let full = IngestOptions {
             threads,
-        );
+            ..IngestOptions::default()
+        };
+        let compiled = ingest(&full);
         assert_eq!(
             mapfile::serialize(&compiled.mapping(FeatureSet::ALL)),
             expected,
             "sharded compile diverged at {threads} threads"
         );
 
-        let remapped = Borges::remap_parallel(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            ner_config,
-            &state,
-            threads,
-        );
+        let remapped = ingest(&IngestOptions {
+            prior: Some(&state),
+            ..full
+        });
         assert_eq!(
             mapfile::serialize(&remapped.mapping(FeatureSet::ALL)),
             expected,

@@ -1,9 +1,10 @@
 //! The streaming-ingest determinism contract, pinned end to end.
 //!
-//! `Borges::run_streaming` (the engine behind `Borges::run_parallel`)
-//! runs every remote call of an ingest on one pool of `in_flight`
-//! workers — NER overlapping the crawl — behind a rate-limited
-//! scheduler, and must be **invisible** in every canonical output.
+//! `Borges::ingest` with a pool (the engine behind
+//! `Borges::run_parallel`) runs every remote call of an ingest on one
+//! pool of `in_flight` workers — NER overlapping the crawl — behind a
+//! rate-limited scheduler, and must be **invisible** in every canonical
+//! output.
 //! Three contracts (DESIGN.md §14):
 //!
 //! 1. **Schedule-independence.** Mapfiles (all 16 feature combinations),
@@ -20,13 +21,12 @@
 //!    counts sum to the entries plus the NER calls.
 
 use borges_core::mapfile;
-use borges_core::ner::NerConfig;
-use borges_core::pipeline::{Borges, FeatureSet, StreamOptions};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
 use borges_llm::{ChatModel, ChatRequest, ChatResponse, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy, TransportError};
-use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{ingest, RunReport, Telemetry, Verbosity};
-use borges_websim::{FlakyWebClient, Scraper, SimWebClient};
+use borges_websim::{FlakyWebClient, ScrapeReport, Scraper, SimWebClient, WebClient};
 use std::sync::Mutex;
 
 fn world() -> SyntheticInternet {
@@ -38,14 +38,34 @@ fn opts(
     per_host_rps: Option<f64>,
     policy: Option<RetryPolicy>,
     threads: usize,
-) -> StreamOptions {
-    StreamOptions {
-        in_flight,
-        per_host_rps,
+) -> IngestOptions<'static> {
+    IngestOptions {
         policy,
+        pool: Some(StreamOptions {
+            in_flight,
+            per_host_rps,
+        }),
         threads,
-        ..StreamOptions::default()
+        ..IngestOptions::default()
     }
+}
+
+/// The ingest of `world` over a crawl through `web`.
+fn crawl(
+    world: &SyntheticInternet,
+    web: impl WebClient + Sync,
+    llm: &(dyn ChatModel + Sync),
+    opts: &IngestOptions<'_>,
+    tel: &Telemetry,
+) -> Borges {
+    Borges::ingest(
+        &world.whois,
+        &world.pdb,
+        WebSource::Crawl(&web),
+        llm,
+        opts,
+        tel,
+    )
 }
 
 /// Everything the determinism contract compares: the canonical trace,
@@ -81,9 +101,8 @@ fn streaming_bare_run_is_byte_identical_to_staged() {
     for threads in [1, 4] {
         for (in_flight, rps) in [(1, None), (2, None), (8, Some(50.0)), (3, Some(2.0))] {
             let tel = Telemetry::sim(Verbosity::Quiet);
-            let streamed = Borges::run_streaming_traced(
-                &world.whois,
-                &world.pdb,
+            let streamed = crawl(
+                &world,
                 SimWebClient::browser(&world.web),
                 &llm,
                 &opts(in_flight, rps, None, threads),
@@ -147,12 +166,12 @@ fn pooled_runs_send_exactly_the_sequential_requests() {
     assert!(calls > 0);
     for in_flight in [1, 4, 8] {
         let pooled = Recorder::new();
-        let streamed = Borges::run_streaming(
-            &world.whois,
-            &world.pdb,
+        let streamed = crawl(
+            &world,
             SimWebClient::browser(&world.web),
             &pooled,
             &opts(in_flight, None, None, 2),
+            &Telemetry::disabled(),
         );
         let sent = pooled.sorted();
         assert_eq!(sent, expected, "request multiset at in_flight={in_flight}");
@@ -173,15 +192,17 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
     for seed in 1..=3u64 {
         let policy = RetryPolicy::standard(seed);
         let tel = Telemetry::sim(Verbosity::Quiet);
-        let staged = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
+        let staged = crawl(
+            &world,
             FlakyWebClient::new(
                 SimWebClient::browser(&world.web),
                 EpisodePlan::calibrated(seed),
             ),
             &FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE)),
-            policy,
+            &IngestOptions {
+                policy: Some(policy),
+                ..IngestOptions::default()
+            },
             &tel,
         );
         let reference = fingerprint(&staged, &tel);
@@ -191,9 +212,8 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
                 let tel = Telemetry::sim(Verbosity::Quiet);
                 let llm =
                     FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
-                let streamed = Borges::run_streaming_traced(
-                    &world.whois,
-                    &world.pdb,
+                let streamed = crawl(
+                    &world,
                     FlakyWebClient::new(
                         SimWebClient::browser(&world.web),
                         EpisodePlan::calibrated(seed),
@@ -242,15 +262,15 @@ fn streaming_outage_runs_account_for_every_loss() {
     .full();
     for seed in 1..=3u64 {
         let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(seed ^ 0xFACE));
-        let degraded = Borges::run_streaming(
-            &world.whois,
-            &world.pdb,
+        let degraded = crawl(
+            &world,
             FlakyWebClient::new(
                 SimWebClient::browser(&world.web),
                 EpisodePlan::with_outages(seed),
             ),
             &llm,
             &opts(4, Some(10.0), Some(RetryPolicy::none()), 1),
+            &Telemetry::disabled(),
         );
         let coverage = degraded.coverage();
         assert!(
@@ -283,9 +303,8 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
     let max_in_flight = 3;
     // A tight rate limit forces throttle stalls (virtual ones — pacing
     // runs on a SimClock, so the test never actually sleeps).
-    let streamed = Borges::run_streaming_traced(
-        &world.whois,
-        &world.pdb,
+    let streamed = crawl(
+        &world,
         SimWebClient::browser(&world.web),
         &llm,
         &opts(max_in_flight, Some(0.5), None, 1),
@@ -332,43 +351,77 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
     );
 }
 
-#[test]
-fn from_scrape_streaming_matches_from_scrape() {
-    let world = world();
-    let llm = SimLlm::new(99);
-    let scraper = Scraper::new(SimWebClient::browser(&world.web));
-    let report = scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-
+/// The traced ingest of `world` over a `report` scraped earlier, and
+/// its determinism fingerprint.
+fn ingest_scraped(
+    world: &SyntheticInternet,
+    report: &ScrapeReport,
+    opts: &IngestOptions<'_>,
+) -> (Borges, (String, String, Vec<String>)) {
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let staged = Borges::from_scrape_traced(
+    let borges = Borges::ingest(
         &world.whois,
         &world.pdb,
-        &report,
-        &llm,
-        NerConfig::default(),
+        WebSource::Scraped(report),
+        &SimLlm::new(99),
+        opts,
         &tel,
     );
-    let reference = fingerprint(&staged, &tel);
+    let fingerprint = fingerprint(&borges, &tel);
+    (borges, fingerprint)
+}
+
+fn scrape(world: &SyntheticInternet) -> ScrapeReport {
+    let scraper = Scraper::new(SimWebClient::browser(&world.web));
+    scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str())))
+}
+
+#[test]
+fn from_scrape_streaming_matches_from_scrape() {
+    // A report scraped earlier leaves the pool only the NER calls. The
+    // pooled ingest must match the sequential one on a full run and on
+    // a remap of a churned successor against the full run's state.
+    let world = world();
+    let report = scrape(&world);
+    let (full, reference) = ingest_scraped(&world, &report, &IngestOptions::default());
     assert!(
         !reference.0.contains("\"run/crawl\""),
-        "from_scrape has no crawl stage"
+        "a scraped report has no crawl stage"
+    );
+    let state = full.snapshot_state();
+    let (successor, _) = churn(&world, 10.0, 23);
+    let successor_report = scrape(&successor);
+    let remap = IngestOptions {
+        prior: Some(&state),
+        ..IngestOptions::default()
+    };
+    let (sequential_remap, remap_reference) = ingest_scraped(&successor, &successor_report, &remap);
+    assert!(
+        remap_reference.0.contains("\"remap/apply\""),
+        "{}",
+        remap_reference.0
+    );
+    let delta = sequential_remap.delta.expect("a remap records delta stats");
+    assert!(
+        delta.llm_calls_saved() > 0,
+        "the memos must replay something"
     );
 
     for threads in [1, 4] {
-        let tel = Telemetry::sim(Verbosity::Quiet);
-        let streamed = Borges::from_scrape_streaming_traced(
-            &world.whois,
-            &world.pdb,
-            &report,
-            &llm,
-            NerConfig::default(),
-            &opts(4, None, None, threads),
-            &tel,
-        );
+        let pooled = opts(4, None, None, threads);
         assert_eq!(
-            fingerprint(&streamed, &tel),
+            ingest_scraped(&world, &report, &pooled).1,
             reference,
-            "from_scrape_streaming diverged at threads={threads}"
+            "pooled ingest of a scraped report diverged at threads={threads}"
+        );
+        let pooled_remap = IngestOptions {
+            prior: Some(&state),
+            ..pooled
+        };
+        assert_eq!(
+            ingest_scraped(&successor, &successor_report, &pooled_remap).1,
+            remap_reference,
+            "pooled remap diverged at threads={threads}"
         );
     }
 }

@@ -7,12 +7,35 @@
 //! runs. Worker scheduling is allowed to show up only in runtime spans
 //! and in the `workers` ledger rows — never in anything canonical.
 
-use borges_core::pipeline::{Borges, FeatureSet};
-use borges_llm::SimLlm;
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
+use borges_llm::{ChatModel, SimLlm};
 use borges_resilience::RetryPolicy;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{RunReport, Telemetry, Verbosity};
-use borges_websim::SimWebClient;
+use borges_websim::{SimWebClient, WebClient};
+
+/// The sequential ingest of `world` over `web` and `model`, resilient
+/// under `policy`, recording into `tel`.
+fn resilient(
+    world: &SyntheticInternet,
+    web: impl WebClient + Sync,
+    model: &(dyn ChatModel + Sync),
+    policy: RetryPolicy,
+    tel: &Telemetry,
+) -> Borges {
+    let opts = IngestOptions {
+        policy: Some(policy),
+        ..IngestOptions::default()
+    };
+    Borges::ingest(
+        &world.whois,
+        &world.pdb,
+        WebSource::Crawl(&web),
+        model,
+        &opts,
+        tel,
+    )
+}
 
 /// Runs the full instrumented pipeline (run + the 16-combination sweep)
 /// and returns (canonical journal, metrics exposition, ledger JSON).
@@ -113,14 +136,7 @@ fn resilient_run_ledger_is_deterministic_per_seed() {
             EpisodePlan::calibrated(seed),
         );
         let model = FlakyModel::new(&llm, EpisodePlan::calibrated(seed ^ 1));
-        let borges = Borges::run_resilient_traced(
-            &world.whois,
-            &world.pdb,
-            web,
-            &model,
-            RetryPolicy::standard(seed),
-            &tel,
-        );
+        let borges = resilient(&world, web, &model, RetryPolicy::standard(seed), &tel);
         (
             borges.run_report(&tel, "resilient", 1).to_json_pretty(),
             tel.trace_jsonl_canonical(),
@@ -152,9 +168,8 @@ fn resilient_metrics_mirror_resilience_stats() {
     let world = SyntheticInternet::generate(&GeneratorConfig::tiny(17));
     let llm = SimLlm::new(99);
     let tel = Telemetry::sim(Verbosity::Quiet);
-    let borges = Borges::run_resilient_traced(
-        &world.whois,
-        &world.pdb,
+    let borges = resilient(
+        &world,
         SimWebClient::browser(&world.web),
         &llm,
         RetryPolicy::standard(5),
