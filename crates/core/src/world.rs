@@ -1,6 +1,6 @@
 //! The persistable compiled world (DESIGN.md §12).
 //!
-//! [`CompiledWorld`] is the serde wire form of everything a serving
+//! [`CompiledWorld`] is the persistable form of everything a serving
 //! [`Borges`](crate::pipeline::Borges) carries: the incremental-remap
 //! [`SnapshotState`] (interner slots, edge segments, fingerprints, LLM
 //! memos) plus the [`ServingExtras`] a server reads at request time —
@@ -28,11 +28,10 @@ use borges_resilience::ResilienceStats;
 use borges_telemetry::CacheStats;
 use borges_types::Url;
 use borges_websim::ScrapeStats;
-use serde::{Deserialize, Serialize};
 
 /// One NER extraction row on the wire: a subject ASN and its filtered
 /// sibling extractions, mirroring `NerResult::per_entry`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NerEntryRecord {
     /// The subject ASN.
     pub asn: u32,
@@ -42,7 +41,7 @@ pub struct NerEntryRecord {
 
 /// One final-URL group on the wire, mirroring the parallel
 /// `RrInference::groups` / `RrInference::final_urls` vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RrGroupRecord {
     /// The final URL every member landed on.
     pub final_url: Url,
@@ -52,7 +51,7 @@ pub struct RrGroupRecord {
 
 /// One favicon merge group on the wire, mirroring the parallel
 /// `FaviconInference::groups` / `group_favicons` vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaviconGroupRecord {
     /// The shared favicon's raw 64-bit hash.
     pub favicon: u64,
@@ -60,11 +59,10 @@ pub struct FaviconGroupRecord {
     pub members: Vec<u32>,
 }
 
-/// Wire mirror of [`ResilienceStats`] (the live struct predates serde
-/// in this workspace and stays serde-free on purpose — it is compared
-/// by the chaos keystones, and the wire form must be free to evolve
-/// separately).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Wire mirror of [`ResilienceStats`] (kept apart from the live struct
+/// on purpose — the live one is compared by the chaos keystones, and
+/// the wire form must be free to evolve separately).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStatsRecord {
     /// Logical calls driven through the retry policy.
     pub calls: u64,
@@ -107,7 +105,7 @@ impl From<&ResilienceStatsRecord> for ResilienceStats {
 }
 
 /// Wire mirror of [`ScrapeStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrapeStatsRecord {
     /// Input pairs with a parseable website URL.
     pub entries_with_website: usize,
@@ -162,7 +160,7 @@ impl From<&ScrapeStatsRecord> for ScrapeStats {
 }
 
 /// Wire mirror of [`NerStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NerStatsRecord {
     /// PeeringDB entries in the snapshot.
     pub entries_total: usize,
@@ -229,7 +227,7 @@ impl From<&NerStatsRecord> for NerStats {
 }
 
 /// Wire mirror of [`RrStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RrStatsRecord {
     /// Networks with a resolved final URL.
     pub networks_with_final_url: usize,
@@ -264,7 +262,7 @@ impl From<&RrStatsRecord> for RrStats {
 }
 
 /// Wire mirror of [`FaviconStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaviconStatsRecord {
     /// Distinct favicons observed.
     pub favicons_total: usize,
@@ -333,7 +331,7 @@ impl From<&FaviconStatsRecord> for FaviconStats {
 /// Everything a serving pipeline carries beyond the [`SnapshotState`]:
 /// evidence-provenance groups, web-inference outputs, and the per-stage
 /// funnel statistics the coverage/ledger endpoints read.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingExtras {
     /// OID_W sibling groups (evidence provenance for `/v1/evidence`).
     pub oid_w_groups: Vec<Vec<u32>>,
@@ -361,7 +359,7 @@ pub struct ServingExtras {
 /// The full persistable compiled world: the incremental-remap state
 /// plus the serving extras. This is what `borges-store` frames into an
 /// on-disk artifact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledWorld {
     /// Interner slots, edge segments, fingerprints, LLM memos.
     pub state: SnapshotState,
@@ -371,14 +369,13 @@ pub struct CompiledWorld {
     /// were never appended to a timeline; stamped by the timeline layer
     /// before the artifact is written, so the epoch participates in the
     /// content address and a relabeled chain link is detectable.
-    #[serde(default)]
     pub epoch: u64,
 }
 
 impl CompiledWorld {
     /// Semantic validation of a decoded world, run before any conversion
-    /// back to a live pipeline — a decoded-but-insane artifact (out of
-    /// serde's reach but inside ours) must yield an error here, never a
+    /// back to a live pipeline — a decoded-but-insane artifact (well-formed
+    /// bytes, nonsense content) must yield an error here, never a
     /// panic downstream. Checks, in order: the snapshot state's own
     /// invariants (schema tag, numeric keys), slot uniqueness (the
     /// interner rebuild asserts it), and that every persisted edge

@@ -1,24 +1,64 @@
-//! World artifacts: a [`CompiledWorld`] serialized into the sectioned
+//! World artifacts: a [`CompiledWorld`] encoded into the sectioned
 //! container and back, plus the file-level load/store/verify entry
 //! points the CLI and server use.
 //!
-//! The encoding is **canonical**: encoding a decoded world reproduces
-//! the artifact byte for byte, so the whole-file SHA-256 is a stable
-//! content address — `world_digest` of a freshly compiled pipeline
-//! equals the digest of the artifact it was loaded from, which is what
-//! lets `/healthz` prove which artifact is live.
+//! ## Payload layout (schema 2)
+//!
+//! Every section payload is a fixed sequence of little-endian records,
+//! in declaration order of the Rust types below:
+//!
+//! ```text
+//! meta          inner schema: str, epoch: u64
+//! slots         [asn: u32, live: bool]
+//! segments      oid_w, oid_p, na, rr, favicons — each [key: str, fp: u64,
+//!               edges: [a: u32, b: u32]]
+//! fingerprints  whois_org, whois_aut, pdb_org, pdb_net, site — each
+//!               [key: str, fp: u64]
+//! memos         ner: [asn: u32, fp: u64, findings: [u32]],
+//!               favicon: [favicon: u64, fp: u64, named: option<str>]
+//! serving       the ServingExtras fields: groups as [[u32]], NER rows,
+//!               R&R groups (final URL as str), favicon groups, and the
+//!               funnel counters (usize counters as u64)
+//! ```
+//!
+//! `[T]` is a `u32` count followed by that many `T`; `str` is a `u32`
+//! byte length followed by UTF-8; `bool` is one byte, 0 or 1; an option
+//! is a tag byte, 0 or 1, followed by the value when the tag is 1; a
+//! URL is its canonical string.
+//!
+//! ## Canonical encoding
+//!
+//! Encoding a decoded world reproduces the artifact byte for byte, so
+//! the whole-file SHA-256 is a stable content address: `world_digest`
+//! of a freshly compiled pipeline equals the digest of the artifact it
+//! was loaded from, which is what lets `/healthz` prove which artifact
+//! is live. The decoder keeps that true for *any* bytes it accepts, not
+//! only for bytes this writer produced: the six sections must appear in
+//! order with nothing after them, a section must end exactly where its
+//! last record does, bool and option tags must be 0 or 1, strings must
+//! be UTF-8, and a URL must render back to its stored text. Every value
+//! the decoder accepts therefore has exactly one encoding. A count is
+//! checked against the bytes left before anything is allocated for it.
 
 use crate::atomic::write_atomic;
 use crate::error::StoreError;
-use crate::format::{decode_container, encode_container, Section};
+use crate::format::{decode_container, encode_container, Container, Section};
 use crate::sha256;
-use borges_core::delta::{FaviconMemoRecord, KeyFp, NerMemoRecord, SegmentRecord, SlotRecord};
+use borges_core::delta::{
+    EdgeRecord, FaviconMemoRecord, KeyFp, NerMemoRecord, SegmentRecord, SlotRecord,
+};
+use borges_core::world::{
+    FaviconGroupRecord, FaviconStatsRecord, NerEntryRecord, NerStatsRecord, ResilienceStatsRecord,
+    RrGroupRecord, RrStatsRecord, ScrapeStatsRecord,
+};
 use borges_core::{CompiledWorld, ServingExtras, SnapshotState};
-use serde::{Deserialize, Serialize};
+use borges_llm::chat::Usage;
+use borges_telemetry::CacheStats;
+use borges_types::Url;
 use std::path::Path;
 
 /// The world payload schema this reader writes and understands.
-pub const STORE_SCHEMA_VERSION: u32 = 1;
+pub const STORE_SCHEMA_VERSION: u32 = 2;
 
 const SECTION_META: &str = "meta";
 const SECTION_SLOTS: &str = "slots";
@@ -27,39 +67,16 @@ const SECTION_FINGERPRINTS: &str = "fingerprints";
 const SECTION_MEMOS: &str = "memos";
 const SECTION_SERVING: &str = "serving";
 
-#[derive(Serialize, Deserialize)]
-struct MetaSection {
-    inner_schema: String,
-    /// Timeline epoch of the captured world; `0` when the world was
-    /// never published to a timeline. `default` keeps pre-epoch
-    /// artifacts decodable.
-    #[serde(default)]
-    epoch: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SegmentsSection {
-    oid_w: Vec<SegmentRecord>,
-    oid_p: Vec<SegmentRecord>,
-    na: Vec<SegmentRecord>,
-    rr: Vec<SegmentRecord>,
-    favicons: Vec<SegmentRecord>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct FingerprintsSection {
-    whois_org: Vec<KeyFp>,
-    whois_aut: Vec<KeyFp>,
-    pdb_org: Vec<KeyFp>,
-    pdb_net: Vec<KeyFp>,
-    site: Vec<KeyFp>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct MemosSection {
-    ner: Vec<NerMemoRecord>,
-    favicon: Vec<FaviconMemoRecord>,
-}
+/// The sections of a world artifact, in the only order the decoder
+/// accepts.
+const SECTIONS: [&str; 6] = [
+    SECTION_META,
+    SECTION_SLOTS,
+    SECTION_SEGMENTS,
+    SECTION_FINGERPRINTS,
+    SECTION_MEMOS,
+    SECTION_SERVING,
+];
 
 /// A validated world fresh off disk (or off a byte slice), with the
 /// provenance the server reports.
@@ -92,122 +109,483 @@ pub struct ArtifactInfo {
     pub total_len: u64,
 }
 
+/// Bounds-checked little-endian reader over one section's payload.
+/// Every failure is a [`StoreError::Decode`] naming the section.
+struct Reader<'a> {
+    section: &'static str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn fail(&self, detail: String) -> StoreError {
+        StoreError::Decode {
+            section: self.section.to_string(),
+            detail: format!("at payload offset {}: {detail}", self.pos),
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if self.remaining() < n {
+            return Err(self.fail(format!(
+                "need {n} bytes, {} left in the section",
+                self.remaining()
+            )));
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// A 0/1 byte: a bool or an option tag. Any other value has no
+    /// canonical meaning and is refused.
+    fn flag(&mut self, what: &str) -> Result<bool, StoreError> {
+        match self.array::<1>()?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => {
+                self.pos -= 1;
+                Err(self.fail(format!("{what} byte is {other}, not 0 or 1")))
+            }
+        }
+    }
+
+    /// A `u32` record count, refused when even the smallest records
+    /// (`min_len` bytes each) could not fit in what is left — so a
+    /// length prefix never sizes an allocation on its own say-so.
+    fn count(&mut self, min_len: usize) -> Result<usize, StoreError> {
+        let n = u32::from_le_bytes(self.array()?) as usize;
+        let left = self.remaining();
+        if n.saturating_mul(min_len) > left {
+            self.pos -= 4;
+            return Err(self.fail(format!(
+                "count {n} of records at least {min_len} bytes each exceeds the \
+                 {left} bytes left"
+            )));
+        }
+        Ok(n)
+    }
+
+    fn finish(self) -> Result<(), StoreError> {
+        if self.remaining() != 0 {
+            return Err(self.fail(format!(
+                "{} trailing bytes after the last record",
+                self.remaining()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// One value's fixed little-endian layout inside a section payload.
+trait Record: Sized {
+    /// The fewest bytes one encoded value occupies; bounds a count
+    /// before allocating for it.
+    const MIN_LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError>;
+}
+
+impl Record for u32 {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(u32::from_le_bytes(r.array()?))
+    }
+}
+
+impl Record for u64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(u64::from_le_bytes(r.array()?))
+    }
+}
+
+/// Stats counters are `usize` in memory and `u64` on disk, so the
+/// artifact does not depend on the writer's pointer width.
+impl Record for usize {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let value = u64::get(r)?;
+        usize::try_from(value).map_err(|_| r.fail(format!("counter {value} overflows usize")))
+    }
+}
+
+impl Record for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.flag("bool")
+    }
+}
+
+impl Record for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let len = r.count(1)?;
+        let start = r.pos;
+        let text = std::str::from_utf8(r.take(len)?).map_err(|err| {
+            r.pos = start;
+            r.fail(format!("string is not UTF-8: {err}"))
+        })?;
+        Ok(text.to_string())
+    }
+}
+
+/// A URL is stored as its canonical string and must parse back to a
+/// URL with exactly that rendering.
+impl Record for Url {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.canonical().put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let start = r.pos;
+        let text = String::get(r)?;
+        match text.parse::<Url>() {
+            Ok(url) if url.canonical() == text => Ok(url),
+            _ => {
+                r.pos = start;
+                Err(r.fail(format!("{text:?} is not a canonical URL")))
+            }
+        }
+    }
+}
+
+impl<T: Record> Record for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        if r.flag("option tag")? {
+            Ok(Some(T::get(r)?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Record> Record for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n = r.count(T::MIN_LEN)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Writes a collection length as the format's `u32` count.
+fn put_len(len: usize, out: &mut Vec<u8>) {
+    u32::try_from(len)
+        .expect("a world section holds fewer than 2^32 records of any one kind")
+        .put(out);
+}
+
+/// Implements [`Record`] for a struct as its fields in the order
+/// listed. Naming every field of the struct is enforced by the struct
+/// literal in `get`, so a field added to the type cannot silently drop
+/// out of the format.
+macro_rules! record {
+    ($ty:ty { $($field:ident: $fty:ty),+ $(,)? }) => {
+        impl Record for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as Record>::MIN_LEN)+;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+                Ok(Self { $($field: <$fty as Record>::get(r)?,)+ })
+            }
+        }
+    };
+}
+
+record!(SlotRecord {
+    asn: u32,
+    live: bool
+});
+record!(EdgeRecord { a: u32, b: u32 });
+record!(SegmentRecord {
+    key: String,
+    fp: u64,
+    edges: Vec<EdgeRecord>,
+});
+record!(KeyFp {
+    key: String,
+    fp: u64
+});
+record!(NerMemoRecord {
+    asn: u32,
+    fp: u64,
+    findings: Vec<u32>,
+});
+record!(FaviconMemoRecord {
+    favicon: u64,
+    fp: u64,
+    named: Option<String>,
+});
+record!(NerEntryRecord {
+    asn: u32,
+    siblings: Vec<u32>,
+});
+record!(RrGroupRecord {
+    final_url: Url,
+    members: Vec<u32>,
+});
+record!(FaviconGroupRecord {
+    favicon: u64,
+    members: Vec<u32>,
+});
+record!(Usage {
+    prompt_tokens: u64,
+    completion_tokens: u64,
+});
+record!(ResilienceStatsRecord {
+    calls: u64,
+    attempts: u64,
+    recovered: u64,
+    abandoned: u64,
+    breaker_trips: u64,
+    breaker_fast_fails: u64,
+});
+record!(ScrapeStatsRecord {
+    entries_with_website: usize,
+    entries_with_invalid_url: usize,
+    entries_abandoned: usize,
+    unique_urls: usize,
+    reachable_urls: usize,
+    unique_final_urls: usize,
+    final_urls_with_favicon: usize,
+    unique_favicons: usize,
+    resilience: ResilienceStatsRecord,
+});
+record!(NerStatsRecord {
+    entries_total: usize,
+    entries_with_text: usize,
+    entries_numeric: usize,
+    numeric_in_aka: usize,
+    numeric_in_notes: usize,
+    llm_calls: usize,
+    llm_abandoned: usize,
+    filtered_out: usize,
+    entries_with_siblings: usize,
+    extracted_asns: usize,
+    usage: Usage,
+    resilience: ResilienceStatsRecord,
+});
+record!(RrStatsRecord {
+    networks_with_final_url: usize,
+    blocked_networks: usize,
+    distinct_final_urls: usize,
+    shared_final_urls: usize,
+});
+record!(FaviconStatsRecord {
+    favicons_total: usize,
+    favicons_shared: usize,
+    urls_in_shared: usize,
+    same_label_groups: usize,
+    merged_by_step1: usize,
+    llm_calls: usize,
+    llm_abandoned: usize,
+    merged_by_llm: usize,
+    framework_rejections: usize,
+    dont_know: usize,
+    usage: Usage,
+    resilience: ResilienceStatsRecord,
+});
+record!(CacheStats {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    entries: u64,
+});
+record!(ServingExtras {
+    oid_w_groups: Vec<Vec<u32>>,
+    oid_p_groups: Vec<Vec<u32>>,
+    ner_entries: Vec<NerEntryRecord>,
+    ner_stats: NerStatsRecord,
+    rr_groups: Vec<RrGroupRecord>,
+    rr_stats: RrStatsRecord,
+    favicon_groups: Vec<FaviconGroupRecord>,
+    favicon_stats: FaviconStatsRecord,
+    scrape_stats: ScrapeStatsRecord,
+    web_cache: CacheStats,
+});
+
+fn section(name: &str, fill: impl FnOnce(&mut Vec<u8>)) -> Section {
+    let mut payload = Vec::new();
+    fill(&mut payload);
+    Section {
+        name: name.to_string(),
+        payload,
+    }
+}
+
 /// Serializes a world into complete artifact bytes.
 pub fn encode_world(world: &CompiledWorld) -> Vec<u8> {
-    fn json<T: Serialize>(value: &T) -> Vec<u8> {
-        serde_json::to_string(value)
-            .expect("world wire structs always serialize")
-            .into_bytes()
-    }
     let state = &world.state;
     let sections = [
-        Section {
-            name: SECTION_META.into(),
-            payload: json(&MetaSection {
-                inner_schema: state.schema.clone(),
-                epoch: world.epoch,
-            }),
-        },
-        Section {
-            name: SECTION_SLOTS.into(),
-            payload: json(&state.slots),
-        },
-        Section {
-            name: SECTION_SEGMENTS.into(),
-            payload: json(&SegmentsSection {
-                oid_w: state.oid_w.clone(),
-                oid_p: state.oid_p.clone(),
-                na: state.na.clone(),
-                rr: state.rr.clone(),
-                favicons: state.favicons.clone(),
-            }),
-        },
-        Section {
-            name: SECTION_FINGERPRINTS.into(),
-            payload: json(&FingerprintsSection {
-                whois_org: state.whois_org_fps.clone(),
-                whois_aut: state.whois_aut_fps.clone(),
-                pdb_org: state.pdb_org_fps.clone(),
-                pdb_net: state.pdb_net_fps.clone(),
-                site: state.site_fps.clone(),
-            }),
-        },
-        Section {
-            name: SECTION_MEMOS.into(),
-            payload: json(&MemosSection {
-                ner: state.ner_memo.clone(),
-                favicon: state.favicon_memo.clone(),
-            }),
-        },
-        Section {
-            name: SECTION_SERVING.into(),
-            payload: json(&world.extras),
-        },
+        section(SECTION_META, |out| {
+            state.schema.put(out);
+            world.epoch.put(out);
+        }),
+        section(SECTION_SLOTS, |out| state.slots.put(out)),
+        section(SECTION_SEGMENTS, |out| {
+            for segments in [
+                &state.oid_w,
+                &state.oid_p,
+                &state.na,
+                &state.rr,
+                &state.favicons,
+            ] {
+                segments.put(out);
+            }
+        }),
+        section(SECTION_FINGERPRINTS, |out| {
+            for fps in [
+                &state.whois_org_fps,
+                &state.whois_aut_fps,
+                &state.pdb_org_fps,
+                &state.pdb_net_fps,
+                &state.site_fps,
+            ] {
+                fps.put(out);
+            }
+        }),
+        section(SECTION_MEMOS, |out| {
+            state.ner_memo.put(out);
+            state.favicon_memo.put(out);
+        }),
+        section(SECTION_SERVING, |out| world.extras.put(out)),
     ];
     encode_container(STORE_SCHEMA_VERSION, &sections)
+}
+
+/// Hex content address of bytes [`encode_world`] produced, read from
+/// their footer rather than recomputed.
+pub fn encoded_digest(bytes: &[u8]) -> String {
+    // The footer's last 32 bytes are exactly the digest of the rest.
+    sha256::hex(&bytes[bytes.len() - 32..])
 }
 
 /// Hex SHA-256 content address a world *would* have on disk. For a
 /// world loaded via [`load_artifact`] this equals the source file's
 /// digest, because the encoding is canonical.
 pub fn world_digest(world: &CompiledWorld) -> String {
-    let bytes = encode_world(world);
-    // The footer's last 32 bytes are exactly the digest of the rest.
-    sha256::hex(&bytes[bytes.len() - 32..])
+    encoded_digest(&encode_world(world))
 }
 
-/// Parses, integrity-checks, and semantically validates artifact
-/// bytes. Never panics: every malformed input maps to a typed
-/// [`StoreError`].
-pub fn decode_world(bytes: &[u8]) -> Result<LoadedWorld, StoreError> {
-    let container = decode_container(bytes, STORE_SCHEMA_VERSION)?;
-
-    fn section<'a, T: for<'de> Deserialize<'de>>(
-        container: &'a crate::format::Container,
-        name: &str,
-    ) -> Result<T, StoreError> {
-        let section = container
-            .sections
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| StoreError::Decode {
-                section: name.to_string(),
-                detail: "section absent".into(),
-            })?;
-        let text = std::str::from_utf8(&section.payload).map_err(|_| StoreError::Decode {
-            section: name.to_string(),
-            detail: "payload is not UTF-8".into(),
-        })?;
-        serde_json::from_str(text).map_err(|err| StoreError::Decode {
-            section: name.to_string(),
-            detail: err.to_string(),
-        })
+/// Decodes and semantically validates the world inside an already
+/// integrity-checked container.
+fn world_from_container(container: &Container) -> Result<CompiledWorld, StoreError> {
+    for (index, found) in container.sections.iter().enumerate() {
+        if SECTIONS.get(index) != Some(&found.name.as_str()) {
+            return Err(StoreError::Decode {
+                section: found.name.clone(),
+                detail: format!("unexpected section at position {index}"),
+            });
+        }
     }
+    let mut payloads = container.sections.iter().map(|s| s.payload.as_slice());
+    let mut read = |section: &'static str| -> Result<Reader<'_>, StoreError> {
+        let bytes = payloads.next().ok_or_else(|| StoreError::Decode {
+            section: section.to_string(),
+            detail: "section absent".into(),
+        })?;
+        Ok(Reader {
+            section,
+            bytes,
+            pos: 0,
+        })
+    };
 
-    let meta: MetaSection = section(&container, SECTION_META)?;
-    let slots: Vec<SlotRecord> = section(&container, SECTION_SLOTS)?;
-    let segments: SegmentsSection = section(&container, SECTION_SEGMENTS)?;
-    let fps: FingerprintsSection = section(&container, SECTION_FINGERPRINTS)?;
-    let memos: MemosSection = section(&container, SECTION_MEMOS)?;
-    let extras: ServingExtras = section(&container, SECTION_SERVING)?;
+    let mut r = read(SECTION_META)?;
+    let schema = String::get(&mut r)?;
+    let epoch = u64::get(&mut r)?;
+    r.finish()?;
+
+    let mut r = read(SECTION_SLOTS)?;
+    let slots = Vec::get(&mut r)?;
+    r.finish()?;
+
+    let mut r = read(SECTION_SEGMENTS)?;
+    let oid_w = Vec::get(&mut r)?;
+    let oid_p = Vec::get(&mut r)?;
+    let na = Vec::get(&mut r)?;
+    let rr = Vec::get(&mut r)?;
+    let favicons = Vec::get(&mut r)?;
+    r.finish()?;
+
+    let mut r = read(SECTION_FINGERPRINTS)?;
+    let whois_org_fps = Vec::get(&mut r)?;
+    let whois_aut_fps = Vec::get(&mut r)?;
+    let pdb_org_fps = Vec::get(&mut r)?;
+    let pdb_net_fps = Vec::get(&mut r)?;
+    let site_fps = Vec::get(&mut r)?;
+    r.finish()?;
+
+    let mut r = read(SECTION_MEMOS)?;
+    let ner_memo = Vec::get(&mut r)?;
+    let favicon_memo = Vec::get(&mut r)?;
+    r.finish()?;
+
+    let mut r = read(SECTION_SERVING)?;
+    let extras = ServingExtras::get(&mut r)?;
+    r.finish()?;
 
     let world = CompiledWorld {
-        epoch: meta.epoch,
+        epoch,
         state: SnapshotState {
-            schema: meta.inner_schema,
+            schema,
             slots,
-            oid_w: segments.oid_w,
-            oid_p: segments.oid_p,
-            na: segments.na,
-            rr: segments.rr,
-            favicons: segments.favicons,
-            whois_org_fps: fps.whois_org,
-            whois_aut_fps: fps.whois_aut,
-            pdb_org_fps: fps.pdb_org,
-            pdb_net_fps: fps.pdb_net,
-            site_fps: fps.site,
-            ner_memo: memos.ner,
-            favicon_memo: memos.favicon,
+            oid_w,
+            oid_p,
+            na,
+            rr,
+            favicons,
+            whois_org_fps,
+            whois_aut_fps,
+            pdb_org_fps,
+            pdb_net_fps,
+            site_fps,
+            ner_memo,
+            favicon_memo,
         },
         extras,
     };
@@ -220,9 +598,16 @@ pub fn decode_world(bytes: &[u8]) -> Result<LoadedWorld, StoreError> {
         section: "world".into(),
         detail,
     })?;
+    Ok(world)
+}
 
+/// Parses, integrity-checks, and semantically validates artifact
+/// bytes. Never panics: every malformed input maps to a typed
+/// [`StoreError`].
+pub fn decode_world(bytes: &[u8]) -> Result<LoadedWorld, StoreError> {
+    let container = decode_container(bytes, STORE_SCHEMA_VERSION)?;
     Ok(LoadedWorld {
-        world,
+        world: world_from_container(&container)?,
         digest: sha256::hex(&container.digest),
         schema: container.schema_version,
     })
@@ -239,7 +624,7 @@ pub fn load_artifact(path: &Path) -> Result<LoadedWorld, StoreError> {
 pub fn write_artifact(path: &Path, world: &CompiledWorld) -> Result<String, StoreError> {
     let bytes = encode_world(world);
     write_atomic(path, &bytes).map_err(|err| StoreError::from_io(path, err))?;
-    Ok(sha256::hex(&bytes[bytes.len() - 32..]))
+    Ok(encoded_digest(&bytes))
 }
 
 /// Integrity-checks the artifact at `path` without requiring the world
@@ -248,23 +633,19 @@ pub fn write_artifact(path: &Path, world: &CompiledWorld) -> Result<String, Stor
 pub fn verify_artifact(path: &Path) -> Result<ArtifactInfo, StoreError> {
     let bytes = std::fs::read(path).map_err(|err| StoreError::from_io(path, err))?;
     let container = decode_container(&bytes, STORE_SCHEMA_VERSION)?;
-    let info = ArtifactInfo {
+    // The semantic decode too, so `store verify` catches a
+    // well-checksummed file whose payload is nonsense.
+    let world = world_from_container(&container)?;
+    Ok(ArtifactInfo {
         digest: sha256::hex(&container.digest),
         format_version: container.format_version,
         schema_version: container.schema_version,
-        epoch: 0,
+        epoch: world.epoch,
         sections: container
             .sections
             .iter()
             .map(|s| (s.name.clone(), s.payload.len() as u64))
             .collect(),
         total_len: bytes.len() as u64,
-    };
-    // Also run the semantic decode so `store verify` catches a
-    // well-checksummed file whose payload is nonsense.
-    let loaded = decode_world(&bytes)?;
-    Ok(ArtifactInfo {
-        epoch: loaded.world.epoch,
-        ..info
     })
 }

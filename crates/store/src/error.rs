@@ -58,8 +58,9 @@ pub enum StoreError {
     /// The `BORGDGST` footer is absent or malformed.
     FooterMissing,
     /// A section's bytes passed their checksum but do not decode into
-    /// a sane world (bad JSON, unknown inner schema, duplicate
-    /// interner slots, out-of-range edges).
+    /// a sane world (a malformed or non-canonical payload record,
+    /// unknown inner schema, duplicate interner slots, out-of-range
+    /// edges).
     Decode {
         /// The section that failed to decode.
         section: String,

@@ -24,6 +24,9 @@
 //!   which is what lets `borges serve --store` degrade to a full
 //!   bundle recompile with the degradation on the ledger instead of
 //!   serving a damaged world or dying.
+//! - **Payloads** ([`artifact`]): fixed-layout little-endian records,
+//!   read by a strict bounds-checked decoder that accepts only bytes
+//!   it would itself have written.
 //! - **Determinism** ([`artifact`]): encoding is canonical, so
 //!   [`world_digest`] of a loaded world equals the digest of the file
 //!   it came from, and a world loaded from the store is byte-identical
@@ -47,8 +50,8 @@ pub mod inject;
 pub mod sha256;
 
 pub use artifact::{
-    decode_world, encode_world, load_artifact, verify_artifact, world_digest, write_artifact,
-    ArtifactInfo, LoadedWorld, STORE_SCHEMA_VERSION,
+    decode_world, encode_world, encoded_digest, load_artifact, verify_artifact, world_digest,
+    write_artifact, ArtifactInfo, LoadedWorld, STORE_SCHEMA_VERSION,
 };
 pub use atomic::{staging_path, write_atomic};
 pub use catalog::{catalog_add, catalog_ls, catalog_path, CatalogEntry, ARTIFACT_EXT};

@@ -7,8 +7,12 @@
 //! determined by the damaged region, never as a decoded-but-wrong
 //! world and never as a panic.
 
+use borges_core::delta::{FaviconMemoRecord, SlotRecord, SNAPSHOT_STATE_SCHEMA};
 use borges_core::pipeline::Borges;
+use borges_core::world::RrGroupRecord;
+use borges_core::{CompiledWorld, SnapshotState};
 use borges_llm::SimLlm;
+use borges_store::format::{decode_container, encode_container};
 use borges_store::{
     decode_world, element_offsets, encode_world, Corruptor, StoreError, FORMAT_VERSION,
     STORE_SCHEMA_VERSION,
@@ -17,6 +21,15 @@ use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_websim::SimWebClient;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+const SECTIONS: [&str; 6] = [
+    "meta",
+    "slots",
+    "segments",
+    "fingerprints",
+    "memos",
+    "serving",
+];
 
 fn artifact_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -153,8 +166,142 @@ fn schema_and_format_version_skew_is_schema_mismatch() {
     }
 }
 
+/// Re-frames `bytes` with `edit` applied to one section's payload.
+/// Checksums and the footer are computed fresh, so only the payload
+/// decoder stands between the edit and a loaded world — the position
+/// of a broken writer or a crafted file.
+fn reframed(bytes: &[u8], section: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut container = decode_container(bytes, STORE_SCHEMA_VERSION).unwrap();
+    let target = container
+        .sections
+        .iter_mut()
+        .find(|s| s.name == section)
+        .unwrap();
+    edit(&mut target.payload);
+    encode_container(STORE_SCHEMA_VERSION, &container.sections)
+}
+
+/// A two-slot world whose payload offsets are known by construction:
+/// the first slot's `live` byte is at slots offset 8, the favicon
+/// memo's option tag at memos offset 24 (after two counts and two
+/// u64s), and the meta section starts with the inner-schema string.
+fn handmade_artifact() -> Vec<u8> {
+    let mut world = CompiledWorld {
+        state: SnapshotState {
+            schema: SNAPSHOT_STATE_SCHEMA.to_string(),
+            slots: vec![
+                SlotRecord {
+                    asn: 10,
+                    live: true,
+                },
+                SlotRecord {
+                    asn: 20,
+                    live: true,
+                },
+            ],
+            favicon_memo: vec![FaviconMemoRecord {
+                favicon: 7,
+                fp: 9,
+                named: Some("acme".to_string()),
+            }],
+            ..SnapshotState::default()
+        },
+        ..CompiledWorld::default()
+    };
+    world.extras.rr_groups.push(RrGroupRecord {
+        final_url: "https://www.example.com/".parse().unwrap(),
+        members: vec![10, 20],
+    });
+    let bytes = encode_world(&world);
+    assert_eq!(decode_world(&bytes).unwrap().world, world);
+    bytes
+}
+
+/// The `(section, detail)` of the decode error `bytes` must produce.
+fn decode_error(bytes: &[u8]) -> (String, String) {
+    match decode_world(bytes) {
+        Err(StoreError::Decode { section, detail }) => (section, detail),
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+}
+
+/// A hand-cut payload edit.
+type Edit = fn(&mut Vec<u8>);
+
+#[test]
+fn malformed_payloads_behind_valid_checksums_are_decode_errors() {
+    // Each case names the section it damages and a phrase of the check
+    // that must catch it, so a later, coarser check (a short read after
+    // an unchecked count) cannot stand in for the one under test.
+    let bytes = handmade_artifact();
+    let cases: [(&str, &str, &str, Edit); 6] = [
+        ("count larger than the payload", "slots", "exceeds", |p| {
+            p[..4].copy_from_slice(&1000u32.to_le_bytes())
+        }),
+        ("bool of 2", "slots", "bool byte is 2", |p| p[8] = 2),
+        ("option tag of 2", "memos", "option tag byte is 2", |p| {
+            p[24] = 2
+        }),
+        ("invalid UTF-8", "meta", "not UTF-8", |p| p[4] = 0xFF),
+        ("non-canonical URL", "serving", "not a canonical URL", |p| {
+            let at = p
+                .windows(8)
+                .position(|w| w == b"https://")
+                .expect("the URL is in the serving payload");
+            p[at..at + 8].copy_from_slice(b"HTTPS://");
+        }),
+        ("trailing byte", "meta", "trailing", |p| p.push(0)),
+    ];
+    for (case, section, check, edit) in cases {
+        let (got_section, detail) = decode_error(&reframed(&bytes, section, edit));
+        assert_eq!(got_section, section, "{case}: {detail}");
+        assert!(detail.contains(check), "{case}: {detail}");
+    }
+}
+
+#[test]
+fn sections_out_of_order_or_extra_are_decode_errors() {
+    let bytes = artifact_bytes();
+    let container = decode_container(bytes, STORE_SCHEMA_VERSION).unwrap();
+    let mut swapped = container.sections.clone();
+    swapped.swap(1, 2);
+    let swapped = encode_container(STORE_SCHEMA_VERSION, &swapped);
+    assert_eq!(decode_error(&swapped).0, "segments");
+    let mut extra = container.sections.clone();
+    extra.push(extra[0].clone());
+    let extra = encode_container(STORE_SCHEMA_VERSION, &extra);
+    assert_eq!(decode_error(&extra).0, "meta");
+    let short = encode_container(STORE_SCHEMA_VERSION, &container.sections[..5]);
+    assert_eq!(decode_error(&short).0, "serving");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_arbitrary_payload_behind_valid_checksums_never_panics(
+        section in 0usize..6,
+        splice in 0u8..2,
+        offset in 0usize..1_000_000,
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Either replace the whole payload, or overwrite a run of it so
+        // the records before the damage still parse and the decoder is
+        // reached deep inside the section.
+        let bytes = artifact_bytes();
+        let doctored = reframed(bytes, SECTIONS[section], |payload| {
+            if splice == 0 || payload.is_empty() {
+                *payload = garbage.clone();
+            } else {
+                let at = offset % payload.len();
+                let end = (at + garbage.len()).min(payload.len());
+                payload[at..end].copy_from_slice(&garbage[..end - at]);
+            }
+        });
+        if let Ok(loaded) = decode_world(&doctored) {
+            prop_assert_eq!(encode_world(&loaded.world), doctored);
+        }
+    }
 
     #[test]
     fn prop_truncation_never_panics_and_always_errs(cut in 0usize..1_000_000) {

@@ -47,6 +47,20 @@ pub enum TimelineError {
         /// The content address the chain expected.
         digest: String,
     },
+    /// A link's world artifact was written under a store format or
+    /// schema version this reader does not speak (for instance by an
+    /// older release): intact as far as anyone can tell, but not
+    /// readable here.
+    WorldSchemaMismatch {
+        /// Epoch of the link.
+        epoch: u64,
+        /// The content address the chain expected.
+        digest: String,
+        /// The version the artifact carries.
+        found: u32,
+        /// The version this reader speaks.
+        expected: u32,
+    },
     /// A link's world artifact exists but fails verification or no
     /// longer matches the chained digest/epoch.
     TamperedWorld {
@@ -94,7 +108,9 @@ impl TimelineError {
         match self {
             TimelineError::Io { .. } => "io",
             TimelineError::Corrupt { .. } => "corrupt",
-            TimelineError::SchemaMismatch { .. } => "schema",
+            TimelineError::SchemaMismatch { .. } | TimelineError::WorldSchemaMismatch { .. } => {
+                "schema"
+            }
             TimelineError::BrokenChain { .. } => "broken_chain",
             TimelineError::MissingWorld { .. } => "missing_world",
             TimelineError::TamperedWorld { .. } => "tampered_world",
@@ -130,6 +146,17 @@ impl fmt::Display for TimelineError {
             TimelineError::MissingWorld { epoch, digest } => {
                 write!(f, "CORRUPT chain at epoch {epoch}: world {digest} missing")
             }
+            TimelineError::WorldSchemaMismatch {
+                epoch,
+                digest,
+                found,
+                expected,
+            } => write!(
+                f,
+                "world {digest} at epoch {epoch} has store version {found}, this \
+                 reader speaks version {expected}; republish the timeline with \
+                 this release"
+            ),
             TimelineError::TamperedWorld {
                 epoch,
                 digest,
@@ -173,6 +200,15 @@ mod tests {
             (TimelineError::Corrupt { detail: "x".into() }, "corrupt"),
             (
                 TimelineError::SchemaMismatch { found: "v9".into() },
+                "schema",
+            ),
+            (
+                TimelineError::WorldSchemaMismatch {
+                    epoch: 1,
+                    digest: "d".into(),
+                    found: 1,
+                    expected: 2,
+                },
                 "schema",
             ),
             (

@@ -47,7 +47,9 @@ pub use lineage::{classify, render_diff_json, LineageStep, OrgLineage};
 use borges_core::diff::{diff as mapping_diff, MappingDiff};
 use borges_core::mapping::AsOrgMapping;
 use borges_core::pipeline::Borges;
-use borges_store::{load_artifact, sha256, verify_artifact, write_artifact, ARTIFACT_EXT};
+use borges_store::{
+    encode_world, encoded_digest, load_artifact, sha256, verify_artifact, StoreError, ARTIFACT_EXT,
+};
 use borges_types::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -164,13 +166,11 @@ impl Timeline {
 
         let worlds_dir = self.dir.join(WORLDS_DIR);
         std::fs::create_dir_all(&worlds_dir).map_err(|e| TimelineError::from_io(&worlds_dir, e))?;
-        // Digest is only known after encoding; write to the staging name
-        // first, then the content-addressed one (write_artifact is
-        // atomic per call, and the manifest flips last).
-        let digest = borges_store::world_digest(&world);
+        let bytes = encode_world(&world);
+        let digest = encoded_digest(&bytes);
         let world_path = worlds_dir.join(format!("{digest}.{ARTIFACT_EXT}"));
-        let written = write_artifact(&world_path, &world)?;
-        debug_assert_eq!(written, digest);
+        borges_store::write_atomic(&world_path, &bytes)
+            .map_err(|e| StoreError::from_io(&world_path, e))?;
 
         let parent = self.tip().cloned();
         let delta_digest = match &parent {
@@ -249,11 +249,7 @@ impl Timeline {
                 digest: link.world_digest,
             });
         }
-        let loaded = load_artifact(&path).map_err(|e| TimelineError::TamperedWorld {
-            epoch: link.epoch,
-            digest: link.world_digest.clone(),
-            detail: e.to_string(),
-        })?;
+        let loaded = load_artifact(&path).map_err(|e| world_error(&link, e))?;
         if loaded.digest != link.world_digest {
             return Err(TimelineError::TamperedWorld {
                 epoch: link.epoch,
@@ -323,11 +319,7 @@ impl Timeline {
                     digest: link.world_digest.clone(),
                 });
             }
-            let info = verify_artifact(&path).map_err(|e| TimelineError::TamperedWorld {
-                epoch: link.epoch,
-                digest: link.world_digest.clone(),
-                detail: e.to_string(),
-            })?;
+            let info = verify_artifact(&path).map_err(|e| world_error(link, e))?;
             if info.digest != link.world_digest {
                 return Err(TimelineError::TamperedWorld {
                     epoch: link.epoch,
@@ -430,6 +422,25 @@ impl Timeline {
             asn: asn.value(),
             steps,
         })
+    }
+}
+
+/// Classifies a store refusal of a chained world: an artifact written
+/// under another store schema is a version skew the operator fixes by
+/// republishing, not tampering; every other refusal is tampering.
+fn world_error(link: &TimelineLink, err: StoreError) -> TimelineError {
+    match err {
+        StoreError::SchemaMismatch { found, expected } => TimelineError::WorldSchemaMismatch {
+            epoch: link.epoch,
+            digest: link.world_digest.clone(),
+            found,
+            expected,
+        },
+        other => TimelineError::TamperedWorld {
+            epoch: link.epoch,
+            digest: link.world_digest.clone(),
+            detail: other.to_string(),
+        },
     }
 }
 
@@ -654,6 +665,38 @@ mod tests {
         );
         // Other epochs still load.
         reopened.load_epoch(0, 1).unwrap();
+    }
+
+    #[test]
+    fn world_from_another_store_schema_is_a_schema_error() {
+        // Stamp the tip's world as an older store schema would have
+        // written it: schema field set to 1, header CRC re-stamped so
+        // the header is self-consistent.
+        let (_dir, mut timeline) = three_epoch_timeline("old-schema");
+        let tip = timeline.links()[2].clone();
+        let path = timeline.world_path(&tip);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+        let crc = borges_store::crc32::crc32(&bytes[..20]);
+        bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = timeline.verify().unwrap_err();
+        assert_eq!(err.kind(), "schema", "{err}");
+        let message = err.to_string();
+        assert!(!message.contains("CORRUPT"), "{message}");
+        assert!(message.contains("epoch 2"), "{message}");
+        let expected = format!("version {}", borges_store::STORE_SCHEMA_VERSION);
+        assert!(
+            message.contains("version 1") && message.contains(&expected),
+            "{message}"
+        );
+        assert_eq!(timeline.load_epoch(2, 1).unwrap_err().kind(), "schema");
+        timeline.load_epoch(1, 1).unwrap();
+        // A chained append re-reads its parent, the tip.
+        let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
+        let err = timeline.append(&mut compile(&w)).unwrap_err();
+        assert_eq!(err.kind(), "schema", "{err}");
     }
 
     #[test]
