@@ -11,6 +11,11 @@
 //! latency serially; the pooled legs pay it `in_flight`-wide (budget 1
 //! isolates the compute overlap from the latency hiding).
 //!
+//! The `recrawl` leg times `Scraper::crawl` alone over the same latent
+//! client: the re-crawl `borges remap` and the server's reload run
+//! before their incremental ingest, on a pool of `DEFAULT_IN_FLIGHT`
+//! workers keyed per host.
+//!
 //! Because the win is latency hiding rather than parallel compute, it
 //! shows up even on a single-CPU host. Outputs are pinned byte-identical
 //! to the sequential run by tests/streaming.rs, so this sweep measures
@@ -27,7 +32,7 @@ use borges_resilience::TransportError;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_telemetry::Telemetry;
 use borges_types::Url;
-use borges_websim::{FetchResult, SimWebClient, WebClient};
+use borges_websim::{FetchResult, Scraper, SimWebClient, WebClient};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -126,6 +131,12 @@ fn bench_ingest(c: &mut Criterion) {
                 })
             });
         }
+        group.bench_function("recrawl", |b| {
+            b.iter(|| {
+                let scraper = Scraper::new(client());
+                black_box(scraper.crawl(world.pdb.nets().map(|n| (n.asn, n.website.as_str()))))
+            })
+        });
         group.finish();
     }
 }

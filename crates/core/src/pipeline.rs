@@ -35,10 +35,10 @@ use crate::world::{
 };
 use borges_llm::chat::{ChatModel, ChatRequest, ChatResponse};
 use borges_llm::RetryingModel;
-use borges_parallel::{stream_indexed, StreamLedger};
+use borges_parallel::{stream_indexed, StreamLedger, DEFAULT_IN_FLIGHT};
 use borges_peeringdb::PdbSnapshot;
 use borges_resilience::{
-    stable_hash, BreakerConfig, Clock, RateLimiterRegistry, ResilienceStats, RetryPolicy, SimClock,
+    BreakerConfig, Clock, RateLimiterRegistry, ResilienceStats, RetryPolicy, SimClock,
     TransportError,
 };
 use borges_telemetry::{
@@ -46,9 +46,9 @@ use borges_telemetry::{
     EvidenceSummary, FaviconFunnel, NerFunnel, ResilienceRow, RrFunnel, RunReport, Span, Telemetry,
     TimelineReport, WorkerTiming, RUN_REPORT_SCHEMA,
 };
-use borges_types::{Asn, AsnInterner, Url};
+use borges_types::{Asn, AsnInterner};
 use borges_websim::{
-    ReportAssembler, Resolution, RetryingWebClient, ScrapeReport, ScrapeStats, Scraper,
+    CrawlEntry, ReportAssembler, Resolution, RetryingWebClient, ScrapeReport, ScrapeStats, Scraper,
     StreamingWebClient, WebClient,
 };
 use borges_whois::WhoisRegistry;
@@ -608,14 +608,6 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference, incremental: bool) 
     }
 }
 
-/// The default in-flight budget of the pooled ingest engine: remote
-/// calls (page fetches and LLM completions) waiting on the network at
-/// once. Independent of `threads`, which sizes CPU work — a call that
-/// waits uses no CPU. Each live pool thread also costs resident memory
-/// (its malloc arena), which is why the budget stays small and one pool
-/// size serves every stage (DESIGN.md §14).
-pub const DEFAULT_IN_FLIGHT: usize = 4;
-
 /// The token buckets' per-host burst: one admission at a time.
 const PER_HOST_BURST: u32 = 1;
 
@@ -695,48 +687,10 @@ impl Default for IngestOptions<'_> {
     }
 }
 
-/// One crawl entry prepared for the pool: the parse and host-key work
-/// is done once up front so the admission gate and the per-key FIFO
-/// discipline never re-parse under the scheduler lock.
-struct StreamEntry<'a> {
-    asn: Asn,
-    raw: &'a str,
-    /// FIFO-serialization key: the host hash for fetching entries
-    /// (matching breaker/rate-limit keying), a raw-string hash for
-    /// entries that never reach the network.
-    key: u64,
-    /// The host a fetch would hit; `None` for empty/invalid websites,
-    /// which are never rate-limited.
-    host: Option<String>,
-}
-
-fn stream_entries(pdb: &PdbSnapshot) -> Vec<StreamEntry<'_>> {
-    pdb.nets()
-        .map(|n| {
-            let raw = n.website.as_str();
-            let host = raw
-                .trim()
-                .parse::<Url>()
-                .ok()
-                .map(|u| u.host().as_str().to_string());
-            let key = match &host {
-                Some(h) => stable_hash(h.as_bytes()),
-                None => stable_hash(raw.as_bytes()),
-            };
-            StreamEntry {
-                asn: n.asn,
-                raw,
-                key,
-                host,
-            }
-        })
-        .collect()
-}
-
 /// One remote call of an ingest, queued on the I/O pool.
-enum Call<'a> {
+enum Call {
     /// A crawl entry's fetch.
-    Fetch(StreamEntry<'a>),
+    Fetch(CrawlEntry),
     /// The NER plan's request with this index.
     Complete(usize),
 }
@@ -751,7 +705,7 @@ enum Reply {
 /// spread evenly so both kinds are in flight from the start (the pool
 /// claims the lowest ready index first, so requests queued after the
 /// whole crawl would wait for it). Each kind keeps its own order.
-fn interleave(entries: Vec<StreamEntry<'_>>, completions: usize) -> Vec<Call<'_>> {
+fn interleave(entries: Vec<CrawlEntry>, completions: usize) -> Vec<Call> {
     let fetches = entries.len();
     let mut entries = entries.into_iter();
     let mut calls = Vec::with_capacity(fetches + completions);
@@ -1043,9 +997,13 @@ impl Borges {
     /// sharded over `threads`. Byte-identical to a full ingest of the
     /// same inputs at every thread count.
     ///
-    /// `report` is the *re-crawled* T+1 web observation: crawling is
-    /// cheap next to LLM calls and the web can drift even when the
-    /// registries did not, so it is never carried over from T.
+    /// `report` is the *re-crawled* T+1 web observation: the web can
+    /// drift even when the registries did not, so it is never carried
+    /// over from T. The re-crawl, not the LLM, is what a remap pays for:
+    /// traced on the medium benchmark world at 1% churn (200 µs per
+    /// modeled fetch, 2 vCPUs), a sequential re-crawl took 570 ms of a
+    /// ~1.1 s publish while the memos left 0 LLM calls, which is why
+    /// [`Scraper::crawl`] keeps [`DEFAULT_IN_FLIGHT`] fetches in flight.
     #[allow(clippy::too_many_arguments)]
     pub fn remap_parallel_traced(
         whois: &WhoisRegistry,
@@ -1200,7 +1158,9 @@ impl Borges {
     /// Under a retry policy the web client sits behind a
     /// [`RetryingWebClient`] and NER behind a [`RetryingModel`] of its
     /// own, both sleeping on the telemetry clock, so virtual backoff
-    /// spend shows in the stage durations.
+    /// spend shows in the stage durations. That clock is shared across
+    /// hosts, so the crawl is [`Scraper::crawl_in_order`], never the
+    /// pooled [`Scraper::crawl`].
     fn front_sequential<'w>(
         pdb: &PdbSnapshot,
         web: WebSource<'w>,
@@ -1225,7 +1185,8 @@ impl Borges {
                     None => client,
                 });
                 let report = stage(tel, &root, "crawl", |span| {
-                    let mut report = scraper.crawl(pdb.nets().map(|n| (n.asn, n.website.as_str())));
+                    let mut report =
+                        scraper.crawl_in_order(pdb.nets().map(|n| (n.asn, n.website.as_str())));
                     if let Some(retrying) = &retrying {
                         report.stats.resilience = retrying.stats();
                     }
@@ -1298,7 +1259,10 @@ impl Borges {
         };
         let scraper = fetcher.as_ref().map(Scraper::new);
         let entries = match &scraper {
-            Some(_) => stream_entries(pdb),
+            Some(_) => pdb
+                .nets()
+                .map(|n| CrawlEntry::new(n.asn, &n.website))
+                .collect(),
             None => Vec::new(),
         };
         let ner_plan = ner::plan(pdb, opts.ner, ner_memo);
@@ -1320,12 +1284,12 @@ impl Borges {
             |call| match call {
                 // Fetch keys are even and NER keys odd, so the two kinds
                 // never share a FIFO queue.
-                Call::Fetch(e) => e.key << 1,
+                Call::Fetch(e) => e.key() << 1,
                 Call::Complete(_) if serial_ner => 1,
                 Call::Complete(j) => (*j as u64) << 1 | 1,
             },
             |_key, call| match (call, &limiter) {
-                (Call::Fetch(e), Some(registry)) => match &e.host {
+                (Call::Fetch(e), Some(registry)) => match e.host() {
                     Some(host) => registry.limiter(host).try_acquire(pacing.now_ms()),
                     None => Ok(()),
                 },
@@ -1337,7 +1301,7 @@ impl Borges {
                     let scraper = scraper
                         .as_ref()
                         .expect("fetches are queued only for a crawl");
-                    Reply::Fetched(e.asn, scraper.resolve(e.raw))
+                    Reply::Fetched(e.asn, scraper.resolve(e))
                 }
                 Call::Complete(j) => {
                     Reply::Completed(ner_model.model().complete(&ner_plan.requests()[*j]))

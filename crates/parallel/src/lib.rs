@@ -25,7 +25,8 @@
 //! compute: a streaming scheduler (per-key FIFO, a fixed in-flight
 //! budget, an injectable admission gate) whose completions are
 //! re-ordered into canonical input order by a reassembly buffer before
-//! the consumer sees them. It carries every remote call of an ingest.
+//! the consumer sees them. It carries every remote call of an ingest,
+//! and every fetch of the web simulator's standalone crawl.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,6 +34,16 @@
 pub mod stream;
 
 pub use stream::{stream_indexed, ReassemblyBuffer, StreamLedger};
+
+/// The default in-flight budget of a [`stream_indexed`] pool: remote
+/// calls (page fetches and LLM completions) waiting on the network at
+/// once. Both the pooled ingest and the web simulator's re-crawl
+/// (`Scraper::crawl`) run at it. Independent of the thread count that
+/// sizes CPU work — a call that waits uses no CPU. Each live pool thread
+/// also costs resident memory (its malloc arena), which is why the
+/// budget stays small and one pool size serves every stage (DESIGN.md
+/// §14).
+pub const DEFAULT_IN_FLIGHT: usize = 4;
 
 /// The worker-thread count to use when the caller has no opinion: the
 /// machine's available parallelism, or 1 when it cannot be determined

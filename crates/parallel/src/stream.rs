@@ -1,12 +1,13 @@
 //! Bounded-concurrency streaming scheduler.
 //!
-//! The staged fan-out helpers in the crate root split a finished batch
-//! into chunks; this module is the *streaming* front-end: a fixed pool
-//! of `in_flight` workers pulls items off a deterministic work queue
-//! under per-key FIFO serialization and an injectable admission gate
-//! (per-host token buckets, in the crawl's case), and a channel feeds
-//! completions to a consumer that sees them in canonical input order via
-//! a [`ReassemblyBuffer`] — never in completion order.
+//! The chunked fan-out helpers in the crate root split a finished batch
+//! of CPU work into chunks; this module is the *streaming* front-end for
+//! waits: a fixed pool of `in_flight` workers pulls items off a
+//! deterministic work queue under per-key FIFO serialization and an
+//! injectable admission gate (per-host token buckets, in the pooled
+//! ingest's crawl), and a channel feeds completions to a consumer that
+//! sees them in canonical input order via a [`ReassemblyBuffer`] — never
+//! in completion order.
 //!
 //! The pool size *is* the in-flight budget: a worker blocks on the one
 //! item it holds, so the number of items started but not completed can
@@ -24,14 +25,16 @@
 //!    I/O overlap comes from.
 //! 2. **Canonical release order.** The consumer receives `(index,
 //!    result)` strictly by index, whatever order completions arrive
-//!    in, so downstream assembly is the same in-order fold the staged
-//!    path runs.
+//!    in, so downstream assembly is the same in-order fold a sequential
+//!    run performs.
 //!
 //! The scheduler itself never reads a clock: pacing ("wait this many
 //! milliseconds before asking again") is delegated to the caller's
-//! `sleep` closure, so tests run on a virtual clock and production
-//! really sleeps — the same injection seam as `map_chunks_timed`'s
-//! `now_ms`.
+//! `admit` and `sleep` closures, the same injection seam as
+//! `map_chunks_timed`'s `now_ms`. The pooled ingest paces on a virtual
+//! clock of its own run (a `SimClock`), so a throttled ingest never
+//! actually waits: the limit shapes the schedule and the ledger only.
+//! The web simulator's crawl admits every item and never sleeps.
 //!
 //! This crate is dependency-free, so synchronization is `std` only.
 
@@ -163,7 +166,7 @@ struct SchedState {
 ///   earliest pacing time worth retrying at. Gates must be cheap and
 ///   never block.
 /// * `sleep` waits out an admission refusal on the caller's pacing
-///   clock (virtual in tests, real in production).
+///   clock: whatever clock `admit` reads, virtual or real.
 /// * `work` runs outside the lock on a worker thread.
 /// * `consume` runs on the caller's thread, strictly in index order.
 ///

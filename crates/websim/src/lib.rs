@@ -46,7 +46,9 @@ pub use client::{FetchOutcome, FetchResult, SimWebClient, WebClient, MAX_REDIREC
 pub use flaky::{FlakyWebClient, WEB_FAULT_KINDS};
 pub use hosting::{SimWeb, SimWebBuilder};
 pub use retry::RetryingWebClient;
-pub use scraper::{ReportAssembler, Resolution, ScrapeReport, ScrapeStats, ScrapedSite, Scraper};
+pub use scraper::{
+    CrawlEntry, ReportAssembler, Resolution, ScrapeReport, ScrapeStats, ScrapedSite, Scraper,
+};
 pub use site::{RedirectKind, SiteNode};
 pub use snapshot::SnapshotWriter;
 pub use streaming::StreamingWebClient;

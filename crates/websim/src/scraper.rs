@@ -8,6 +8,11 @@
 //! statistics reported in §5.2 (entries with websites → unique URLs →
 //! reachable sites → unique final URLs → unique favicons).
 //!
+//! [`Scraper::crawl`] waits on up to [`DEFAULT_IN_FLIGHT`] fetches at
+//! once, one host at a time, and folds the outcomes in input order, so
+//! its report is the one [`Scraper::crawl_in_order`] produces by sending
+//! every fetch one at a time.
+//!
 //! The crawl degrades gracefully: an entry whose fetch fails at the
 //! transport layer (after whatever retries the client stack performs) is
 //! *abandoned* — counted in [`ScrapeStats::entries_abandoned`], dropped
@@ -15,7 +20,8 @@
 //! disappears silently.
 
 use crate::client::{FetchResult, WebClient};
-use borges_resilience::{ResilienceStats, TransportError};
+use borges_parallel::{stream_indexed, DEFAULT_IN_FLIGHT};
+use borges_resilience::{stable_hash, ResilienceStats, TransportError};
 use borges_telemetry::CacheStats;
 use borges_types::{Asn, FaviconHash, Url};
 use parking_lot::Mutex;
@@ -204,38 +210,140 @@ impl<C: WebClient> Scraper<C> {
         }
     }
 
-    /// Crawls a batch of `(asn, raw website field)` pairs.
+    /// Crawls a batch of `(asn, raw website field)` pairs one entry at a
+    /// time, in input order: the reference fold [`Scraper::crawl`] must
+    /// reproduce.
     ///
     /// Entries with empty or unparseable website fields are counted in the
     /// stats but produce no observation — exactly how a scraper must treat
     /// operator junk. Entries whose fetch fails at the transport layer are
     /// likewise counted ([`ScrapeStats::entries_abandoned`]) and skipped:
     /// the crawl completes on partial evidence rather than dying.
-    pub fn crawl<'a>(&self, entries: impl IntoIterator<Item = (Asn, &'a str)>) -> ScrapeReport {
-        let resolved = entries
-            .into_iter()
-            .map(|(asn, raw)| (asn, self.resolve(raw)));
-        assemble(resolved)
+    ///
+    /// This is the crawl for a client with state shared across hosts,
+    /// such as a [`crate::RetryingWebClient`] backing off on one clock:
+    /// only a sequential crawl gives it the sequential call order.
+    pub fn crawl_in_order<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (Asn, &'a str)>,
+    ) -> ScrapeReport {
+        let mut assembler = ReportAssembler::new();
+        for (asn, raw) in entries {
+            assembler.push(asn, self.resolve(&CrawlEntry::new(asn, raw)));
+        }
+        assembler.finish()
     }
 
-    /// Parses and fetches one raw website field — the per-entry unit of
+    /// Fetches one crawl entry through the cache — the per-entry unit of
     /// crawl work. Public so the pooled ingest engine can schedule
     /// resolutions individually (per-host FIFO and rate-limited, within
-    /// an in-flight budget) and feed the outcomes to a
-    /// [`ReportAssembler`]; [`Scraper::crawl`] is a thin wrapper over the
-    /// same call. In a production deployment the pool is where the
-    /// headless browsers sit.
-    pub fn resolve(&self, raw: &str) -> Resolution {
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return Resolution::Empty;
-        }
-        match raw.parse::<Url>() {
-            Ok(url) => match self.fetch_cached(&url) {
-                Ok(fetched) => Resolution::Fetched(Box::new((url, fetched))),
-                Err(e) => Resolution::Failed(url, e),
+    /// an in-flight budget, alongside its LLM calls) and feed the
+    /// outcomes to a [`ReportAssembler`], as both crawls here do. In a
+    /// production deployment the pool is where the headless browsers
+    /// sit.
+    pub fn resolve(&self, entry: &CrawlEntry) -> Resolution {
+        match &entry.website {
+            Website::Empty => Resolution::Empty,
+            Website::Invalid => Resolution::Invalid,
+            Website::Url(url) => match self.fetch_cached(url) {
+                Ok(fetched) => Resolution::Fetched(Box::new((url.clone(), fetched))),
+                Err(e) => Resolution::Failed(url.clone(), e),
             },
-            Err(_) => Resolution::Invalid,
+        }
+    }
+}
+
+impl<C: WebClient + Sync> Scraper<C> {
+    /// Crawls a batch of `(asn, raw website field)` pairs on a pool of
+    /// [`DEFAULT_IN_FLIGHT`] workers, each waiting on one fetch; the
+    /// report and [`Scraper::cache_stats`] are those of
+    /// [`Scraper::crawl_in_order`], byte for byte.
+    ///
+    /// Entries are keyed by host ([`CrawlEntry::key`]): a host's fetches
+    /// start one at a time, in input order, while different hosts
+    /// overlap. The URL cache, negative caching and everything else the
+    /// client keeps *per host* (a [`crate::FlakyWebClient`]'s fault
+    /// episodes, a [`crate::StreamingWebClient`]'s breakers and private
+    /// clocks) therefore see each host's sequential call sequence, and
+    /// the outcomes are folded in input order. The client must keep no
+    /// state across hosts: one that does, such as a
+    /// [`crate::RetryingWebClient`] on a shared clock, belongs on
+    /// [`Scraper::crawl_in_order`].
+    pub fn crawl<'a>(&self, entries: impl IntoIterator<Item = (Asn, &'a str)>) -> ScrapeReport {
+        let entries: Vec<CrawlEntry> = entries
+            .into_iter()
+            .map(|(asn, raw)| CrawlEntry::new(asn, raw))
+            .collect();
+        let mut assembler = ReportAssembler::new();
+        stream_indexed(
+            &entries,
+            DEFAULT_IN_FLIGHT,
+            CrawlEntry::key,
+            |_, _| Ok(()),
+            |_| {},
+            |_, entry| self.resolve(entry),
+            |index, resolution| assembler.push(entries[index].asn, resolution),
+        );
+        assembler.finish()
+    }
+}
+
+/// What a website field holds once parsed.
+#[derive(Debug)]
+enum Website {
+    /// Empty after trimming.
+    Empty,
+    /// Present but not a URL.
+    Invalid,
+    /// A URL to fetch.
+    Url(Url),
+}
+
+/// One `(asn, raw website field)` entry of a crawl, parsed once: its URL
+/// and its FIFO key are computed here, because a pooled crawl's
+/// scheduler reads the key under its lock on every claim scan and must
+/// not parse a URL there.
+#[derive(Debug)]
+pub struct CrawlEntry {
+    /// The network whose website field this is.
+    pub asn: Asn,
+    website: Website,
+    key: u64,
+}
+
+impl CrawlEntry {
+    /// Parses `raw` (trimmed) as the website of `asn`.
+    pub fn new(asn: Asn, raw: &str) -> Self {
+        let trimmed = raw.trim();
+        let website = if trimmed.is_empty() {
+            Website::Empty
+        } else {
+            match trimmed.parse::<Url>() {
+                Ok(url) => Website::Url(url),
+                Err(_) => Website::Invalid,
+            }
+        };
+        let key = match &website {
+            Website::Url(url) => stable_hash(url.host().as_str().as_bytes()),
+            Website::Empty | Website::Invalid => stable_hash(raw.as_bytes()),
+        };
+        CrawlEntry { asn, website, key }
+    }
+
+    /// The FIFO-serialization key: the host hash for entries that fetch
+    /// (the key per-host breakers, rate-limit buckets and fault episodes
+    /// use), a hash of the raw field for entries that never reach the
+    /// network.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// The host a fetch would hit; `None` for empty or invalid fields,
+    /// which never reach the network.
+    pub fn host(&self) -> Option<&str> {
+        match &self.website {
+            Website::Url(url) => Some(url.host().as_str()),
+            Website::Empty | Website::Invalid => None,
         }
     }
 }
@@ -253,26 +361,13 @@ pub enum Resolution {
     Failed(Url, TransportError),
 }
 
-impl Resolution {
-    /// The host key this resolution's fetch hits, when it fetches at
-    /// all — the string per-host breakers and rate-limit buckets key
-    /// on. `Empty`/`Invalid` entries never reach the network.
-    pub fn host(&self) -> Option<&str> {
-        match self {
-            Resolution::Empty | Resolution::Invalid => None,
-            Resolution::Fetched(boxed) => Some(boxed.0.host().as_str()),
-            Resolution::Failed(url, _) => Some(url.host().as_str()),
-        }
-    }
-}
-
-/// Incrementally folds resolved entries into a [`ScrapeReport`] — the
-/// streaming twin of the batch fold inside [`Scraper::crawl`].
+/// Incrementally folds resolved entries into a [`ScrapeReport`].
 ///
-/// `push` entries in canonical input order (the streaming reassembly
-/// buffer guarantees it), then `finish`. Because the batch paths
-/// delegate to this same assembler, a streaming crawl that pushes in
-/// input order produces a byte-identical report.
+/// `push` entries in canonical input order (a pool's reassembly buffer
+/// guarantees it), then `finish`. Every crawl path — both of
+/// [`Scraper`]'s and the pooled ingest's — folds through this one
+/// assembler, so any crawl that pushes in input order produces a
+/// byte-identical report.
 #[derive(Debug, Default)]
 pub struct ReportAssembler {
     report: ScrapeReport,
@@ -330,13 +425,6 @@ impl ReportAssembler {
         );
     }
 
-    /// Entries folded in that produced an observation or an accounted
-    /// skip — i.e. everything pushed (observational convenience for
-    /// ledger rows).
-    pub fn observed_sites(&self) -> usize {
-        self.report.sites.len()
-    }
-
     /// Seals the funnel's distinct-count stages and returns the report.
     pub fn finish(self) -> ScrapeReport {
         let mut report = self.report;
@@ -348,15 +436,6 @@ impl ReportAssembler {
         report.stats.debug_check_funnel();
         report
     }
-}
-
-/// Folds resolved entries into a report (single-threaded; canonical).
-fn assemble(entries: impl IntoIterator<Item = (Asn, Resolution)>) -> ScrapeReport {
-    let mut assembler = ReportAssembler::new();
-    for (asn, resolution) in entries {
-        assembler.push(asn, resolution);
-    }
-    assembler.finish()
 }
 
 #[cfg(test)]
@@ -533,8 +612,10 @@ mod tests {
 
     #[test]
     fn parallel_crawl_is_identical_to_sequential() {
-        // The pooled path: resolutions keyed per host on a pool of
-        // `in_flight` workers, folded in entry order as they release.
+        // The pooled crawl — resolutions keyed per host on a pool of
+        // `DEFAULT_IN_FLIGHT` workers, folded in entry order as they
+        // release — against the one-at-a-time fold, over several runs
+        // (each schedules differently).
         let web = web();
         let entries = vec![
             (Asn::new(22822), "www.limelight.com"),
@@ -546,31 +627,111 @@ mod tests {
             (Asn::new(97), "not a url at all"),
         ];
         let reference = Scraper::new(SimWebClient::browser(&web));
-        let sequential = reference.crawl(entries.clone());
+        let sequential = reference.crawl_in_order(entries.clone());
         assert_eq!(reference.cache_stats().hits, 1);
-        for in_flight in [1, 2, 3, 8] {
+        for run in 0..4 {
             let scraper = Scraper::new(SimWebClient::browser(&web));
-            let mut assembler = ReportAssembler::new();
-            borges_parallel::stream_indexed(
-                &entries,
-                in_flight,
-                |(_, raw)| {
-                    let host = raw.trim().parse::<Url>().map(|u| u.host().to_string());
-                    borges_resilience::stable_hash(host.unwrap_or_default().as_bytes())
-                },
-                |_, _| Ok(()),
-                |_| {},
-                |_, (_, raw)| scraper.resolve(raw),
-                |i, resolution| assembler.push(entries[i].0, resolution),
-            );
             assert_eq!(
-                assembler.finish(),
+                scraper.crawl(entries.clone()),
                 sequential,
-                "diverged at {in_flight} in flight"
+                "diverged on run {run}"
             );
             // Per-host FIFO: the repeated cogentco URL hits the cache.
             assert_eq!(scraper.cache_stats(), reference.cache_stats());
         }
+    }
+
+    #[test]
+    fn crawl_fills_the_in_flight_budget_one_fetch_per_host() {
+        use std::sync::{Condvar, Mutex as StdMutex};
+        use std::time::{Duration, Instant};
+
+        #[derive(Default)]
+        struct InFlight {
+            total: usize,
+            high_water: usize,
+            per_host: HashMap<String, usize>,
+            per_host_high_water: usize,
+        }
+        /// Counts fetches in flight, globally and per host. Each fetch
+        /// is held until `DEFAULT_IN_FLIGHT` fetches have been in flight
+        /// at once, or a deadline passes: a crawl that never fills its
+        /// budget fails the assertions below instead of hanging.
+        struct ConcurrencyProbe<'w> {
+            inner: SimWebClient<'w>,
+            state: StdMutex<InFlight>,
+            filled: Condvar,
+            deadline: Instant,
+        }
+        impl WebClient for ConcurrencyProbe<'_> {
+            fn fetch(&self, url: &Url) -> Result<FetchResult, TransportError> {
+                let host = url.host().as_str().to_string();
+                let mut state = self.state.lock().expect("no fetch panics holding the lock");
+                state.total += 1;
+                state.high_water = state.high_water.max(state.total);
+                let on_host = state.per_host.entry(host.clone()).or_insert(0);
+                *on_host += 1;
+                let on_host = *on_host;
+                state.per_host_high_water = state.per_host_high_water.max(on_host);
+                self.filled.notify_all();
+                while state.high_water < DEFAULT_IN_FLIGHT {
+                    let left = self.deadline.saturating_duration_since(Instant::now());
+                    if left == Duration::ZERO {
+                        break;
+                    }
+                    state = self
+                        .filled
+                        .wait_timeout(state, left)
+                        .expect("no fetch panics holding the lock")
+                        .0;
+                }
+                state.total -= 1;
+                *state.per_host.get_mut(&host).expect("counted above") -= 1;
+                drop(state);
+                self.inner.fetch(url)
+            }
+        }
+
+        // Twice as many hosts as the budget, and one host with two
+        // distinct URLs at the front of the batch, where a pool without
+        // per-host keying would start both at once.
+        let hosts = 2 * DEFAULT_IN_FLIGHT;
+        let mut builder = SimWeb::builder();
+        for i in 0..hosts {
+            builder = builder.page(&format!("h{i}.example"), Some(icon(&format!("h{i}"))));
+        }
+        let web = builder.build();
+        let mut raws = vec![
+            "https://h0.example/a".to_string(),
+            "https://h0.example/b".to_string(),
+        ];
+        raws.extend((1..hosts).map(|i| format!("https://h{i}.example/")));
+        let entries: Vec<(Asn, &str)> = raws
+            .iter()
+            .enumerate()
+            .map(|(i, raw)| (Asn::new(64500 + i as u32), raw.as_str()))
+            .collect();
+
+        let probe = ConcurrencyProbe {
+            inner: SimWebClient::browser(&web),
+            state: StdMutex::new(InFlight::default()),
+            filled: Condvar::new(),
+            deadline: Instant::now() + Duration::from_secs(5),
+        };
+        let scraper = Scraper::new(&probe);
+        let report = scraper.crawl(entries.clone());
+        let state = probe.state.lock().expect("no fetch panicked");
+        assert_eq!(
+            state.high_water, DEFAULT_IN_FLIGHT,
+            "the crawl never had its whole budget in flight"
+        );
+        assert_eq!(
+            state.per_host_high_water, 1,
+            "two fetches were in flight on one host"
+        );
+        let reference = Scraper::new(SimWebClient::browser(&web));
+        assert_eq!(report, reference.crawl_in_order(entries));
+        assert_eq!(scraper.cache_stats(), reference.cache_stats());
     }
 
     #[test]

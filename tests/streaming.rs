@@ -11,7 +11,9 @@
 //!    the canonical trace journal, and the metrics snapshot are
 //!    byte-identical to the sequential run at every in-flight budget
 //!    and per-host rate limit, and the pool sends exactly the requests
-//!    the sequential run sends.
+//!    the sequential run sends. The standalone re-crawl
+//!    (`Scraper::crawl`, on the same scheduler) reports exactly what a
+//!    one-at-a-time crawl reports, bare and under chaos.
 //! 2. **Chaos-independence.** Under recoverable transport faults (the
 //!    `tests/chaos.rs` model) the pooled resilient run reproduces the
 //!    sequential resilient run bit for bit, and coverage stays complete.
@@ -422,6 +424,66 @@ fn from_scrape_streaming_matches_from_scrape() {
             ingest_scraped(&successor, &successor_report, &pooled_remap).1,
             remap_reference,
             "pooled remap diverged at threads={threads}"
+        );
+    }
+}
+
+/// Crawls `world` twice over fresh clients from `client`: pooled with
+/// `Scraper::crawl`, and one fetch at a time with
+/// `Scraper::crawl_in_order`. Asserts the reports and the URL-cache
+/// counters agree, and returns the report.
+fn assert_pooled_crawl_is_the_in_order_fold<C: WebClient + Sync>(
+    world: &SyntheticInternet,
+    client: impl Fn() -> C,
+    label: &str,
+) -> ScrapeReport {
+    let entries = || world.pdb.nets().map(|n| (n.asn, n.website.as_str()));
+    let sequential = Scraper::new(client());
+    let expected = sequential.crawl_in_order(entries());
+    let pooled = Scraper::new(client());
+    assert_eq!(pooled.crawl(entries()), expected, "{label}: report");
+    assert_eq!(
+        pooled.cache_stats(),
+        sequential.cache_stats(),
+        "{label}: URL cache counters"
+    );
+    expected
+}
+
+#[test]
+fn pooled_crawl_equals_the_in_order_fold() {
+    // `Scraper::crawl` (what `remap` and the server's reload run) keeps
+    // several fetches in flight, one host at a time. Whatever a client
+    // keeps per host — here the URL cache and, under chaos, each host's
+    // fault episode — must then see the sequential call sequence.
+    let world = world();
+    let bare = assert_pooled_crawl_is_the_in_order_fold(
+        &world,
+        || SimWebClient::browser(&world.web),
+        "bare",
+    );
+    assert_eq!(bare.stats.entries_abandoned, 0);
+    assert!(bare.stats.unique_urls > 0);
+
+    // Unretried chaos: every burst and block abandons entries, and a
+    // host's burst ends at the same fetch only if its fetches keep
+    // their input order.
+    for seed in [3, 11] {
+        let chaotic = assert_pooled_crawl_is_the_in_order_fold(
+            &world,
+            || {
+                FlakyWebClient::new(
+                    SimWebClient::browser(&world.web),
+                    EpisodePlan::with_outages(seed),
+                )
+            },
+            &format!("chaos seed {seed}"),
+        );
+        let stats = &chaotic.stats;
+        assert!(stats.entries_abandoned > 0, "seed {seed} abandoned nothing");
+        assert_eq!(
+            stats.entries_abandoned + chaotic.sites.len(),
+            stats.entries_with_website
         );
     }
 }
