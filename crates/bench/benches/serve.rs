@@ -17,15 +17,23 @@
 //! covering map lookups across feature subsets, org rosters, evidence
 //! pairs, coverage, and health.
 //!
+//! One in-process leg, `evidence_32_pairs`, times [`Borges::evidence`]
+//! alone over 32 pairs shaped like perfbench's evidence mix: 16 inside
+//! one full-mapping org and 16 uniformly random. It runs on a clone of
+//! the fixture whose component table is built before the timed samples,
+//! and the first call's cost, which builds it, is printed at startup.
+//!
 //! The host CPU count is printed at startup so recorded baselines are
 //! interpretable without trusting a hand-written note.
 //!
 //! [`MappingCache`]: borges_serve::MappingCache
 
-use borges_bench::medium_pipeline;
+use borges_bench::{medium_pipeline, SEED};
+use borges_core::pipeline::Borges;
 use borges_serve::{ServeClient, Server, ServerConfig};
+use borges_types::Asn;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Round trips each client thread performs per iteration.
 const REQUESTS_PER_CLIENT: usize = 8;
@@ -44,6 +52,41 @@ const PROBES: &[&str] = &[
     "/v1/map/AS701?features=na,rr",
 ];
 
+/// Pairs per iteration of the in-process evidence leg.
+const EVIDENCE_PAIRS: usize = 32;
+
+/// Half the pairs inside one org of the full mapping, half uniformly
+/// random over the universe, deterministically in [`SEED`].
+fn evidence_pairs(borges: &Borges) -> Vec<(Asn, Asn)> {
+    let full = borges.full();
+    let universe = borges.universe();
+    let mut state = SEED | 1;
+    let mut below = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut pairs = Vec::with_capacity(EVIDENCE_PAIRS);
+    while pairs.len() < EVIDENCE_PAIRS / 2 {
+        let a = universe[below(universe.len())];
+        let roster = full.siblings_of(a);
+        if roster.len() >= 2 {
+            let b = roster[below(roster.len())];
+            if b != a {
+                pairs.push((a, b));
+            }
+        }
+    }
+    while pairs.len() < EVIDENCE_PAIRS {
+        pairs.push((
+            universe[below(universe.len())],
+            universe[below(universe.len())],
+        ));
+    }
+    pairs
+}
+
 fn start_server(lru_capacity: usize) -> Server {
     let config = ServerConfig {
         threads: 8,
@@ -61,6 +104,23 @@ fn bench_serve(c: &mut Criterion) {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let mut group = c.benchmark_group("serve");
+
+    // A clone, so the servers below start from a fixture whose table
+    // is not built yet.
+    let borges = medium_pipeline().clone();
+    let pairs = evidence_pairs(&borges);
+    let started = Instant::now();
+    borges.evidence(pairs[0].0, pairs[0].1);
+    eprintln!("evidence: first call took {:?}", started.elapsed());
+    group.sample_size(100);
+    group.bench_function("evidence_32_pairs", |b| {
+        b.iter(|| {
+            pairs
+                .iter()
+                .map(|&(a, b)| borges.evidence(a, b).len())
+                .sum::<usize>()
+        })
+    });
     group.sample_size(10);
 
     for &clients in &[1usize, 4, 16] {

@@ -2475,8 +2475,9 @@ mod tests {
             "-q",
         ]))
         .unwrap();
-        // The same seed plus a scripted acquisition: a before/after
-        // snapshot pair whose only difference is the corporate event.
+        // The same seed plus a scripted acquisition. Not a minimal
+        // delta: `--evolve` re-emits every dataset view from a fresh
+        // RNG, so most registry records differ besides the event.
         run(&args(&[
             "generate",
             "--out",

@@ -277,6 +277,18 @@ impl DenseUnionFind {
         self.find(a) == self.find(b)
     }
 
+    /// Flattens the forest into one root id per element: `roots[a] ==
+    /// roots[b]` iff `a` and `b` are in the same set. A read-only table
+    /// for callers that query many pairs after the last union — each
+    /// query becomes one compare instead of two finds.
+    pub(crate) fn into_roots(mut self) -> Vec<u32> {
+        for i in 0..self.len() as u32 {
+            let root = self.find(i);
+            self.parent[i as usize] = root;
+        }
+        self.parent
+    }
+
     /// Replays everything a [`SegmentFeed`] accumulated — convenience
     /// for `feed.finish(&mut uf, now_ms)`.
     pub fn union_segment_feed<N>(&mut self, feed: SegmentFeed, now_ms: N) -> ShardReport
@@ -638,6 +650,24 @@ mod tests {
         let groups = uf.into_groups(&interner);
         // The dead slot's singleton vanishes; appended members appear.
         assert_eq!(groups, vec![vec![a(10), a(5)], vec![a(30)]]);
+    }
+
+    #[test]
+    fn dense_roots_agree_with_same_set() {
+        let edges = edge_soup(200, 150, 19);
+        let mut uf = DenseUnionFind::new(200);
+        uf.union_edges(&edges);
+        let roots = uf.clone().into_roots();
+        assert_eq!(roots.len(), 200);
+        for a in 0..200u32 {
+            let root = roots[a as usize];
+            assert_eq!(roots[root as usize], root, "{root} is not a root");
+            for b in (0..200u32).step_by(7) {
+                let same = root == roots[b as usize];
+                assert_eq!(same, uf.same_set(a, b), "ids {a} and {b}");
+            }
+        }
+        assert!(DenseUnionFind::new(0).into_roots().is_empty());
     }
 
     #[test]
