@@ -1,20 +1,13 @@
-//! Evidence-compilation bench: full compile and 1%-churn incremental
-//! remap, swept across world size (medium ~11k ASNs / large ~130k) and
-//! shard count (1 / 4 / 16 workers driving the sharded
-//! `DenseUnionFind` replay).
+//! Evidence-compilation bench: one full compile and one 1%-churn
+//! incremental remap per world size (medium ~11k ASNs / large ~130k).
 //!
-//! The crawl is pre-computed outside the timed region for every leg —
-//! crawling costs the same regardless of sharding — so the sweep
-//! isolates what the shards actually parallelize: extraction fan-out
-//! and the edge-list replay. Shard count 1 is the sequential baseline;
-//! outputs are byte-identical at every count (pinned by
-//! tests/scale.rs), so the sweep measures pure schedule, not drift.
+//! The crawl is pre-computed outside the timed region for every leg, so
+//! the legs isolate extraction and the compile's edge-list replay.
 //!
-//! Peak RSS (VmHWM) is printed alongside wall time. The kernel lets a
-//! process reset its own high-water mark via `/proc/self/clear_refs`,
-//! which this bench does before each leg; on kernels where the reset
-//! is refused the printed values are monotonic across legs and only
-//! the first large-world number is meaningful.
+//! Peak RSS (VmHWM) is printed alongside wall time as a running
+//! high-water mark: the bench only reads /proc, never resets the mark,
+//! so each printed value covers the whole process so far and a leg set
+//! a new peak only where the value rises.
 //!
 //! The streamed generation preamble stream-writes the large world to a
 //! temp dir first and reports its wall time and RSS ceiling — the
@@ -51,11 +44,6 @@ fn peak_rss_mib() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Resets the high-water mark so per-leg peaks are attributable.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
 fn llm() -> SimLlm {
     SimLlm::new(SEED)
 }
@@ -80,12 +68,11 @@ fn large_world() -> &'static SyntheticInternet {
 fn streaming_preamble() {
     let dir = std::env::temp_dir().join(format!("borges-compile-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    reset_peak_rss();
     let start = std::time::Instant::now();
     let report = borges_synthnet::generate_to_dir(&GeneratorConfig::large(SEED), &dir)
         .expect("streaming generation");
     eprintln!(
-        "stream-generate large ({} ASNs, {} PeeringDB nets, {} web hosts): {:.2} s, peak RSS {:.0} MiB",
+        "stream-generate large ({} ASNs, {} PeeringDB nets, {} web hosts): {:.2} s, peak RSS so far {:.0} MiB",
         report.asns,
         report.pdb_nets,
         report.web_hosts,
@@ -120,11 +107,10 @@ fn bench_compile(c: &mut Criterion) {
 
     for fixture in &worlds {
         let world = fixture.world;
-        reset_peak_rss();
         let scrape = crawl(world);
         let model = llm();
         eprintln!(
-            "{}: {} ASNs, {} crawl entries (fixture peak RSS {:.0} MiB)",
+            "{}: {} ASNs, {} crawl entries (peak RSS so far {:.0} MiB)",
             fixture.label,
             world.whois.asn_count(),
             scrape.sites.len(),
@@ -146,38 +132,33 @@ fn bench_compile(c: &mut Criterion) {
 
         let mut group = c.benchmark_group(&format!("compile/{}", fixture.label));
         group.sample_size(10);
-        for threads in [1usize, 4, 16] {
-            let full = IngestOptions {
-                threads,
-                ..IngestOptions::default()
-            };
-            let remap = IngestOptions {
-                threads,
-                prior: Some(&state),
-                ..IngestOptions::default()
-            };
-            reset_peak_rss();
-            group.bench_function(&format!("full_threads_{threads}"), |b| {
-                b.iter(|| black_box(ingest_scraped(world, &scrape, &model, &full)))
-            });
-            eprintln!(
-                "{}: full compile at {} thread(s) peak RSS {:.0} MiB",
-                fixture.label,
-                threads,
-                peak_rss_mib()
-            );
-
-            reset_peak_rss();
-            group.bench_function(&format!("remap_churn1_threads_{threads}"), |b| {
-                b.iter(|| black_box(ingest_scraped(&t1, &t1_scrape, &model, &remap)))
-            });
-            eprintln!(
-                "{}: 1%-churn remap at {} thread(s) peak RSS {:.0} MiB",
-                fixture.label,
-                threads,
-                peak_rss_mib()
-            );
-        }
+        let remap = IngestOptions {
+            prior: Some(&state),
+            ..IngestOptions::default()
+        };
+        group.bench_function("full", |b| {
+            b.iter(|| {
+                black_box(ingest_scraped(
+                    world,
+                    &scrape,
+                    &model,
+                    &IngestOptions::default(),
+                ))
+            })
+        });
+        eprintln!(
+            "{}: full compile, peak RSS so far {:.0} MiB",
+            fixture.label,
+            peak_rss_mib()
+        );
+        group.bench_function("remap_churn1", |b| {
+            b.iter(|| black_box(ingest_scraped(&t1, &t1_scrape, &model, &remap)))
+        });
+        eprintln!(
+            "{}: 1%-churn remap, peak RSS so far {:.0} MiB",
+            fixture.label,
+            peak_rss_mib()
+        );
         group.finish();
     }
 }

@@ -39,8 +39,6 @@ fn bench_features(c: &mut Criterion) {
                 &indices,
                 4,
                 |&j| j as u64,
-                |_, _| Ok(()),
-                |_| {},
                 |_, &j| model.complete(&plan.requests()[j]),
                 |_, reply| replies.push(reply),
             );

@@ -26,7 +26,7 @@
 //! hand-written note.
 
 use borges_bench::{medium_world, SEED};
-use borges_core::pipeline::{Borges, IngestOptions, StreamOptions, WebSource};
+use borges_core::pipeline::{Borges, IngestOptions, WebSource};
 use borges_llm::SimLlm;
 use borges_resilience::TransportError;
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
@@ -111,11 +111,7 @@ fn bench_ingest(c: &mut Criterion) {
         });
         for in_flight in [1usize, 4, 8] {
             let opts = IngestOptions {
-                pool: Some(StreamOptions {
-                    in_flight,
-                    ..StreamOptions::default()
-                }),
-                threads: cpus,
+                pool: Some(in_flight),
                 ..IngestOptions::default()
             };
             group.bench_function(&format!("pooled_in_flight_{in_flight}"), |b| {

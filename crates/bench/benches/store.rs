@@ -4,7 +4,7 @@
 //! Four legs over the medium world (~11k ASNs): encoding the compiled
 //! world to artifact bytes, decoding + validating those bytes back
 //! (checksums, digest, semantic checks), replaying the decoded world
-//! into a pipeline at 1 and 4 threads, and — the yardstick — the full
+//! into a pipeline, and — the yardstick — the full
 //! crawl-to-evidence compile. The artifact size is printed so the
 //! wall-time numbers can be read against the I/O they imply.
 //!
@@ -40,11 +40,9 @@ fn bench_store(c: &mut Criterion) {
     group.bench_function("decode_validate", |b| {
         b.iter(|| black_box(decode_world(&bytes).expect("decode")))
     });
-    for threads in [1usize, 4] {
-        group.bench_function(&format!("replay_threads_{threads}"), |b| {
-            b.iter(|| black_box(Borges::from_world(&loaded.world, threads).expect("replay")))
-        });
-    }
+    group.bench_function("replay", |b| {
+        b.iter(|| black_box(Borges::from_world(&loaded.world, 1).expect("replay")))
+    });
     // The yardstick is what `serve` without `--store` actually does at
     // boot: crawl + extract + compile. (The sim's LLM answers in
     // microseconds; against a real model the gap widens by orders of

@@ -5,7 +5,7 @@ use borges_core::diff::diff;
 use borges_core::impact::OrgNamer;
 use borges_core::mapfile;
 use borges_core::orgfactor::organization_factor;
-use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
 use borges_core::{AsOrgMapping, SnapshotState};
 use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
@@ -34,26 +34,22 @@ USAGE:
       country codes). Generating the same seed with and without
       --evolve yields a before/after snapshot pair for `--timeline`.
   borges map --data DIR --out FILE [--features all|none|LIST] [--seed N] [--threads N]
-             [--max-in-flight N] [--per-host-rps R]
-             [--fault-rate R] [--retries N] [--chaos-seed N]
+             [--max-in-flight N] [--fault-rate R] [--retries N] [--chaos-seed N]
              [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
              [--state-out DIR] [--store-out FILE] [--timeline DIR]
       Run the pipeline over a bundle and write the mapping.
       LIST is comma-separated from: oid_p, na, rr, favicons.
-      --threads defaults to the machine's available parallelism; it
-      sizes the CPU work: the sharded union-find replay of evidence
-      edges and mapping materialization. At 2 or more, every remote
-      call (crawl fetches, NER and favicon LLM calls) runs on one I/O
-      pool, NER overlapping the crawl; --threads 1 runs the sequential
-      reference. Output is byte-identical to --threads 1 at every
-      setting, including under --fault-rate chaos.
+      --threads defaults to the machine's available parallelism. At 2
+      or more, every remote call (crawl fetches, NER and favicon LLM
+      calls) runs on one I/O pool, NER overlapping the crawl;
+      --threads 1 runs the sequential reference. Output is
+      byte-identical to --threads 1 at every setting, including under
+      --fault-rate chaos.
       --max-in-flight N sizes the I/O pool: how many remote calls wait
-      on the network at once (default 4, independent of --threads).
-      --per-host-rps R token-bucket rate-limits each host's fetches to
-      R admissions per second of virtual pacing time. Both need the
-      pool, so --threads 1 rejects them. Scheduler accounting lands in
-      the run ledger's worker rows (ingest_* stages), never in
-      canonical outputs.
+      on the network at once (default 4). It needs the pool, so
+      --threads 1 rejects it. Scheduler accounting lands in the run
+      ledger's worker rows (ingest_* stages), never in canonical
+      outputs.
       --fault-rate R injects seeded transient transport faults (R in
       [0,1]) at both the crawl and the LLM boundary; --retries N caps
       recovery at N retries per call (default 4; 0 disables recovery);
@@ -77,16 +73,17 @@ USAGE:
       DIR/deltas/, and the chain manifest DIR/timeline.json is
       rewritten atomically (see `borges timeline`).
   borges remap --data DIR --base-state DIR --out FILE [--out-state DIR]
-               [--features all|none|LIST] [--seed N] [--threads N]
-               [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
+               [--features all|none|LIST] [--seed N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
                [--store-out FILE] [--timeline DIR]
       Incrementally re-map a (possibly changed) bundle against the
       state persisted by a previous `map --state-out` / `remap
-      --out-state`: the web is re-crawled, LLM answers replay from the
-      memo for records whose text is unchanged, and edge segments with
-      untouched fingerprints are reused verbatim. The mapping written
-      is byte-identical to a full `map` of the same bundle. --out-state
-      persists the updated state so remaps chain across snapshots.
+      --out-state`: the web is re-crawled on a pool of 4 fetches in
+      flight, LLM answers replay from the memo for records whose text
+      is unchanged, and edge segments with untouched fingerprints are
+      reused verbatim; the compile runs on one thread. The mapping
+      written is byte-identical to a full `map` of the same bundle.
+      --out-state persists the updated state so remaps chain across
+      snapshots.
       --timeline appends the remapped world as the timeline's next
       epoch, exactly as `map --timeline` does — successive snapshots
       remapped with the same timeline grow one verifiable chain.
@@ -408,27 +405,21 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
 
 /// `map`'s ingest options: the retry policy from the resilience flags,
 /// and at `--threads` 2 or more the I/O pool, sized by
-/// `--max-in-flight` / `--per-host-rps`. Both pool knobs schedule the
-/// pool, which `--threads 1` does not run, so there they are usage
-/// errors: a mistaken invocation fails before any I/O rather than
-/// silently ignoring a knob.
+/// `--max-in-flight`. That knob sizes the pool, which `--threads 1`
+/// does not run, so there it is a usage error: a mistaken invocation
+/// fails before any I/O rather than silently ignoring a knob.
 fn ingest_opts(
     opts: &Options,
     chaos: &Option<ChaosOpts>,
     threads: usize,
 ) -> Result<IngestOptions<'static>, CliError> {
     let max_in_flight = opts.optional("max-in-flight")?;
-    let per_host_rps = opts.optional("per-host-rps")?;
-    for (flag, value) in [
-        ("max-in-flight", max_in_flight),
-        ("per-host-rps", per_host_rps),
-    ] {
-        if threads == 1 && value.is_some() {
-            return Err(CliError::Usage(format!(
-                "--{flag} schedules the I/O pool, which only runs at --threads 2 or more \
-                 (this run has --threads 1)"
-            )));
-        }
+    if threads == 1 && max_in_flight.is_some() {
+        return Err(CliError::Usage(
+            "--max-in-flight sizes the I/O pool, which only runs at --threads 2 or more \
+             (this run has --threads 1)"
+                .to_string(),
+        ));
     }
     let in_flight = match max_in_flight {
         Some(n) => match n.parse::<usize>() {
@@ -448,24 +439,9 @@ fn ingest_opts(
         },
         None => borges_parallel::DEFAULT_IN_FLIGHT,
     };
-    let per_host_rps = match per_host_rps {
-        Some(r) => Some(
-            r.parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r > 0.0)
-                .ok_or_else(|| {
-                    CliError::Usage(format!("--per-host-rps {r:?} is not a positive rate"))
-                })?,
-        ),
-        None => None,
-    };
     Ok(IngestOptions {
         policy: chaos.as_ref().map(|c| c.policy),
-        pool: (threads > 1).then_some(StreamOptions {
-            in_flight,
-            per_host_rps,
-        }),
-        threads,
+        pool: (threads > 1).then_some(in_flight),
         ..IngestOptions::default()
     })
 }
@@ -531,8 +507,8 @@ impl<'a> Outputs<'a> {
 /// timeline, writes the store artifact, then the trace, metrics and run
 /// ledger (labelled `label`). The timeline append runs before the store
 /// artifact is written: it stamps the chain epoch into the world, and
-/// the artifact must carry it too. Returns the mapping and the stdout
-/// row the append adds.
+/// the artifact must carry it too. `threads` is the ledger's thread
+/// label. Returns the mapping and the stdout row the append adds.
 fn publish(
     out: &Outputs<'_>,
     mut borges: Borges,
@@ -615,7 +591,6 @@ fn map(opts: &Options) -> Result<String, CliError> {
         "retries",
         "chaos-seed",
         "max-in-flight",
-        "per-host-rps",
         "trace-out",
         "metrics-out",
         "report-out",
@@ -674,10 +649,7 @@ fn map(opts: &Options) -> Result<String, CliError> {
         None => (Box::new(SimWebClient::browser(&bundle.web)), Box::new(&llm)),
     };
     tel.verbose(match (ingest.pool, ingest.policy) {
-        (Some(pool), _) => format!(
-            "pooled pipeline: {threads} threads, {} calls in flight",
-            pool.in_flight
-        ),
+        (Some(in_flight), _) => format!("pooled pipeline: {in_flight} calls in flight"),
         (None, Some(_)) => "resilient sequential pipeline".to_string(),
         (None, None) => "sequential pipeline".to_string(),
     });
@@ -740,10 +712,10 @@ fn load_state(dir: &str) -> Result<SnapshotState, CliError> {
 }
 
 /// Re-crawls `bundle`'s websites and remaps it incrementally against
-/// `prior` over `threads` — what `remap` and the server's reload both
-/// run. The web is always re-crawled, because sites drift independently
-/// of the registries; the memoized LLM replies in `prior` are what make
-/// the remap incremental. That leaves the crawl as most of the cost:
+/// `prior` — what `remap` and the server's reload both run. The web is
+/// always re-crawled, because sites drift independently of the
+/// registries; the memoized LLM replies in `prior` are what make the
+/// remap incremental. That leaves the crawl as most of the cost:
 /// traced on the medium benchmark world at 1% churn, a sequential
 /// re-crawl took 570 ms of a ~1.1 s publish, with 0 LLM calls. So
 /// `Scraper::crawl` runs it on the I/O pool.
@@ -751,7 +723,6 @@ fn recrawl_and_remap(
     bundle: &DatasetBundle,
     prior: &SnapshotState,
     llm: &(dyn ChatModel + Sync),
-    threads: usize,
     tel: &Telemetry,
 ) -> Borges {
     let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
@@ -762,7 +733,6 @@ fn recrawl_and_remap(
         WebSource::Scraped(&report),
         llm,
         &IngestOptions {
-            threads,
             prior: Some(prior),
             ..IngestOptions::default()
         },
@@ -778,7 +748,6 @@ fn remap(opts: &Options) -> Result<String, CliError> {
         "out-state",
         "features",
         "seed",
-        "threads",
         "trace-out",
         "metrics-out",
         "report-out",
@@ -791,7 +760,6 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let outputs = Outputs::parse(opts, "out-state")?;
     let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
     let seed = seed_of(opts)?;
-    let threads = parse_threads(opts)?;
 
     let tel = Telemetry::sim(verbosity_of(opts));
     let state = load_state(opts.required("base-state")?)?;
@@ -799,7 +767,7 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
 
     let llm = CachingModel::new(SimLlm::new(seed));
-    let borges = recrawl_and_remap(&bundle, &state, &llm, threads, &tel);
+    let borges = recrawl_and_remap(&bundle, &state, &llm, &tel);
     let d = borges.delta.as_ref().expect("remap records delta stats");
     tel.verbose(format!(
         "delta: {} dirty records, {} LLM calls replayed from memo, {} issued",
@@ -816,8 +784,7 @@ fn remap(opts: &Options) -> Result<String, CliError> {
     let dirty_records = d.records.dirty();
     let llm_calls_saved = d.llm_calls_saved();
 
-    let (mapping, timeline_row) =
-        publish(&outputs, borges, features, "remap", threads, &llm, &tel)?;
+    let (mapping, timeline_row) = publish(&outputs, borges, features, "remap", 1, &llm, &tel)?;
     Ok(format!(
         "{}: {} ASNs in {} organizations (features: {})\n\
          delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n{}",
@@ -862,7 +829,6 @@ const EPOCH_LRU_CAPACITY: usize = 4;
 /// else — corruption, IO — is the server's (500).
 struct CliTimelineBackend {
     timeline: borges_timeline::Timeline,
-    threads: usize,
 }
 
 fn timeline_query_error(e: borges_timeline::TimelineError) -> borges_serve::TimelineQueryError {
@@ -888,7 +854,7 @@ impl borges_serve::TimelineBackend for CliTimelineBackend {
     }
     fn load(&self, epoch: u64) -> Result<Borges, borges_serve::TimelineQueryError> {
         self.timeline
-            .load_epoch(epoch, self.threads)
+            .load_epoch(epoch)
             .map_err(timeline_query_error)
     }
     fn history_json(&self, asn: Asn) -> Result<String, borges_serve::TimelineQueryError> {
@@ -945,7 +911,11 @@ fn serve(opts: &Options) -> Result<String, CliError> {
         narrator.verbose(format!("loading bundle from {data}"));
         let bundle = DatasetBundle::load(Path::new(&data)).map_err(CliError::failed)?;
         let llm = CachingModel::new(SimLlm::new(seed));
-        narrator.verbose(format!("compiling pipeline over {threads} threads"));
+        narrator.verbose(if threads > 1 {
+            "compiling pipeline on the I/O pool"
+        } else {
+            "compiling pipeline sequentially"
+        });
         Ok(if threads > 1 {
             Borges::run_parallel(
                 &bundle.whois,
@@ -1026,7 +996,6 @@ fn serve(opts: &Options) -> Result<String, CliError> {
                 &bundle,
                 &current.snapshot_state(),
                 &llm,
-                threads,
                 &Telemetry::disabled(),
             ))
         })
@@ -1075,7 +1044,7 @@ fn serve(opts: &Options) -> Result<String, CliError> {
                 timeline.links().len()
             ));
             Some(std::sync::Arc::new(borges_serve::TimelineState::new(
-                Box::new(CliTimelineBackend { timeline, threads }),
+                Box::new(CliTimelineBackend { timeline }),
                 EPOCH_LRU_CAPACITY,
                 lru,
             )))
@@ -1871,21 +1840,8 @@ mod tests {
             cmd.extend_from_slice(extra);
             cmd
         };
-        for cmd in [
-            map(&["--threads", "2", "--max-in-flight", "0"]),
-            map(&["--threads", "2", "--max-in-flight", "nope"]),
-            map(&["--threads", "2", "--per-host-rps", "0"]),
-            map(&["--threads", "2", "--per-host-rps", "-2.5"]),
-            map(&["--threads", "2", "--per-host-rps", "NaN"]),
-            map(&["--threads", "2", "--per-host-rps", "fast"]),
-            // The pool knobs at --threads 1 would silently do nothing:
-            // the sequential reference runs no pool.
-            map(&["--threads", "1", "--max-in-flight", "4"]),
-            map(&["--threads", "1", "--per-host-rps", "2.5"]),
-            // No opt-in flag exists: the pool is what map runs by default.
-            map(&["--streaming"]),
-            // And the knobs are map-only flags.
-            vec![
+        let remap = |extra: &[&'static str]| {
+            let mut cmd = vec![
                 "remap",
                 "--data",
                 "/no/such",
@@ -1893,12 +1849,40 @@ mod tests {
                 "s",
                 "--out",
                 "y",
+            ];
+            cmd.extend_from_slice(extra);
+            cmd
+        };
+        for (cmd, flag) in [
+            (
+                map(&["--threads", "2", "--max-in-flight", "0"]),
                 "--max-in-flight",
-                "4",
-            ],
+            ),
+            (
+                map(&["--threads", "2", "--max-in-flight", "nope"]),
+                "--max-in-flight",
+            ),
+            // The pool knob at --threads 1 would silently do nothing:
+            // the sequential reference runs no pool.
+            (
+                map(&["--threads", "1", "--max-in-flight", "4"]),
+                "--max-in-flight",
+            ),
+            // No opt-in flag exists: the pool is what map runs by default.
+            (map(&["--streaming"]), "--streaming"),
+            // No rate limit exists either.
+            (
+                map(&["--threads", "2", "--per-host-rps", "2"]),
+                "--per-host-rps",
+            ),
+            // The pool knob is a map-only flag, and remap has no thread
+            // count: its compile runs on one thread.
+            (remap(&["--max-in-flight", "4"]), "--max-in-flight"),
+            (remap(&["--threads", "2"]), "--threads"),
         ] {
             let err = run(&args(&cmd)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{cmd:?} → {err}");
+            assert!(err.to_string().contains(flag), "{cmd:?} → {err}");
         }
     }
 
@@ -1941,17 +1925,8 @@ mod tests {
             (out, paths.each_ref().map(read))
         };
         let (_, sequential) = map("sequential", &["--threads", "1"]);
-        let (_, [pooled_map, pooled_trace, pooled_metrics, report]) = map(
-            "pooled",
-            &[
-                "--threads",
-                "2",
-                "--max-in-flight",
-                "3",
-                "--per-host-rps",
-                "0.5",
-            ],
-        );
+        let (_, [pooled_map, pooled_trace, pooled_metrics, report]) =
+            map("pooled", &["--threads", "2", "--max-in-flight", "3"]);
 
         // The pool is invisible in every canonical artifact.
         assert_eq!(sequential[0], pooled_map);
@@ -1966,8 +1941,6 @@ mod tests {
         for stage in borges_telemetry::ingest::ALL_STAGES {
             assert!(row(stage).is_some(), "missing {stage}");
         }
-        let throttle = row(borges_telemetry::ingest::THROTTLE_STAGE).unwrap();
-        assert!(throttle.items > 0, "0.5 rps must have throttled");
         let in_flight = row(borges_telemetry::ingest::IN_FLIGHT_STAGE).unwrap();
         assert!((1..=3).contains(&in_flight.items), "{in_flight:?}");
 
@@ -2142,17 +2115,6 @@ mod tests {
     fn zero_threads_is_a_usage_error_everywhere() {
         for cmd in [
             vec!["map", "--data", "x", "--out", "y", "--threads", "0"],
-            vec![
-                "remap",
-                "--data",
-                "x",
-                "--base-state",
-                "s",
-                "--out",
-                "y",
-                "--threads",
-                "0",
-            ],
             vec!["serve", "--data", "x", "--threads", "0"],
         ] {
             let err = run(&args(&cmd)).unwrap_err();

@@ -68,5 +68,5 @@ pub use orgfactor::organization_factor;
 pub use pipeline::{
     Borges, CoverageReport, Feature, FeatureContribution, FeatureCoverage, FeatureSet,
 };
-pub use unionfind::{DenseUnionFind, SegmentFeed, ShardReport, ShardTiming, UnionFind};
+pub use unionfind::{DenseUnionFind, UnionFind};
 pub use world::{CompiledWorld, ServingExtras};

@@ -524,8 +524,6 @@ mod tests {
                 plan.requests(),
                 in_flight,
                 |r| stable_hash(r.full_text().as_bytes()),
-                |_, _| Ok(()),
-                |_| {},
                 |_, r| llm.complete(r),
                 |_, reply| replies.push(reply),
             );

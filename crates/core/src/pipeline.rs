@@ -27,7 +27,7 @@ use crate::delta::{
 use crate::mapping::AsOrgMapping;
 use crate::ner::{self, NerConfig, NerMemoEntry, NerResult};
 use crate::orgkeys;
-use crate::unionfind::{DenseUnionFind, SegmentFeed, ShardReport, UnionFind};
+use crate::unionfind::{DenseUnionFind, UnionFind};
 use crate::web::favicon::{self, FaviconInference};
 use crate::web::rr::{rr_inference, RrInference};
 use crate::world::{
@@ -38,8 +38,7 @@ use borges_llm::RetryingModel;
 use borges_parallel::{stream_indexed, StreamLedger, DEFAULT_IN_FLIGHT};
 use borges_peeringdb::PdbSnapshot;
 use borges_resilience::{
-    BreakerConfig, Clock, RateLimiterRegistry, ResilienceStats, RetryPolicy, SimClock,
-    TransportError,
+    BreakerConfig, Clock, ResilienceStats, RetryPolicy, SimClock, TransportError,
 };
 use borges_telemetry::{
     CacheReport, CacheStats, CoverageRow, CrawlFunnel, DeltaEdgeRow, DeltaRecordRow, DeltaReport,
@@ -252,16 +251,8 @@ impl CompiledEvidence {
     /// snapshot-T state only segments whose member fingerprint moved are
     /// re-derived, and the per-feature union-find replay then happens
     /// lazily in [`Borges::mapping`], exactly as on a full run. The OID_W
-    /// base closure is always rebuilt from the segment edges — a
-    /// union-find cannot un-union a retired bridge, and the rebuild is
-    /// cheap next to group re-derivation.
-    ///
-    /// With `threads > 1` the base replay runs sharded
-    /// ([`SegmentFeed`], DESIGN.md §11): byte-identical output, with
-    /// per-shard accounting stamped into `tel`'s worker-timing ledger
-    /// only — never the canonical trace or metrics snapshot, which must
-    /// not vary with thread count.
-    #[allow(clippy::too_many_arguments)]
+    /// base closure comes from the registry half, which always rebuilds
+    /// it from the segment edges.
     fn build(
         interner: AsnInterner,
         registry: RegistryHalf,
@@ -269,8 +260,6 @@ impl CompiledEvidence {
         ner: &NerResult,
         rr: &RrInference,
         favicon: &FaviconInference,
-        threads: usize,
-        tel: &Telemetry,
     ) -> (Self, [SegmentDelta; 5]) {
         let (p_na, p_rr, p_f) = match prior {
             Some(s) => (s.prior_na(), s.prior_rr(), s.prior_favicons()),
@@ -284,15 +273,9 @@ impl CompiledEvidence {
         let RegistryHalf {
             oid_w,
             oid_p,
-            feed,
+            base,
             deltas: [d_w, d_p],
         } = registry;
-        let mut base = DenseUnionFind::new(interner.len());
-        let report = feed.finish(&mut base, || tel.now_ms());
-        if threads > 1 {
-            record_shard_report(tel, "compile", &report);
-        }
-
         (
             CompiledEvidence {
                 interner,
@@ -381,27 +364,38 @@ impl EvidenceTable {
     }
 }
 
+/// The OID_W base closure: a forest over `len` dense ids with every
+/// OID_W segment's edges replayed, in segment order.
+fn oid_w_closure(len: usize, oid_w: &[EdgeSegment<String>]) -> DenseUnionFind {
+    let mut base = DenseUnionFind::new(len);
+    for seg in oid_w {
+        base.union_edges(&seg.edges);
+    }
+    base
+}
+
 /// The half of a compile that reads the registries alone (WHOIS and
-/// PeeringDB): the OID_W and OID_P edge segments, and the OID_W edges
-/// bucketed for the base replay. It needs no crawl and no LLM, so the
-/// pooled front derives it while its calls are in flight.
+/// PeeringDB): the OID_W and OID_P edge segments, and the OID_W base
+/// closure replayed from them. It needs no crawl and no LLM, so the
+/// pooled front builds it while its calls are in flight.
 struct RegistryHalf {
     oid_w: Vec<EdgeSegment<String>>,
     oid_p: Vec<EdgeSegment<u64>>,
-    feed: SegmentFeed,
+    base: DenseUnionFind,
     deltas: [SegmentDelta; 2],
 }
 
 impl RegistryHalf {
     /// Derives the registry segments against `prior` (`None`: from
-    /// scratch), bucketing the OID_W edges for a replay over `threads`
-    /// shards.
+    /// scratch) and replays the OID_W base closure. The closure is
+    /// always rebuilt from the segment edges: a union-find cannot
+    /// un-union a retired bridge, and the rebuild is cheap next to group
+    /// re-derivation.
     fn derive(
         interner: &AsnInterner,
         prior: Option<&SnapshotState>,
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
-        threads: usize,
     ) -> Self {
         let (p_w, p_p) = match prior {
             Some(s) => (s.prior_oid_w(), s.prior_oid_p()),
@@ -409,14 +403,10 @@ impl RegistryHalf {
         };
         let (oid_w, d_w) = delta::merge_feature(interner, &p_w, delta::keyed_whois_groups(whois));
         let (oid_p, d_p) = delta::merge_feature(interner, &p_p, delta::keyed_pdb_groups(pdb));
-        let mut feed = SegmentFeed::new(interner.len(), threads);
-        for seg in &oid_w {
-            feed.feed(&seg.edges);
-        }
         RegistryHalf {
+            base: oid_w_closure(interner.len(), &oid_w),
             oid_w,
             oid_p,
-            feed,
             deltas: [d_w, d_p],
         }
     }
@@ -441,12 +431,7 @@ impl Precompiled {
     /// append-only from the persisted slots: surviving ASNs keep their
     /// dense ids, departures are tombstoned, and arrivals get fresh or
     /// resurrected slots.
-    fn build(
-        whois: &WhoisRegistry,
-        pdb: &PdbSnapshot,
-        prior: Option<&SnapshotState>,
-        threads: usize,
-    ) -> Self {
+    fn build(whois: &WhoisRegistry, pdb: &PdbSnapshot, prior: Option<&SnapshotState>) -> Self {
         let mut universe: BTreeSet<Asn> = whois.all_asns().collect();
         // PeeringDB networks missing from WHOIS (rare, but real dumps have
         // them) still belong to the mapping universe.
@@ -475,7 +460,7 @@ impl Precompiled {
             }
         };
         Precompiled {
-            registry: RegistryHalf::derive(&interner, prior, whois, pdb, threads),
+            registry: RegistryHalf::derive(&interner, prior, whois, pdb),
             interner,
             oid_w_groups: orgkeys::oid_w_groups(whois),
             oid_p_groups: orgkeys::oid_p_groups(pdb),
@@ -614,46 +599,6 @@ fn stage<T>(tel: &Telemetry, parent: &Span, name: &str, f: impl FnOnce(&Span) ->
     out
 }
 
-/// Stamps one sharded replay's accounting into the worker-timing
-/// ledger: a `<ctx>_shard_union` row per shard (items = bucket edges),
-/// one `<ctx>_shard_cross` row (items = cross-range edges), and one
-/// `<ctx>_shard_contract` row (items = edges the contraction replayed).
-/// The ledger invariant `Σ contract.items ≤ Σ union.items + Σ
-/// cross.items` holds because each shard's spanning output is a subset
-/// of its bucket — the CI scale-equivalence job asserts it.
-///
-/// Worker rows only: the canonical trace and the metrics snapshot must
-/// stay byte-identical across thread counts (DESIGN.md §8), and the
-/// worker ledger is exactly the surface both exclude.
-fn record_shard_report(tel: &Telemetry, ctx: &str, report: &ShardReport) {
-    if !tel.is_enabled() {
-        return;
-    }
-    for t in &report.shards {
-        tel.record_worker(WorkerTiming {
-            stage: format!("{ctx}_shard_union"),
-            chunk: t.shard as u64,
-            items: t.edges as u64,
-            started_ms: t.started_ms,
-            elapsed_ms: t.elapsed_ms,
-        });
-    }
-    tel.record_worker(WorkerTiming {
-        stage: format!("{ctx}_shard_cross"),
-        chunk: 0,
-        items: report.cross_edges as u64,
-        started_ms: report.contraction_started_ms,
-        elapsed_ms: 0,
-    });
-    tel.record_worker(WorkerTiming {
-        stage: format!("{ctx}_shard_contract"),
-        chunk: 0,
-        items: report.contraction_edges as u64,
-        started_ms: report.contraction_started_ms,
-        elapsed_ms: report.contraction_elapsed_ms,
-    });
-}
-
 // Span annotations per stage. Every value is a merged funnel number —
 // proven schedule-independent by `parallel_pipeline_matches_sequential` —
 // never a per-worker observation. Incremental runs add the memo hits.
@@ -685,34 +630,6 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference, incremental: bool) 
     }
 }
 
-/// The token buckets' per-host burst: one admission at a time.
-const PER_HOST_BURST: u32 = 1;
-
-/// The I/O pool of an ingest ([`IngestOptions::pool`], DESIGN.md §14):
-/// every remote call — crawl fetches, NER and favicon completions —
-/// waits on the network from one pool, NER overlapping the crawl.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOptions {
-    /// The in-flight budget: how many remote calls wait on the network
-    /// at once. The pool runs one worker per unit of budget.
-    pub in_flight: usize,
-    /// Per-host admission rate for crawl fetches, in requests per second
-    /// of pacing time; `None` disables rate limiting. Pacing runs on a
-    /// virtual clock of the run's own ([`SimClock`]), so a throttled run
-    /// never actually waits and stays deterministic: the limit shapes the
-    /// schedule only, never a canonical output.
-    pub per_host_rps: Option<f64>,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            in_flight: DEFAULT_IN_FLIGHT,
-            per_host_rps: None,
-        }
-    }
-}
-
 /// Where an ingest's web evidence comes from.
 #[derive(Clone, Copy)]
 pub enum WebSource<'a> {
@@ -727,8 +644,8 @@ pub enum WebSource<'a> {
 
 /// How an ingest runs: everything [`Borges::ingest`] takes besides its
 /// inputs. The default is the sequential reference — bare stack, no
-/// pool, one thread, full compile.
-#[derive(Debug, Clone)]
+/// pool, full compile.
+#[derive(Debug, Clone, Default)]
 pub struct IngestOptions<'a> {
     /// The NER stage's input and output filters (§4.2).
     pub ner: NerConfig,
@@ -739,29 +656,19 @@ pub struct IngestOptions<'a> {
     /// poison the other's budget accounting), all at
     /// [`BreakerConfig::standard`].
     pub policy: Option<RetryPolicy>,
-    /// The I/O pool. `None` sends every remote call one at a time, in
-    /// canonical order: the sequential reference.
-    pub pool: Option<StreamOptions>,
-    /// Compute parallelism: the shard count of the compile's base replay.
-    pub threads: usize,
+    /// The I/O pool's in-flight budget (DESIGN.md §14): every remote
+    /// call — crawl fetches, NER and favicon completions — waits on the
+    /// network from one pool of this many workers, NER overlapping the
+    /// crawl ([`DEFAULT_IN_FLIGHT`] is the CLI's default). `None` sends
+    /// every remote call one at a time, in canonical order: the
+    /// sequential reference.
+    pub pool: Option<usize>,
     /// Persisted state of an earlier snapshot. `Some` makes the ingest an
     /// incremental remap: the LLM stages replay its memos for records
     /// whose text did not change, the interner evolves from its slots,
     /// and every edge segment whose member fingerprint is untouched is
     /// reused.
     pub prior: Option<&'a SnapshotState>,
-}
-
-impl Default for IngestOptions<'_> {
-    fn default() -> Self {
-        IngestOptions {
-            ner: NerConfig::default(),
-            policy: None,
-            pool: None,
-            threads: 1,
-            prior: None,
-        }
-    }
 }
 
 /// One remote call of an ingest, queued on the I/O pool.
@@ -850,8 +757,6 @@ impl<'m> LlmStack<'m> {
             &indices,
             in_flight,
             |&j| j as u64,
-            |_, _| Ok(()),
-            |_| {},
             |_, &j| model.complete(&requests[j]),
             |_, reply| replies.push(reply),
         );
@@ -907,13 +812,6 @@ fn record_ingest_ledger(tel: &Telemetry, ledger: &StreamLedger) {
         elapsed_ms: 0,
     });
     tel.record_worker(WorkerTiming {
-        stage: borges_telemetry::ingest::THROTTLE_STAGE.to_string(),
-        chunk: 0,
-        items: ledger.throttle_waits,
-        started_ms: 0,
-        elapsed_ms: ledger.throttle_wait_ms,
-    });
-    tel.record_worker(WorkerTiming {
         stage: borges_telemetry::ingest::REASSEMBLY_STAGE.to_string(),
         chunk: 0,
         items: ledger.reassembly_high_water as u64,
@@ -933,10 +831,9 @@ impl Borges {
     ///   one at a time, in canonical order, live on the telemetry clock:
     ///   the sequential reference. With it, every fetch and NER request
     ///   runs on one pool of `in_flight` workers, interleaved so the LLM
-    ///   waits overlap the crawl; fetches stay FIFO per host and
-    ///   optionally rate-limited per host (DESIGN.md §14). The `rr`
-    ///   stage, the favicon stage, the compile and the metrics exist
-    ///   once.
+    ///   waits overlap the crawl; fetches stay FIFO per host
+    ///   (DESIGN.md §14). The `rr` stage, the favicon stage, the
+    ///   compile and the metrics exist once.
     /// - **Resilience.** `opts.policy` wraps every boundary in retries
     ///   and circuit breakers. The retry spend of each boundary is
     ///   stamped into the matching stats block, and [`Borges::coverage`]
@@ -951,12 +848,11 @@ impl Borges {
     ///
     /// Determinism contract: the mapping, canonical trace and metrics
     /// snapshot depend on the inputs, `opts.ner`, `opts.policy` and
-    /// whether a prior is given — never on the pool, its budget and rate
-    /// limit, or `threads` — over the bare stack and under transport
-    /// faults the policy recovers (it then erases them entirely). Under
-    /// unrecoverable outages the pooled front may legitimately differ
-    /// from the sequential one (breaker open windows time out on
-    /// per-call clocks). A remap is **byte-identical** to the full
+    /// whether a prior is given — never on the pool or its budget — over
+    /// the bare stack and under transport faults the policy recovers (it
+    /// then erases them entirely). Under unrecoverable outages the pooled
+    /// front may legitimately differ from the sequential one (breaker
+    /// open windows time out on per-call clocks). A remap is **byte-identical** to the full
     /// ingest of the same inputs, because both run the same derivation
     /// code and the remap only skips work proven unchanged. Scheduling
     /// shows up only in [`WorkerTiming`] ledger rows: when the pool
@@ -1016,10 +912,12 @@ impl Borges {
 
     /// Like [`Borges::run`], on the pooled ingest: every remote call —
     /// crawl fetches, NER and favicon completions — runs on one pool of
-    /// [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl, while
-    /// `threads` sizes the CPU work (the sharded compile). Produces
+    /// [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl. Produces
     /// results identical to the sequential run — only wall-clock time
-    /// changes. [`Borges::ingest`] takes the pool's other knobs.
+    /// changes. [`Borges::ingest`] takes other budgets.
+    ///
+    /// `threads` is ignored. It stays in the signature only because the
+    /// benchmark harness (`perfbench/`) calls this with one.
     pub fn run_parallel<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -1044,13 +942,13 @@ impl Borges {
     /// and the metrics snapshot exclude by design. Unlike
     /// [`Borges::ingest`] it leaves the pool's scheduler rows out, so
     /// its whole run ledger reproduces byte for byte across repeated
-    /// runs.
+    /// runs. `threads` is ignored, as in [`Borges::run_parallel`].
     pub fn run_parallel_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         web_client: C,
         model: &(dyn ChatModel + Sync),
-        threads: usize,
+        _threads: usize,
         tel: &Telemetry,
     ) -> Self {
         Self::ingest_body(
@@ -1059,8 +957,7 @@ impl Borges {
             WebSource::Crawl(&web_client),
             model,
             &IngestOptions {
-                pool: Some(StreamOptions::default()),
-                threads,
+                pool: Some(DEFAULT_IN_FLIGHT),
                 ..IngestOptions::default()
             },
             tel,
@@ -1070,9 +967,9 @@ impl Borges {
 
     /// Incrementally re-maps snapshot T+1 against persisted snapshot-T
     /// `state`: [`Borges::ingest`] over the re-crawled T+1 `report`, with
-    /// the LLM calls sent one at a time and the compile's base replay
-    /// sharded over `threads`. Byte-identical to a full ingest of the
-    /// same inputs at every thread count.
+    /// the LLM calls sent one at a time. Byte-identical to a full ingest
+    /// of the same inputs. `threads` is ignored, as in
+    /// [`Borges::run_parallel`].
     ///
     /// `report` is the *re-crawled* T+1 web observation: the web can
     /// drift even when the registries did not, so it is never carried
@@ -1089,7 +986,7 @@ impl Borges {
         model: &(dyn ChatModel + Sync),
         ner_config: NerConfig,
         state: &SnapshotState,
-        threads: usize,
+        _threads: usize,
         tel: &Telemetry,
     ) -> Self {
         Self::ingest(
@@ -1099,7 +996,6 @@ impl Borges {
             model,
             &IngestOptions {
                 ner: ner_config,
-                threads,
                 prior: Some(state),
                 ..IngestOptions::default()
             },
@@ -1127,11 +1023,11 @@ impl Borges {
             ner,
             pre,
             ledger,
-        } = match &opts.pool {
+        } = match opts.pool {
             None => Self::front_sequential(pdb, web, model, opts, &ner_memo, tel, root),
-            Some(pool) => {
-                Self::front_pooled(whois, pdb, web, model, opts, pool, &ner_memo, tel, root)
-            }
+            Some(in_flight) => Self::front_pooled(
+                whois, pdb, web, model, opts, in_flight, &ner_memo, tel, root,
+            ),
         };
 
         let rr = stage(tel, &root, "rr", |span| {
@@ -1147,10 +1043,7 @@ impl Borges {
             // streak must count the calls in plan order: resilient runs
             // send them one at a time, live on the telemetry clock.
             let stack = LlmStack::new(model, opts.policy, tel.clock(), tel, "favicon");
-            let in_flight = opts
-                .pool
-                .filter(|_| opts.policy.is_none())
-                .map(|pool| pool.in_flight);
+            let in_flight = opts.pool.filter(|_| opts.policy.is_none());
             let plan = favicon::plan(&report, true, &favicon_memo);
             let replies = stack.send(plan.requests(), in_flight);
             let mut favicon = plan.fold(replies);
@@ -1165,17 +1058,9 @@ impl Borges {
         let fingerprints = SourceFingerprints::capture(whois, pdb, &report);
         let compile = if prior.is_some() { "apply" } else { "compile" };
         let (compiled, oid_w_groups, oid_p_groups, delta) = stage(tel, &root, compile, |span| {
-            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, prior, opts.threads));
-            let (compiled, [oid_w, oid_p, na, rr_delta, favicons]) = CompiledEvidence::build(
-                pre.interner,
-                pre.registry,
-                prior,
-                &ner,
-                &rr,
-                &favicon,
-                opts.threads,
-                tel,
-            );
+            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, prior));
+            let (compiled, [oid_w, oid_p, na, rr_delta, favicons]) =
+                CompiledEvidence::build(pre.interner, pre.registry, prior, &ner, &rr, &favicon);
             span.field("asns", compiled.interner.live_len());
             let delta = match prior {
                 None => {
@@ -1297,7 +1182,7 @@ impl Borges {
     /// canonical surfaces schedule-independent.
     ///
     /// **Phase A** runs every crawl fetch and every NER request on one
-    /// pool of `pool.in_flight` workers, interleaved; nothing touches
+    /// pool of `in_flight` workers, interleaved; nothing touches
     /// the telemetry clock or opens spans. Fetches keep their per-host
     /// keys; each NER request gets a key of its own, so per-host FIFO
     /// applies only to fetches. Resilient fetches spend their backoff on
@@ -1321,7 +1206,7 @@ impl Borges {
         web: WebSource<'w>,
         model: &(dyn ChatModel + Sync),
         opts: &IngestOptions<'_>,
-        pool: &StreamOptions,
+        in_flight: usize,
         ner_memo: &BTreeMap<Asn, NerMemoEntry>,
         tel: &Telemetry,
         root: &str,
@@ -1347,10 +1232,6 @@ impl Borges {
         let ner_clock = Arc::new(SimClock::new());
         let ner_model = LlmStack::new(model, opts.policy, ner_clock.clone(), tel, "ner");
         let serial_ner = opts.policy.is_some();
-        let limiter = pool
-            .per_host_rps
-            .map(|rps| RateLimiterRegistry::new(rps, PER_HOST_BURST));
-        let pacing = SimClock::new();
         let calls = interleave(entries, ner_plan.requests().len());
 
         let mut assembler = ReportAssembler::new();
@@ -1358,7 +1239,7 @@ impl Borges {
         let mut pre = None;
         let ledger = stream_indexed(
             &calls,
-            pool.in_flight,
+            in_flight,
             |call| match call {
                 // Fetch keys are even and NER keys odd, so the two kinds
                 // never share a FIFO queue.
@@ -1366,14 +1247,6 @@ impl Borges {
                 Call::Complete(_) if serial_ner => 1,
                 Call::Complete(j) => (*j as u64) << 1 | 1,
             },
-            |_key, call| match (call, &limiter) {
-                (Call::Fetch(e), Some(registry)) => match e.host() {
-                    Some(host) => registry.limiter(host).try_acquire(pacing.now_ms()),
-                    None => Ok(()),
-                },
-                _ => Ok(()),
-            },
-            |ms| pacing.sleep_ms(ms),
             |_, call| match call {
                 Call::Fetch(e) => {
                     let scraper = scraper
@@ -1387,16 +1260,17 @@ impl Borges {
             },
             |_, reply| {
                 // The consumer idles while calls are in flight: it
-                // derives the registry side of the compile on the first
-                // completion, and later completions queue meanwhile.
-                pre.get_or_insert_with(|| Precompiled::build(whois, pdb, opts.prior, opts.threads));
+                // builds the registry side of the compile, OID_W base
+                // closure included, on the first completion, and later
+                // completions queue meanwhile.
+                pre.get_or_insert_with(|| Precompiled::build(whois, pdb, opts.prior));
                 match reply {
                     Reply::Fetched(asn, resolution) => assembler.push(asn, resolution),
                     Reply::Completed(reply) => ner_replies.push(reply),
                 }
             },
         );
-        let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, opts.prior, opts.threads));
+        let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, opts.prior));
         let mut ner = ner_plan.fold(ner_replies);
         ner.stats.resilience = ner_model.stats();
 
@@ -1506,9 +1380,8 @@ impl Borges {
     /// Rebuilds a serving pipeline from a persisted [`CompiledWorld`]
     /// without re-deriving any evidence: no crawl, no LLM call, no
     /// group derivation — only the cheap OID_W base-closure replay from
-    /// the stored segment edges (the same replay `remap` always does,
-    /// sharded over `threads` workers when `threads > 1`,
-    /// byte-identical either way).
+    /// the stored segment edges (the same replay `remap` always does).
+    /// `threads` is ignored, as in [`Borges::run_parallel`].
     ///
     /// Validates before trusting ([`CompiledWorld::validate`]) and
     /// never panics on a decoded-but-insane world: duplicate interner
@@ -1516,7 +1389,7 @@ impl Borges {
     /// as `Err`. The keystone contract: the returned pipeline produces
     /// byte-identical mapfiles, snapshot states, and HTTP responses to
     /// the freshly compiled pipeline [`Borges::to_world`] captured.
-    pub fn from_world(world: &CompiledWorld, threads: usize) -> Result<Self, String> {
+    pub fn from_world(world: &CompiledWorld, _threads: usize) -> Result<Self, String> {
         world.validate()?;
         let state = &world.state;
         let extras = &world.extras;
@@ -1549,16 +1422,7 @@ impl Borges {
         let na = segments(&state.na, |k| k.parse().ok())?;
         let rr_segments = segments(&state.rr, |k| Some(k.to_string()))?;
         let favicons = segments(&state.favicons, |k| k.parse().ok())?;
-
-        let mut base = DenseUnionFind::new(interner.len());
-        if threads > 1 {
-            let lists: Vec<&[(u32, u32)]> = oid_w.iter().map(|seg| seg.edges.as_slice()).collect();
-            base.union_edge_lists_sharded(&lists, threads, || 0);
-        } else {
-            for seg in &oid_w {
-                base.union_edges(&seg.edges);
-            }
-        }
+        let base = oid_w_closure(interner.len(), &oid_w);
 
         fn live_groups(groups: &[Vec<u32>]) -> Vec<Vec<Asn>> {
             groups
@@ -1853,57 +1717,12 @@ impl Borges {
         AsOrgMapping::from_groups(uf.into_groups(&self.compiled.interner))
     }
 
-    /// Like [`Borges::mapping`], but replays the selected feature edge
-    /// lists sharded over up to `shards` concurrent workers
-    /// ([`DenseUnionFind::union_edge_lists_sharded`]). Byte-identical to
-    /// the sequential replay for every feature set and shard count;
-    /// `shards <= 1` *is* the sequential replay. This is the
-    /// intra-mapping parallelism [`Borges::mappings_parallel`] falls
-    /// back to when there are fewer feature combinations than workers.
-    pub fn mapping_sharded(&self, features: FeatureSet, shards: usize) -> AsOrgMapping {
-        self.mapping_sharded_traced(features, shards, &Telemetry::disabled())
-    }
-
-    fn mapping_sharded_traced(
-        &self,
-        features: FeatureSet,
-        shards: usize,
-        tel: &Telemetry,
-    ) -> AsOrgMapping {
-        if shards <= 1 {
-            return self.mapping(features);
-        }
-        let mut uf = self.compiled.base.clone();
-        let mut lists: Vec<&[(u32, u32)]> = Vec::new();
-        if features.oid_p {
-            lists.extend(self.compiled.oid_p.iter().map(|s| s.edges.as_slice()));
-        }
-        if features.na {
-            lists.extend(self.compiled.na.iter().map(|s| s.edges.as_slice()));
-        }
-        if features.rr {
-            lists.extend(self.compiled.rr.iter().map(|s| s.edges.as_slice()));
-        }
-        if features.favicons {
-            lists.extend(self.compiled.favicons.iter().map(|s| s.edges.as_slice()));
-        }
-        let report = uf.union_edge_lists_sharded(&lists, shards, || tel.now_ms());
-        record_shard_report(tel, "mapping", &report);
-        AsOrgMapping::from_groups(uf.into_groups(&self.compiled.interner))
-    }
-
     /// Materializes one mapping per feature set, fanning the independent
     /// replays out over `threads` worker threads. Results come back in
     /// input order and are bit-identical to calling [`Borges::mapping`]
     /// sequentially (assembly is key-canonical; threads change only
     /// wall-clock time). This is how the Table 6 sweep runs all 16
-    /// combinations.
-    ///
-    /// When there are fewer feature sets than workers (e.g. the CLI's
-    /// single `--features` mapping with `--threads 8`), the spare
-    /// capacity moves *inside* each replay: every materialization runs
-    /// [`Borges::mapping_sharded`] with `threads` shards instead. Pure
-    /// scheduling — the results are byte-identical either way.
+    /// combinations; one feature set is one sequential replay.
     pub fn mappings_parallel(&self, features: &[FeatureSet], threads: usize) -> Vec<AsOrgMapping> {
         self.mappings_parallel_traced(features, threads, &Telemetry::disabled())
     }
@@ -1921,14 +1740,6 @@ impl Borges {
         threads: usize,
         tel: &Telemetry,
     ) -> Vec<AsOrgMapping> {
-        // With fewer combinations than workers, cross-combination
-        // fan-out cannot use the spare threads; shard inside each
-        // replay instead (byte-identical output either way).
-        let shards = if threads > 1 && features.len() < threads {
-            threads
-        } else {
-            1
-        };
         if !tel.is_enabled() {
             // Replay cost is dominated by the selected edge lists (ALL
             // unions every segment, NONE only clones the base forest), so
@@ -1938,7 +1749,7 @@ impl Borges {
                 features,
                 threads,
                 |&f| self.edge_weight(f),
-                |&f| self.mapping_sharded(f, shards),
+                |&f| self.mapping(f),
             );
         }
         let root = tel.span("mappings");
@@ -1956,7 +1767,7 @@ impl Borges {
                         let span = root.child("materialize");
                         span.field("features", f.label());
                         let started_ms = tel.now_ms();
-                        let mapping = self.mapping_sharded_traced(f, shards, tel);
+                        let mapping = self.mapping(f);
                         tel.observe_ms(
                             "borges_mapping_materialize_ms",
                             tel.now_ms().saturating_sub(started_ms),

@@ -118,43 +118,6 @@ impl UnionFind {
     }
 }
 
-/// One worker's accounting from
-/// [`DenseUnionFind::union_edge_lists_sharded`]: which dense-id range it
-/// owned, how many edges it replayed, and how many survived as spanning
-/// evidence for the contraction pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTiming {
-    /// Range index (ranges cover `0..len` in `width`-sized strides).
-    pub shard: usize,
-    /// Same-range edges bucketed into this shard.
-    pub edges: usize,
-    /// Edges that joined two distinct local sets — the shard's output.
-    pub spanning: usize,
-    /// Clock reading when the worker picked the shard up.
-    pub started_ms: u64,
-    /// Clock delta the shard took.
-    pub elapsed_ms: u64,
-}
-
-/// The full accounting of one sharded replay: per-shard rows plus the
-/// final contraction pass. The replay's ledger invariant — checked by
-/// the CI scale-equivalence job — is `contraction_edges ==
-/// cross_edges + Σ shards[i].spanning`, with every `spanning <= edges`.
-#[derive(Debug, Clone, Default)]
-pub struct ShardReport {
-    /// Per-shard accounting, in range order.
-    pub shards: Vec<ShardTiming>,
-    /// Edges whose endpoints fell in different ranges, deferred whole
-    /// to the contraction pass.
-    pub cross_edges: usize,
-    /// Total edges the contraction pass replayed (spanning + cross).
-    pub contraction_edges: usize,
-    /// Clock reading when the contraction pass started.
-    pub contraction_started_ms: u64,
-    /// Clock delta of the contraction pass.
-    pub contraction_elapsed_ms: u64,
-}
-
 /// A disjoint-set forest over the dense ids of a fixed universe.
 ///
 /// Where [`UnionFind`] interns ASNs lazily through a `BTreeMap` (right
@@ -219,59 +182,6 @@ impl DenseUnionFind {
         }
     }
 
-    /// Replays several edge lists in order — the sequential twin of
-    /// [`DenseUnionFind::union_edge_lists_sharded`].
-    pub fn union_edge_lists(&mut self, lists: &[&[(u32, u32)]]) {
-        for list in lists {
-            self.union_edges(list);
-        }
-    }
-
-    /// Replays `lists` across up to `shards` concurrent workers,
-    /// producing exactly the same final partition as
-    /// [`DenseUnionFind::union_edge_lists`].
-    ///
-    /// The id space `0..len` is partitioned into `shards` equal-width
-    /// contiguous ranges. One sequential pass buckets every edge whose
-    /// endpoints fall in the same range; the remainder (cross-range
-    /// edges) is set aside. Each range's bucket is then unioned into a
-    /// *local* forest — sized only for that range — on a worker thread
-    /// (ranges are scheduled with the LPT weighted chunker, weight =
-    /// bucket edge count, so one hot range cannot serialize the rest),
-    /// and each worker emits the spanning subset of its bucket: the
-    /// edges whose local union actually joined two sets. The final
-    /// contraction pass replays every spanning list (in range order)
-    /// plus the cross-range edges into `self`.
-    ///
-    /// Correctness does not depend on scheduling: connected components
-    /// of a union of edge sets are order-independent, and a spanning
-    /// subset has the same transitive closure as its bucket, so the
-    /// contraction sees evidence equivalent to the full input. `self`
-    /// may already hold unions (the pipeline replays feature edges onto
-    /// a cloned base closure); locals start from singletons regardless,
-    /// which only makes their spanning output a superset of what a
-    /// base-aware worker would emit — never less connectivity.
-    ///
-    /// `now_ms` is the caller's clock (telemetry run clock, or `|| 0`),
-    /// sampled around each worker and the contraction; timings are
-    /// observational only. With `shards <= 1` (or an empty forest) the
-    /// replay runs sequentially and reports a single shard row.
-    pub fn union_edge_lists_sharded<N>(
-        &mut self,
-        lists: &[&[(u32, u32)]],
-        shards: usize,
-        now_ms: N,
-    ) -> ShardReport
-    where
-        N: Fn() -> u64 + Sync,
-    {
-        let mut feed = SegmentFeed::new(self.len(), shards);
-        for list in lists {
-            feed.feed(list);
-        }
-        feed.finish(self, now_ms)
-    }
-
     /// Are ids `a` and `b` currently in the same set?
     pub fn same_set(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
@@ -287,15 +197,6 @@ impl DenseUnionFind {
             self.parent[i as usize] = root;
         }
         self.parent
-    }
-
-    /// Replays everything a [`SegmentFeed`] accumulated — convenience
-    /// for `feed.finish(&mut uf, now_ms)`.
-    pub fn union_segment_feed<N>(&mut self, feed: SegmentFeed, now_ms: N) -> ShardReport
-    where
-        N: Fn() -> u64 + Sync,
-    {
-        feed.finish(self, now_ms)
     }
 
     /// Extracts the sets as sorted ASN member lists via `interner`
@@ -337,170 +238,6 @@ impl DenseUnionFind {
             groups[slot].push(interner.asn(id));
         }
         groups
-    }
-}
-
-/// Incrementally buckets merge edges for a sharded replay into a
-/// [`DenseUnionFind`] — the streaming-ingest seam of the union layer.
-///
-/// The batch entry point ([`DenseUnionFind::union_edge_lists_sharded`])
-/// buckets every edge in one pass because it has every edge up front.
-/// A streaming consumer does not: evidence segments arrive one record
-/// at a time while later fetches are still in flight. `SegmentFeed`
-/// accepts those segments as they arrive ([`SegmentFeed::feed`]),
-/// bucketing each edge into its id range (or the cross-range pile)
-/// immediately — cheap, allocation-amortized work that overlaps with
-/// I/O — and defers the actual union work to [`SegmentFeed::finish`],
-/// which runs the same worker fan-out and contraction pass as the
-/// batch path.
-///
-/// Determinism: bucketing is a pure function of each edge, so the
-/// bucket contents (in feed order) are identical to what the batch
-/// pass would have produced from the concatenated lists — which is why
-/// `union_edge_lists_sharded` itself now delegates here. Feed order
-/// must be canonical (the streaming reassembly buffer guarantees it),
-/// and then the final partition is bit-for-bit the batch partition.
-#[derive(Debug, Clone)]
-pub struct SegmentFeed {
-    /// Universe size the target forest was built for.
-    len: usize,
-    /// Worker cap for the finish pass.
-    shards: usize,
-    /// Range width (0 in the sequential degenerate case).
-    width: usize,
-    /// Same-range edges per range (empty in the sequential case, where
-    /// everything lands in `cross`).
-    buckets: Vec<Vec<(u32, u32)>>,
-    /// Cross-range edges (sequential case: all edges, in feed order).
-    cross: Vec<(u32, u32)>,
-    /// Total edges fed.
-    fed: usize,
-}
-
-impl SegmentFeed {
-    /// A feed for a forest of `len` ids, replaying across up to
-    /// `shards` workers on finish. With `shards <= 1` or an empty
-    /// forest the finish pass is sequential (one shard row, matching
-    /// the batch path's degenerate case).
-    pub fn new(len: usize, shards: usize) -> Self {
-        let sequential = shards <= 1 || len == 0;
-        let width = if sequential { 0 } else { len.div_ceil(shards) };
-        let range_count = if sequential { 0 } else { len.div_ceil(width) };
-        SegmentFeed {
-            len,
-            shards,
-            width,
-            buckets: vec![Vec::new(); range_count],
-            cross: Vec::new(),
-            fed: 0,
-        }
-    }
-
-    /// Buckets one segment's edges. Order across calls is preserved
-    /// within every bucket, so feeding lists one at a time is
-    /// equivalent to feeding their concatenation.
-    pub fn feed(&mut self, edges: &[(u32, u32)]) {
-        self.fed += edges.len();
-        if self.width == 0 {
-            self.cross.extend_from_slice(edges);
-            return;
-        }
-        for &(a, b) in edges {
-            let (ra, rb) = (a as usize / self.width, b as usize / self.width);
-            if ra == rb {
-                self.buckets[ra].push((a, b));
-            } else {
-                self.cross.push((a, b));
-            }
-        }
-    }
-
-    /// Total edges fed so far.
-    pub fn fed_edges(&self) -> usize {
-        self.fed
-    }
-
-    /// Replays everything into `uf` — per-range local unions on up to
-    /// `shards` workers, then the contraction pass — and reports the
-    /// same ledger as [`DenseUnionFind::union_edge_lists_sharded`].
-    ///
-    /// `uf` must be sized for the `len` this feed was built with.
-    pub fn finish<N>(self, uf: &mut DenseUnionFind, now_ms: N) -> ShardReport
-    where
-        N: Fn() -> u64 + Sync,
-    {
-        assert_eq!(uf.len(), self.len, "feed/forest universe mismatch");
-        if self.width == 0 {
-            // Sequential degenerate case: every edge sits in `cross`,
-            // in feed order.
-            let started_ms = now_ms();
-            uf.union_edges(&self.cross);
-            let elapsed_ms = now_ms().saturating_sub(started_ms);
-            return ShardReport {
-                shards: vec![ShardTiming {
-                    shard: 0,
-                    edges: self.fed,
-                    spanning: 0,
-                    started_ms,
-                    elapsed_ms,
-                }],
-                cross_edges: 0,
-                contraction_edges: 0,
-                contraction_started_ms: started_ms,
-                contraction_elapsed_ms: elapsed_ms,
-            };
-        }
-
-        let SegmentFeed {
-            len: n,
-            shards,
-            width,
-            buckets,
-            cross,
-            ..
-        } = self;
-        let ranges: Vec<usize> = (0..buckets.len()).collect();
-        let shard_results: Vec<(Vec<(u32, u32)>, ShardTiming)> =
-            borges_parallel::map_items_weighted(
-                &ranges,
-                shards,
-                |&r| buckets[r].len() as u64,
-                |&r| {
-                    let started_ms = now_ms();
-                    let lo = (r * width) as u32;
-                    let hi = ((r + 1) * width).min(n) as u32;
-                    let mut local = DenseUnionFind::new((hi - lo) as usize);
-                    let mut spanning = Vec::new();
-                    for &(a, b) in &buckets[r] {
-                        if local.union(a - lo, b - lo) {
-                            spanning.push((a, b));
-                        }
-                    }
-                    let timing = ShardTiming {
-                        shard: r,
-                        edges: buckets[r].len(),
-                        spanning: spanning.len(),
-                        started_ms,
-                        elapsed_ms: now_ms().saturating_sub(started_ms),
-                    };
-                    (spanning, timing)
-                },
-            );
-
-        let contraction_started_ms = now_ms();
-        let mut contraction_edges = cross.len();
-        for (spanning, _) in &shard_results {
-            contraction_edges += spanning.len();
-            uf.union_edges(spanning);
-        }
-        uf.union_edges(&cross);
-        ShardReport {
-            shards: shard_results.into_iter().map(|(_, t)| t).collect(),
-            cross_edges: cross.len(),
-            contraction_edges,
-            contraction_started_ms,
-            contraction_elapsed_ms: now_ms().saturating_sub(contraction_started_ms),
-        }
     }
 }
 
@@ -690,184 +427,5 @@ mod tests {
         (0..count)
             .map(|_| ((next() % n as u64) as u32, (next() % n as u64) as u32))
             .collect()
-    }
-
-    fn groups_of(n: usize, lists: &[&[(u32, u32)]]) -> Vec<Vec<Asn>> {
-        let interner = AsnInterner::new((0..n as u32).map(|i| a(i + 1)));
-        let mut uf = DenseUnionFind::new(n);
-        uf.union_edge_lists(lists);
-        uf.into_groups(&interner)
-    }
-
-    fn sharded_groups_of(n: usize, lists: &[&[(u32, u32)]], shards: usize) -> Vec<Vec<Asn>> {
-        let interner = AsnInterner::new((0..n as u32).map(|i| a(i + 1)));
-        let mut uf = DenseUnionFind::new(n);
-        let report = uf.union_edge_lists_sharded(lists, shards, || 0);
-        let spanning: usize = report.shards.iter().map(|t| t.spanning).sum();
-        assert_eq!(
-            report.contraction_edges,
-            report.cross_edges + spanning,
-            "shard ledger out of balance"
-        );
-        for t in &report.shards {
-            assert!(t.spanning <= t.edges, "spanning exceeds bucket");
-        }
-        uf.into_groups(&interner)
-    }
-
-    #[test]
-    fn sharded_matches_sequential_across_shard_counts() {
-        let n = 500;
-        let soup = edge_soup(n as u32, 2000, 7);
-        let (left, right) = soup.split_at(900);
-        let lists: Vec<&[(u32, u32)]> = vec![left, right];
-        let expected = groups_of(n, &lists);
-        for shards in [1, 2, 3, 7, 16, 64, 499, 500, 1000] {
-            assert_eq!(
-                sharded_groups_of(n, &lists, shards),
-                expected,
-                "diverged at {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_handles_empty_shard() {
-        // All edges land in the first range; every other shard's bucket
-        // is empty and its worker is a no-op.
-        let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
-        let lists: Vec<&[(u32, u32)]> = vec![&edges];
-        let expected = groups_of(100, &lists);
-        assert_eq!(sharded_groups_of(100, &lists, 8), expected);
-    }
-
-    #[test]
-    fn sharded_single_shard_is_sequential() {
-        let soup = edge_soup(64, 100, 3);
-        let lists: Vec<&[(u32, u32)]> = vec![&soup];
-        let mut uf = DenseUnionFind::new(64);
-        let report = uf.union_edge_lists_sharded(&lists, 1, || 0);
-        assert_eq!(report.shards.len(), 1);
-        assert_eq!(report.shards[0].edges, 100);
-        assert_eq!(report.cross_edges, 0);
-        let interner = AsnInterner::new((0..64).map(|i| a(i + 1)));
-        assert_eq!(uf.into_groups(&interner), groups_of(64, &lists));
-    }
-
-    #[test]
-    fn sharded_cross_only_edges_defer_to_contraction() {
-        // With width 1 per range every edge is cross-range: locals do
-        // nothing, the contraction pass does everything.
-        let edges: Vec<(u32, u32)> = vec![(0, 3), (1, 2), (2, 3)];
-        let lists: Vec<&[(u32, u32)]> = vec![&edges];
-        let expected = groups_of(4, &lists);
-        let interner = AsnInterner::new((0..4).map(|i| a(i + 1)));
-        let mut uf = DenseUnionFind::new(4);
-        let report = uf.union_edge_lists_sharded(&lists, 4, || 0);
-        assert_eq!(report.cross_edges, 3);
-        assert_eq!(report.shards.iter().map(|t| t.edges).sum::<usize>(), 0);
-        assert_eq!(uf.into_groups(&interner), expected);
-    }
-
-    #[test]
-    fn sharded_replay_onto_nonsingleton_base_matches() {
-        // The pipeline replays feature edges onto a cloned base closure:
-        // the base already holds unions when the sharded replay runs.
-        let base_edges: Vec<(u32, u32)> = edge_soup(200, 150, 11);
-        let feature_edges: Vec<(u32, u32)> = edge_soup(200, 300, 13);
-        let interner = AsnInterner::new((0..200).map(|i| a(i + 1)));
-
-        let mut seq = DenseUnionFind::new(200);
-        seq.union_edges(&base_edges);
-        let mut sharded = seq.clone();
-
-        seq.union_edges(&feature_edges);
-        let lists: Vec<&[(u32, u32)]> = vec![&feature_edges];
-        sharded.union_edge_lists_sharded(&lists, 4, || 0);
-        assert_eq!(sharded.into_groups(&interner), seq.into_groups(&interner));
-    }
-
-    #[test]
-    fn sharded_empty_forest_and_empty_lists() {
-        let mut uf = DenseUnionFind::new(0);
-        let report = uf.union_edge_lists_sharded(&[], 8, || 0);
-        assert_eq!(report.shards.len(), 1, "degenerate case reports one row");
-        let mut uf = DenseUnionFind::new(10);
-        let report = uf.union_edge_lists_sharded(&[], 4, || 0);
-        assert_eq!(report.contraction_edges, 0);
-        let interner = AsnInterner::new((0..10).map(|i| a(i + 1)));
-        assert_eq!(uf.into_groups(&interner).len(), 10);
-    }
-
-    #[test]
-    fn segment_feed_incremental_matches_batch() {
-        // Feeding one record's segment at a time (the streaming shape)
-        // must produce the same partition as the one-shot batch replay,
-        // at every shard count.
-        let n = 300;
-        let soup = edge_soup(n as u32, 1200, 17);
-        let lists: Vec<&[(u32, u32)]> = vec![&soup];
-        let expected = groups_of(n, &lists);
-        let interner = AsnInterner::new((0..n as u32).map(|i| a(i + 1)));
-        for shards in [1, 2, 4, 16, 299] {
-            let mut feed = SegmentFeed::new(n, shards);
-            for record in soup.chunks(7) {
-                feed.feed(record);
-            }
-            assert_eq!(feed.fed_edges(), soup.len());
-            let mut uf = DenseUnionFind::new(n);
-            let report = uf.union_segment_feed(feed, || 0);
-            let spanning: usize = report.shards.iter().map(|t| t.spanning).sum();
-            assert_eq!(
-                report.contraction_edges,
-                report.cross_edges + spanning,
-                "feed ledger out of balance at {shards} shards"
-            );
-            assert_eq!(
-                uf.into_groups(&interner),
-                expected,
-                "diverged at {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn segment_feed_empty_and_sequential_degenerates() {
-        let mut uf = DenseUnionFind::new(0);
-        let report = SegmentFeed::new(0, 8).finish(&mut uf, || 0);
-        assert_eq!(report.shards.len(), 1);
-
-        let mut feed = SegmentFeed::new(10, 1);
-        feed.feed(&[(0, 9), (1, 2)]);
-        let mut uf = DenseUnionFind::new(10);
-        let report = feed.finish(&mut uf, || 0);
-        assert_eq!(report.shards[0].edges, 2);
-        assert_eq!(report.cross_edges, 0, "sequential path reports no cross");
-        assert!(uf.same_set(0, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "universe mismatch")]
-    fn segment_feed_rejects_wrong_universe() {
-        let mut uf = DenseUnionFind::new(5);
-        SegmentFeed::new(6, 2).finish(&mut uf, || 0);
-    }
-
-    #[test]
-    fn sharded_timings_use_the_injected_clock() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let ticks = AtomicU64::new(0);
-        let soup = edge_soup(100, 200, 5);
-        let lists: Vec<&[(u32, u32)]> = vec![&soup];
-        let mut uf = DenseUnionFind::new(100);
-        let report =
-            uf.union_edge_lists_sharded(&lists, 4, || ticks.fetch_add(1, Ordering::Relaxed));
-        for t in &report.shards {
-            assert!(t.started_ms < t.started_ms + 1); // clock sampled
-        }
-        assert!(
-            report.contraction_started_ms > 0,
-            "contraction after shards"
-        );
     }
 }

@@ -1,14 +1,13 @@
 //! # borges-parallel
 //!
-//! Chunked scoped-thread fan-out, shared by the embarrassingly parallel
-//! CPU stages of the workspace: the sharded union-find replay and
-//! mapping materialization across feature combinations.
+//! Chunked scoped-thread fan-out for the one embarrassingly parallel
+//! CPU stage of the workspace: mapping materialization, one feature
+//! combination per worker (the Table 6 sweep).
 //!
-//! Both have the same shape — a slice of independent work items, a
-//! pure per-item (or per-chunk) function, and key-canonical downstream
-//! assembly that makes the result independent of execution order. The
-//! helpers here encode exactly that shape with `std::thread::scope`,
-//! replacing the hand-rolled copies that used to live in each crate:
+//! It has the shape the helpers here encode with `std::thread::scope`
+//! — a slice of independent work items, a pure per-item (or per-chunk)
+//! function, and key-canonical downstream assembly that makes the
+//! result independent of execution order:
 //!
 //! * results come back **in input order**, so callers need no
 //!   re-sorting;
@@ -23,10 +22,10 @@
 //!
 //! The [`stream`] module is the non-batch sibling, for waits rather than
 //! compute: a streaming scheduler (per-key FIFO, a fixed in-flight
-//! budget, an injectable admission gate) whose completions are
-//! re-ordered into canonical input order by a reassembly buffer before
-//! the consumer sees them. It carries every remote call of an ingest,
-//! and every fetch of the web simulator's standalone crawl.
+//! budget) whose completions are re-ordered into canonical input order
+//! by a reassembly buffer before the consumer sees them. It carries
+//! every remote call of an ingest, and every fetch of the web
+//! simulator's standalone crawl.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -3,11 +3,9 @@
 //! The chunked fan-out helpers in the crate root split a finished batch
 //! of CPU work into chunks; this module is the *streaming* front-end for
 //! waits: a fixed pool of `in_flight` workers pulls items off a
-//! deterministic work queue under per-key FIFO serialization and an
-//! injectable admission gate (per-host token buckets, in the pooled
-//! ingest's crawl), and a channel feeds completions to a consumer that
-//! sees them in canonical input order via a [`ReassemblyBuffer`] — never
-//! in completion order.
+//! deterministic work queue under per-key FIFO serialization, and a
+//! channel feeds completions to a consumer that sees them in canonical
+//! input order via a [`ReassemblyBuffer`] — never in completion order.
 //!
 //! The pool size *is* the in-flight budget: a worker blocks on the one
 //! item it holds, so the number of items started but not completed can
@@ -28,13 +26,8 @@
 //!    in, so downstream assembly is the same in-order fold a sequential
 //!    run performs.
 //!
-//! The scheduler itself never reads a clock: pacing ("wait this many
-//! milliseconds before asking again") is delegated to the caller's
-//! `admit` and `sleep` closures, the same injection seam as
-//! `map_chunks_timed`'s `now_ms`. The pooled ingest paces on a virtual
-//! clock of its own run (a `SimClock`), so a throttled ingest never
-//! actually waits: the limit shapes the schedule and the ledger only.
-//! The web simulator's crawl admits every item and never sleeps.
+//! The scheduler reads no clock: a free worker starts the lowest-index
+//! startable item at once.
 //!
 //! This crate is dependency-free, so synchronization is `std` only.
 
@@ -43,7 +36,7 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
 /// What one [`stream_indexed`] run did — schedule-variant observability
-/// (high-water marks, throttle spend) for the caller's worker-timing
+/// (high-water marks, per-worker counts) for the caller's worker-timing
 /// ledger. Never feeds canonical outputs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamLedger {
@@ -53,10 +46,6 @@ pub struct StreamLedger {
     pub completed: usize,
     /// Highest concurrent in-flight count observed.
     pub in_flight_high_water: usize,
-    /// Times a worker found work but the admission gate refused it.
-    pub throttle_waits: u64,
-    /// Total pacing-clock milliseconds workers were told to wait.
-    pub throttle_wait_ms: u64,
     /// Highest number of out-of-order completions parked in the
     /// reassembly buffer.
     pub reassembly_high_water: usize,
@@ -149,8 +138,6 @@ struct SchedState {
     /// Items not yet completed (claimed or not).
     outstanding: usize,
     high_water: usize,
-    throttle_waits: u64,
-    throttle_wait_ms: u64,
 }
 
 /// Runs every item of `items` through `work` on a pool of `in_flight`
@@ -160,13 +147,6 @@ struct SchedState {
 /// * `key_of` buckets items for FIFO serialization (per host, for a
 ///   crawl): at most one item per key in flight, started in input
 ///   order.
-/// * `admit` is the admission gate, called under the scheduler lock
-///   right before an item would start: `Ok(())` admits (and may
-///   consume a rate token), `Err(wait_ms)` refuses and names the
-///   earliest pacing time worth retrying at. Gates must be cheap and
-///   never block.
-/// * `sleep` waits out an admission refusal on the caller's pacing
-///   clock: whatever clock `admit` reads, virtual or real.
 /// * `work` runs outside the lock on a worker thread.
 /// * `consume` runs on the caller's thread, strictly in index order.
 ///
@@ -176,8 +156,6 @@ pub fn stream_indexed<T, R>(
     items: &[T],
     in_flight: usize,
     key_of: impl Fn(&T) -> u64 + Sync,
-    admit: impl Fn(u64, &T) -> Result<(), u64> + Sync,
-    sleep: impl Fn(u64) + Sync,
     work: impl Fn(usize, &T) -> R + Sync,
     mut consume: impl FnMut(usize, R),
 ) -> StreamLedger
@@ -206,8 +184,6 @@ where
         in_flight: 0,
         outstanding: items.len(),
         high_water: 0,
-        throttle_waits: 0,
-        throttle_wait_ms: 0,
     });
     let wakeup = Condvar::new();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
@@ -221,34 +197,15 @@ where
         |tx| {
             let mut completed = 0u64;
             loop {
-                // Claim phase: find the lowest-index startable,
-                // admissible item, or learn why we cannot.
+                // Claim phase: take the lowest-index startable item, or
+                // wait for a completion to make one startable.
                 let index = {
                     let mut guard = state.lock().expect("scheduler lock");
                     loop {
                         if guard.outstanding == 0 {
                             return completed;
                         }
-                        let mut chosen = None;
-                        let mut min_wait: Option<u64> = None;
-                        for &index in guard.ready.iter() {
-                            let key = key_of(&items[index]);
-                            match admit(key, &items[index]) {
-                                Ok(()) => {
-                                    chosen = Some(index);
-                                    break;
-                                }
-                                Err(wait_ms) => {
-                                    let wait_ms = wait_ms.max(1);
-                                    min_wait = Some(match min_wait {
-                                        Some(w) => w.min(wait_ms),
-                                        None => wait_ms,
-                                    });
-                                }
-                            }
-                        }
-                        if let Some(index) = chosen {
-                            guard.ready.remove(&index);
+                        if let Some(index) = guard.ready.pop_first() {
                             let key = key_of(&items[index]);
                             let queue =
                                 guard.queues.get_mut(&key).expect("claimed key has a queue");
@@ -257,17 +214,6 @@ where
                             guard.in_flight += 1;
                             guard.high_water = guard.high_water.max(guard.in_flight);
                             break index;
-                        }
-                        if let Some(wait_ms) = min_wait {
-                            // Everything startable is throttled: wait
-                            // out the nearest token on the pacing clock,
-                            // without the lock.
-                            guard.throttle_waits += 1;
-                            guard.throttle_wait_ms += wait_ms;
-                            drop(guard);
-                            sleep(wait_ms);
-                            guard = state.lock().expect("scheduler lock");
-                            continue;
                         }
                         // Nothing startable: every pending key is busy.
                         // A completion will wake us.
@@ -315,8 +261,6 @@ where
 
     let guard = state.into_inner().expect("scheduler lock");
     ledger.in_flight_high_water = guard.high_water;
-    ledger.throttle_waits = guard.throttle_waits;
-    ledger.throttle_wait_ms = guard.throttle_wait_ms;
     ledger.per_worker = per_worker;
     ledger
 }
@@ -324,7 +268,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn releases_in_canonical_order_for_every_permutation() {
@@ -396,8 +340,6 @@ mod tests {
                 &items,
                 in_flight,
                 |item| item % 7, // several items share each key
-                |_, _| Ok(()),
-                |_| {},
                 |index, item| index as u64 + item,
                 |index, result| seen.push((index, result)),
             );
@@ -427,8 +369,6 @@ mod tests {
             &items,
             8,
             |item| *item,
-            |_, _| Ok(()),
-            |_| {},
             |index, item| {
                 let key = *item as usize;
                 starts.lock().unwrap()[key].push(index);
@@ -453,8 +393,6 @@ mod tests {
             &items,
             3,
             |item| *item, // all keys distinct: the budget is the only brake
-            |_, _| Ok(()),
-            |_| {},
             |_, _| {
                 let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 assert!(now <= 3, "cap violated: {now} in flight");
@@ -479,8 +417,6 @@ mod tests {
                 &items,
                 in_flight,
                 |item| *item,
-                |_, _| Ok(()),
-                |_| {},
                 |_, _| {
                     barrier.wait();
                 },
@@ -493,46 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn throttled_admission_waits_and_still_drains() {
-        // A gate that refuses each key's first ask, then admits: the
-        // scheduler must spend waits on the virtual pacing clock and
-        // still complete everything.
-        let items: Vec<u64> = (0..30).collect();
-        let asked: Mutex<std::collections::HashSet<u64>> =
-            Mutex::new(std::collections::HashSet::new());
-        let virtual_ms = AtomicU64::new(0);
-        let mut seen = 0usize;
-        let ledger = stream_indexed(
-            &items,
-            4,
-            |item| item % 5,
-            |key, _| {
-                if asked.lock().unwrap().insert(key) {
-                    Err(7)
-                } else {
-                    Ok(())
-                }
-            },
-            |ms| {
-                virtual_ms.fetch_add(ms, Ordering::SeqCst);
-            },
-            |index, _| index,
-            |_, _| seen += 1,
-        );
-        assert_eq!(seen, 30);
-        assert!(ledger.throttle_waits >= 1);
-        assert_eq!(ledger.throttle_wait_ms, virtual_ms.load(Ordering::SeqCst));
-    }
-
-    #[test]
     fn empty_input_spawns_nothing() {
         let items: Vec<u64> = Vec::new();
         let ledger = stream_indexed(
             &items,
             4,
             |item| *item,
-            |_, _| Ok(()),
-            |_| {},
             |_, _| (),
             |_, _| panic!("no items to consume"),
         );

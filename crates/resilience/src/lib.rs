@@ -25,10 +25,6 @@
 //!   decided splitmix-style like `llmsim::FaultProfile`), the OrgForge
 //!   argument applied to transport: simulate faults with ground truth so
 //!   recovery is checkable.
-//! * [`rate`] — per-host [`TokenBucket`] admission and the
-//!   [`RateLimiterRegistry`] that keys buckets exactly like the breaker
-//!   registry, so the streaming ingest scheduler's rate limits, breakers,
-//!   and retry budgets all agree on what "one host" means.
 //! * [`stats`] — [`ResilienceStats`], the merged-by-`+=` counter block
 //!   (attempts, recoveries, abandonments, breaker trips) that surfaces in
 //!   `ScrapeStats`/`NerStats` coverage reports.
@@ -44,7 +40,6 @@ pub mod breaker;
 pub mod clock;
 pub mod error;
 pub mod inject;
-pub mod rate;
 pub mod retry;
 pub mod stats;
 
@@ -52,7 +47,6 @@ pub use breaker::{BreakerConfig, BreakerRegistry, BreakerVerdict, CircuitBreaker
 pub use clock::{Clock, SimClock, SystemClock};
 pub use error::{FaultClass, TransportError};
 pub use inject::{Episode, EpisodePlan, FaultInjector};
-pub use rate::{RateLimiterRegistry, TokenBucket};
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use stats::ResilienceStats;
 

@@ -121,7 +121,7 @@ impl GeneratorConfig {
     }
 
     /// Larger-than-paper scale (~130k ASNs) for the streaming generator
-    /// and the compile-sharding benches. Worlds this size should be
+    /// and the compile bench. Worlds this size should be
     /// generated with [`crate::stream::generate_to_dir`], which never
     /// materializes them in memory.
     pub fn large(seed: u64) -> Self {

@@ -2,8 +2,8 @@
 //!
 //! The ingest pool (`borges-parallel`'s `stream_indexed`) reports
 //! its observability — per-worker completion counts, the in-flight
-//! high-water mark, throttle stalls, and the reassembly-buffer high-water
-//! mark — as [`crate::WorkerTiming`] ledger rows rather than metrics.
+//! high-water mark, and the reassembly-buffer high-water mark — as
+//! [`crate::WorkerTiming`] ledger rows rather than metrics.
 //! Ledger rows are the one schedule-variant surface the determinism
 //! contract already carves out (DESIGN.md §8); metrics snapshots must
 //! stay byte-identical between sequential and pooled runs, so pool
@@ -23,22 +23,12 @@ pub const WORKER_STAGE: &str = "ingest_worker";
 /// calls (bounded by `--max-in-flight`).
 pub const IN_FLIGHT_STAGE: &str = "ingest_in_flight";
 
-/// Single row: `items` counts scheduler passes in which every queued
-/// host was rate-limited, `elapsed_ms` the total time slept waiting for
-/// token-bucket refills.
-pub const THROTTLE_STAGE: &str = "ingest_throttle";
-
 /// Single row: `items` is the reassembly buffer's high-water mark — the
 /// most out-of-order completions ever parked awaiting canonical release.
 pub const REASSEMBLY_STAGE: &str = "ingest_reassembly";
 
 /// All pooled-ingest stage names, in the order the pipeline emits them.
-pub const ALL_STAGES: [&str; 4] = [
-    WORKER_STAGE,
-    IN_FLIGHT_STAGE,
-    THROTTLE_STAGE,
-    REASSEMBLY_STAGE,
-];
+pub const ALL_STAGES: [&str; 3] = [WORKER_STAGE, IN_FLIGHT_STAGE, REASSEMBLY_STAGE];
 
 #[cfg(test)]
 mod tests {
@@ -51,6 +41,6 @@ mod tests {
             assert!(stage.starts_with("ingest_"), "{stage} lacks prefix");
             assert!(seen.insert(stage), "{stage} duplicated");
         }
-        assert_eq!(seen.len(), 4);
+        assert_eq!(seen.len(), 3);
     }
 }

@@ -240,7 +240,7 @@ impl Timeline {
     /// Loads the world at exactly `epoch` back into a serving-ready
     /// pipeline. The loaded artifact must still match the chained
     /// content address and carry the chained epoch.
-    pub fn load_epoch(&self, epoch: u64, threads: usize) -> Result<Borges, TimelineError> {
+    pub fn load_epoch(&self, epoch: u64) -> Result<Borges, TimelineError> {
         let link = self.link_at(epoch)?.clone();
         let path = self.world_path(&link);
         if !path.exists() {
@@ -264,7 +264,7 @@ impl Timeline {
                 detail: format!("world carries epoch {}", loaded.world.epoch),
             });
         }
-        Borges::from_world(&loaded.world, threads).map_err(|detail| TimelineError::TamperedWorld {
+        Borges::from_world(&loaded.world, 1).map_err(|detail| TimelineError::TamperedWorld {
             epoch: link.epoch,
             digest: link.world_digest,
             detail,
@@ -272,7 +272,7 @@ impl Timeline {
     }
 
     fn mapping_of_link(&self, link: &TimelineLink) -> Result<AsOrgMapping, TimelineError> {
-        Ok(self.load_epoch(link.epoch, 1)?.full())
+        Ok(self.load_epoch(link.epoch)?.full())
     }
 
     /// Reads, digest-checks, and decodes one link's delta file.
@@ -564,7 +564,7 @@ mod tests {
     fn worlds_carry_their_epoch_in_the_content_address() {
         let (_dir, timeline) = three_epoch_timeline("epoch-stamp");
         for link in timeline.links() {
-            let borges = timeline.load_epoch(link.epoch, 1).unwrap();
+            let borges = timeline.load_epoch(link.epoch).unwrap();
             assert_eq!(borges.world_epoch(), link.epoch);
         }
         // Identical pipelines at different epochs get different
@@ -659,12 +659,9 @@ mod tests {
         assert!(err.to_string().contains("CORRUPT"));
         // Loading that epoch also refuses.
         let reopened = Timeline::open(&dir).unwrap();
-        assert_eq!(
-            reopened.load_epoch(1, 1).unwrap_err().kind(),
-            "tampered_world"
-        );
+        assert_eq!(reopened.load_epoch(1).unwrap_err().kind(), "tampered_world");
         // Other epochs still load.
-        reopened.load_epoch(0, 1).unwrap();
+        reopened.load_epoch(0).unwrap();
     }
 
     #[test]
@@ -691,8 +688,8 @@ mod tests {
             message.contains("version 1") && message.contains(&expected),
             "{message}"
         );
-        assert_eq!(timeline.load_epoch(2, 1).unwrap_err().kind(), "schema");
-        timeline.load_epoch(1, 1).unwrap();
+        assert_eq!(timeline.load_epoch(2).unwrap_err().kind(), "schema");
+        timeline.load_epoch(1).unwrap();
         // A chained append re-reads its parent, the tip.
         let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
         let err = timeline.append(&mut compile(&w)).unwrap_err();

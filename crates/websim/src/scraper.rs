@@ -236,8 +236,8 @@ impl<C: WebClient> Scraper<C> {
 
     /// Fetches one crawl entry through the cache — the per-entry unit of
     /// crawl work. Public so the pooled ingest engine can schedule
-    /// resolutions individually (per-host FIFO and rate-limited, within
-    /// an in-flight budget, alongside its LLM calls) and feed the
+    /// resolutions individually (per-host FIFO, within an in-flight
+    /// budget, alongside its LLM calls) and feed the
     /// outcomes to a [`ReportAssembler`], as both crawls here do. In a
     /// production deployment the pool is where the headless browsers
     /// sit.
@@ -279,8 +279,6 @@ impl<C: WebClient + Sync> Scraper<C> {
             &entries,
             DEFAULT_IN_FLIGHT,
             CrawlEntry::key,
-            |_, _| Ok(()),
-            |_| {},
             |_, entry| self.resolve(entry),
             |index, resolution| assembler.push(entries[index].asn, resolution),
         );
@@ -331,20 +329,10 @@ impl CrawlEntry {
     }
 
     /// The FIFO-serialization key: the host hash for entries that fetch
-    /// (the key per-host breakers, rate-limit buckets and fault episodes
-    /// use), a hash of the raw field for entries that never reach the
-    /// network.
+    /// (the key per-host breakers and fault episodes use), a hash of the
+    /// raw field for entries that never reach the network.
     pub fn key(&self) -> u64 {
         self.key
-    }
-
-    /// The host a fetch would hit; `None` for empty or invalid fields,
-    /// which never reach the network.
-    pub fn host(&self) -> Option<&str> {
-        match &self.website {
-            Website::Url(url) => Some(url.host().as_str()),
-            Website::Empty | Website::Invalid => None,
-        }
     }
 }
 

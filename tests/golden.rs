@@ -15,7 +15,7 @@
 //! JSON.
 
 use borges_core::mapfile;
-use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
 use borges_llm::{ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{stable_hash, EpisodePlan, RetryPolicy};
 use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
@@ -45,7 +45,7 @@ const GOLDEN: &[(&str, Digests)] = &[
         [
             0xc84e21e2ef983df4,
             0x1692991c6ee1298e,
-            0x18415ac104399268,
+            0x1f67c3971f6ae481,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
         ],
@@ -75,7 +75,7 @@ const GOLDEN: &[(&str, Digests)] = &[
         [
             0xb0039b30594b579c,
             0x75d33c15c62522b5,
-            0x5e51df2dc7b817c2,
+            0x84ea05de6d550c3d,
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
         ],
@@ -209,11 +209,7 @@ fn golden_pool() {
         SimWebClient::browser(&world.web),
         &SimLlm::new(LLM_SEED),
         &IngestOptions {
-            pool: Some(StreamOptions {
-                in_flight: 3,
-                per_host_rps: Some(2.0),
-            }),
-            threads: 2,
+            pool: Some(3),
             ..IngestOptions::default()
         },
         &tel,
@@ -268,8 +264,7 @@ fn golden_pool_resilient_outages() {
         &model,
         &IngestOptions {
             policy: Some(RetryPolicy::standard(OUTAGE_SEED)),
-            pool: Some(StreamOptions::default()),
-            threads: 2,
+            pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
             ..IngestOptions::default()
         },
         &tel,

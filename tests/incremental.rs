@@ -11,7 +11,7 @@
 //! on the I/O pool, or behind a retry policy over a faulty model, and
 //! the remap must still equal the sequential full build.
 
-use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
 use borges_core::{mapfile, SnapshotState};
 use borges_llm::{ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
@@ -26,8 +26,7 @@ use std::collections::BTreeMap;
 enum Execution {
     /// One call at a time over the bare stack.
     Sequential,
-    /// The I/O pool at its default budget, the compile sharded over two
-    /// threads.
+    /// The I/O pool at its default budget.
     Pool,
     /// One call at a time behind a retry policy, over a model that
     /// injects calibrated transient faults.
@@ -56,8 +55,7 @@ fn ingest(
         Execution::Pool => (
             &flawless,
             IngestOptions {
-                pool: Some(StreamOptions::default()),
-                threads: 2,
+                pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
                 ..IngestOptions::default()
             },
         ),

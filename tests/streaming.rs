@@ -2,18 +2,17 @@
 //!
 //! `Borges::ingest` with a pool (the engine behind
 //! `Borges::run_parallel`) runs every remote call of an ingest on one
-//! pool of `in_flight` workers — NER overlapping the crawl — behind a
-//! rate-limited scheduler, and must be **invisible** in every canonical
-//! output.
+//! pool of `in_flight` workers — NER overlapping the crawl — and must
+//! be **invisible** in every canonical output.
 //! Three contracts (DESIGN.md §14):
 //!
 //! 1. **Schedule-independence.** Mapfiles (all 16 feature combinations),
 //!    the canonical trace journal, and the metrics snapshot are
-//!    byte-identical to the sequential run at every in-flight budget
-//!    and per-host rate limit, and the pool sends exactly the requests
-//!    the sequential run sends. The standalone re-crawl
-//!    (`Scraper::crawl`, on the same scheduler) reports exactly what a
-//!    one-at-a-time crawl reports, bare and under chaos.
+//!    byte-identical to the sequential run at every in-flight budget,
+//!    and the pool sends exactly the requests the sequential run
+//!    sends. The standalone re-crawl (`Scraper::crawl`, on the same
+//!    scheduler) reports exactly what a one-at-a-time crawl reports,
+//!    bare and under chaos.
 //! 2. **Chaos-independence.** Under recoverable transport faults (the
 //!    `tests/chaos.rs` model) the pooled resilient run reproduces the
 //!    sequential resilient run bit for bit, and coverage stays complete.
@@ -23,7 +22,7 @@
 //!    counts sum to the entries plus the NER calls.
 
 use borges_core::mapfile;
-use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, StreamOptions, WebSource};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
 use borges_llm::{ChatModel, ChatRequest, ChatResponse, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy, TransportError};
 use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
@@ -35,19 +34,10 @@ fn world() -> SyntheticInternet {
     SyntheticInternet::generate(&GeneratorConfig::tiny(17))
 }
 
-fn opts(
-    in_flight: usize,
-    per_host_rps: Option<f64>,
-    policy: Option<RetryPolicy>,
-    threads: usize,
-) -> IngestOptions<'static> {
+fn opts(in_flight: usize, policy: Option<RetryPolicy>) -> IngestOptions<'static> {
     IngestOptions {
         policy,
-        pool: Some(StreamOptions {
-            in_flight,
-            per_host_rps,
-        }),
-        threads,
+        pool: Some(in_flight),
         ..IngestOptions::default()
     }
 }
@@ -100,22 +90,20 @@ fn streaming_bare_run_is_byte_identical_to_staged() {
     let reference = fingerprint(&staged, &tel);
     assert!(reference.0.contains("\"run/crawl\""), "{}", reference.0);
 
-    for threads in [1, 4] {
-        for (in_flight, rps) in [(1, None), (2, None), (8, Some(50.0)), (3, Some(2.0))] {
-            let tel = Telemetry::sim(Verbosity::Quiet);
-            let streamed = crawl(
-                &world,
-                SimWebClient::browser(&world.web),
-                &llm,
-                &opts(in_flight, rps, None, threads),
-                &tel,
-            );
-            assert_eq!(
-                fingerprint(&streamed, &tel),
-                reference,
-                "streaming diverged at in_flight={in_flight} rps={rps:?} threads={threads}"
-            );
-        }
+    for in_flight in [1, 2, 8, 3] {
+        let tel = Telemetry::sim(Verbosity::Quiet);
+        let streamed = crawl(
+            &world,
+            SimWebClient::browser(&world.web),
+            &llm,
+            &opts(in_flight, None),
+            &tel,
+        );
+        assert_eq!(
+            fingerprint(&streamed, &tel),
+            reference,
+            "streaming diverged at in_flight={in_flight}"
+        );
     }
 }
 
@@ -172,7 +160,7 @@ fn pooled_runs_send_exactly_the_sequential_requests() {
             &world,
             SimWebClient::browser(&world.web),
             &pooled,
-            &opts(in_flight, None, None, 2),
+            &opts(in_flight, None),
             &Telemetry::disabled(),
         );
         let sent = pooled.sorted();
@@ -209,41 +197,37 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
         );
         let reference = fingerprint(&staged, &tel);
 
-        for threads in [1, 4] {
-            for (in_flight, rps) in [(4, None), (3, Some(25.0))] {
-                let tel = Telemetry::sim(Verbosity::Quiet);
-                let llm =
-                    FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
-                let streamed = crawl(
-                    &world,
-                    FlakyWebClient::new(
-                        SimWebClient::browser(&world.web),
-                        EpisodePlan::calibrated(seed),
-                    ),
-                    &llm,
-                    &opts(in_flight, rps, Some(policy), threads),
-                    &tel,
-                );
-                assert_eq!(
-                    fingerprint(&streamed, &tel),
-                    reference,
-                    "seed {seed}: streaming chaos diverged at in_flight={in_flight} \
-                     rps={rps:?} threads={threads}"
-                );
-                let coverage = streamed.coverage();
-                assert!(coverage.accounted(), "seed {seed}: ledger must balance");
-                assert!(
-                    coverage.complete(),
-                    "seed {seed}: recoverable chaos must lose nothing"
-                );
-                assert!(
-                    streamed.scrape_stats.resilience.recovered
-                        + streamed.ner.stats.resilience.recovered
-                        + streamed.favicon.stats.resilience.recovered
-                        > 0,
-                    "seed {seed}: the plan must actually have injected faults"
-                );
-            }
+        for in_flight in [4, 3] {
+            let tel = Telemetry::sim(Verbosity::Quiet);
+            let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::calibrated(seed ^ 0xFACE));
+            let streamed = crawl(
+                &world,
+                FlakyWebClient::new(
+                    SimWebClient::browser(&world.web),
+                    EpisodePlan::calibrated(seed),
+                ),
+                &llm,
+                &opts(in_flight, Some(policy)),
+                &tel,
+            );
+            assert_eq!(
+                fingerprint(&streamed, &tel),
+                reference,
+                "seed {seed}: streaming chaos diverged at in_flight={in_flight}"
+            );
+            let coverage = streamed.coverage();
+            assert!(coverage.accounted(), "seed {seed}: ledger must balance");
+            assert!(
+                coverage.complete(),
+                "seed {seed}: recoverable chaos must lose nothing"
+            );
+            assert!(
+                streamed.scrape_stats.resilience.recovered
+                    + streamed.ner.stats.resilience.recovered
+                    + streamed.favicon.stats.resilience.recovered
+                    > 0,
+                "seed {seed}: the plan must actually have injected faults"
+            );
         }
     }
 }
@@ -271,7 +255,7 @@ fn streaming_outage_runs_account_for_every_loss() {
                 EpisodePlan::with_outages(seed),
             ),
             &llm,
-            &opts(4, Some(10.0), Some(RetryPolicy::none()), 1),
+            &opts(4, Some(RetryPolicy::none())),
             &Telemetry::disabled(),
         );
         let coverage = degraded.coverage();
@@ -303,13 +287,11 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
     let llm = SimLlm::new(99);
     let tel = Telemetry::sim(Verbosity::Quiet);
     let max_in_flight = 3;
-    // A tight rate limit forces throttle stalls (virtual ones — pacing
-    // runs on a SimClock, so the test never actually sleeps).
     let streamed = crawl(
         &world,
         SimWebClient::browser(&world.web),
         &llm,
-        &opts(max_in_flight, Some(0.5), None, 1),
+        &opts(max_in_flight, None),
         &tel,
     );
     // The pool carries every crawl entry and every NER call.
@@ -330,27 +312,18 @@ fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
         .find(|t| t.stage == ingest::IN_FLIGHT_STAGE)
         .expect("in-flight high-water row");
     assert!((1..=max_in_flight as u64).contains(&in_flight.items));
-    let throttle = timings
-        .iter()
-        .find(|t| t.stage == ingest::THROTTLE_STAGE)
-        .expect("throttle row");
-    assert!(
-        throttle.items > 0 && throttle.elapsed_ms > 0,
-        "a 0.5 rps limit over shared hosts must stall at least once"
-    );
     assert!(timings.iter().any(|t| t.stage == ingest::REASSEMBLY_STAGE));
 
     // The rows survive the run-report JSON roundtrip (what the CI
     // ingest-equivalence job greps).
     let json = streamed.run_report(&tel, "streaming", 1).to_json_pretty();
     let report = RunReport::from_json(&json).expect("run report parses");
-    assert!(
-        report
-            .workers
-            .iter()
-            .any(|t| t.stage == ingest::THROTTLE_STAGE),
-        "{json}"
-    );
+    for stage in ingest::ALL_STAGES {
+        assert!(
+            report.workers.iter().any(|t| t.stage == stage),
+            "{stage}: {json}"
+        );
+    }
 }
 
 /// The traced ingest of `world` over a `report` scraped earlier, and
@@ -409,23 +382,21 @@ fn from_scrape_streaming_matches_from_scrape() {
         "the memos must replay something"
     );
 
-    for threads in [1, 4] {
-        let pooled = opts(4, None, None, threads);
-        assert_eq!(
-            ingest_scraped(&world, &report, &pooled).1,
-            reference,
-            "pooled ingest of a scraped report diverged at threads={threads}"
-        );
-        let pooled_remap = IngestOptions {
-            prior: Some(&state),
-            ..pooled
-        };
-        assert_eq!(
-            ingest_scraped(&successor, &successor_report, &pooled_remap).1,
-            remap_reference,
-            "pooled remap diverged at threads={threads}"
-        );
-    }
+    let pooled = opts(4, None);
+    assert_eq!(
+        ingest_scraped(&world, &report, &pooled).1,
+        reference,
+        "pooled ingest of a scraped report diverged"
+    );
+    let pooled_remap = IngestOptions {
+        prior: Some(&state),
+        ..pooled
+    };
+    assert_eq!(
+        ingest_scraped(&successor, &successor_report, &pooled_remap).1,
+        remap_reference,
+        "pooled remap diverged"
+    );
 }
 
 /// Crawls `world` twice over fresh clients from `client`: pooled with

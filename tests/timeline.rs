@@ -107,7 +107,7 @@ impl borges_serve::TimelineBackend for ChainBackend {
             .map_err(query_error)
     }
     fn load(&self, epoch: u64) -> Result<Borges, borges_serve::TimelineQueryError> {
-        self.timeline.load_epoch(epoch, 1).map_err(query_error)
+        self.timeline.load_epoch(epoch).map_err(query_error)
     }
     fn history_json(&self, asn: Asn) -> Result<String, borges_serve::TimelineQueryError> {
         self.timeline
@@ -127,7 +127,7 @@ impl borges_serve::TimelineBackend for ChainBackend {
 /// mounted; `epoch_capacity` bounds the epoch LRU.
 fn start_with_chain(dir: &std::path::Path, threads: usize, epoch_capacity: usize) -> Server {
     let timeline = Timeline::open(dir).unwrap();
-    let boot = timeline.load_epoch(0, 1).unwrap();
+    let boot = timeline.load_epoch(0).unwrap();
     let state = TimelineState::new(Box::new(ChainBackend { timeline }), epoch_capacity, 16);
     let config = ServerConfig {
         threads,
@@ -228,7 +228,7 @@ fn at_serves_the_same_bytes_as_mounting_that_epoch_directly() {
                 read_timeout: Duration::from_millis(700),
                 ..ServerConfig::default()
             },
-            timeline.load_epoch(epoch, 1).unwrap(),
+            timeline.load_epoch(epoch).unwrap(),
             None,
         )
         .expect("bind loopback");
