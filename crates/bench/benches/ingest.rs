@@ -12,9 +12,11 @@
 //! isolates the compute overlap from the latency hiding).
 //!
 //! The `recrawl` leg times `Scraper::crawl` alone over the same latent
-//! client: the re-crawl `borges remap` and the server's reload run
-//! before their incremental ingest, on a pool of `DEFAULT_IN_FLIGHT`
-//! workers keyed per host.
+//! client: the standalone re-crawl the benchmark harness's `remap`
+//! workload (`perfbench/`) runs before its incremental ingest, on a
+//! pool of `DEFAULT_IN_FLIGHT` workers keyed per host. The CLI's remap,
+//! `map --base`, and the server's reload crawl inside the pooled ingest
+//! instead, as the `pooled_in_flight_4` leg does.
 //!
 //! Because the win is latency hiding rather than parallel compute, it
 //! shows up even on a single-CPU host. Outputs are pinned byte-identical

@@ -13,6 +13,7 @@ use borges_serve::{Reloader, Server, ServerConfig};
 use borges_synthnet::io::{save, DatasetBundle};
 use borges_synthnet::{generate_to_dir, EvolutionEvent, GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{CacheReport, Telemetry, Verbosity};
+use borges_timeline::{Timeline, TimelineError};
 use borges_types::Asn;
 use borges_websim::{FlakyWebClient, SimWebClient, WebClient};
 use std::path::Path;
@@ -33,12 +34,23 @@ USAGE:
       spinoff:BRAND:CC+CC:NEW (brands as lower-case labels, CC as ISO
       country codes). Generating the same seed with and without
       --evolve yields a before/after snapshot pair for `--timeline`.
-  borges map --data DIR --out FILE [--features all|none|LIST] [--seed N] [--threads N]
-             [--max-in-flight N] [--fault-rate R] [--retries N] [--chaos-seed N]
-             [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
-             [--state-out DIR] [--store-out FILE] [--timeline DIR]
+  borges map --data DIR --out FILE [--base FILE|DIR] [--features all|none|LIST]
+             [--seed N] [--threads N] [--max-in-flight N] [--fault-rate R]
+             [--retries N] [--chaos-seed N] [--trace-out FILE] [--metrics-out FILE]
+             [--report-out FILE] [--store-out FILE] [--timeline DIR]
       Run the pipeline over a bundle and write the mapping.
       LIST is comma-separated from: oid_p, na, rr, favicons.
+      --base remaps the bundle incrementally against a published world:
+      a store artifact written by --store-out or, given a directory,
+      the tip of a timeline written by --timeline. The web is
+      re-crawled, LLM answers replay from the base's memos for records
+      whose text is unchanged, and edge segments with untouched
+      fingerprints are reused verbatim; a delta: row reports the
+      reuse. The mapping written is byte-identical to a full map of the
+      same bundle, at every --threads and under recoverable --fault-rate
+      chaos. A missing or damaged base, or an empty timeline, fails
+      before the bundle is read, naming the store or timeline error
+      kind. Remaps chain: the world one publishes is the next one's base.
       --threads defaults to the machine's available parallelism. At 2
       or more, every remote call (crawl fetches, NER and favicon LLM
       calls) runs on one I/O pool, NER overlapping the crawl;
@@ -60,9 +72,6 @@ USAGE:
       across thread counts); --metrics-out writes the counters and
       duration histograms in Prometheus exposition format;
       --report-out writes the unified run ledger as JSON.
-      --state-out persists the compiled snapshot state (interner slots,
-      edge segments, fingerprints, LLM reply memos) into DIR for a
-      later incremental `borges remap`.
       --store-out persists the whole compiled world as a checksummed,
       content-addressed store artifact that `borges serve --store`
       cold-starts from without recompiling (see `borges store`).
@@ -72,21 +81,6 @@ USAGE:
       under DIR/worlds/, a delta against the parent epoch under
       DIR/deltas/, and the chain manifest DIR/timeline.json is
       rewritten atomically (see `borges timeline`).
-  borges remap --data DIR --base-state DIR --out FILE [--out-state DIR]
-               [--features all|none|LIST] [--seed N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
-               [--store-out FILE] [--timeline DIR]
-      Incrementally re-map a (possibly changed) bundle against the
-      state persisted by a previous `map --state-out` / `remap
-      --out-state`: the web is re-crawled on a pool of 4 fetches in
-      flight, LLM answers replay from the memo for records whose text
-      is unchanged, and edge segments with untouched fingerprints are
-      reused verbatim; the compile runs on one thread. The mapping
-      written is byte-identical to a full `map` of the same bundle.
-      --out-state persists the updated state so remaps chain across
-      snapshots.
-      --timeline appends the remapped world as the timeline's next
-      epoch, exactly as `map --timeline` does — successive snapshots
-      remapped with the same timeline grow one verifiable chain.
   borges serve --data DIR [--addr HOST:PORT] [--threads N] [--queue-depth N]
                [--lru N] [--seed N] [--addr-file FILE] [--store FILE]
                [--access-log FILE] [--slow-ms N] [--timeline DIR]
@@ -96,7 +90,7 @@ USAGE:
       POST /v1/admin/reload (re-crawl + incremental remap, zero
       downtime; a {\"store\": PATH} body hot-swaps to a store
       artifact instead) / POST /v1/admin/shutdown (graceful drain).
-      --timeline DIR mounts the timeline at DIR for time travel:
+      --timeline DIR mounts the existing timeline at DIR for time travel:
       /v1/map/{asn}?at=EPOCH answers from that chain epoch's world
       (floor-resolved, loaded on demand into a small epoch LRU, and
       byte-identical to serving that epoch's artifact directly),
@@ -112,7 +106,11 @@ USAGE:
       byte-identical either way.
       --addr defaults to 127.0.0.1:8080; port 0 picks an ephemeral
       port. --threads N fixed worker threads (default: available
-      parallelism); --queue-depth N bounds the accept queue (default
+      parallelism); at 2 or more the compile and each reload run on
+      the I/O pool, as map does, and at --threads 1 they run the
+      sequential reference, whose re-crawl fetches one page at a time,
+      in order. A reload remaps against the serving world.
+      --queue-depth N bounds the accept queue (default
       64) — overflow is shed with 503 + Retry-After; --lru N caches
       that many materialized feature subsets per world (default 16;
       0 disables). --addr-file writes the bound address once
@@ -147,7 +145,8 @@ USAGE:
       Verify an artifact and copy it (crash-safely) into CATALOG
       under its content address: <sha256>.world.
   borges timeline verify DIR
-      Re-verify the whole chain at DIR: the manifest parses and
+      Re-verify the whole chain at DIR, which must exist (as for ls
+      and diff, a missing DIR fails): the manifest parses and
       links up, every world artifact matches its content address and
       carries its link's epoch, every delta matches its digest.
       Exits non-zero, naming the corruption class, on any damage.
@@ -184,7 +183,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     match command {
         "generate" => generate(&opts),
         "map" => map(&opts),
-        "remap" => remap(&opts),
         "serve" => serve(&opts),
         "eval" => eval(&opts),
         "inspect" => inspect(&opts),
@@ -320,11 +318,15 @@ fn parse_evolution_events(spec: &str) -> Result<Vec<EvolutionEvent>, CliError> {
     Ok(events)
 }
 
-/// Opens (creating if absent) the timeline at `dir`, mapping its typed
-/// errors onto CLI failures that name the corruption class.
-fn open_timeline(dir: &str) -> Result<borges_timeline::Timeline, CliError> {
-    borges_timeline::Timeline::open(Path::new(dir))
-        .map_err(|e| CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into()))
+/// A timeline failure as a CLI failure that names its error kind.
+fn timeline_failure(dir: &str, e: TimelineError) -> CliError {
+    CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into())
+}
+
+/// Opens the existing timeline at `dir` for reading. A missing
+/// directory fails with the `missing` kind and is not created.
+fn open_timeline(dir: &str) -> Result<Timeline, CliError> {
+    Timeline::open_existing(Path::new(dir)).map_err(|e| timeline_failure(dir, e))
 }
 
 /// `--threads`, defaulting to the machine's parallelism. Zero is a
@@ -408,11 +410,11 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
 /// `--max-in-flight`. That knob sizes the pool, which `--threads 1`
 /// does not run, so there it is a usage error: a mistaken invocation
 /// fails before any I/O rather than silently ignoring a knob.
-fn ingest_opts(
+fn ingest_opts<'a>(
     opts: &Options,
     chaos: &Option<ChaosOpts>,
     threads: usize,
-) -> Result<IngestOptions<'static>, CliError> {
+) -> Result<IngestOptions<'a>, CliError> {
     let max_in_flight = opts.optional("max-in-flight")?;
     if threads == 1 && max_in_flight.is_some() {
         return Err(CliError::Usage(
@@ -476,10 +478,9 @@ fn coverage_lines(borges: &Borges) -> String {
     )
 }
 
-/// The output flags `map` and `remap` share, validated before any I/O.
+/// `map`'s output flags, validated before any I/O.
 struct Outputs<'a> {
     mapfile: &'a str,
-    state: Option<&'a str>,
     timeline: Option<&'a str>,
     store: Option<&'a str>,
     trace: Option<&'a str>,
@@ -488,11 +489,9 @@ struct Outputs<'a> {
 }
 
 impl<'a> Outputs<'a> {
-    /// `state_flag` names the snapshot-state directory flag.
-    fn parse(opts: &'a Options, state_flag: &str) -> Result<Self, CliError> {
+    fn parse(opts: &'a Options) -> Result<Self, CliError> {
         Ok(Outputs {
             mapfile: opts.required("out")?,
-            state: opts.optional(state_flag)?,
             timeline: opts.optional("timeline")?,
             store: opts.optional("store-out")?,
             trace: opts.optional("trace-out")?,
@@ -502,13 +501,13 @@ impl<'a> Outputs<'a> {
     }
 }
 
-/// The publish tail `map` and `remap` share: materializes `features`,
-/// writes the mapfile and the snapshot state, appends the world to the
-/// timeline, writes the store artifact, then the trace, metrics and run
-/// ledger (labelled `label`). The timeline append runs before the store
-/// artifact is written: it stamps the chain epoch into the world, and
-/// the artifact must carry it too. `threads` is the ledger's thread
-/// label. Returns the mapping and the stdout row the append adds.
+/// `map`'s publish tail: materializes `features`, writes the mapfile,
+/// appends the world to the timeline, writes the store artifact, then
+/// the trace, metrics and run ledger (labelled `label`). The timeline
+/// append runs before the store artifact is written: it stamps the
+/// chain epoch into the world, and the artifact must carry it too.
+/// `threads` is the ledger's thread label. Returns the mapping and the
+/// stdout row the append adds.
 fn publish(
     out: &Outputs<'_>,
     mut borges: Borges,
@@ -523,16 +522,12 @@ fn publish(
         .pop()
         .expect("one feature set in, one mapping out");
     write_artifact_file(out.mapfile, mapfile::serialize(&mapping))?;
-    if let Some(dir) = out.state {
-        write_state(&borges, dir)?;
-        tel.debug(format!("snapshot state written to {dir}"));
-    }
     let link = out
         .timeline
         .map(|dir| {
-            let link = open_timeline(dir)?.append(&mut borges).map_err(|e| {
-                CliError::Failed(format!("timeline {dir}: {e} ({})", e.kind()).into())
-            })?;
+            let link = Timeline::open(Path::new(dir))
+                .and_then(|mut timeline| timeline.append(&mut borges))
+                .map_err(|e| timeline_failure(dir, e))?;
             tel.debug(format!(
                 "timeline epoch {} appended ({})",
                 link.epoch, link.world_digest
@@ -584,6 +579,7 @@ fn map(opts: &Options) -> Result<String, CliError> {
     opts.allow_only(&[
         "data",
         "out",
+        "base",
         "features",
         "seed",
         "threads",
@@ -594,25 +590,33 @@ fn map(opts: &Options) -> Result<String, CliError> {
         "trace-out",
         "metrics-out",
         "report-out",
-        "state-out",
         "store-out",
         "timeline",
         "v",
         "q",
     ])?;
     let data = opts.required("data")?;
-    let outputs = Outputs::parse(opts, "state-out")?;
+    let base = opts.optional("base")?;
+    let outputs = Outputs::parse(opts)?;
     let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
     let seed = seed_of(opts)?;
     let chaos = chaos_opts(opts)?;
     let threads = parse_threads(opts)?;
-    let ingest = ingest_opts(opts, &chaos, threads)?;
+    let mut ingest = ingest_opts(opts, &chaos, threads)?;
     let label = pipeline_label(&ingest);
 
     // One telemetry context per run, on a virtual clock: spans, metrics,
     // and narration all flow through it. Enabling it unconditionally is
     // fine — the instrumented paths only stamp merged stats.
     let tel = Telemetry::sim(verbosity_of(opts));
+    // The base is read before the bundle, so a bad one fails first.
+    let prior = base
+        .map(|path| {
+            tel.verbose(format!("loading base world from {path}"));
+            load_base(path)
+        })
+        .transpose()?;
+    ingest.prior = prior.as_ref();
     tel.verbose(format!("loading bundle from {data}"));
     let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
     tel.debug(format!(
@@ -624,43 +628,18 @@ fn map(opts: &Options) -> Result<String, CliError> {
     // The LLM sits behind a response cache so repeated prompts (and the
     // ledger's cache row) are observable end to end.
     let llm = CachingModel::new(SimLlm::new(seed));
-    // The resilience flags put both boundaries behind seeded faults.
-    let (web, model): (
-        Box<dyn WebClient + Sync + '_>,
-        Box<dyn ChatModel + Sync + '_>,
-    ) = match &chaos {
-        Some(ChaosOpts { plan, .. }) => {
-            tel.verbose(format!(
-                "fault rate {}, chaos seed {}",
-                plan.transient_rate, plan.seed
-            ));
-            let model_plan = EpisodePlan {
-                seed: plan.seed ^ 0x4c4c_4d00,
-                ..*plan
-            };
-            (
-                Box::new(FlakyWebClient::new(
-                    SimWebClient::browser(&bundle.web),
-                    *plan,
-                )),
-                Box::new(FlakyModel::new(&llm, model_plan)),
-            )
-        }
-        None => (Box::new(SimWebClient::browser(&bundle.web)), Box::new(&llm)),
-    };
+    if let Some(ChaosOpts { plan, .. }) = &chaos {
+        tel.verbose(format!(
+            "fault rate {}, chaos seed {}",
+            plan.transient_rate, plan.seed
+        ));
+    }
     tel.verbose(match (ingest.pool, ingest.policy) {
         (Some(in_flight), _) => format!("pooled pipeline: {in_flight} calls in flight"),
         (None, Some(_)) => "resilient sequential pipeline".to_string(),
         (None, None) => "sequential pipeline".to_string(),
     });
-    let borges = Borges::ingest(
-        &bundle.whois,
-        &bundle.pdb,
-        WebSource::Crawl(&*web),
-        &*model,
-        &ingest,
-        &tel,
-    );
+    let borges = ingest_bundle(&bundle, &llm, chaos.as_ref(), &ingest, &tel);
     let coverage = match chaos {
         Some(_) => coverage_lines(&borges),
         None => String::new(),
@@ -671,20 +650,95 @@ fn map(opts: &Options) -> Result<String, CliError> {
         borges.scrape_stats.reachable_urls,
         borges.ner.stats.llm_calls
     ));
+    let delta_row = borges.delta.as_ref().map_or_else(String::new, |d| {
+        tel.verbose(format!(
+            "delta: {} dirty records, {} LLM calls replayed from memo, {} issued",
+            d.records.dirty(),
+            d.llm_calls_saved(),
+            d.ner_recomputed + d.favicon_recomputed
+        ));
+        let (segments_retained, edges_retained): (usize, usize) = d
+            .edge_rows()
+            .iter()
+            .map(|(_, s)| (s.segments_retained, s.edges_retained))
+            .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
+        format!(
+            "delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n",
+            d.records.dirty(),
+            segments_retained,
+            edges_retained,
+            d.llm_calls_saved()
+        )
+    });
     let (mapping, timeline_row) = publish(&outputs, borges, features, label, threads, &llm, &tel)?;
     Ok(format!(
-        "{}: {} ASNs in {} organizations (features: {})\n{}{}",
+        "{}: {} ASNs in {} organizations (features: {})\n{}{}{}",
         outputs.mapfile,
         mapping.asn_count(),
         mapping.org_count(),
         features.label(),
+        delta_row,
         coverage,
         timeline_row
     ))
 }
 
-/// File the snapshot state lives under inside a state directory.
-const STATE_FILE: &str = "state.json";
+/// Crawls `bundle`'s websites and runs every stage with `llm`: the one
+/// ingest behind `map` (a remap, given `--base`) and behind both of
+/// `serve`'s compiles, the cold start and the reload. `chaos` puts both
+/// boundaries behind its seeded faults.
+fn ingest_bundle(
+    bundle: &DatasetBundle,
+    llm: &CachingModel<SimLlm>,
+    chaos: Option<&ChaosOpts>,
+    ingest: &IngestOptions<'_>,
+    tel: &Telemetry,
+) -> Borges {
+    let web = SimWebClient::browser(&bundle.web);
+    let (web, model): (
+        Box<dyn WebClient + Sync + '_>,
+        Box<dyn ChatModel + Sync + '_>,
+    ) = match chaos {
+        Some(ChaosOpts { plan, .. }) => {
+            let model_plan = EpisodePlan {
+                seed: plan.seed ^ 0x4c4c_4d00,
+                ..*plan
+            };
+            (
+                Box::new(FlakyWebClient::new(web, *plan)),
+                Box::new(FlakyModel::new(llm, model_plan)),
+            )
+        }
+        None => (Box::new(web), Box::new(llm)),
+    };
+    Borges::ingest(
+        &bundle.whois,
+        &bundle.pdb,
+        WebSource::Crawl(&*web),
+        &*model,
+        ingest,
+        tel,
+    )
+}
+
+/// `--base`'s prior: the remap state of a published world. A directory
+/// is a timeline, whose tip loads through the digest and epoch checks
+/// `?at=` applies; any other path is a store artifact, whose world
+/// holds the state as it was published.
+fn load_base(path: &str) -> Result<SnapshotState, CliError> {
+    if Path::new(path).is_dir() {
+        let timeline = open_timeline(path)?;
+        return timeline
+            .tip()
+            .ok_or(TimelineError::Empty)
+            .and_then(|tip| timeline.load_epoch(tip.epoch))
+            .map(|world| world.snapshot_state())
+            .map_err(|e| timeline_failure(path, e));
+    }
+    borges_store::load_artifact(Path::new(path))
+        .map(|loaded| loaded.world.state)
+        .map_err(|e| CliError::Failed(format!("store artifact {path}: {e} ({})", e.kind()).into()))
+}
 
 /// Writes a CLI output artifact crash-safely: staged to a sibling
 /// temporary file, fsynced, then atomically renamed into place. A
@@ -693,111 +747,6 @@ const STATE_FILE: &str = "state.json";
 fn write_artifact_file(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> Result<(), CliError> {
     borges_store::write_atomic(path.as_ref(), bytes.as_ref())
         .map_err(|e| CliError::Failed(Box::new(e)))
-}
-
-fn write_state(borges: &Borges, dir: &str) -> Result<(), CliError> {
-    let dir = Path::new(dir);
-    std::fs::create_dir_all(dir).map_err(|e| CliError::Failed(Box::new(e)))?;
-    write_artifact_file(
-        dir.join(STATE_FILE),
-        borges.snapshot_state().to_json_pretty(),
-    )
-}
-
-fn load_state(dir: &str) -> Result<SnapshotState, CliError> {
-    let path = Path::new(dir).join(STATE_FILE);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| CliError::Usage(format!("--base-state: {}: {e}", path.display())))?;
-    SnapshotState::from_json(&text).map_err(|e| CliError::Usage(format!("{}: {e}", path.display())))
-}
-
-/// Re-crawls `bundle`'s websites and remaps it incrementally against
-/// `prior` — what `remap` and the server's reload both run. The web is
-/// always re-crawled, because sites drift independently of the
-/// registries; the memoized LLM replies in `prior` are what make the
-/// remap incremental. That leaves the crawl as most of the cost:
-/// traced on the medium benchmark world at 1% churn, a sequential
-/// re-crawl took 570 ms of a ~1.1 s publish, with 0 LLM calls. So
-/// `Scraper::crawl` runs it on the I/O pool.
-fn recrawl_and_remap(
-    bundle: &DatasetBundle,
-    prior: &SnapshotState,
-    llm: &(dyn ChatModel + Sync),
-    tel: &Telemetry,
-) -> Borges {
-    let scraper = borges_websim::Scraper::new(SimWebClient::browser(&bundle.web));
-    let report = scraper.crawl(bundle.pdb.nets().map(|n| (n.asn, n.website.as_str())));
-    Borges::ingest(
-        &bundle.whois,
-        &bundle.pdb,
-        WebSource::Scraped(&report),
-        llm,
-        &IngestOptions {
-            prior: Some(prior),
-            ..IngestOptions::default()
-        },
-        tel,
-    )
-}
-
-fn remap(opts: &Options) -> Result<String, CliError> {
-    opts.allow_only(&[
-        "data",
-        "base-state",
-        "out",
-        "out-state",
-        "features",
-        "seed",
-        "trace-out",
-        "metrics-out",
-        "report-out",
-        "store-out",
-        "timeline",
-        "v",
-        "q",
-    ])?;
-    let data = opts.required("data")?;
-    let outputs = Outputs::parse(opts, "out-state")?;
-    let features = parse_features(opts.optional("features")?.unwrap_or("all"))?;
-    let seed = seed_of(opts)?;
-
-    let tel = Telemetry::sim(verbosity_of(opts));
-    let state = load_state(opts.required("base-state")?)?;
-    tel.verbose(format!("loading bundle from {data}"));
-    let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
-
-    let llm = CachingModel::new(SimLlm::new(seed));
-    let borges = recrawl_and_remap(&bundle, &state, &llm, &tel);
-    let d = borges.delta.as_ref().expect("remap records delta stats");
-    tel.verbose(format!(
-        "delta: {} dirty records, {} LLM calls replayed from memo, {} issued",
-        d.records.dirty(),
-        d.llm_calls_saved(),
-        d.ner_recomputed + d.favicon_recomputed
-    ));
-    let (segments_retained, edges_retained): (usize, usize) = d
-        .edge_rows()
-        .iter()
-        .map(|(_, s)| (s.segments_retained, s.edges_retained))
-        .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
-    // Copied out: the publish tail takes the pipeline.
-    let dirty_records = d.records.dirty();
-    let llm_calls_saved = d.llm_calls_saved();
-
-    let (mapping, timeline_row) = publish(&outputs, borges, features, "remap", 1, &llm, &tel)?;
-    Ok(format!(
-        "{}: {} ASNs in {} organizations (features: {})\n\
-         delta: {} dirty records; {} segments ({} edges) reused; {} LLM calls saved\n{}",
-        outputs.mapfile,
-        mapping.asn_count(),
-        mapping.org_count(),
-        features.label(),
-        dirty_records,
-        segments_retained,
-        edges_retained,
-        llm_calls_saved,
-        timeline_row
-    ))
 }
 
 /// A small non-negative integer flag with a default and a floor.
@@ -871,6 +820,30 @@ impl borges_serve::TimelineBackend for CliTimelineBackend {
     }
 }
 
+/// Loads the bundle at `data` and ingests it, remapping against `prior`
+/// when one is given: `serve`'s cold compile and its reload. The ingest
+/// runs on the I/O pool at `threads` 2 or more and is the sequential
+/// reference at 1.
+fn compile_bundle(
+    data: &str,
+    seed: u64,
+    threads: usize,
+    prior: Option<&SnapshotState>,
+) -> Result<Borges, String> {
+    let bundle = DatasetBundle::load(Path::new(data)).map_err(|e| e.to_string())?;
+    Ok(ingest_bundle(
+        &bundle,
+        &CachingModel::new(SimLlm::new(seed)),
+        None,
+        &IngestOptions {
+            pool: (threads > 1).then_some(borges_parallel::DEFAULT_IN_FLIGHT),
+            prior,
+            ..IngestOptions::default()
+        },
+        &Telemetry::disabled(),
+    ))
+}
+
 fn serve(opts: &Options) -> Result<String, CliError> {
     opts.allow_only(&[
         "data",
@@ -907,31 +880,38 @@ fn serve(opts: &Options) -> Result<String, CliError> {
     let access_log_path = opts.optional("access-log")?.map(String::from);
     let narrator = std::sync::Arc::new(borges_telemetry::Narrator::new(verbosity_of(opts)));
 
+    // The chain is opened (and its manifest verified to link up) before
+    // anything is compiled; worlds load lazily on the first `?at=`
+    // naming their epoch.
+    let timeline_dir = opts.optional("timeline")?.map(String::from);
+    let mut timeline_summary: Option<(usize, Option<u64>)> = None;
+    let timeline_state = match &timeline_dir {
+        None => None,
+        Some(dir) => {
+            let timeline = open_timeline(dir)?;
+            timeline_summary = Some((timeline.links().len(), timeline.tip().map(|l| l.epoch)));
+            narrator.verbose(format!(
+                "timeline {dir} mounted ({} link(s))",
+                timeline.links().len()
+            ));
+            Some(std::sync::Arc::new(borges_serve::TimelineState::new(
+                Box::new(CliTimelineBackend { timeline }),
+                EPOCH_LRU_CAPACITY,
+                lru,
+            )))
+        }
+    };
+
     let compile_from_bundle = || -> Result<Borges, CliError> {
-        narrator.verbose(format!("loading bundle from {data}"));
-        let bundle = DatasetBundle::load(Path::new(&data)).map_err(CliError::failed)?;
-        let llm = CachingModel::new(SimLlm::new(seed));
-        narrator.verbose(if threads > 1 {
-            "compiling pipeline on the I/O pool"
-        } else {
-            "compiling pipeline sequentially"
-        });
-        Ok(if threads > 1 {
-            Borges::run_parallel(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-                threads,
-            )
-        } else {
-            Borges::run(
-                &bundle.whois,
-                &bundle.pdb,
-                SimWebClient::browser(&bundle.web),
-                &llm,
-            )
-        })
+        narrator.verbose(format!(
+            "compiling {data} {}",
+            if threads > 1 {
+                "on the I/O pool"
+            } else {
+                "sequentially"
+            }
+        ));
+        compile_bundle(&data, seed, threads, None).map_err(|e| CliError::Failed(e.into()))
     };
 
     // A valid `--store` artifact replaces the compile wholesale: the
@@ -976,7 +956,7 @@ fn serve(opts: &Options) -> Result<String, CliError> {
 
     // `POST /v1/admin/reload` re-reads the bundle directory (which may
     // hold snapshot T+1 by then), re-crawls, and incrementally remaps
-    // against the serving pipeline's own snapshot state — the PR 4
+    // against the serving pipeline's own snapshot state — the remap's
     // byte-identical contract is what makes the swapped world
     // indistinguishable from a cold start on the new data. A reload
     // body naming a store artifact hot-swaps to that world instead;
@@ -990,14 +970,7 @@ fn serve(opts: &Options) -> Result<String, CliError> {
                     .map_err(|e| format!("store artifact {path}: {e} ({})", e.kind()))?;
                 return Borges::from_world(&loaded.world, threads);
             }
-            let bundle = DatasetBundle::load(Path::new(&data)).map_err(|e| e.to_string())?;
-            let llm = CachingModel::new(SimLlm::new(seed));
-            Ok(recrawl_and_remap(
-                &bundle,
-                &current.snapshot_state(),
-                &llm,
-                &Telemetry::disabled(),
-            ))
+            compile_bundle(&data, seed, threads, Some(&current.snapshot_state()))
         })
     };
 
@@ -1029,27 +1002,6 @@ fn serve(opts: &Options) -> Result<String, CliError> {
             ));
         }));
     }
-
-    // The chain is opened (and its manifest verified to link up) at
-    // boot; worlds load lazily on the first `?at=` naming their epoch.
-    let timeline_dir = opts.optional("timeline")?.map(String::from);
-    let mut timeline_summary: Option<(usize, Option<u64>)> = None;
-    let timeline_state = match &timeline_dir {
-        None => None,
-        Some(dir) => {
-            let timeline = open_timeline(dir)?;
-            timeline_summary = Some((timeline.links().len(), timeline.tip().map(|l| l.epoch)));
-            narrator.verbose(format!(
-                "timeline {dir} mounted ({} link(s))",
-                timeline.links().len()
-            ));
-            Some(std::sync::Arc::new(borges_serve::TimelineState::new(
-                Box::new(CliTimelineBackend { timeline }),
-                EPOCH_LRU_CAPACITY,
-                lru,
-            )))
-        }
-    };
 
     let config = ServerConfig {
         addr,
@@ -1840,19 +1792,6 @@ mod tests {
             cmd.extend_from_slice(extra);
             cmd
         };
-        let remap = |extra: &[&'static str]| {
-            let mut cmd = vec![
-                "remap",
-                "--data",
-                "/no/such",
-                "--base-state",
-                "s",
-                "--out",
-                "y",
-            ];
-            cmd.extend_from_slice(extra);
-            cmd
-        };
         for (cmd, flag) in [
             (
                 map(&["--threads", "2", "--max-in-flight", "0"]),
@@ -1875,10 +1814,27 @@ mod tests {
                 map(&["--threads", "2", "--per-host-rps", "2"]),
                 "--per-host-rps",
             ),
-            // The pool knob is a map-only flag, and remap has no thread
-            // count: its compile runs on one thread.
-            (remap(&["--max-in-flight", "4"]), "--max-in-flight"),
-            (remap(&["--threads", "2"]), "--threads"),
+            // Flags are checked before the base is read.
+            (
+                map(&[
+                    "--base",
+                    "/no/such/base",
+                    "--threads",
+                    "1",
+                    "--max-in-flight",
+                    "4",
+                ]),
+                "--max-in-flight",
+            ),
+            // A remap is `map --base`: the remap command and the state
+            // directory flags are gone.
+            (
+                vec!["remap", "--data", "/no/such", "--out", "y"],
+                "\"remap\"",
+            ),
+            (map(&["--state-out", "s"]), "--state-out"),
+            (map(&["--base-state", "s"]), "--base-state"),
+            (map(&["--out-state", "s"]), "--out-state"),
         ] {
             let err = run(&args(&cmd)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{cmd:?} → {err}");
@@ -1954,6 +1910,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A `--features` spec for every feature combination.
+    fn feature_specs() -> Vec<String> {
+        FeatureSet::all_combinations()
+            .iter()
+            .map(|f| {
+                let on: Vec<&str> = [
+                    (f.oid_p, "oid_p"),
+                    (f.na, "na"),
+                    (f.rr, "rr"),
+                    (f.favicons, "favicons"),
+                ]
+                .iter()
+                .filter(|(enabled, _)| *enabled)
+                .map(|(_, name)| *name)
+                .collect();
+                if on.is_empty() {
+                    "none".to_string()
+                } else {
+                    on.join(",")
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn remap_round_trip_is_byte_identical_and_chains() {
         let dir = tmpdir("remap");
@@ -1969,53 +1949,89 @@ mod tests {
             "-q",
         ]))
         .unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let read = |path: &str| std::fs::read(path).unwrap();
+        let map = |extra: &[&str]| {
+            let mut cmd = vec!["map", "--data", data.to_str().unwrap(), "-q"];
+            cmd.extend_from_slice(extra);
+            run(&args(&cmd)).unwrap()
+        };
 
-        let full_map = dir.join("full.map");
-        let state0 = dir.join("state0");
-        run(&args(&[
-            "map",
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            full_map.to_str().unwrap(),
-            "--state-out",
-            state0.to_str().unwrap(),
-            "-q",
-        ]))
-        .unwrap();
-        assert!(state0.join("state.json").exists());
+        // The full map publishes the first base twice over: as a store
+        // artifact and as a timeline's genesis.
+        let (full, base0, chain) = (path("full.map"), path("base0.store"), path("chain"));
+        map(&["--out", &full, "--store-out", &base0, "--timeline", &chain]);
 
-        let remap_map = dir.join("remap.map");
-        let state1 = dir.join("state1");
-        let report = dir.join("remap.report.json");
-        let out = run(&args(&[
-            "remap",
-            "--data",
-            data.to_str().unwrap(),
-            "--base-state",
-            state0.to_str().unwrap(),
-            "--out",
-            remap_map.to_str().unwrap(),
-            "--out-state",
-            state1.to_str().unwrap(),
-            "--report-out",
-            report.to_str().unwrap(),
-            "-q",
-        ]))
-        .unwrap();
-        // The CLI-level keystone: incremental output is byte-identical
-        // to the full map of the same bundle.
-        assert_eq!(
-            std::fs::read(&full_map).unwrap(),
-            std::fs::read(&remap_map).unwrap()
+        // The CLI-level keystone: against either kind of base, the
+        // incremental output is byte-identical to the full map of the
+        // same bundle, at one thread, on the pool, and under
+        // recoverable chaos; the trace and metrics do not see the pool.
+        for base in [&base0, &chain] {
+            let remap = |stem: &str, extra: &[&str]| {
+                let outs =
+                    [".map", ".trace.jsonl", ".prom"].map(|ext| path(&format!("{stem}{ext}")));
+                let mut cmd = vec![
+                    "--base",
+                    base.as_str(),
+                    "--out",
+                    &outs[0],
+                    "--trace-out",
+                    &outs[1],
+                    "--metrics-out",
+                    &outs[2],
+                ];
+                cmd.extend_from_slice(extra);
+                map(&cmd);
+                outs.map(|out| read(&out))
+            };
+            let [seq_map, seq_trace, seq_metrics] = remap("seq", &["--threads", "1"]);
+            let [pool_map, pool_trace, pool_metrics] = remap("pool", &["--threads", "2"]);
+            let [chaos_map, ..] = remap("chaos", &["--threads", "2", "--fault-rate", "0.15"]);
+            for remapped in [&seq_map, &pool_map, &chaos_map] {
+                assert_eq!(&read(&full), remapped, "--base {base}");
+            }
+            assert_eq!(seq_trace, pool_trace, "--base {base}");
+            assert_eq!(seq_metrics, pool_metrics, "--base {base}");
+        }
+
+        // Every feature set materializes what a full map of it writes.
+        for spec in feature_specs() {
+            let (full, remapped) = (
+                path(&format!("full-{spec}.map")),
+                path(&format!("remap-{spec}.map")),
+            );
+            map(&["--features", &spec, "--out", &full]);
+            map(&["--features", &spec, "--base", &base0, "--out", &remapped]);
+            assert_eq!(read(&full), read(&remapped), "--features {spec}");
+        }
+
+        let (remapped, base1, report) = (
+            path("remap.map"),
+            path("base1.store"),
+            path("remap.report.json"),
         );
+        let out = map(&[
+            "--base",
+            &base0,
+            "--out",
+            &remapped,
+            "--store-out",
+            &base1,
+            "--report-out",
+            &report,
+            "--threads",
+            "2",
+        ]);
+        assert_eq!(read(&full), read(&remapped));
         assert!(out.contains("delta: 0 dirty records"), "{out}");
         assert!(out.contains("LLM calls saved"), "{out}");
 
-        // The emitted ledger parses, balances, and carries delta rows.
+        // The emitted ledger parses, balances, and carries delta rows
+        // under map's own pipeline label.
         let ledger =
             borges_telemetry::RunReport::from_json(&std::fs::read_to_string(&report).unwrap())
                 .unwrap();
+        assert_eq!(ledger.pipeline, "parallel");
         assert!(ledger.accounted());
         assert!(ledger.delta.incremental);
         assert!(ledger.delta.consistent());
@@ -2023,55 +2039,105 @@ mod tests {
         assert_eq!(ledger.delta.edges.len(), 5);
         assert!(ledger.delta.llm_calls_saved > 0);
 
-        // Remaps chain: the updated state drives a second remap to the
-        // same bytes.
-        let remap2 = dir.join("remap2.map");
-        run(&args(&[
-            "remap",
-            "--data",
-            data.to_str().unwrap(),
-            "--base-state",
-            state1.to_str().unwrap(),
+        // Remaps chain: the world each remap publishes is the next
+        // one's base, as an artifact and as the timeline's tip.
+        let base2 = path("base2.store");
+        let chained = [1, 2, 3, 4].map(|n| path(&format!("chained{n}.map")));
+        map(&[
+            "--base",
+            &base1,
             "--out",
-            remap2.to_str().unwrap(),
-            "-q",
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&full_map).unwrap(),
-            std::fs::read(&remap2).unwrap()
-        );
+            &chained[0],
+            "--store-out",
+            &base2,
+        ]);
+        map(&["--base", &base2, "--out", &chained[1]]);
+        let out = map(&["--base", &chain, "--out", &chained[2], "--timeline", &chain]);
+        assert!(out.contains("timeline: epoch 1 appended"), "{out}");
+        let out = map(&["--base", &chain, "--out", &chained[3], "--timeline", &chain]);
+        assert!(out.contains("timeline: epoch 2 appended"), "{out}");
+        for remapped in &chained {
+            assert_eq!(read(&full), read(remapped), "{remapped}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn remap_rejects_a_missing_or_corrupt_state() {
-        let dir = tmpdir("remap-bad-state");
-        std::fs::create_dir_all(&dir).unwrap();
-        let err = run(&args(&[
-            "remap",
-            "--data",
-            "x",
-            "--base-state",
-            dir.to_str().unwrap(),
+        let dir = tmpdir("remap-bad-base");
+        let data = dir.join("world");
+        run(&args(&[
+            "generate",
             "--out",
-            "y",
+            data.to_str().unwrap(),
+            "--scale",
+            "tiny",
+            "--seed",
+            "5",
+            "-q",
         ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("state.json"), "{err}");
+        .unwrap();
+        let (artifact, chain) = (dir.join("base.store"), dir.join("chain"));
+        run(&args(&[
+            "map",
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            dir.join("full.map").to_str().unwrap(),
+            "--store-out",
+            artifact.to_str().unwrap(),
+            "--timeline",
+            chain.to_str().unwrap(),
+            "-q",
+        ]))
+        .unwrap();
 
-        std::fs::write(dir.join("state.json"), "{not json").unwrap();
-        let err = run(&args(&[
-            "remap",
-            "--data",
-            "x",
-            "--base-state",
-            dir.to_str().unwrap(),
-            "--out",
-            "y",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        let bytes = std::fs::read(&artifact).unwrap();
+        let truncated = dir.join("truncated.store");
+        std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+        let flipped = dir.join("flipped.store");
+        let mut damaged = bytes.clone();
+        damaged[bytes.len() / 2] ^= 0x40;
+        std::fs::write(&flipped, &damaged).unwrap();
+        let empty = dir.join("empty-chain");
+        std::fs::create_dir_all(&empty).unwrap();
+        let tip = std::fs::read_dir(chain.join("worlds"))
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let mut world = std::fs::read(&tip).unwrap();
+        let mid = world.len() / 2;
+        world[mid] ^= 0x40;
+        std::fs::write(&tip, &world).unwrap();
+
+        // Every bad base fails before the bundle is read (--data names
+        // nothing), naming the store's or the timeline's error kind.
+        for (base, kind) in [
+            (dir.join("absent.store"), "(missing)"),
+            (truncated, "(truncated)"),
+            (flipped, "(section_checksum)"),
+            (empty, "(empty)"),
+            (chain, "(tampered_world)"),
+        ] {
+            let err = run(&args(&[
+                "map",
+                "--data",
+                "/no/such/bundle",
+                "--base",
+                base.to_str().unwrap(),
+                "--out",
+                dir.join("never.map").to_str().unwrap(),
+            ]))
+            .unwrap_err();
+            assert!(matches!(err, CliError::Failed(_)), "{base:?} → {err}");
+            let message = err.to_string();
+            assert!(message.contains(kind), "{base:?} → {message}");
+            assert!(!message.contains("/no/such/bundle"), "{message}");
+        }
+        assert!(!dir.join("absent.store").exists());
+        assert!(!dir.join("never.map").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2128,10 +2194,10 @@ mod tests {
         for cmd in [
             vec!["map", "--data", "x", "--out", "y", "--features", "bogus"],
             vec![
-                "remap",
+                "map",
                 "--data",
                 "x",
-                "--base-state",
+                "--base",
                 "s",
                 "--out",
                 "y",
@@ -2455,15 +2521,12 @@ mod tests {
         .unwrap();
 
         let timeline = dir.join("tl");
-        let state = dir.join("state");
         let out = run(&args(&[
             "map",
             "--data",
             data.to_str().unwrap(),
             "--out",
             dir.join("m0.map").to_str().unwrap(),
-            "--state-out",
-            state.to_str().unwrap(),
             "--timeline",
             timeline.to_str().unwrap(),
             "-q",
@@ -2471,11 +2534,11 @@ mod tests {
         .unwrap();
         assert!(out.contains("timeline: epoch 0 appended"), "{out}");
         let out = run(&args(&[
-            "remap",
+            "map",
             "--data",
             evolved.to_str().unwrap(),
-            "--base-state",
-            state.to_str().unwrap(),
+            "--base",
+            timeline.to_str().unwrap(),
             "--out",
             dir.join("m1.map").to_str().unwrap(),
             "--timeline",
@@ -2546,6 +2609,26 @@ mod tests {
         let err = run(&args(&["timeline", "verify", tl])).unwrap_err();
         assert!(matches!(err, CliError::Failed(_)), "{err}");
         assert!(err.to_string().contains("CORRUPT"), "{err}");
+
+        // A path that does not exist is not an empty chain: every read
+        // fails with the typed `missing` kind, and creates nothing.
+        let absent = dir.join("no-such-chain");
+        let absent_arg = absent.to_str().unwrap();
+        for cmd in [
+            vec!["timeline", "verify", absent_arg],
+            vec!["timeline", "ls", absent_arg],
+            vec!["timeline", "diff", absent_arg, "0", "1"],
+            // Before the bundle is read: --data names nothing either.
+            vec!["serve", "--data", "/no/such", "--timeline", absent_arg],
+            vec![
+                "map", "--data", "/no/such", "--out", "y", "--base", absent_arg,
+            ],
+        ] {
+            let err = run(&args(&cmd)).unwrap_err();
+            assert!(matches!(err, CliError::Failed(_)), "{cmd:?} → {err}");
+            assert!(err.to_string().contains("(missing)"), "{cmd:?} → {err}");
+            assert!(!absent.exists(), "{cmd:?} created {absent:?}");
+        }
 
         // Usage errors for malformed invocations.
         for bad in [

@@ -17,10 +17,10 @@
 //!   [`merge_feature`] replays only the segments whose member
 //!   fingerprint changed and retains the rest verbatim — the per-feature
 //!   union-find replay the tentpole asks for.
-//! * **Persisted state** ([`SnapshotState`]) — the serde wire form of
-//!   the compiled evidence (interner slots, segments, fingerprints, and
-//!   the LLM reply memos), written by `map --state-out` and reloaded by
-//!   `remap --base-state`.
+//! * **Persisted state** ([`SnapshotState`]) — the compiled evidence
+//!   (interner slots, segments, fingerprints, and the LLM reply memos)
+//!   that every store artifact carries as its world's `state`: a
+//!   published world is the base `map --base` remaps against.
 //!
 //! Fingerprints are 64-bit FNV-1a, like [`borges_types::FaviconHash`]:
 //! fast, dependency-free, and collision-safe at the paper's scale. The
@@ -517,8 +517,11 @@ pub struct FaviconMemoRecord {
 
 /// The persisted compiled state of one Borges run: interner slots,
 /// per-feature edge segments, per-record source fingerprints, and the
-/// LLM reply memos. Written by `map --state-out`, reloaded by
-/// `remap --base-state`. The OID_W base closure is *not* persisted —
+/// LLM reply memos. It is the `state` of a
+/// [`CompiledWorld`](crate::CompiledWorld), so every store artifact and
+/// timeline world carries it, and `map --base` reads it back from
+/// either. The JSON form ([`SnapshotState::to_json_pretty`]) remains
+/// for the benchmark harness. The OID_W base closure is *not* persisted —
 /// it is rebuilt from the OID_W segment edges on load, which is cheap
 /// and sidesteps the fact that a union-find cannot un-union a retired
 /// bridge ASN.

@@ -576,8 +576,8 @@ pub struct Borges {
     /// artifact's content address.
     world_epoch: u64,
     /// The provenance table behind [`Borges::evidence`], built on its
-    /// first call. Neither `map` nor `remap` builds it, and it is never
-    /// persisted.
+    /// first call. `map` never builds it, with or without `--base`, and
+    /// it is never persisted.
     evidence: OnceLock<EvidenceTable>,
 }
 
@@ -636,8 +636,10 @@ pub enum WebSource<'a> {
     /// Crawl every PeeringDB website through this client: the trace has
     /// a `crawl` stage and the ledger a redirect-cache row.
     Crawl(&'a (dyn WebClient + Sync)),
-    /// A report scraped earlier (ablations, benches, and remaps, which
-    /// re-crawl before they re-map): there is no `crawl` stage, and the
+    /// A report scraped earlier, by ablations and benches (among them
+    /// the benchmark harness's remap, which re-crawls with
+    /// [`Scraper::crawl`] before it re-maps; the CLI's remap, `map
+    /// --base`, crawls instead): there is no `crawl` stage, and the
     /// redirect-cache ledger row reads zero.
     Scraped(&'a ScrapeReport),
 }
@@ -969,7 +971,9 @@ impl Borges {
     /// `state`: [`Borges::ingest`] over the re-crawled T+1 `report`, with
     /// the LLM calls sent one at a time. Byte-identical to a full ingest
     /// of the same inputs. `threads` is ignored, as in
-    /// [`Borges::run_parallel`].
+    /// [`Borges::run_parallel`]. Only the benchmark harness (`perfbench/`)
+    /// calls this; the CLI's remap, `map --base`, runs [`Borges::ingest`]
+    /// over a crawl with the prior set.
     ///
     /// `report` is the *re-crawled* T+1 web observation: the web can
     /// drift even when the registries did not, so it is never carried

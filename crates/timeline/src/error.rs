@@ -16,6 +16,11 @@ use std::path::Path;
 /// its own.
 #[derive(Debug)]
 pub enum TimelineError {
+    /// No timeline directory exists where a read expected one.
+    Missing {
+        /// The path that was not found.
+        path: String,
+    },
     /// Filesystem failure reading or writing under the timeline dir.
     Io {
         /// The path involved.
@@ -106,6 +111,7 @@ impl TimelineError {
     /// Stable, grep-able error-class label.
     pub fn kind(&self) -> &'static str {
         match self {
+            TimelineError::Missing { .. } => "missing",
             TimelineError::Io { .. } => "io",
             TimelineError::Corrupt { .. } => "corrupt",
             TimelineError::SchemaMismatch { .. } | TimelineError::WorldSchemaMismatch { .. } => {
@@ -135,6 +141,7 @@ impl TimelineError {
 impl fmt::Display for TimelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TimelineError::Missing { path } => write!(f, "no timeline directory at {path}"),
             TimelineError::Io { path, detail } => write!(f, "io error at {path}: {detail}"),
             TimelineError::Corrupt { detail } => write!(f, "CORRUPT manifest: {detail}"),
             TimelineError::SchemaMismatch { found } => {
@@ -197,6 +204,7 @@ mod tests {
     #[test]
     fn kinds_are_stable() {
         let cases: Vec<(TimelineError, &str)> = vec![
+            (TimelineError::Missing { path: "x".into() }, "missing"),
             (TimelineError::Corrupt { detail: "x".into() }, "corrupt"),
             (
                 TimelineError::SchemaMismatch { found: "v9".into() },

@@ -102,11 +102,12 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Opens (creating if absent) the timeline at `dir`. The manifest,
-    /// if present, must parse, carry the known schema, and form a
-    /// connected chain — a tampered manifest fails here, loudly.
+    /// Opens the timeline at `dir` for appending. A directory that does
+    /// not exist yet opens as an empty chain, and the first
+    /// [`Timeline::append`] creates it; opening writes nothing. The
+    /// manifest, if present, must parse, carry the known schema, and
+    /// form a connected chain — a tampered manifest fails here, loudly.
     pub fn open(dir: &Path) -> Result<Timeline, TimelineError> {
-        std::fs::create_dir_all(dir).map_err(|e| TimelineError::from_io(dir, e))?;
         let manifest_path = dir.join(MANIFEST_FILE);
         let links = if manifest_path.exists() {
             let bytes = std::fs::read(&manifest_path)
@@ -132,6 +133,19 @@ impl Timeline {
             dir: dir.to_path_buf(),
             links,
         })
+    }
+
+    /// Opens the timeline at `dir` for reading: as [`Timeline::open`],
+    /// except that a `dir` that is not a directory is
+    /// [`TimelineError::Missing`], not an empty chain, so a mistyped
+    /// path fails instead of reading as a timeline with no links.
+    pub fn open_existing(dir: &Path) -> Result<Timeline, TimelineError> {
+        if !dir.is_dir() {
+            return Err(TimelineError::Missing {
+                path: dir.display().to_string(),
+            });
+        }
+        Timeline::open(dir)
     }
 
     /// The chain, oldest first.
@@ -497,16 +511,33 @@ mod tests {
         )
     }
 
-    fn scratch(name: &str) -> PathBuf {
+    /// A temp directory, removed when the test that made it ends.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
         let dir =
             std::env::temp_dir().join(format!("borges-timeline-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Scratch(dir)
     }
 
     /// Three epochs: genesis, a cogent+orange acquisition, then a
     /// digicel spinoff — the scripted M&A arc.
-    fn three_epoch_timeline(name: &str) -> (PathBuf, Timeline) {
+    fn three_epoch_timeline(name: &str) -> (Scratch, Timeline) {
         let dir = scratch(name);
         let mut timeline = Timeline::open(&dir).unwrap();
         let w0 = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
@@ -583,8 +614,14 @@ mod tests {
         assert_eq!(timeline.resolve_at(0).unwrap().epoch, 0);
         assert_eq!(timeline.resolve_at(1).unwrap().epoch, 1);
         assert_eq!(timeline.resolve_at(99).unwrap().epoch, 2, "floor to tip");
-        let empty = Timeline::open(&scratch("resolve-empty")).unwrap();
+        let missing = scratch("resolve-empty");
+        let empty = Timeline::open(&missing).unwrap();
         assert_eq!(empty.resolve_at(0).unwrap_err().kind(), "empty");
+        // Opening wrote nothing, and a read-only open refuses the path.
+        assert!(!missing.exists());
+        let err = Timeline::open_existing(&missing).unwrap_err();
+        assert_eq!(err.kind(), "missing", "{err}");
+        assert!(!missing.exists());
         assert_eq!(timeline.link_at(7).unwrap_err().kind(), "unknown_epoch");
     }
 

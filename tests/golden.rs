@@ -90,6 +90,16 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x42a0c865fcfe53bd,
         ],
     ),
+    (
+        "crawled_remap",
+        [
+            0xaee38c9a5e60e355,
+            0x04758fbc707eee3a,
+            0x1f249d5305b19545,
+            0xcd7ab885535842a0,
+            0x42a0c865fcfe53bd,
+        ],
+    ),
 ];
 
 const LLM_SEED: u64 = 99;
@@ -295,4 +305,32 @@ fn golden_remap() {
         &tel,
     );
     check("remap", digests(&borges, &tel, "remap", 1));
+}
+
+/// The remap `borges map --base` runs: the churned successor crawled on
+/// the I/O pool, against the prior decoded from the base world's store
+/// encoding. Its mapfiles and state equal the `remap` row's; its trace
+/// and metrics add the `crawl` stage that a scraped remap lacks.
+#[test]
+fn golden_crawled_remap() {
+    let world = world();
+    let base = sequential(&world).0;
+    let state = borges_store::decode_world(&borges_store::encode_world(&base.to_world()))
+        .expect("a fresh encoding decodes")
+        .world
+        .state;
+    let (successor, _) = churn(&world, 10.0, 23);
+    let tel = Telemetry::sim(Verbosity::Quiet);
+    let borges = crawl(
+        &successor,
+        SimWebClient::browser(&successor.web),
+        &SimLlm::new(LLM_SEED),
+        &IngestOptions {
+            pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
+            prior: Some(&state),
+            ..IngestOptions::default()
+        },
+        &tel,
+    );
+    check("crawled_remap", digests(&borges, &tel, "parallel", 2));
 }

@@ -423,7 +423,7 @@ fn assert_pooled_crawl_is_the_in_order_fold<C: WebClient + Sync>(
 
 #[test]
 fn pooled_crawl_equals_the_in_order_fold() {
-    // `Scraper::crawl` (what `remap` and the server's reload run) keeps
+    // `Scraper::crawl` (the benchmark harness's standalone re-crawl) keeps
     // several fetches in flight, one host at a time. Whatever a client
     // keeps per host — here the URL cache and, under chaos, each host's
     // fault episode — must then see the sequential call sequence.

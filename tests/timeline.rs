@@ -37,14 +37,31 @@ fn compile(world: &SyntheticInternet) -> Borges {
     )
 }
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
+/// A temp directory, removed when the test that made it ends.
+struct TmpDir(std::path::PathBuf);
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TmpDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+fn tmpdir(name: &str) -> TmpDir {
     let dir = std::env::temp_dir().join(format!(
         "borges-timeline-xtest-{name}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 /// Builds the scripted three-epoch chain in `dir`: the tiny(77) world,
