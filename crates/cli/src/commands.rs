@@ -771,55 +771,6 @@ type StoreBoot = Result<String, String>;
 /// byte-determinism contract makes evictions invisible to clients.
 const EPOCH_LRU_CAPACITY: usize = 4;
 
-/// Adapts [`borges_timeline::Timeline`] to the serve crate's injected
-/// backend, flattening the timeline's typed error kinds onto HTTP
-/// blame: an epoch the chain cannot answer is the client's problem
-/// (404), a backwards range is a bad request (400), and everything
-/// else — corruption, IO — is the server's (500).
-struct CliTimelineBackend {
-    timeline: borges_timeline::Timeline,
-}
-
-fn timeline_query_error(e: borges_timeline::TimelineError) -> borges_serve::TimelineQueryError {
-    match e.kind() {
-        "unknown_epoch" | "empty" => borges_serve::TimelineQueryError::NotFound(e.to_string()),
-        "invalid_range" => borges_serve::TimelineQueryError::BadRequest(e.to_string()),
-        _ => borges_serve::TimelineQueryError::Internal(e.to_string()),
-    }
-}
-
-impl borges_serve::TimelineBackend for CliTimelineBackend {
-    fn link_count(&self) -> usize {
-        self.timeline.links().len()
-    }
-    fn tip_epoch(&self) -> Option<u64> {
-        self.timeline.tip().map(|l| l.epoch)
-    }
-    fn resolve_at(&self, at: u64) -> Result<u64, borges_serve::TimelineQueryError> {
-        self.timeline
-            .resolve_at(at)
-            .map(|l| l.epoch)
-            .map_err(timeline_query_error)
-    }
-    fn load(&self, epoch: u64) -> Result<Borges, borges_serve::TimelineQueryError> {
-        self.timeline
-            .load_epoch(epoch)
-            .map_err(timeline_query_error)
-    }
-    fn history_json(&self, asn: Asn) -> Result<String, borges_serve::TimelineQueryError> {
-        self.timeline
-            .org_lineage(asn)
-            .map(|lineage| lineage.to_json())
-            .map_err(timeline_query_error)
-    }
-    fn diff_json(&self, t1: u64, t2: u64) -> Result<String, borges_serve::TimelineQueryError> {
-        self.timeline
-            .diff(t1, t2)
-            .map(|d| borges_timeline::render_diff_json(t1, t2, &d))
-            .map_err(timeline_query_error)
-    }
-}
-
 /// Loads the bundle at `data` and ingests it, remapping against `prior`
 /// when one is given: `serve`'s cold compile and its reload. The ingest
 /// runs on the I/O pool at `threads` 2 or more and is the sequential
@@ -895,7 +846,7 @@ fn serve(opts: &Options) -> Result<String, CliError> {
                 timeline.links().len()
             ));
             Some(std::sync::Arc::new(borges_serve::TimelineState::new(
-                Box::new(CliTimelineBackend { timeline }),
+                timeline,
                 EPOCH_LRU_CAPACITY,
                 lru,
             )))

@@ -130,17 +130,6 @@ impl NerResult {
             .flat_map(|(s, sibs)| sibs.iter().map(move |x| (*s, *x)))
             .collect()
     }
-
-    /// Every ASN this feature touches (subjects with extractions plus the
-    /// extracted siblings) — the "1,436 ASNs" universe of Table 3.
-    pub fn touched_asns(&self) -> BTreeSet<Asn> {
-        let mut set = BTreeSet::new();
-        for (subject, siblings) in &self.per_entry {
-            set.insert(*subject);
-            set.extend(siblings.iter().copied());
-        }
-        set
-    }
 }
 
 /// Configuration of the NER stage.

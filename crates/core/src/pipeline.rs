@@ -48,7 +48,7 @@ use borges_telemetry::{
 use borges_types::{Asn, AsnInterner};
 use borges_websim::{
     CrawlEntry, ReportAssembler, Resolution, RetryingWebClient, ScrapeReport, ScrapeStats, Scraper,
-    StreamingWebClient, WebClient,
+    WebClient,
 };
 use borges_whois::WhoisRegistry;
 use std::borrow::Cow;
@@ -1147,10 +1147,7 @@ impl Borges {
                         .with_clock(tel.clock())
                         .with_telemetry(tel.clone())
                 });
-                let scraper = Scraper::new(match &retrying {
-                    Some(retrying) => retrying as &dyn WebClient,
-                    None => client,
-                });
+                let scraper = Scraper::new(retrying.as_ref().map_or(client, |r| r));
                 let report = stage(tel, &root, "crawl", |span| {
                     let mut report =
                         scraper.crawl_in_order(pdb.nets().map(|n| (n.asn, n.website.as_str())));
@@ -1189,15 +1186,16 @@ impl Borges {
     /// pool of `in_flight` workers, interleaved; nothing touches
     /// the telemetry clock or opens spans. Fetches keep their per-host
     /// keys; each NER request gets a key of its own, so per-host FIFO
-    /// applies only to fetches. Resilient fetches spend their backoff on
-    /// private per-call clocks, and resilient NER runs through a
-    /// [`RetryingModel`] on a private [`SimClock`]; both totals are
-    /// accumulated. Resilient NER requests share one key instead: the
-    /// model's single breaker counts one failure streak across calls, so
-    /// they must run one at a time in plan order, as in the sequential
-    /// front. Backoff schedules depend only on (attempt, key), never on
-    /// absolute time, so the spend equals what the sequential front's
-    /// shared clock would have accumulated.
+    /// applies only to fetches. Resilient fetches back off on private
+    /// per-call clocks (a [`RetryingWebClient`] without a shared clock),
+    /// and resilient NER runs through a [`RetryingModel`] on a private
+    /// [`SimClock`]; both totals are accumulated. Resilient NER
+    /// requests share one key instead: the model's single breaker counts
+    /// one failure streak across calls, so they must run one at a time
+    /// in plan order, as in the sequential front. Backoff schedules
+    /// depend only on (attempt, key), never on absolute time, so the
+    /// spend equals what the sequential front's shared clock would have
+    /// accumulated.
     ///
     /// **Phase B** then opens the root span at virtual t=0 and replays
     /// the `crawl` and `ner` stages, sleeping each one's accumulated
@@ -1215,16 +1213,16 @@ impl Borges {
         tel: &Telemetry,
         root: &str,
     ) -> Front<'w> {
-        let fetcher = match web {
-            WebSource::Crawl(client) => Some(match opts.policy {
-                Some(policy) => StreamingWebClient::resilient(client, policy)
-                    .with_breakers(BreakerConfig::standard())
-                    .with_telemetry(tel.clone()),
-                None => StreamingWebClient::bare(client),
-            }),
+        let client = match web {
+            WebSource::Crawl(client) => Some(client),
             WebSource::Scraped(_) => None,
         };
-        let scraper = fetcher.as_ref().map(Scraper::new);
+        let retrying = client.zip(opts.policy).map(|(client, policy)| {
+            RetryingWebClient::new(client, policy)
+                .with_breakers(BreakerConfig::standard())
+                .with_telemetry(tel.clone())
+        });
+        let scraper = client.map(|client| Scraper::new(retrying.as_ref().map_or(client, |r| r)));
         let entries = match &scraper {
             Some(_) => pdb
                 .nets()
@@ -1279,18 +1277,20 @@ impl Borges {
         ner.stats.resilience = ner_model.stats();
 
         let root = tel.span(root);
-        let (report, web_cache) = match (web, &fetcher, &scraper) {
-            (WebSource::Scraped(report), ..) => (Cow::Borrowed(report), CacheStats::default()),
-            (WebSource::Crawl(_), Some(fetcher), Some(scraper)) => {
+        let (report, web_cache) = match (web, &scraper) {
+            (WebSource::Scraped(report), _) => (Cow::Borrowed(report), CacheStats::default()),
+            (WebSource::Crawl(_), Some(scraper)) => {
                 let mut report = assembler.finish();
-                report.stats.resilience = fetcher.stats();
                 stage(tel, &root, "crawl", |span| {
-                    tel.clock().sleep_ms(fetcher.backoff_total_ms());
+                    if let Some(retrying) = &retrying {
+                        report.stats.resilience = retrying.stats();
+                        tel.clock().sleep_ms(retrying.backoff_total_ms());
+                    }
                     annotate_crawl(span, &report.stats);
                 });
                 (Cow::Owned(report), scraper.cache_stats())
             }
-            (WebSource::Crawl(_), ..) => unreachable!("a crawl has a fetcher"),
+            (WebSource::Crawl(_), None) => unreachable!("a crawl has a scraper"),
         };
         let ner = stage(tel, &root, "ner", |span| {
             tel.clock().sleep_ms(ner_clock.now_ms());
@@ -1352,7 +1352,7 @@ impl Borges {
                         siblings: siblings.iter().map(|a| a.value()).collect(),
                     })
                     .collect(),
-                ner_stats: (&self.ner.stats).into(),
+                ner_stats: self.ner.stats,
                 rr_groups: self
                     .rr
                     .groups
@@ -1363,7 +1363,7 @@ impl Borges {
                         members: group.iter().map(|a| a.value()).collect(),
                     })
                     .collect(),
-                rr_stats: (&self.rr.stats).into(),
+                rr_stats: self.rr.stats,
                 favicon_groups: self
                     .favicon
                     .groups
@@ -1374,8 +1374,8 @@ impl Borges {
                         members: group.iter().map(|a| a.value()).collect(),
                     })
                     .collect(),
-                favicon_stats: (&self.favicon.stats).into(),
-                scrape_stats: (&self.scrape_stats).into(),
+                favicon_stats: self.favicon.stats,
+                scrape_stats: self.scrape_stats.clone(),
                 web_cache: self.web_cache,
             },
         }
@@ -1447,7 +1447,7 @@ impl Borges {
                 .collect(),
             memo: state.ner_memo_map(),
             memo_hits: 0,
-            stats: (&extras.ner_stats).into(),
+            stats: extras.ner_stats,
         };
         let rr = RrInference {
             groups: extras
@@ -1460,7 +1460,7 @@ impl Borges {
                 .iter()
                 .map(|rec| rec.final_url.clone())
                 .collect(),
-            stats: (&extras.rr_stats).into(),
+            stats: extras.rr_stats,
         };
         let favicon = FaviconInference {
             groups: extras
@@ -1476,7 +1476,7 @@ impl Borges {
             decisions: Vec::new(),
             memo: state.favicon_memo_map(),
             memo_hits: 0,
-            stats: (&extras.favicon_stats).into(),
+            stats: extras.favicon_stats,
         };
 
         Ok(Borges {
@@ -1495,7 +1495,7 @@ impl Borges {
             ner,
             rr,
             favicon,
-            scrape_stats: (&extras.scrape_stats).into(),
+            scrape_stats: extras.scrape_stats.clone(),
             web_cache: extras.web_cache,
             delta: None,
             world_epoch: world.epoch,

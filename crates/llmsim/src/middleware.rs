@@ -11,10 +11,10 @@
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse, Usage};
 use borges_resilience::{
-    stable_hash, BreakerConfig, BreakerVerdict, CircuitBreaker, Clock, EpisodePlan, FaultInjector,
-    ResilienceStats, RetryPolicy, SimClock, TransportError,
+    stable_hash, BreakerConfig, CircuitBreaker, Clock, EpisodePlan, FaultInjector, ResilienceStats,
+    RetryPolicy, SimClock, TransportError,
 };
-use borges_telemetry::{BreakerEvent, CacheStats, Telemetry};
+use borges_telemetry::{CacheStats, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -327,8 +327,8 @@ impl<M: ChatModel> RetryingModel<M> {
     /// `favicon` — there may be several model stacks in one run): every
     /// logical completion records attempt/recovery/abandonment counters
     /// named `borges_llm_<boundary>_*`, a call-duration histogram on this
-    /// stack's clock (backoff spend included), and a [`BreakerEvent`]
-    /// when the backend's breaker opens.
+    /// stack's clock (backoff spend included), and a breaker event when
+    /// the backend's breaker opens.
     pub fn with_telemetry(mut self, telemetry: Telemetry, boundary: &str) -> Self {
         self.telemetry = telemetry;
         self.boundary = format!("llm.{boundary}");
@@ -339,87 +339,20 @@ impl<M: ChatModel> RetryingModel<M> {
     pub fn stats(&self) -> ResilienceStats {
         *self.stats.lock()
     }
-
-    fn metric(&self, suffix: &str) -> String {
-        // "llm.ner" → "borges_llm_ner_<suffix>".
-        format!("borges_{}_{suffix}", self.boundary.replace('.', "_"))
-    }
 }
 
 impl<M: ChatModel> ChatModel for RetryingModel<M> {
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, TransportError> {
-        let key = stable_hash(request_fingerprint(request).as_bytes());
-        let mut trips = 0u64;
-        let mut fast_fails = 0u64;
-        let started_ms = self.clock.now_ms();
-
-        let outcome = self.policy.run(&*self.clock, key, |_attempt| {
-            if let Some(b) = &self.breaker {
-                if !b.allow(&*self.clock) {
-                    fast_fails += 1;
-                    return Err(TransportError::CircuitOpen);
-                }
-            }
-            match self.inner.complete(request) {
-                Ok(response) => {
-                    if let Some(b) = &self.breaker {
-                        b.record_success();
-                    }
-                    Ok(response)
-                }
-                Err(e) => {
-                    if let Some(b) = &self.breaker {
-                        if b.record_failure(&*self.clock) == BreakerVerdict::Tripped {
-                            trips += 1;
-                        }
-                    }
-                    Err(e)
-                }
-            }
-        });
-
-        let mut stats = self.stats.lock();
-        stats.calls += 1;
-        stats.attempts += outcome.attempts as u64;
-        stats.breaker_trips += trips;
-        stats.breaker_fast_fails += fast_fails;
-        if outcome.recovered() {
-            stats.recovered += 1;
-        }
-        if outcome.result.is_err() {
-            stats.abandoned += 1;
-        }
-        drop(stats);
-
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter(&self.metric("calls_total"), 1);
-            self.telemetry
-                .counter(&self.metric("attempts_total"), outcome.attempts as u64);
-            if outcome.recovered() {
-                self.telemetry.counter(&self.metric("recovered_total"), 1);
-            }
-            if outcome.result.is_err() {
-                self.telemetry.counter(&self.metric("abandoned_total"), 1);
-            }
-            if fast_fails > 0 {
-                self.telemetry
-                    .counter(&self.metric("breaker_fast_fails_total"), fast_fails);
-            }
-            let now_ms = self.clock.now_ms();
-            self.telemetry
-                .observe_ms(&self.metric("call_ms"), now_ms.saturating_sub(started_ms));
-            if trips > 0 {
-                self.telemetry
-                    .counter(&self.metric("breaker_trips_total"), trips);
-                self.telemetry.record_breaker_event(BreakerEvent {
-                    boundary: self.boundary.clone(),
-                    key: self.inner.model_id().to_string(),
-                    transition: "open".to_string(),
-                    at_ms: now_ms,
-                });
-            }
-        }
-        outcome.result
+        let call = self.policy.guarded(
+            &*self.clock,
+            stable_hash(request_fingerprint(request).as_bytes()),
+            self.breaker.as_ref(),
+            || self.inner.complete(request),
+        );
+        self.stats.lock().record(&call);
+        self.telemetry
+            .record_guarded(&self.boundary, self.inner.model_id(), &call);
+        call.outcome.result
     }
 
     fn model_id(&self) -> &str {

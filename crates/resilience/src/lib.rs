@@ -17,7 +17,9 @@
 //!   sleeping; [`SystemClock`] is the production binding.
 //! * [`retry`] — [`RetryPolicy`]: exponential backoff with deterministic
 //!   (seeded, per-call-key) jitter, an attempt budget, and a wall-clock
-//!   deadline budget.
+//!   deadline budget; [`RetryPolicy::guarded`] runs one logical call
+//!   under it behind an optional breaker, the one loop every resilient
+//!   boundary shares.
 //! * [`breaker`] — a per-host [`CircuitBreaker`] (closed → open →
 //!   half-open) and the [`BreakerRegistry`] that keys breakers by host.
 //! * [`inject`] — [`EpisodePlan`]/[`FaultInjector`]: seeded fault
@@ -47,7 +49,7 @@ pub use breaker::{BreakerConfig, BreakerRegistry, BreakerVerdict, CircuitBreaker
 pub use clock::{Clock, SimClock, SystemClock};
 pub use error::{FaultClass, TransportError};
 pub use inject::{Episode, EpisodePlan, FaultInjector};
-pub use retry::{RetryOutcome, RetryPolicy};
+pub use retry::{Guarded, RetryOutcome, RetryPolicy};
 pub use stats::ResilienceStats;
 
 /// splitmix64 finalizer — the same mixer `llmsim::FaultProfile` uses, so

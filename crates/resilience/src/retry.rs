@@ -8,7 +8,13 @@
 //! bit-for-bit reproducible. Permanent errors abort immediately;
 //! transient errors retry until the attempt budget or the wall-clock
 //! deadline (measured on the injected [`Clock`]) runs out.
+//!
+//! [`RetryPolicy::guarded`] is the loop every resilient boundary runs:
+//! the same retries behind an optional [`CircuitBreaker`], which
+//! fast-fails attempts while it is open and hears the verdict of every
+//! attempt that reached the backend.
 
+use crate::breaker::{BreakerVerdict, CircuitBreaker};
 use crate::clock::Clock;
 use crate::error::{FaultClass, TransportError};
 use crate::splitmix64;
@@ -130,6 +136,66 @@ impl RetryPolicy {
             }
         }
     }
+
+    /// Runs one logical call under this policy on `clock`, behind
+    /// `breaker` when there is one: an open breaker fast-fails an
+    /// attempt with [`TransportError::CircuitOpen`] without calling
+    /// `call`, and every attempt that does call it reports its success
+    /// or failure to the breaker. `key` identifies the logical call, as
+    /// in [`RetryPolicy::run`].
+    pub fn guarded<T>(
+        &self,
+        clock: &dyn Clock,
+        key: u64,
+        breaker: Option<&CircuitBreaker>,
+        mut call: impl FnMut() -> Result<T, TransportError>,
+    ) -> Guarded<T> {
+        let started_ms = clock.now_ms();
+        let mut trips = 0;
+        let mut fast_fails = 0;
+        let outcome = self.run(clock, key, |_attempt| {
+            let Some(breaker) = breaker else {
+                return call();
+            };
+            if !breaker.allow(clock) {
+                fast_fails += 1;
+                return Err(TransportError::CircuitOpen);
+            }
+            let result = call();
+            if result.is_ok() {
+                breaker.record_success();
+            } else if breaker.record_failure(clock) == BreakerVerdict::Tripped {
+                trips += 1;
+            }
+            result
+        });
+        let end_ms = clock.now_ms();
+        Guarded {
+            outcome,
+            trips,
+            fast_fails,
+            elapsed_ms: end_ms.saturating_sub(started_ms),
+            end_ms,
+        }
+    }
+}
+
+/// One logical call run by [`RetryPolicy::guarded`]: its outcome and
+/// what the breaker and the clock saw — everything a boundary folds into
+/// [`crate::ResilienceStats::record`] and its telemetry.
+#[derive(Debug)]
+pub struct Guarded<T> {
+    /// The final result and the attempts spent.
+    pub outcome: RetryOutcome<T>,
+    /// Times this call's failures tripped the breaker open.
+    pub trips: u64,
+    /// Attempts the open breaker fast-failed.
+    pub fast_fails: u64,
+    /// Clock milliseconds from the first attempt to the final result:
+    /// the call's backoff spend on a virtual clock.
+    pub elapsed_ms: u64,
+    /// The clock reading when the call ended.
+    pub end_ms: u64,
 }
 
 /// What one retried logical call cost and produced.
@@ -248,6 +314,50 @@ mod tests {
             (out.result.unwrap(), out.attempts, clock.now_ms())
         };
         assert_eq!(run(), run(), "identical timings across runs");
+    }
+
+    #[test]
+    fn chaos_guarded_calls_trip_and_fast_fail_the_breaker() {
+        use crate::{BreakerConfig, ResilienceStats};
+        let clock = SimClock::starting_at(1_000);
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 2,
+            open_ms: 1_000_000,
+        });
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_delay_ms: 10,
+            max_delay_ms: 10,
+            deadline_ms: u64::MAX,
+            jitter_seed: 1,
+        };
+        let mut reached = 0;
+        let call = policy.guarded(&clock, 7, Some(&breaker), || {
+            reached += 1;
+            Err::<(), _>(TransportError::Timeout)
+        });
+        assert_eq!(reached, 2, "the open breaker keeps the third attempt");
+        assert_eq!(call.outcome.result, Err(TransportError::CircuitOpen));
+        assert_eq!(
+            (call.outcome.attempts, call.trips, call.fast_fails),
+            (3, 1, 1)
+        );
+        assert!(call.elapsed_ms > 0, "two backoffs were slept");
+        assert_eq!(call.end_ms, 1_000 + call.elapsed_ms);
+
+        let mut stats = ResilienceStats::default();
+        stats.record(&call);
+        assert_eq!(
+            stats,
+            ResilienceStats {
+                calls: 1,
+                attempts: 3,
+                recovered: 0,
+                abandoned: 1,
+                breaker_trips: 1,
+                breaker_fast_fails: 1,
+            }
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! run can account for every record it lost: `abandoned` plus the calls
 //! that succeeded must equal the calls attempted — no silent drops.
 
+use crate::retry::Guarded;
 use std::ops::AddAssign;
 
 /// What one resilient boundary observed.
@@ -35,6 +36,20 @@ impl ResilienceStats {
     /// Physical attempts that failed and were retried or given up on.
     pub fn wasted_attempts(&self) -> u64 {
         self.attempts - self.succeeded()
+    }
+
+    /// Tallies one logical call.
+    pub fn record<T>(&mut self, call: &Guarded<T>) {
+        self.calls += 1;
+        self.attempts += u64::from(call.outcome.attempts);
+        self.breaker_trips += call.trips;
+        self.breaker_fast_fails += call.fast_fails;
+        if call.outcome.recovered() {
+            self.recovered += 1;
+        }
+        if call.outcome.result.is_err() {
+            self.abandoned += 1;
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use borges_types::Asn;
 
 use crate::flight::{FlightRecorder, LruOutcome, RequestObservation};
 use crate::http::{json_string, Request, Response};
-use crate::timeline::TimelineState;
+use crate::timeline::{self, TimelineState};
 use crate::world::ServingWorld;
 
 /// Everything a read-only handler may consult: the one world the
@@ -228,9 +228,9 @@ pub fn respond(
                 None => String::new(),
                 Some(state) => format!(
                     ",\"timeline\":{{\"links\":{},\"tip\":{}}}",
-                    state.backend().link_count(),
-                    match state.backend().tip_epoch() {
-                        Some(epoch) => epoch.to_string(),
+                    state.timeline().links().len(),
+                    match state.timeline().tip() {
+                        Some(link) => link.epoch.to_string(),
                         None => "null".to_string(),
                     }
                 ),
@@ -353,7 +353,7 @@ fn observed_mapping(
     metrics: &MetricsRegistry,
     obs: &mut RequestObservation,
 ) -> std::sync::Arc<borges_core::AsOrgMapping> {
-    let (mapping, hit) = world.mapping_observed(features, metrics);
+    let (mapping, hit) = world.mapping(features, metrics);
     obs.lru = if hit {
         LruOutcome::Hit
     } else {
@@ -483,9 +483,9 @@ fn handle_history(raw: &str, ctx: &ServeContext<'_>) -> Response {
         Ok(asn) => asn,
         Err(resp) => return resp,
     };
-    match state.backend().history_json(asn) {
-        Ok(body) => Response::json(200, body),
-        Err(err) => err.to_response(),
+    match state.timeline().org_lineage(asn) {
+        Ok(lineage) => Response::json(200, lineage.to_json()),
+        Err(err) => timeline::error_response(&err),
     }
 }
 
@@ -509,9 +509,9 @@ fn handle_diff(raw_t1: &str, raw_t2: &str, ctx: &ServeContext<'_>) -> Response {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    match state.backend().diff_json(t1, t2) {
-        Ok(body) => Response::json(200, body),
-        Err(err) => err.to_response(),
+    match state.timeline().diff(t1, t2) {
+        Ok(diff) => Response::json(200, borges_timeline::render_diff_json(t1, t2, &diff)),
+        Err(err) => timeline::error_response(&err),
     }
 }
 

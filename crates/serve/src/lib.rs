@@ -19,20 +19,19 @@
 //!   `503` + `Retry-After` load shedding, zero-downtime reload, and a
 //!   graceful drain; the ledger `shed + served == accepted` holds at
 //!   quiescence.
-//! - [`timeline`] — time-travel serving: an injected
-//!   [`TimelineBackend`](timeline::TimelineBackend) (the CLI wraps
-//!   `borges_timeline::Timeline`) plus an epoch-keyed LRU of loaded
+//! - [`timeline`] — time-travel serving: a mounted
+//!   `borges_timeline::Timeline` plus an epoch-keyed LRU of loaded
 //!   worlds, behind `?at=`, `/v1/org/{asn}/history`, and
 //!   `/v1/diff/{t1}/{t2}`.
 //! - [`client`] — the loopback test client the integration tests,
 //!   benches, and smoke checks drive the server with.
 //!
-//! The serve crate does no IO beyond its sockets: snapshot loading and
-//! remapping arrive as an injected [`server::Reloader`] closure, which
-//! is how `borges serve` (the CLI face) ties `POST /v1/admin/reload` to
-//! an incremental remap ([`borges_core::Borges::ingest`] over the
-//! serving world's snapshot state) without this crate knowing about
-//! files.
+//! Beyond its sockets, the serve crate reads files only through a
+//! mounted timeline, whose epoch worlds load on demand. Reloads still
+//! arrive as an injected [`server::Reloader`] closure, which is how
+//! `borges serve` (the CLI face) ties `POST /v1/admin/reload` to an
+//! incremental remap ([`borges_core::Borges::ingest`] over the serving
+//! world's snapshot state) without this crate knowing about bundles.
 
 #![deny(missing_docs)]
 
@@ -47,5 +46,5 @@ pub mod world;
 pub use client::{ClientResponse, ServeClient};
 pub use flight::{FlightRecorder, LruOutcome, RequestObservation, ServeEvent};
 pub use server::{RecordHook, Reloader, Server, ServerConfig, ServerHooks, ShutdownHandle};
-pub use timeline::{TimelineBackend, TimelineQueryError, TimelineState};
+pub use timeline::TimelineState;
 pub use world::{MappingCache, ServingWorld};

@@ -56,7 +56,7 @@ use parking_lot::Mutex;
 use crate::flight::{FlightRecorder, RequestObservation};
 use crate::handlers::{self, Route, ServeContext};
 use crate::http::{parse_request, Request, Response};
-use crate::timeline::TimelineState;
+use crate::timeline::{self, TimelineState};
 use crate::world::ServingWorld;
 
 /// How a server should run. `Default` gives a loopback ephemeral port,
@@ -401,12 +401,6 @@ impl Server {
         self.shared.reload(None)
     }
 
-    /// Runs the configured reloader against a store artifact, exactly
-    /// as `POST /v1/admin/reload` with a `{"store": path}` body would.
-    pub fn reload_from_store(&self, store: &str) -> Result<u64, String> {
-        self.shared.reload(Some(store))
-    }
-
     /// Replaces the serving world directly with `borges` (no reloader
     /// involved); returns the new epoch. The programmatic face of
     /// hot-swap, used by tests that need full control of the next
@@ -748,7 +742,7 @@ fn handle_connection(shared: &Shared, stream: &TcpStream, id: &str, queue_depth:
                             Some(state) => {
                                 match state.world_at(at, &shared.metrics, &shared.recorder) {
                                     Ok(epoch_world) => world = epoch_world,
-                                    Err(err) => early = Some(err.to_response()),
+                                    Err(err) => early = Some(timeline::error_response(&err)),
                                 }
                             }
                         },

@@ -1,13 +1,12 @@
-//! Time-travel serving: an injected timeline backend plus an
-//! epoch-keyed LRU of loaded worlds.
+//! Time-travel serving: a mounted [`Timeline`] plus an epoch-keyed LRU
+//! of loaded worlds.
 //!
-//! The serve crate stays IO-free (the same discipline as
-//! [`crate::server::Reloader`]): the CLI injects a [`TimelineBackend`]
-//! that knows how to resolve and load chain epochs, and this module
-//! owns the serving-side policy — which epochs stay resident
+//! Serve reads files only through the timeline mounted here; reloads
+//! still arrive through the injected [`crate::server::Reloader`]. This
+//! module owns the serving-side policy — which epochs stay resident
 //! ([`TimelineState`]'s LRU), how loads are counted
-//! (`borges_timeline_*` metrics), and how backend failures map onto
-//! HTTP statuses.
+//! (`borges_timeline_*` metrics), and how the timeline's typed error
+//! kinds map onto HTTP statuses ([`error_response`]).
 //!
 //! ## Contracts
 //!
@@ -21,65 +20,32 @@
 
 use std::sync::Arc;
 
-use borges_core::Borges;
 use borges_telemetry::MetricsRegistry;
+use borges_timeline::{Timeline, TimelineError};
 use parking_lot::Mutex;
 
 use crate::flight::FlightRecorder;
 use crate::http::Response;
 use crate::world::ServingWorld;
 
-/// Why a timeline query failed, already sorted by blame: the request
-/// ([`BadRequest`](TimelineQueryError::BadRequest)), the chain's extent
-/// ([`NotFound`](TimelineQueryError::NotFound)), or the timeline itself
-/// ([`Internal`](TimelineQueryError::Internal) — corruption or IO, the
-/// backend's typed kinds flattened into the detail string).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TimelineQueryError {
-    /// The request names an epoch/range the chain cannot answer → 404.
-    NotFound(String),
-    /// The request itself is malformed (e.g. a backwards range) → 400.
-    BadRequest(String),
-    /// The timeline is broken or unreadable → 500.
-    Internal(String),
+/// The response a failed timeline query answers with, by blame: an
+/// epoch or range the chain cannot answer (`unknown_epoch`, `empty`) is
+/// a 404, a backwards range (`invalid_range`) a 400, and everything
+/// else — corruption, IO — the server's 500.
+pub fn error_response(err: &TimelineError) -> Response {
+    let status = match err {
+        TimelineError::UnknownEpoch { .. } | TimelineError::Empty => 404,
+        TimelineError::InvalidRange { .. } => 400,
+        _ => 500,
+    };
+    Response::error(status, &err.to_string())
 }
 
-impl TimelineQueryError {
-    /// The HTTP response this failure answers with.
-    pub fn to_response(&self) -> Response {
-        match self {
-            TimelineQueryError::NotFound(detail) => Response::error(404, detail),
-            TimelineQueryError::BadRequest(detail) => Response::error(400, detail),
-            TimelineQueryError::Internal(detail) => Response::error(500, detail),
-        }
-    }
-}
-
-/// What the CLI injects: resolution, loading, and the two rendered
-/// query bodies. Implementations wrap `borges_timeline::Timeline`; the
-/// serve crate deliberately does not depend on that crate (or any
-/// file IO) itself.
-pub trait TimelineBackend: Send + Sync {
-    /// Number of links in the chain.
-    fn link_count(&self) -> usize;
-    /// The newest epoch, if the chain is non-empty.
-    fn tip_epoch(&self) -> Option<u64>;
-    /// Floor-resolves `?at=` to a chain epoch.
-    fn resolve_at(&self, at: u64) -> Result<u64, TimelineQueryError>;
-    /// Loads the world at exactly `epoch` (verifying it against the
-    /// chain) as a serving-ready pipeline.
-    fn load(&self, epoch: u64) -> Result<Borges, TimelineQueryError>;
-    /// The deterministic `/v1/org/{asn}/history` body.
-    fn history_json(&self, asn: borges_types::Asn) -> Result<String, TimelineQueryError>;
-    /// The deterministic `/v1/diff/{t1}/{t2}` body.
-    fn diff_json(&self, t1: u64, t2: u64) -> Result<String, TimelineQueryError>;
-}
-
-/// The serving side of a mounted timeline: the backend plus a bounded,
+/// The serving side of a mounted timeline: the chain plus a bounded,
 /// epoch-keyed LRU of loaded worlds (most-recently-used first).
 /// Capacity 0 disables residency — every `?at=` load is a miss.
 pub struct TimelineState {
-    backend: Box<dyn TimelineBackend>,
+    timeline: Timeline,
     cache: Mutex<Vec<(u64, Arc<ServingWorld>)>>,
     capacity: usize,
     /// Mapping-LRU capacity handed to each loaded epoch world.
@@ -87,24 +53,20 @@ pub struct TimelineState {
 }
 
 impl TimelineState {
-    /// Mounts `backend`, keeping at most `capacity` epoch worlds
+    /// Mounts `timeline`, keeping at most `capacity` epoch worlds
     /// resident; each gets a mapping LRU of `lru_capacity`.
-    pub fn new(
-        backend: Box<dyn TimelineBackend>,
-        capacity: usize,
-        lru_capacity: usize,
-    ) -> TimelineState {
+    pub fn new(timeline: Timeline, capacity: usize, lru_capacity: usize) -> TimelineState {
         TimelineState {
-            backend,
+            timeline,
             cache: Mutex::new(Vec::new()),
             capacity,
             lru_capacity,
         }
     }
 
-    /// The injected backend (history/diff queries go straight to it).
-    pub fn backend(&self) -> &dyn TimelineBackend {
-        self.backend.as_ref()
+    /// The mounted chain (history/diff queries go straight to it).
+    pub fn timeline(&self) -> &Timeline {
+        &self.timeline
     }
 
     /// Number of epoch worlds currently resident.
@@ -122,8 +84,8 @@ impl TimelineState {
         at: u64,
         metrics: &MetricsRegistry,
         recorder: &FlightRecorder,
-    ) -> Result<Arc<ServingWorld>, TimelineQueryError> {
-        let epoch = self.backend.resolve_at(at)?;
+    ) -> Result<Arc<ServingWorld>, TimelineError> {
+        let epoch = self.timeline.resolve_at(at)?.epoch;
         if self.capacity > 0 {
             let mut cache = self.cache.lock();
             if let Some(pos) = cache.iter().position(|(e, _)| *e == epoch) {
@@ -136,7 +98,7 @@ impl TimelineState {
             }
         }
         metrics.counter("borges_timeline_lru_misses_total", 1);
-        let borges = self.backend.load(epoch)?;
+        let borges = self.timeline.load_epoch(epoch)?;
         // The serving epoch is the artifact's stamped epoch, so the
         // body is byte-identical to serving that artifact directly.
         let world = Arc::new(ServingWorld::new(borges, self.lru_capacity, epoch));
@@ -174,72 +136,37 @@ impl TimelineState {
 mod tests {
     use super::*;
 
-    /// A backend that refuses everything — enough to exercise the
-    /// error plumbing without a real chain (integration tests drive
-    /// the real `borges_timeline::Timeline` through the CLI adapter).
-    struct EmptyBackend;
-
-    impl TimelineBackend for EmptyBackend {
-        fn link_count(&self) -> usize {
-            0
-        }
-        fn tip_epoch(&self) -> Option<u64> {
-            None
-        }
-        fn resolve_at(&self, _at: u64) -> Result<u64, TimelineQueryError> {
-            Err(TimelineQueryError::NotFound("timeline has no links".into()))
-        }
-        fn load(&self, _epoch: u64) -> Result<Borges, TimelineQueryError> {
-            Err(TimelineQueryError::Internal("no worlds".into()))
-        }
-        fn history_json(&self, _asn: borges_types::Asn) -> Result<String, TimelineQueryError> {
-            Err(TimelineQueryError::NotFound("timeline has no links".into()))
-        }
-        fn diff_json(&self, t1: u64, t2: u64) -> Result<String, TimelineQueryError> {
-            if t1 > t2 {
-                return Err(TimelineQueryError::BadRequest(format!(
-                    "invalid range: t1 {t1} > t2 {t2}"
-                )));
-            }
-            Err(TimelineQueryError::NotFound("timeline has no links".into()))
-        }
-    }
-
     #[test]
     fn query_errors_map_to_statuses() {
-        assert_eq!(
-            TimelineQueryError::NotFound("x".into())
-                .to_response()
-                .status,
-            404
-        );
-        assert_eq!(
-            TimelineQueryError::BadRequest("x".into())
-                .to_response()
-                .status,
-            400
-        );
-        assert_eq!(
-            TimelineQueryError::Internal("x".into())
-                .to_response()
-                .status,
-            500
-        );
+        for (err, status) in [
+            (TimelineError::UnknownEpoch { at: 3 }, 404),
+            (TimelineError::Empty, 404),
+            (TimelineError::InvalidRange { t1: 2, t2: 1 }, 400),
+            (TimelineError::Corrupt { detail: "x".into() }, 500),
+        ] {
+            let response = error_response(&err);
+            assert_eq!(response.status, status, "{}", err.kind());
+        }
     }
 
     #[test]
     fn empty_backend_resolution_is_a_404_and_nothing_is_cached() {
-        let state = TimelineState::new(Box::new(EmptyBackend), 4, 4);
+        // A chain with no links: `Timeline::open` on a path that holds
+        // none reads as empty and writes nothing.
+        let dir =
+            std::env::temp_dir().join(format!("borges-serve-empty-chain-{}", std::process::id()));
+        let state = TimelineState::new(Timeline::open(&dir).unwrap(), 4, 4);
+        assert!(!dir.exists(), "mounting an empty chain writes nothing");
         let metrics = MetricsRegistry::new();
         let recorder = FlightRecorder::new(8);
         let err = match state.world_at(0, &metrics, &recorder) {
-            Ok(_) => panic!("an empty backend must not resolve"),
+            Ok(_) => panic!("an empty chain must not resolve"),
             Err(err) => err,
         };
-        assert_eq!(err.to_response().status, 404);
+        assert_eq!(error_response(&err).status, 404);
         assert_eq!(state.resident(), 0);
         assert_eq!(metrics.counter_value("borges_timeline_lru_misses_total"), 0);
-        assert_eq!(state.backend().link_count(), 0);
-        assert_eq!(state.backend().tip_epoch(), None);
+        assert_eq!(state.timeline().links().len(), 0);
+        assert!(state.timeline().tip().is_none());
     }
 }

@@ -42,24 +42,13 @@ impl MappingCache {
     }
 
     /// The mapping for `features`, from cache or freshly materialized
-    /// via `materialize`. Materialization runs *outside* the cache
+    /// via `materialize`, and whether the lookup was a cache hit (the
+    /// flight recorder wants the outcome per request, not just the
+    /// aggregate counters). Materialization runs *outside* the cache
     /// lock: two racing misses on the same key both materialize, and
     /// whichever inserts second wins — harmless, because
     /// materialization is deterministic and the results are identical.
     pub fn get_or_materialize(
-        &self,
-        features: FeatureSet,
-        metrics: &MetricsRegistry,
-        materialize: impl FnOnce() -> AsOrgMapping,
-    ) -> Arc<AsOrgMapping> {
-        self.get_or_materialize_observed(features, metrics, materialize)
-            .0
-    }
-
-    /// [`MappingCache::get_or_materialize`], additionally reporting
-    /// whether the lookup was a cache hit — the flight recorder wants
-    /// the outcome per request, not just the aggregate counters.
-    pub fn get_or_materialize_observed(
         &self,
         features: FeatureSet,
         metrics: &MetricsRegistry,
@@ -137,20 +126,15 @@ impl ServingWorld {
         }
     }
 
-    /// The mapping for `features`, served through this world's cache.
-    pub fn mapping(&self, features: FeatureSet, metrics: &MetricsRegistry) -> Arc<AsOrgMapping> {
-        self.mapping_observed(features, metrics).0
-    }
-
-    /// [`ServingWorld::mapping`], additionally reporting whether the
-    /// lookup hit this world's cache.
-    pub fn mapping_observed(
+    /// The mapping for `features`, served through this world's cache,
+    /// and whether the lookup hit it.
+    pub fn mapping(
         &self,
         features: FeatureSet,
         metrics: &MetricsRegistry,
     ) -> (Arc<AsOrgMapping>, bool) {
         self.cache
-            .get_or_materialize_observed(features, metrics, || self.borges.mapping(features))
+            .get_or_materialize(features, metrics, || self.borges.mapping(features))
     }
 }
 

@@ -47,14 +47,14 @@ use crate::sha256;
 use borges_core::delta::{
     EdgeRecord, FaviconMemoRecord, KeyFp, NerMemoRecord, SegmentRecord, SlotRecord,
 };
-use borges_core::world::{
-    FaviconGroupRecord, FaviconStatsRecord, NerEntryRecord, NerStatsRecord, ResilienceStatsRecord,
-    RrGroupRecord, RrStatsRecord, ScrapeStatsRecord,
-};
+use borges_core::world::{FaviconGroupRecord, NerEntryRecord, RrGroupRecord};
+use borges_core::{ner::NerStats, web::favicon::FaviconStats, web::rr::RrStats};
 use borges_core::{CompiledWorld, ServingExtras, SnapshotState};
 use borges_llm::chat::Usage;
+use borges_resilience::ResilienceStats;
 use borges_telemetry::CacheStats;
 use borges_types::Url;
+use borges_websim::ScrapeStats;
 use std::path::Path;
 
 /// The world payload schema this reader writes and understands.
@@ -376,7 +376,7 @@ record!(Usage {
     prompt_tokens: u64,
     completion_tokens: u64,
 });
-record!(ResilienceStatsRecord {
+record!(ResilienceStats {
     calls: u64,
     attempts: u64,
     recovered: u64,
@@ -384,7 +384,7 @@ record!(ResilienceStatsRecord {
     breaker_trips: u64,
     breaker_fast_fails: u64,
 });
-record!(ScrapeStatsRecord {
+record!(ScrapeStats {
     entries_with_website: usize,
     entries_with_invalid_url: usize,
     entries_abandoned: usize,
@@ -393,9 +393,9 @@ record!(ScrapeStatsRecord {
     unique_final_urls: usize,
     final_urls_with_favicon: usize,
     unique_favicons: usize,
-    resilience: ResilienceStatsRecord,
+    resilience: ResilienceStats,
 });
-record!(NerStatsRecord {
+record!(NerStats {
     entries_total: usize,
     entries_with_text: usize,
     entries_numeric: usize,
@@ -407,15 +407,15 @@ record!(NerStatsRecord {
     entries_with_siblings: usize,
     extracted_asns: usize,
     usage: Usage,
-    resilience: ResilienceStatsRecord,
+    resilience: ResilienceStats,
 });
-record!(RrStatsRecord {
+record!(RrStats {
     networks_with_final_url: usize,
     blocked_networks: usize,
     distinct_final_urls: usize,
     shared_final_urls: usize,
 });
-record!(FaviconStatsRecord {
+record!(FaviconStats {
     favicons_total: usize,
     favicons_shared: usize,
     urls_in_shared: usize,
@@ -427,7 +427,7 @@ record!(FaviconStatsRecord {
     framework_rejections: usize,
     dont_know: usize,
     usage: Usage,
-    resilience: ResilienceStatsRecord,
+    resilience: ResilienceStats,
 });
 record!(CacheStats {
     hits: u64,
@@ -439,12 +439,12 @@ record!(ServingExtras {
     oid_w_groups: Vec<Vec<u32>>,
     oid_p_groups: Vec<Vec<u32>>,
     ner_entries: Vec<NerEntryRecord>,
-    ner_stats: NerStatsRecord,
+    ner_stats: NerStats,
     rr_groups: Vec<RrGroupRecord>,
-    rr_stats: RrStatsRecord,
+    rr_stats: RrStats,
     favicon_groups: Vec<FaviconGroupRecord>,
-    favicon_stats: FaviconStatsRecord,
-    scrape_stats: ScrapeStatsRecord,
+    favicon_stats: FaviconStats,
+    scrape_stats: ScrapeStats,
     web_cache: CacheStats,
 });
 

@@ -44,7 +44,7 @@ pub use span::{
 };
 pub use verbosity::{Narrator, Verbosity};
 
-use borges_resilience::{Clock, SimClock};
+use borges_resilience::{Clock, Guarded, SimClock};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -147,6 +147,43 @@ impl Telemetry {
     /// Records a breaker state transition.
     pub fn record_breaker_event(&self, event: BreakerEvent) {
         self.with_inner(|i| i.breaker_events.lock().push(event));
+    }
+
+    /// Stamps one guarded call at a resilient boundary (`web`,
+    /// `llm.ner`, …) under the metric prefix `borges_<boundary>` with
+    /// dots as underscores: the `calls`, `attempts`, `recovered`,
+    /// `abandoned` and `breaker_fast_fails` counters (`_total`), the
+    /// call's duration in the `_call_ms` histogram, and on a trip the
+    /// `_breaker_trips_total` counter plus a [`BreakerEvent`] for `key`
+    /// at the call's end time.
+    pub fn record_guarded<T>(&self, boundary: &str, key: &str, call: &Guarded<T>) {
+        if !self.is_enabled() {
+            return;
+        }
+        let prefix = format!("borges_{}", boundary.replace('.', "_"));
+        let metric = |suffix: &str| format!("{prefix}_{suffix}");
+        let outcome = &call.outcome;
+        self.counter(&metric("calls_total"), 1);
+        self.counter(&metric("attempts_total"), u64::from(outcome.attempts));
+        if outcome.recovered() {
+            self.counter(&metric("recovered_total"), 1);
+        }
+        if outcome.result.is_err() {
+            self.counter(&metric("abandoned_total"), 1);
+        }
+        if call.fast_fails > 0 {
+            self.counter(&metric("breaker_fast_fails_total"), call.fast_fails);
+        }
+        self.observe_ms(&metric("call_ms"), call.elapsed_ms);
+        if call.trips > 0 {
+            self.counter(&metric("breaker_trips_total"), call.trips);
+            self.record_breaker_event(BreakerEvent {
+                boundary: boundary.to_string(),
+                key: key.to_string(),
+                transition: "open".to_string(),
+                at_ms: call.end_ms,
+            });
+        }
     }
 
     /// All breaker transitions recorded so far, in arrival order.

@@ -25,7 +25,9 @@
 //!   episodes (timeouts, resets, 503/429) for chaos testing the crawl;
 //! * [`retry`] — [`retry::RetryingWebClient`], the recovery stack
 //!   (deterministic backoff, budgets, per-host circuit breakers) that
-//!   absorbs recoverable faults and accounts for the rest.
+//!   absorbs recoverable faults and accounts for the rest. It backs off
+//!   on one shared clock for a crawl in order, or on a private clock
+//!   per fetch for the pooled crawl.
 //!
 //! Everything is deterministic; the "web" is a value you construct.
 
@@ -40,7 +42,6 @@ pub mod retry;
 pub mod scraper;
 pub mod site;
 pub mod snapshot;
-pub mod streaming;
 
 pub use client::{FetchOutcome, FetchResult, SimWebClient, WebClient, MAX_REDIRECTS};
 pub use flaky::{FlakyWebClient, WEB_FAULT_KINDS};
@@ -51,4 +52,3 @@ pub use scraper::{
 };
 pub use site::{RedirectKind, SiteNode};
 pub use snapshot::SnapshotWriter;
-pub use streaming::StreamingWebClient;

@@ -3,19 +3,37 @@
 //! [`RetryingWebClient`] wraps any [`WebClient`] with the recovery stack
 //! from `borges-resilience`: a [`RetryPolicy`] (exponential backoff,
 //! deterministic jitter, attempt + deadline budgets) and an optional
-//! per-host [`BreakerRegistry`]. Backoff sleeps on an injectable [`Clock`]
-//! — the default [`SimClock`] makes retried crawls as fast as unretried
-//! ones — and everything the stack spends is tallied in a
+//! per-host [`BreakerRegistry`], run as one [`RetryPolicy::guarded`] call
+//! per fetch. Everything the stack spends is tallied in a
 //! [`ResilienceStats`] the scraper folds into its funnel.
+//!
+//! Backoff sleeps on one of two clocks:
+//!
+//! * **A shared clock** ([`RetryingWebClient::with_clock`]): every call
+//!   sleeps on it and breaker windows elapse on it. The sequential
+//!   front passes the telemetry clock, so backoff spend shows in the
+//!   trace, and crawls in order, since calls on one clock entangle.
+//! * **A private clock per call** (the default): each logical fetch
+//!   backs off on a fresh [`SimClock`] starting at zero. Backoff delays
+//!   depend only on the attempt and the per-host jitter key, and the
+//!   deadline is measured from the call's own start, so a call's
+//!   schedule and duration are those the shared clock would give it,
+//!   whatever runs alongside. [`RetryingWebClient::backoff_total_ms`]
+//!   sums the per-call spends, which the pooled front replays onto the
+//!   run clock afterwards. Breaker streaks are still shared per host,
+//!   and a host's fetches run in order under the pool's per-host FIFO;
+//!   only open-window *timing* differs from a shared clock, which
+//!   matters only once a breaker trips (outage plans).
 
 use crate::client::{FetchResult, WebClient};
 use borges_resilience::{
-    stable_hash, BreakerConfig, BreakerRegistry, BreakerVerdict, Clock, ResilienceStats,
-    RetryPolicy, SimClock, TransportError,
+    stable_hash, BreakerConfig, BreakerRegistry, Clock, ResilienceStats, RetryPolicy, SimClock,
+    TransportError,
 };
-use borges_telemetry::{BreakerEvent, Telemetry};
+use borges_telemetry::Telemetry;
 use borges_types::Url;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A [`WebClient`] middleware that retries transient transport failures
@@ -23,22 +41,25 @@ use std::sync::Arc;
 pub struct RetryingWebClient<C> {
     inner: C,
     policy: RetryPolicy,
-    clock: Arc<dyn Clock>,
+    /// The shared clock; `None` backs each call off on its own.
+    clock: Option<Arc<dyn Clock>>,
     breakers: Option<BreakerRegistry>,
     stats: Mutex<ResilienceStats>,
+    backoff_total_ms: AtomicU64,
     telemetry: Telemetry,
 }
 
 impl<C: WebClient> RetryingWebClient<C> {
-    /// Wraps `inner` under `policy`, sleeping on a virtual [`SimClock`]
-    /// and with no circuit breakers.
+    /// Wraps `inner` under `policy`, with no circuit breakers, backing
+    /// each call off on a private virtual clock.
     pub fn new(inner: C, policy: RetryPolicy) -> Self {
         RetryingWebClient {
             inner,
             policy,
-            clock: Arc::new(SimClock::new()),
+            clock: None,
             breakers: None,
             stats: Mutex::new(ResilienceStats::default()),
+            backoff_total_ms: AtomicU64::new(0),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -49,17 +70,18 @@ impl<C: WebClient> RetryingWebClient<C> {
         self
     }
 
-    /// Replaces the clock (a production deployment passes
-    /// [`borges_resilience::SystemClock`]).
+    /// Backs every call off on `clock`, one clock shared across calls (a
+    /// production deployment passes [`borges_resilience::SystemClock`]).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
+        self.clock = Some(clock);
         self
     }
 
     /// Attaches a telemetry context: every logical fetch records attempt,
-    /// recovery, and abandonment counters, a call-duration histogram on
-    /// this stack's clock (so backoff spend is included), and a
-    /// [`BreakerEvent`] whenever a host's breaker opens. Pair with
+    /// recovery, and abandonment counters, a call-duration histogram
+    /// (backoff spend included), and a breaker event whenever a host's
+    /// breaker opens, at the clock's absolute time when shared and at
+    /// the call's own time when private. Pair with
     /// [`RetryingWebClient::with_clock`] on the telemetry's own clock so
     /// trace timestamps and backoff agree.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -70,6 +92,12 @@ impl<C: WebClient> RetryingWebClient<C> {
     /// What the stack has spent so far.
     pub fn stats(&self) -> ResilienceStats {
         *self.stats.lock()
+    }
+
+    /// Total backoff milliseconds across all calls so far: the sum of
+    /// each call's clock time.
+    pub fn backoff_total_ms(&self) -> u64 {
+        self.backoff_total_ms.load(Ordering::SeqCst)
     }
 
     /// Hosts whose breaker is currently open (empty without breakers).
@@ -83,80 +111,21 @@ impl<C: WebClient> RetryingWebClient<C> {
 
 impl<C: WebClient> WebClient for RetryingWebClient<C> {
     fn fetch(&self, url: &Url) -> Result<FetchResult, TransportError> {
-        let host = url.host().as_str().to_string();
-        let key = stable_hash(host.as_bytes());
-        let breaker = self.breakers.as_ref().map(|r| r.breaker(&host));
-        let mut trips = 0u64;
-        let mut fast_fails = 0u64;
-        let started_ms = self.clock.now_ms();
-
-        let outcome = self.policy.run(&*self.clock, key, |_attempt| {
-            if let Some(b) = &breaker {
-                if !b.allow(&*self.clock) {
-                    fast_fails += 1;
-                    return Err(TransportError::CircuitOpen);
-                }
-            }
-            match self.inner.fetch(url) {
-                Ok(result) => {
-                    if let Some(b) = &breaker {
-                        b.record_success();
-                    }
-                    Ok(result)
-                }
-                Err(e) => {
-                    if let Some(b) = &breaker {
-                        if b.record_failure(&*self.clock) == BreakerVerdict::Tripped {
-                            trips += 1;
-                        }
-                    }
-                    Err(e)
-                }
-            }
-        });
-
-        let mut stats = self.stats.lock();
-        stats.calls += 1;
-        stats.attempts += outcome.attempts as u64;
-        stats.breaker_trips += trips;
-        stats.breaker_fast_fails += fast_fails;
-        if outcome.recovered() {
-            stats.recovered += 1;
-        }
-        if outcome.result.is_err() {
-            stats.abandoned += 1;
-        }
-        drop(stats);
-
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter("borges_web_calls_total", 1);
-            self.telemetry
-                .counter("borges_web_attempts_total", outcome.attempts as u64);
-            if outcome.recovered() {
-                self.telemetry.counter("borges_web_recovered_total", 1);
-            }
-            if outcome.result.is_err() {
-                self.telemetry.counter("borges_web_abandoned_total", 1);
-            }
-            if fast_fails > 0 {
-                self.telemetry
-                    .counter("borges_web_breaker_fast_fails_total", fast_fails);
-            }
-            let now_ms = self.clock.now_ms();
-            self.telemetry
-                .observe_ms("borges_web_call_ms", now_ms.saturating_sub(started_ms));
-            if trips > 0 {
-                self.telemetry
-                    .counter("borges_web_breaker_trips_total", trips);
-                self.telemetry.record_breaker_event(BreakerEvent {
-                    boundary: "web".to_string(),
-                    key: host,
-                    transition: "open".to_string(),
-                    at_ms: now_ms,
-                });
-            }
-        }
-        outcome.result
+        let host = url.host().as_str();
+        let breaker = self.breakers.as_ref().map(|r| r.breaker(host));
+        let private = SimClock::new();
+        let clock = self.clock.as_deref().unwrap_or(&private);
+        let call = self.policy.guarded(
+            clock,
+            stable_hash(host.as_bytes()),
+            breaker.as_deref(),
+            || self.inner.fetch(url),
+        );
+        self.backoff_total_ms
+            .fetch_add(call.elapsed_ms, Ordering::SeqCst);
+        self.stats.lock().record(&call);
+        self.telemetry.record_guarded("web", host, &call);
+        call.outcome.result
     }
 }
 
@@ -317,6 +286,8 @@ mod tests {
 
     #[test]
     fn chaos_stats_account_for_every_call() {
+        // Private clocks (the default) under an outage plan: breakers are
+        // off, so every host's calls are independent of the clock.
         let web = web(300);
         let client = RetryingWebClient::new(
             FlakyWebClient::new(SimWebClient::browser(&web), EpisodePlan::with_outages(9)),
@@ -334,5 +305,111 @@ mod tests {
         assert_eq!(stats.succeeded(), ok, "no silent drops");
         assert!(stats.abandoned > 0, "outage plan blocks some hosts");
         assert_eq!(stats.succeeded() + stats.abandoned, stats.calls);
+    }
+
+    #[test]
+    fn chaos_per_call_outcomes_and_stats_match_the_staged_client() {
+        // Same fault tape through a shared clock and through private
+        // per-call clocks, sequentially: every outcome, the stats block,
+        // and the total backoff must agree.
+        let web = web(120);
+        let plan = EpisodePlan::calibrated(5);
+        let policy = RetryPolicy::standard(5);
+        let clock = Arc::new(SimClock::new());
+        let shared = RetryingWebClient::new(
+            FlakyWebClient::new(SimWebClient::browser(&web), plan),
+            policy,
+        )
+        .with_clock(clock.clone());
+        let private = RetryingWebClient::new(
+            FlakyWebClient::new(SimWebClient::browser(&web), plan),
+            policy,
+        );
+        for i in 0..120 {
+            let url: Url = format!("https://h{i}.example/").parse().unwrap();
+            assert_eq!(private.fetch(&url), shared.fetch(&url), "host {i}");
+        }
+        assert_eq!(private.stats(), shared.stats());
+        assert!(private.stats().recovered > 0, "chaos actually retried");
+        // The shared clock only ever advances by backoff sleeps, so its
+        // final reading is the total the private clocks summed.
+        assert!(private.backoff_total_ms() > 0);
+        assert_eq!(private.backoff_total_ms(), clock.now_ms());
+        assert_eq!(shared.backoff_total_ms(), clock.now_ms());
+    }
+
+    #[test]
+    fn chaos_concurrent_fetches_keep_per_call_durations_isolated() {
+        use borges_telemetry::Verbosity;
+        let web = web(64);
+        let plan = EpisodePlan::calibrated(9);
+        let policy = RetryPolicy::standard(9);
+
+        // Sequential reference run.
+        let reference = RetryingWebClient::new(
+            FlakyWebClient::new(SimWebClient::browser(&web), plan),
+            policy,
+        );
+        let urls: Vec<Url> = (0..64)
+            .map(|i| format!("https://h{i}.example/").parse().unwrap())
+            .collect();
+        for url in &urls {
+            reference.fetch(url).unwrap();
+        }
+
+        // Concurrent run over distinct hosts (no per-host ordering to
+        // preserve): totals and the call-duration histogram must match
+        // the sequential run exactly.
+        let tel = Telemetry::sim(Verbosity::Quiet);
+        let concurrent = RetryingWebClient::new(
+            FlakyWebClient::new(SimWebClient::browser(&web), plan),
+            policy,
+        )
+        .with_telemetry(tel.clone());
+        borges_parallel::map_items(&urls, 8, |url| concurrent.fetch(url).unwrap());
+        assert_eq!(concurrent.stats(), reference.stats());
+        assert_eq!(
+            concurrent.backoff_total_ms(),
+            reference.backoff_total_ms(),
+            "per-call spends are schedule-independent"
+        );
+        let snap = tel.metrics_snapshot();
+        let hist = snap.histogram("borges_web_call_ms").unwrap();
+        assert_eq!(hist.count, 64);
+        assert_eq!(hist.sum_ms, reference.backoff_total_ms());
+    }
+
+    #[test]
+    fn chaos_breaker_streaks_trip_like_the_staged_client() {
+        // The dead-host setup of the shared-clock breaker test, on
+        // private clocks: the per-host streak trips at the same fetch.
+        let web = web(1);
+        let client = RetryingWebClient::new(
+            FlakyWebClient::new(
+                SimWebClient::browser(&web),
+                EpisodePlan {
+                    transient_rate: 1.0,
+                    permanent_rate: 0.0,
+                    max_burst: 40,
+                    seed: 2,
+                },
+            ),
+            RetryPolicy {
+                max_attempts: 3,
+                base_delay_ms: 10,
+                max_delay_ms: 10,
+                deadline_ms: u64::MAX,
+                jitter_seed: 2,
+            },
+        )
+        .with_breakers(BreakerConfig {
+            failure_threshold: 4,
+            open_ms: 1_000_000,
+        });
+        let url: Url = "https://h0.example/".parse().unwrap();
+        assert!(client.fetch(&url).is_err());
+        assert!(client.fetch(&url).is_err());
+        assert_eq!(client.stats().breaker_trips, 1);
+        assert_eq!(client.open_hosts(), vec!["h0.example".to_string()]);
     }
 }

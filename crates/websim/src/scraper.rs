@@ -263,10 +263,10 @@ impl<C: WebClient + Sync> Scraper<C> {
     /// start one at a time, in input order, while different hosts
     /// overlap. The URL cache, negative caching and everything else the
     /// client keeps *per host* (a [`crate::FlakyWebClient`]'s fault
-    /// episodes, a [`crate::StreamingWebClient`]'s breakers and private
-    /// clocks) therefore see each host's sequential call sequence, and
-    /// the outcomes are folded in input order. The client must keep no
-    /// state across hosts: one that does, such as a
+    /// episodes, the breakers of a [`crate::RetryingWebClient`] backing
+    /// off on private clocks) therefore see each host's sequential call
+    /// sequence, and the outcomes are folded in input order. The client
+    /// must keep no state across hosts: one that does, such as a
     /// [`crate::RetryingWebClient`] on a shared clock, belongs on
     /// [`Scraper::crawl_in_order`].
     pub fn crawl<'a>(&self, entries: impl IntoIterator<Item = (Asn, &'a str)>) -> ScrapeReport {

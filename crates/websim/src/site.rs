@@ -64,14 +64,6 @@ impl SiteNode {
             favicon,
         }
     }
-
-    /// Convenience: an HTTP redirect to `https://<host>/`.
-    pub fn redirect_to(host: &str, kind: RedirectKind) -> SiteNode {
-        SiteNode::Redirect {
-            to: Url::https(host).expect("valid host literal"),
-            kind,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //! Per case it digests, with `borges_resilience::stable_hash`:
 //! the canonical trace, the metrics exposition, the run ledger with its
 //! `ingest_*` rows dropped (they record scheduling and differ between
-//! two runs of the same pool), the 16 mapfiles, and the snapshot-state
-//! JSON.
+//! two runs of the same pool), the 16 mapfiles, the snapshot-state
+//! JSON, and the store artifact bytes (`borges_store::encode_world` of
+//! `Borges::to_world`).
 
 use borges_core::mapfile;
 use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
@@ -23,10 +24,12 @@ use borges_telemetry::{Telemetry, Verbosity};
 use borges_websim::{FlakyWebClient, Scraper, SimWebClient, WebClient};
 
 /// The digests of one case, in this order: trace, metrics, ledger,
-/// mapfiles, state.
-type Digests = [u64; 5];
+/// mapfiles, state, artifact.
+type Digests = [u64; 6];
 
-const FIELDS: [&str; 5] = ["trace", "metrics", "ledger", "mapfiles", "state"];
+const FIELDS: [&str; 6] = [
+    "trace", "metrics", "ledger", "mapfiles", "state", "artifact",
+];
 
 /// Recorded digests, one row per case.
 const GOLDEN: &[(&str, Digests)] = &[
@@ -38,6 +41,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x65f87bb57a235a1e,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
+            0xe260e10719b7b5f2,
         ],
     ),
     (
@@ -48,6 +52,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f67c3971f6ae481,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
+            0xe260e10719b7b5f2,
         ],
     ),
     (
@@ -58,6 +63,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0xa0bd9f6fbfff1ecb,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
+            0x7b2824ddbff167ed,
         ],
     ),
     (
@@ -68,6 +74,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x5de090637512479e,
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
+            0x44b2cc3c9d3b09df,
         ],
     ),
     (
@@ -78,6 +85,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x84ea05de6d550c3d,
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
+            0x44b2cc3c9d3b09df,
         ],
     ),
     (
@@ -88,6 +96,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f8a333d59fd3b9d,
             0xcd7ab885535842a0,
             0x42a0c865fcfe53bd,
+            0x33fecc70b7944784,
         ],
     ),
     (
@@ -98,6 +107,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f249d5305b19545,
             0xcd7ab885535842a0,
             0x42a0c865fcfe53bd,
+            0x85ce258d41b66f13,
         ],
     ),
 ];
@@ -119,13 +129,14 @@ fn digests(borges: &Borges, tel: &Telemetry, label: &str, threads: usize) -> Dig
         .collect::<Vec<_>>()
         .join("\n--\n");
     [
-        tel.trace_jsonl_canonical(),
-        tel.metrics_snapshot().to_prometheus(),
-        ledger.to_json_pretty(),
-        mapfiles,
-        borges.snapshot_state().to_json_pretty(),
+        tel.trace_jsonl_canonical().into_bytes(),
+        tel.metrics_snapshot().to_prometheus().into_bytes(),
+        ledger.to_json_pretty().into_bytes(),
+        mapfiles.into_bytes(),
+        borges.snapshot_state().to_json_pretty().into_bytes(),
+        borges_store::encode_world(&borges.to_world()),
     ]
-    .map(|text| stable_hash(text.as_bytes()))
+    .map(|bytes| stable_hash(&bytes))
 }
 
 /// Compares a case against its recorded row; on a mismatch, names the

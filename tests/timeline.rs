@@ -96,56 +96,12 @@ fn scripted_chain(dir: &std::path::Path) -> Timeline {
     timeline
 }
 
-/// The integration twin of the CLI's serve adapter: wraps a real
-/// [`Timeline`] behind the serve crate's injected backend.
-struct ChainBackend {
-    timeline: Timeline,
-}
-
-fn query_error(e: borges_timeline::TimelineError) -> borges_serve::TimelineQueryError {
-    match e.kind() {
-        "unknown_epoch" | "empty" => borges_serve::TimelineQueryError::NotFound(e.to_string()),
-        "invalid_range" => borges_serve::TimelineQueryError::BadRequest(e.to_string()),
-        _ => borges_serve::TimelineQueryError::Internal(e.to_string()),
-    }
-}
-
-impl borges_serve::TimelineBackend for ChainBackend {
-    fn link_count(&self) -> usize {
-        self.timeline.links().len()
-    }
-    fn tip_epoch(&self) -> Option<u64> {
-        self.timeline.tip().map(|l| l.epoch)
-    }
-    fn resolve_at(&self, at: u64) -> Result<u64, borges_serve::TimelineQueryError> {
-        self.timeline
-            .resolve_at(at)
-            .map(|l| l.epoch)
-            .map_err(query_error)
-    }
-    fn load(&self, epoch: u64) -> Result<Borges, borges_serve::TimelineQueryError> {
-        self.timeline.load_epoch(epoch).map_err(query_error)
-    }
-    fn history_json(&self, asn: Asn) -> Result<String, borges_serve::TimelineQueryError> {
-        self.timeline
-            .org_lineage(asn)
-            .map(|l| l.to_json())
-            .map_err(query_error)
-    }
-    fn diff_json(&self, t1: u64, t2: u64) -> Result<String, borges_serve::TimelineQueryError> {
-        self.timeline
-            .diff(t1, t2)
-            .map(|d| render_diff_json(t1, t2, &d))
-            .map_err(query_error)
-    }
-}
-
 /// Starts a server over the chain's genesis world with the timeline
 /// mounted; `epoch_capacity` bounds the epoch LRU.
 fn start_with_chain(dir: &std::path::Path, threads: usize, epoch_capacity: usize) -> Server {
     let timeline = Timeline::open(dir).unwrap();
     let boot = timeline.load_epoch(0).unwrap();
-    let state = TimelineState::new(Box::new(ChainBackend { timeline }), epoch_capacity, 16);
+    let state = TimelineState::new(timeline, epoch_capacity, 16);
     let config = ServerConfig {
         threads,
         read_timeout: Duration::from_millis(700),
