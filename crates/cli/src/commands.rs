@@ -10,7 +10,7 @@ use borges_core::{AsOrgMapping, SnapshotState};
 use borges_llm::{CachingModel, ChatModel, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy};
 use borges_serve::{Reloader, Server, ServerConfig};
-use borges_synthnet::io::{save, DatasetBundle};
+use borges_synthnet::io::{save, BundleTruth, DatasetBundle};
 use borges_synthnet::{generate_to_dir, EvolutionEvent, GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{CacheReport, Telemetry, Verbosity};
 use borges_timeline::{Timeline, TimelineError};
@@ -125,9 +125,11 @@ USAGE:
       /v1/admin/debug/slow?threshold_ms=N, /v1/admin/debug/events
       (reloads, store boots, shed bursts).
   borges eval --data DIR --mapping FILE [--mapping FILE ...]
-      Organization Factor (and, with an oracle, precision/recall) per mapping.
+      Organization Factor (and, when DIR has truth.psv, precision/recall)
+      per mapping.
   borges inspect --data DIR --mapping FILE --asn N
-      Show the inferred organization around one ASN.
+      Show the inferred organization around one ASN (with each member's
+      true organization when DIR has truth.psv).
   borges diff --before FILE --after FILE
       Compare two mapping releases (merges / splits / churn).
   borges store verify PATH [PATH ...]
@@ -1246,6 +1248,7 @@ fn eval(opts: &Options) -> Result<String, CliError> {
         return Err(CliError::Usage("need at least one --mapping".to_string()));
     }
     let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
+    let truth = BundleTruth::load(Path::new(data)).map_err(CliError::failed)?;
     let universe = bundle.whois.asn_count().max(
         bundle
             .whois
@@ -1266,7 +1269,7 @@ fn eval(opts: &Options) -> Result<String, CliError> {
         "mapping",
         "orgs",
         "θ",
-        if bundle.truth.is_some() {
+        if truth.is_some() {
             "  precision   recall"
         } else {
             ""
@@ -1281,8 +1284,8 @@ fn eval(opts: &Options) -> Result<String, CliError> {
             mapping.org_count(),
             theta
         ));
-        if bundle.truth.is_some() {
-            let (precision, recall) = truth_scores(&bundle, &mapping);
+        if let Some(truth) = &truth {
+            let (precision, recall) = truth_scores(truth, &mapping);
             out.push_str(&format!("  {precision:>9.3} {recall:>8.3}"));
         }
         out.push('\n');
@@ -1291,11 +1294,10 @@ fn eval(opts: &Options) -> Result<String, CliError> {
 }
 
 /// Pairwise precision/recall of a mapping against the bundle's oracle.
-fn truth_scores(bundle: &DatasetBundle, mapping: &AsOrgMapping) -> (f64, f64) {
-    let truth = bundle.truth.as_ref().expect("caller checked");
+fn truth_scores(truth: &BundleTruth, mapping: &AsOrgMapping) -> (f64, f64) {
     // Recall: true sibling pairs recovered.
     let mut by_org: std::collections::BTreeMap<usize, Vec<Asn>> = Default::default();
-    for (asn, (org, _)) in truth {
+    for (asn, (org, _)) in &truth.orgs {
         by_org.entry(*org).or_default().push(*asn);
     }
     let mut true_pairs = 0usize;
@@ -1317,7 +1319,7 @@ fn truth_scores(bundle: &DatasetBundle, mapping: &AsOrgMapping) -> (f64, f64) {
         for i in 0..members.len() {
             for j in i + 1..members.len() {
                 merged += 1;
-                if bundle.are_siblings(members[i], members[j]) == Some(true) {
+                if truth.are_siblings(members[i], members[j]) {
                     correct += 1;
                 }
             }
@@ -1351,6 +1353,7 @@ fn inspect(opts: &Options) -> Result<String, CliError> {
     let mapping = load_mapping(opts.required("mapping")?)?;
 
     let bundle = DatasetBundle::load(Path::new(data)).map_err(CliError::failed)?;
+    let truth = BundleTruth::load(Path::new(data)).map_err(CliError::failed)?;
     let namer = OrgNamer::new(&bundle.pdb, &bundle.whois);
 
     let siblings = mapping.siblings_of(asn);
@@ -1367,8 +1370,8 @@ fn inspect(opts: &Options) -> Result<String, CliError> {
             member.to_string(),
             namer.name_of(member)
         ));
-        if let Some(truth) = &bundle.truth {
-            if let Some((_, name)) = truth.get(&member) {
+        if let Some(truth) = &truth {
+            if let Some((_, name)) = truth.orgs.get(&member) {
                 out.push_str(&format!("   [truth: {name}]"));
             }
         }
@@ -1499,7 +1502,20 @@ mod tests {
             borges_map.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains("precision"), "oracle present → scored: {out}");
+        // The oracle is present, so both mappings are scored. The paths
+        // are wider than the 28-column name field, so no padding follows
+        // them.
+        let (a, b) = (as2org_map.to_str().unwrap(), borges_map.to_str().unwrap());
+        assert!(a.len() >= 28 && b.len() >= 28);
+        assert_eq!(
+            out,
+            format!(
+                "universe: 700 networks\n\n\
+                 mapping                          orgs        θ  precision   recall\n\
+                 {a}      587   0.1461      1.000    0.261\n\
+                 {b}      430   0.3038      1.000    0.908\n"
+            )
+        );
 
         let out = run(&args(&[
             "inspect",
@@ -1511,7 +1527,13 @@ mod tests {
             "3356",
         ]))
         .unwrap();
-        assert!(out.contains("AS209"), "Lumen family visible: {out}");
+        assert_eq!(
+            out,
+            "AS3356 — inferred organization with 3 networks:\n\
+             \x20 AS209        Lumen Technologies   [truth: Lumen Technologies]\n\
+             \x20 AS3356       Lumen Technologies   [truth: Lumen Technologies]\n\
+             \x20 AS3549       Lumen Technologies   [truth: Lumen Technologies]\n"
+        );
 
         let out = run(&args(&[
             "diff",
@@ -1558,7 +1580,34 @@ mod tests {
             map_path.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(!out.contains("precision"));
+        let m = map_path.to_str().unwrap();
+        assert!(m.len() >= 28);
+        assert_eq!(
+            out,
+            format!(
+                "universe: 690 networks\n\n\
+                 mapping                          orgs        θ\n\
+                 {m}      420   0.3071\n"
+            )
+        );
+        // No oracle, so no `[truth: …]` suffix.
+        let out = run(&args(&[
+            "inspect",
+            "--data",
+            data.to_str().unwrap(),
+            "--mapping",
+            map_path.to_str().unwrap(),
+            "--asn",
+            "3356",
+        ]))
+        .unwrap();
+        assert_eq!(
+            out,
+            "AS3356 — inferred organization with 3 networks:\n\
+             \x20 AS209        Lumen Technologies\n\
+             \x20 AS3356       Lumen Technologies\n\
+             \x20 AS3549       Lumen Technologies\n"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,32 +1,30 @@
 //! Dataset persistence: a generated world as a directory of files.
 //!
 //! [`save`] writes every view in its native interchange format so the
-//! bundle is consumable by external tooling (and by the `borges` CLI):
+//! bundle is consumable by external tooling (and by the `borges` CLI).
+//! A loader reads only what its caller uses:
 //!
-//! | file | format |
-//! |---|---|
-//! | `as2org.txt` | CAIDA AS2Org flat file |
-//! | `peeringdb.json` | PeeringDB dump-shaped JSON |
-//! | `web.json` | web snapshot (hosts + behaviours) |
-//! | `as-rel.txt` | CAIDA serial-1 AS-relationship file |
-//! | `populations.psv` | `asn\|users\|country` |
-//! | `asrank.txt` | one ASN per line, rank order |
-//! | `hypergiants.psv` | `name\|asn` |
-//! | `truth.psv` | `asn\|org_id\|org_name` (the oracle; optional on load) |
-//! | `labels.psv` | `asn\|sib1 sib2 …` (IE ground truth; optional on load) |
-//! | `config.json` | the generator configuration |
+//! | file | format | read by |
+//! |---|---|---|
+//! | `as2org.txt` | CAIDA AS2Org flat file | [`DatasetBundle::load`] |
+//! | `peeringdb.json` | PeeringDB dump-shaped JSON | [`DatasetBundle::load`] |
+//! | `web.json` | web snapshot (hosts + behaviours) | [`DatasetBundle::load`] |
+//! | `asrank.txt` | one ASN per line, rank order | [`DatasetBundle::load`] |
+//! | `truth.psv` | `asn\|org_id\|org_name` (the oracle; optional) | [`BundleTruth::load`] |
+//! | `as-rel.txt` | CAIDA serial-1 AS-relationship file | external tools only |
+//! | `populations.psv` | `asn\|users\|country` | external tools only |
+//! | `hypergiants.psv` | `name\|asn` | external tools only |
+//! | `labels.psv` | `asn\|sib1 sib2 …` (IE ground truth) | external tools only |
+//! | `config.json` | the generator configuration | external tools only |
 //!
-//! [`DatasetBundle::load`] reads a bundle back; the oracle files are
-//! optional, so bundles built from *real* snapshots (CAIDA + PeeringDB
-//! dumps + an archived crawl) load the same way — just without
-//! truth-based scoring.
+//! Only the first four are required, so bundles built from *real*
+//! snapshots (CAIDA + PeeringDB dumps + an archived crawl) load the same
+//! way — just without truth-based scoring.
 
-use crate::config::GeneratorConfig;
-use crate::generate::PopulationRecord;
 use crate::SyntheticInternet;
 use borges_peeringdb::PdbSnapshot;
-use borges_topology::{serial1, AsGraph};
-use borges_types::{Asn, CountryCode};
+use borges_topology::serial1;
+use borges_types::Asn;
 use borges_websim::{snapshot as websnap, SimWeb};
 use borges_whois::{as2org_format, WhoisRegistry};
 use std::collections::BTreeMap;
@@ -58,16 +56,20 @@ fn write(dir: &Path, name: &str, contents: &str) -> Result<(), IoError> {
     std::fs::write(dir.join(name), contents).map_err(|e| IoError::Fs(name.to_string(), e))
 }
 
+/// Reads a text file; bytes that are not UTF-8 are a malformed file, not
+/// a filesystem fault.
 fn read(dir: &Path, name: &str) -> Result<String, IoError> {
-    std::fs::read_to_string(dir.join(name)).map_err(|e| IoError::Fs(name.to_string(), e))
+    let bytes = std::fs::read(dir.join(name)).map_err(|e| IoError::Fs(name.to_string(), e))?;
+    String::from_utf8(bytes).map_err(|e| IoError::Format(name.to_string(), Box::new(e)))
 }
 
-fn read_optional(dir: &Path, name: &str) -> Result<Option<String>, IoError> {
-    match std::fs::read_to_string(dir.join(name)) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(IoError::Fs(name.to_string(), e)),
-    }
+/// Reads and parses `name`, typing a parse failure as [`IoError::Format`].
+fn parse<T, E: Error + Send + Sync + 'static>(
+    dir: &Path,
+    name: &str,
+    parser: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, IoError> {
+    parser(&read(dir, name)?).map_err(|e| IoError::Format(name.to_string(), Box::new(e)))
 }
 
 /// Saves a world into `dir` (created if missing).
@@ -120,8 +122,7 @@ pub fn save(world: &SyntheticInternet, dir: &Path) -> Result<(), IoError> {
     write(dir, "config.json", &config)
 }
 
-/// A loaded dataset bundle — the pipeline's inputs, plus optional oracle
-/// files for scoring.
+/// A loaded dataset bundle: the pipeline's inputs.
 #[derive(Debug, Clone)]
 pub struct DatasetBundle {
     /// WHOIS registry.
@@ -130,135 +131,92 @@ pub struct DatasetBundle {
     pub pdb: PdbSnapshot,
     /// Web snapshot.
     pub web: SimWeb,
-    /// AS-relationship graph (CAIDA serial-1 format on disk).
-    pub topology: AsGraph,
-    /// APNIC-like population table.
-    pub populations: BTreeMap<Asn, PopulationRecord>,
     /// AS-Rank ordering.
     pub asrank: Vec<Asn>,
-    /// Hypergiant roster.
-    pub hypergiants: Vec<(String, Asn)>,
-    /// Oracle: ASN → (truth org id, org name), when `truth.psv` exists.
-    pub truth: Option<BTreeMap<Asn, (usize, String)>>,
-    /// Oracle: embedded sibling labels, when `labels.psv` exists.
-    pub labels: Option<BTreeMap<Asn, Vec<Asn>>>,
-    /// The generator configuration, when `config.json` exists.
-    pub config: Option<GeneratorConfig>,
 }
 
 impl DatasetBundle {
-    /// Loads a bundle from `dir`.
+    /// Loads a bundle's inputs from `dir`. The three sources parse on
+    /// threads of their own; the other files are not read (see the module
+    /// table).
+    ///
+    /// When several files are broken, the error names the first of them
+    /// in the order `as2org.txt`, `peeringdb.json`, `web.json`,
+    /// `asrank.txt`, however the parses are scheduled.
     pub fn load(dir: &Path) -> Result<Self, IoError> {
-        let whois = as2org_format::parse(&read(dir, "as2org.txt")?)
-            .map_err(|e| IoError::Format("as2org.txt".into(), Box::new(e)))?;
-        let pdb = PdbSnapshot::from_json(&read(dir, "peeringdb.json")?)
-            .map_err(|e| IoError::Format("peeringdb.json".into(), Box::new(e)))?;
-        let web = websnap::from_json(&read(dir, "web.json")?)
-            .map_err(|e| IoError::Format("web.json".into(), Box::new(e)))?;
-        let topology = serial1::parse_with_nodes(&read(dir, "as-rel.txt")?)
-            .map_err(|e| IoError::Format("as-rel.txt".into(), Box::new(e)))?;
-
-        let mut populations = BTreeMap::new();
-        for (asn, fields) in parse_psv(&read(dir, "populations.psv")?, 3, "populations.psv")? {
-            let users: u64 = fields[1]
-                .parse()
-                .map_err(|_| bad("populations.psv", "invalid user count"))?;
-            let country: CountryCode = fields[2]
-                .parse()
-                .map_err(|_| bad("populations.psv", "invalid country"))?;
-            populations.insert(asn, PopulationRecord { users, country });
-        }
-
-        let mut asrank = Vec::new();
-        for line in read(dir, "asrank.txt")?.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            asrank.push(
-                line.parse::<Asn>()
-                    .map_err(|_| bad("asrank.txt", "invalid asn"))?,
-            );
-        }
-
-        let mut hypergiants = Vec::new();
-        for line in read(dir, "hypergiants.psv")?.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (name, asn) = line
-                .split_once('|')
-                .ok_or_else(|| bad("hypergiants.psv", "expected name|asn"))?;
-            hypergiants.push((
-                name.to_string(),
-                asn.parse::<Asn>()
-                    .map_err(|_| bad("hypergiants.psv", "invalid asn"))?,
-            ));
-        }
-
-        let truth = match read_optional(dir, "truth.psv")? {
-            Some(text) => {
-                let mut map = BTreeMap::new();
-                for (asn, fields) in parse_psv(&text, 3, "truth.psv")? {
-                    let org_id: usize = fields[1]
-                        .parse()
-                        .map_err(|_| bad("truth.psv", "invalid org id"))?;
-                    map.insert(asn, (org_id, fields[2].to_string()));
-                }
-                Some(map)
-            }
-            None => None,
-        };
-
-        let labels = match read_optional(dir, "labels.psv")? {
-            Some(text) => {
-                let mut map = BTreeMap::new();
-                for (asn, fields) in parse_psv(&text, 2, "labels.psv")? {
-                    let mut siblings = Vec::new();
-                    for token in fields[1].split_whitespace() {
-                        siblings.push(
-                            token
-                                .parse::<Asn>()
-                                .map_err(|_| bad("labels.psv", "invalid sibling asn"))?,
-                        );
-                    }
-                    map.insert(asn, siblings);
-                }
-                Some(map)
-            }
-            None => None,
-        };
-
-        let config = match read_optional(dir, "config.json")? {
-            Some(text) => Some(
-                serde_json::from_str(&text)
-                    .map_err(|e| IoError::Format("config.json".into(), Box::new(e)))?,
-            ),
-            None => None,
-        };
-
+        let (whois, pdb, web, asrank) = std::thread::scope(|scope| {
+            let whois = scope.spawn(|| parse(dir, "as2org.txt", as2org_format::parse));
+            let pdb = scope.spawn(|| parse(dir, "peeringdb.json", PdbSnapshot::from_json));
+            let web = scope.spawn(|| parse(dir, "web.json", websnap::from_json));
+            let asrank = parse(dir, "asrank.txt", parse_asrank);
+            (join(whois), join(pdb), join(web), asrank)
+        });
         Ok(DatasetBundle {
-            whois,
-            pdb,
-            web,
-            topology,
-            populations,
-            asrank,
-            hypergiants,
-            truth,
-            labels,
-            config,
+            whois: whois?,
+            pdb: pdb?,
+            web: web?,
+            asrank: asrank?,
         })
     }
+}
 
-    /// Are two ASNs siblings according to the bundled oracle? `None`
-    /// when the bundle has no oracle.
-    pub fn are_siblings(&self, a: Asn, b: Asn) -> Option<bool> {
-        let truth = self.truth.as_ref()?;
-        match (truth.get(&a), truth.get(&b)) {
-            (Some((x, _)), Some((y, _))) => Some(x == y),
-            _ => Some(false),
+/// A parser thread's result; a panic carries on in the caller.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// `asrank.txt`: one ASN per line; `#` comments and blank lines skipped.
+fn parse_asrank(text: &str) -> Result<Vec<Asn>, borges_types::ParseError> {
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(str::parse)
+        .collect()
+}
+
+/// A bundle's oracle, `truth.psv`: the true organization of every ASN.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BundleTruth {
+    /// ASN → (truth org id, org name).
+    pub orgs: BTreeMap<Asn, (usize, String)>,
+}
+
+impl BundleTruth {
+    /// Loads `dir/truth.psv`; `None` when the bundle has no oracle.
+    pub fn load(dir: &Path) -> Result<Option<BundleTruth>, IoError> {
+        const FILE: &str = "truth.psv";
+        let text = match read(dir, FILE) {
+            Ok(text) => text,
+            Err(IoError::Fs(_, e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut orgs = BTreeMap::new();
+        for line in text.lines() {
+            let line = line.trim_end_matches('\r');
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let mut fields = line.splitn(3, '|');
+            let (Some(asn), Some(org_id), Some(name)) =
+                (fields.next(), fields.next(), fields.next())
+            else {
+                return Err(bad(FILE, "wrong field count"));
+            };
+            let asn: Asn = asn.parse().map_err(|_| bad(FILE, "invalid asn"))?;
+            let org_id: usize = org_id.parse().map_err(|_| bad(FILE, "invalid org id"))?;
+            orgs.insert(asn, (org_id, name.to_string()));
+        }
+        Ok(Some(BundleTruth { orgs }))
+    }
+
+    /// Are two ASNs siblings according to the oracle? An ASN it does not
+    /// list has none.
+    pub fn are_siblings(&self, a: Asn, b: Asn) -> bool {
+        match (self.orgs.get(&a), self.orgs.get(&b)) {
+            (Some((x, _)), Some((y, _))) => x == y,
+            _ => false,
         }
     }
 }
@@ -270,32 +228,23 @@ fn bad(file: &str, reason: &'static str) -> IoError {
     )
 }
 
-/// Parses `asn|field|field…` lines (first field always an ASN).
-fn parse_psv<'a>(
-    text: &'a str,
-    arity: usize,
-    file: &str,
-) -> Result<Vec<(Asn, Vec<&'a str>)>, IoError> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.splitn(arity, '|').collect();
-        if fields.len() != arity {
-            return Err(bad(file, "wrong field count"));
-        }
-        let asn: Asn = fields[0].parse().map_err(|_| bad(file, "invalid asn"))?;
-        out.push((asn, fields));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::GeneratorConfig;
+
+    /// The files [`DatasetBundle::load`] reads, in the order its errors
+    /// follow.
+    const INPUTS: [&str; 4] = ["as2org.txt", "peeringdb.json", "web.json", "asrank.txt"];
+    /// The files no loader of the pipeline reads.
+    const SIDECARS: [&str; 6] = [
+        "as-rel.txt",
+        "populations.psv",
+        "hypergiants.psv",
+        "truth.psv",
+        "labels.psv",
+        "config.json",
+    ];
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -304,80 +253,157 @@ mod tests {
         dir
     }
 
+    fn saved_tiny(name: &str) -> (SyntheticInternet, std::path::PathBuf) {
+        let world = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
+        let dir = tmpdir(name);
+        save(&world, &dir).unwrap();
+        (world, dir)
+    }
+
+    /// The data rows of a `|`-separated file that only external tools read.
+    pub(crate) fn sidecar_rows(dir: &Path, name: &str) -> Vec<Vec<String>> {
+        read(dir, name)
+            .unwrap()
+            .lines()
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .map(|line| line.split('|').map(str::to_string).collect())
+            .collect()
+    }
+
+    /// `config.json`, which only external tools read.
+    pub(crate) fn sidecar_config(dir: &Path) -> GeneratorConfig {
+        serde_json::from_str(&read(dir, "config.json").unwrap()).unwrap()
+    }
+
+    /// `as-rel.txt`, which only external tools read.
+    pub(crate) fn sidecar_topology(dir: &Path) -> borges_topology::AsGraph {
+        serial1::parse_with_nodes(&read(dir, "as-rel.txt").unwrap()).unwrap()
+    }
+
+    fn load_error(dir: &Path) -> IoError {
+        DatasetBundle::load(dir).expect_err("the bundle is broken")
+    }
+
     #[test]
     fn save_load_roundtrip() {
-        let world = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
-        let dir = tmpdir("roundtrip");
-        save(&world, &dir).unwrap();
+        let (world, dir) = saved_tiny("roundtrip");
         let bundle = DatasetBundle::load(&dir).unwrap();
 
         assert_eq!(bundle.whois.asn_count(), world.whois.asn_count());
         assert_eq!(bundle.pdb.net_count(), world.pdb.net_count());
         assert_eq!(bundle.web.host_count(), world.web.host_count());
-        assert_eq!(bundle.topology.node_count(), world.topology.node_count());
-        assert_eq!(bundle.topology.p2c_count(), world.topology.p2c_count());
-        assert_eq!(bundle.topology.p2p_count(), world.topology.p2p_count());
-        assert_eq!(bundle.populations.len(), world.populations.len());
         assert_eq!(bundle.asrank, world.asrank);
-        assert_eq!(bundle.hypergiants.len(), 16);
-        assert_eq!(bundle.config.as_ref(), Some(&world.config));
+
+        // The files only external tools read carry the world too.
+        let topology = sidecar_topology(&dir);
+        assert_eq!(topology.node_count(), world.topology.node_count());
+        assert_eq!(topology.p2c_count(), world.topology.p2c_count());
+        assert_eq!(topology.p2p_count(), world.topology.p2p_count());
+        assert_eq!(
+            sidecar_rows(&dir, "populations.psv").len(),
+            world.populations.len()
+        );
+        assert_eq!(sidecar_rows(&dir, "hypergiants.psv").len(), 16);
+        assert_eq!(sidecar_config(&dir), world.config);
+        let labels: BTreeMap<Asn, Vec<Asn>> = sidecar_rows(&dir, "labels.psv")
+            .iter()
+            .map(|row| {
+                let siblings = row[1].split_whitespace().map(|a| a.parse().unwrap());
+                (row[0].parse().unwrap(), siblings.collect())
+            })
+            .collect();
+        assert_eq!(labels, world.text_labels);
 
         // The oracle survives.
-        let truth = bundle.truth.as_ref().unwrap();
-        assert_eq!(truth.len(), world.truth.asn_count());
-        assert_eq!(
-            bundle.are_siblings(Asn::new(3356), Asn::new(209)),
-            Some(true)
-        );
-        assert_eq!(
-            bundle.are_siblings(Asn::new(3356), Asn::new(174)),
-            Some(false)
-        );
-        let labels = bundle.labels.as_ref().unwrap();
-        assert_eq!(labels, &world.text_labels);
+        let truth = BundleTruth::load(&dir).unwrap().unwrap();
+        assert_eq!(truth.orgs.len(), world.truth.asn_count());
+        assert!(truth.are_siblings(Asn::new(3356), Asn::new(209)));
+        assert!(!truth.are_siblings(Asn::new(3356), Asn::new(174)));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn oracle_files_are_optional() {
-        let world = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
-        let dir = tmpdir("no-oracle");
-        save(&world, &dir).unwrap();
-        std::fs::remove_file(dir.join("truth.psv")).unwrap();
-        std::fs::remove_file(dir.join("labels.psv")).unwrap();
-        std::fs::remove_file(dir.join("config.json")).unwrap();
+        // Every file outside the four inputs may be missing, the oracle
+        // included.
+        let (world, dir) = saved_tiny("no-oracle");
+        for name in SIDECARS {
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
         let bundle = DatasetBundle::load(&dir).unwrap();
-        assert!(bundle.truth.is_none());
-        assert!(bundle.labels.is_none());
-        assert!(bundle.config.is_none());
-        assert!(bundle.are_siblings(Asn::new(1), Asn::new(2)).is_none());
+        assert_eq!(bundle.whois.asn_count(), world.whois.asn_count());
+        assert_eq!(bundle.asrank, world.asrank);
+        assert!(BundleTruth::load(&dir).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_required_file_is_an_error() {
-        let world = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
-        let dir = tmpdir("missing");
-        save(&world, &dir).unwrap();
-        std::fs::remove_file(dir.join("peeringdb.json")).unwrap();
-        assert!(matches!(
-            DatasetBundle::load(&dir),
-            Err(IoError::Fs(file, _)) if file == "peeringdb.json"
-        ));
+        let (_, dir) = saved_tiny("missing");
+        for name in INPUTS {
+            let original = std::fs::read(dir.join(name)).unwrap();
+            std::fs::remove_file(dir.join(name)).unwrap();
+            assert!(
+                matches!(load_error(&dir), IoError::Fs(file, _) if file == name),
+                "{name}"
+            );
+            std::fs::write(dir.join(name), original).unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_file_is_a_format_error() {
-        let world = SyntheticInternet::generate(&GeneratorConfig::tiny(12));
-        let dir = tmpdir("corrupt");
-        save(&world, &dir).unwrap();
-        std::fs::write(dir.join("web.json"), "{not json").unwrap();
-        assert!(matches!(
-            DatasetBundle::load(&dir),
-            Err(IoError::Format(file, _)) if file == "web.json"
-        ));
+        let (_, dir) = saved_tiny("corrupt");
+        for name in INPUTS {
+            let original = std::fs::read(dir.join(name)).unwrap();
+            let not_utf8 = [&[0xff], &original[..]].concat();
+            // Cut inside a two-byte character.
+            let cut_mid_character = [&original[..], &"é".as_bytes()[..1]].concat();
+            for (what, bytes) in [
+                ("garbled", b"garbled|{\n".to_vec()),
+                // Deeper than a parser thread's stack could recurse.
+                ("nested", "[".repeat(1 << 20).into_bytes()),
+                ("not UTF-8", not_utf8),
+                ("truncated mid-character", cut_mid_character),
+            ] {
+                std::fs::write(dir.join(name), bytes).unwrap();
+                assert!(
+                    matches!(load_error(&dir), IoError::Format(file, _) if file == name),
+                    "{name} {what}"
+                );
+            }
+            std::fs::write(dir.join(name), original).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_broken_files_name_the_first_in_file_order() {
+        let (_, dir) = saved_tiny("two-broken");
+        let originals: Vec<Vec<u8>> = INPUTS
+            .iter()
+            .map(|name| std::fs::read(dir.join(name)).unwrap())
+            .collect();
+        for (first, original) in INPUTS.iter().zip(&originals) {
+            for second in INPUTS.iter().skip_while(|name| *name != first).skip(1) {
+                // The earlier file breaks on its last line, the later one on
+                // its first byte, so the later parse fails first.
+                let late = [&original[..], b"\ngarbled|{\n"].concat();
+                std::fs::write(dir.join(first), late).unwrap();
+                std::fs::write(dir.join(second), b"{").unwrap();
+                for _ in 0..50 {
+                    assert!(
+                        matches!(load_error(&dir), IoError::Format(file, _) if file == *first),
+                        "{first} and {second}"
+                    );
+                }
+                for (name, original) in INPUTS.iter().zip(&originals) {
+                    std::fs::write(dir.join(name), original).unwrap();
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

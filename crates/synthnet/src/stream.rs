@@ -532,6 +532,7 @@ fn stitch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::tests::{sidecar_config, sidecar_rows, sidecar_topology};
     use crate::io::{save, DatasetBundle};
     use crate::SyntheticInternet;
 
@@ -554,10 +555,14 @@ mod tests {
         assert_eq!(bundle.pdb.org_count(), report.pdb_orgs);
         assert_eq!(bundle.pdb.net_count(), report.pdb_nets);
         assert_eq!(bundle.web.host_count(), report.web_hosts);
-        assert_eq!(bundle.topology.node_count(), report.asns);
         assert_eq!(bundle.asrank.len(), report.asns);
-        assert_eq!(bundle.config.as_ref(), Some(&config));
-        let users: u64 = bundle.populations.values().map(|p| p.users).sum();
+        // The files only external tools read.
+        assert_eq!(sidecar_topology(&dir).node_count(), report.asns);
+        assert_eq!(sidecar_config(&dir), config);
+        let users: u64 = sidecar_rows(&dir, "populations.psv")
+            .iter()
+            .map(|row| row[1].parse::<u64>().unwrap())
+            .sum();
         assert_eq!(users, report.total_users);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -37,10 +37,24 @@ impl Error for Serial1Error {}
 
 /// Parses a serial-1 relationship file.
 pub fn parse(text: &str) -> Result<AsGraph, Serial1Error> {
+    parse_lines(text, false)
+}
+
+/// The one pass behind [`parse`] and [`parse_with_nodes`]: the first bad
+/// line in file order is the error.
+fn parse_lines(text: &str, with_nodes: bool) -> Result<AsGraph, Serial1Error> {
     let mut builder = AsGraphBuilder::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
+        if let Some(node) = line.strip_prefix("# node: ").filter(|_| with_nodes) {
+            let asn: Asn = node.parse().map_err(|_| Serial1Error {
+                line: line_no,
+                reason: "invalid node comment",
+            })?;
+            builder.node(asn);
+            continue;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -107,30 +121,7 @@ pub fn serialize(graph: &AsGraph) -> String {
 /// Parses including `# node:` comments (the round-trip companion of
 /// [`serialize`] — plain CAIDA files simply have no such comments).
 pub fn parse_with_nodes(text: &str) -> Result<AsGraph, Serial1Error> {
-    let mut builder = AsGraphBuilder::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if let Some(node) = line.strip_prefix("# node: ") {
-            let asn: Asn = node.parse().map_err(|_| Serial1Error {
-                line: idx + 1,
-                reason: "invalid node comment",
-            })?;
-            builder.node(asn);
-        }
-    }
-    let base = parse(text)?;
-    for node in base.nodes() {
-        builder.node(node);
-    }
-    for p in base.nodes() {
-        for &c in base.customers_of(p) {
-            builder.provider_customer(p, c);
-        }
-        for &q in base.peers_of(p) {
-            builder.peer_peer(p, q);
-        }
-    }
-    Ok(builder.build())
+    parse_lines(text, true)
 }
 
 #[cfg(test)]
@@ -157,6 +148,30 @@ mod tests {
         );
         assert!(parse("x|2|-1\n").is_err());
         assert!(parse("1|2|-1|extra\n").is_err());
+    }
+
+    #[test]
+    fn the_first_bad_line_in_file_order_is_the_error() {
+        // A bad edge line before a bad `# node:` line: the edge line is
+        // reported, whichever kind of line fails.
+        let text = "1|2|-1\nx|2|-1\n# node: banana\n";
+        assert_eq!(
+            parse_with_nodes(text).unwrap_err(),
+            Serial1Error {
+                line: 2,
+                reason: "invalid as1"
+            }
+        );
+        let text = "1|2|-1\n# node: banana\nx|2|-1\n";
+        assert_eq!(
+            parse_with_nodes(text).unwrap_err(),
+            Serial1Error {
+                line: 2,
+                reason: "invalid node comment"
+            }
+        );
+        // Plain `parse` treats `# node:` lines as comments.
+        assert_eq!(parse(text).unwrap_err().line, 3);
     }
 
     #[test]

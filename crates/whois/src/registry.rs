@@ -6,8 +6,8 @@
 //! treats a CAIDA snapshot: a frozen input dated to a snapshot day.
 
 use crate::schema::{AutNum, WhoisOrg};
-use borges_types::{Asn, WhoisOrgId};
-use std::collections::{BTreeMap, BTreeSet};
+use borges_types::{Asn, OrgName, WhoisOrgId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -81,36 +81,139 @@ impl WhoisRegistryBuilder {
     }
 
     /// Validates referential integrity and freezes the registry.
+    ///
+    /// On a violation, the error names the first failing record in input
+    /// order: organizations are checked before aut-nums, and an aut-num
+    /// that both dangles and repeats an ASN reports the dangling handle.
     pub fn build(self) -> Result<WhoisRegistry, RegistryError> {
-        let mut orgs: BTreeMap<WhoisOrgId, WhoisOrg> = BTreeMap::new();
-        for org in self.orgs {
-            if org.id.is_empty() {
-                return Err(RegistryError::EmptyOrgId);
-            }
-            if orgs.insert(org.id.clone(), org.clone()).is_some() {
-                return Err(RegistryError::DuplicateOrg(org.id));
-            }
-        }
-        let mut auts: BTreeMap<Asn, AutNum> = BTreeMap::new();
-        let mut members: BTreeMap<WhoisOrgId, BTreeSet<Asn>> = BTreeMap::new();
-        for aut in self.auts {
-            if !orgs.contains_key(&aut.org) {
-                return Err(RegistryError::DanglingOrgRef {
-                    asn: aut.asn,
-                    org: aut.org,
-                });
-            }
-            if auts.insert(aut.asn, aut.clone()).is_some() {
-                return Err(RegistryError::DuplicateAsn(aut.asn));
-            }
-            members.entry(aut.org.clone()).or_default().insert(aut.asn);
-        }
-        Ok(WhoisRegistry {
-            orgs,
-            auts,
-            members,
-        })
+        assemble(self.orgs, self.auts, Dangling::Reject)
     }
+
+    /// [`build`](Self::build), except that an aut-num naming a handle
+    /// with no org record gets a placeholder organization (the handle as
+    /// its name, country `ZZ`, the first such aut-num's source), appended
+    /// after the given organizations. The file parsers use this: real
+    /// CAIDA and RPSL dumps contain a handful of dangling references.
+    pub(crate) fn build_with_placeholders(self) -> Result<WhoisRegistry, RegistryError> {
+        assemble(self.orgs, self.auts, Dangling::Placeholder)
+    }
+}
+
+/// What [`assemble`] does with an aut-num whose handle has no org record.
+#[derive(Clone, Copy, PartialEq)]
+enum Dangling {
+    Reject,
+    Placeholder,
+}
+
+/// Builds the three indexes in bulk: every record is checked once, the
+/// maps are collected from handle- or ASN-sorted vectors, and duplicates
+/// are found between neighbours of those vectors.
+fn assemble(
+    orgs: Vec<WhoisOrg>,
+    auts: Vec<AutNum>,
+    dangling: Dangling,
+) -> Result<WhoisRegistry, RegistryError> {
+    let mut orgs = sorted_by_handle(orgs)?;
+
+    // The one reference check: each aut-num's handle resolves to a
+    // position in `orgs`, placeholders (if any) going after the records.
+    let index: HashMap<&WhoisOrgId, usize> = orgs.iter().map(|o| &o.id).zip(0..).collect();
+    let mut positions: Vec<usize> = Vec::with_capacity(auts.len());
+    let mut placeholders: Vec<WhoisOrg> = Vec::new();
+    let mut placeholder_at: BTreeMap<&WhoisOrgId, usize> = BTreeMap::new();
+    let mut first_dangling = None;
+    for (i, aut) in auts.iter().enumerate() {
+        if let Some(&at) = index.get(&aut.org) {
+            positions.push(at);
+        } else if dangling == Dangling::Reject {
+            first_dangling = Some(i);
+            break;
+        } else {
+            let at = *placeholder_at.entry(&aut.org).or_insert_with(|| {
+                placeholders.push(WhoisOrg {
+                    id: aut.org.clone(),
+                    name: OrgName::new(aut.org.as_str()),
+                    country: "ZZ".parse().expect("ZZ is two letters"),
+                    source: aut.source,
+                    changed: 0,
+                });
+                orgs.len() + placeholders.len() - 1
+            });
+            positions.push(at);
+        }
+    }
+    if placeholders.iter().any(|o| o.id.is_empty()) {
+        return Err(RegistryError::EmptyOrgId);
+    }
+    // Only aut-nums before the first dangling one can fail earlier.
+    if let Some(i) = first_repeated_asn(&auts[..first_dangling.unwrap_or(auts.len())]) {
+        return Err(RegistryError::DuplicateAsn(auts[i].asn));
+    }
+    if let Some(i) = first_dangling {
+        return Err(RegistryError::DanglingOrgRef {
+            asn: auts[i].asn,
+            org: auts[i].org.clone(),
+        });
+    }
+    orgs.extend(placeholders);
+
+    let mut owned: Vec<(usize, Asn)> = positions
+        .into_iter()
+        .zip(auts.iter().map(|a| a.asn))
+        .collect();
+    owned.sort_unstable();
+    let mut members: Vec<(WhoisOrgId, BTreeSet<Asn>)> = Vec::new();
+    let mut last = None;
+    for (at, asn) in owned {
+        if last != Some(at) {
+            members.push((orgs[at].id.clone(), BTreeSet::new()));
+            last = Some(at);
+        }
+        members.last_mut().expect("pushed above").1.insert(asn);
+    }
+    Ok(WhoisRegistry {
+        members: members.into_iter().collect(),
+        orgs: orgs.into_iter().map(|o| (o.id.clone(), o)).collect(),
+        auts: auts.into_iter().map(|a| (a.asn, a)).collect(),
+    })
+}
+
+/// The organizations in handle order, or the first one in input order
+/// that has an empty handle or repeats an earlier one.
+fn sorted_by_handle(mut orgs: Vec<WhoisOrg>) -> Result<Vec<WhoisOrg>, RegistryError> {
+    let first_empty = orgs.iter().position(|o| o.id.is_empty());
+    if orgs.windows(2).any(|w| w[0].id >= w[1].id) {
+        let repeat = first_repeat(orgs.iter().map(|o| &o.id));
+        if let Some(i) = repeat.filter(|&i| first_empty.map_or(true, |e| i < e)) {
+            return Err(RegistryError::DuplicateOrg(orgs.swap_remove(i).id));
+        }
+        orgs.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+    }
+    match first_empty {
+        Some(_) => Err(RegistryError::EmptyOrgId),
+        None => Ok(orgs),
+    }
+}
+
+/// The position of the first aut-num whose ASN an earlier one holds.
+fn first_repeated_asn(auts: &[AutNum]) -> Option<usize> {
+    if auts.windows(2).all(|w| w[0].asn < w[1].asn) {
+        return None;
+    }
+    first_repeat(auts.iter().map(|a| a.asn))
+}
+
+/// The position of the first key equal to an earlier one. Sorted by key
+/// and then position, the later of two equal neighbours is a repeat.
+fn first_repeat<K: Ord>(keys: impl Iterator<Item = K>) -> Option<usize> {
+    let mut order: Vec<(K, usize)> = keys.zip(0..).collect();
+    order.sort_unstable();
+    order
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
 }
 
 /// A frozen, indexed WHOIS snapshot.
@@ -261,6 +364,46 @@ mod tests {
         o.id = WhoisOrgId::new("");
         let err = WhoisRegistry::builder().org(o).build().unwrap_err();
         assert_eq!(err, RegistryError::EmptyOrgId);
+    }
+
+    #[test]
+    fn with_two_faults_the_first_in_input_order_is_reported() {
+        let build = |orgs: Vec<WhoisOrg>, auts: Vec<AutNum>| {
+            WhoisRegistry::builder().extend(orgs, auts).build()
+        };
+        let empty = || {
+            let mut o = org("X");
+            o.id = WhoisOrgId::new("");
+            o
+        };
+        // Org faults: an empty handle against a repeated one.
+        let err = build(vec![org("A"), empty(), org("A")], vec![]).unwrap_err();
+        assert_eq!(err, RegistryError::EmptyOrgId);
+        let err = build(vec![org("A"), org("a"), empty()], vec![]).unwrap_err();
+        assert_eq!(err, RegistryError::DuplicateOrg(WhoisOrgId::new("A")));
+        // Two repeated handles, out of handle order: the earlier repeat.
+        let err = build(vec![org("B"), org("A"), org("A"), org("B")], vec![]).unwrap_err();
+        assert_eq!(err, RegistryError::DuplicateOrg(WhoisOrgId::new("A")));
+        let err = build(vec![org("B"), org("A"), org("B"), org("A")], vec![]).unwrap_err();
+        assert_eq!(err, RegistryError::DuplicateOrg(WhoisOrgId::new("B")));
+        // Aut-num faults: a dangling handle against a repeated ASN.
+        let orgs = || vec![org("A")];
+        let err = build(orgs(), vec![aut(1, "A"), aut(2, "NOPE"), aut(1, "A")]).unwrap_err();
+        assert!(matches!(err, RegistryError::DanglingOrgRef { asn, .. } if asn == Asn::new(2)));
+        let err = build(orgs(), vec![aut(1, "A"), aut(1, "A"), aut(2, "NOPE")]).unwrap_err();
+        assert_eq!(err, RegistryError::DuplicateAsn(Asn::new(1)));
+        // One aut-num with both faults reports the dangling handle.
+        let err = build(orgs(), vec![aut(1, "A"), aut(1, "NOPE")]).unwrap_err();
+        assert!(matches!(err, RegistryError::DanglingOrgRef { asn, .. } if asn == Asn::new(1)));
+        // Two repeated ASNs, out of ASN order: the earlier repeat.
+        let auts = vec![aut(3, "A"), aut(1, "A"), aut(3, "A"), aut(1, "A")];
+        assert_eq!(
+            build(orgs(), auts).unwrap_err(),
+            RegistryError::DuplicateAsn(Asn::new(3))
+        );
+        // Any org fault comes before any aut-num fault.
+        let err = build(vec![org("A"), org("A")], vec![aut(1, "NOPE")]).unwrap_err();
+        assert_eq!(err, RegistryError::DuplicateOrg(WhoisOrgId::new("A")));
     }
 
     #[test]

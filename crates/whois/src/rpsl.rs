@@ -203,24 +203,11 @@ pub fn parse(text: &str) -> Result<WhoisRegistry, RpslError> {
         }
     }
 
-    // Synthesize placeholders for dangling org references, like the CAIDA
-    // flat-file parser does.
-    let known: std::collections::BTreeSet<_> = orgs.iter().map(|o| o.id.clone()).collect();
-    let mut seen = std::collections::BTreeSet::new();
-    let placeholders: Vec<WhoisOrg> = auts
-        .iter()
-        .filter(|a| !known.contains(&a.org) && seen.insert(a.org.clone()))
-        .map(|a| WhoisOrg {
-            id: a.org.clone(),
-            name: OrgName::new(a.org.as_str()),
-            country: "ZZ".parse().expect("ZZ parses"),
-            source: a.source,
-            changed: 0,
-        })
-        .collect();
-    orgs.extend(placeholders);
-
-    Ok(WhoisRegistry::builder().extend(orgs, auts).build()?)
+    // Dangling org references get placeholders, like the CAIDA flat-file
+    // parser gives them.
+    Ok(WhoisRegistry::builder()
+        .extend(orgs, auts)
+        .build_with_placeholders()?)
 }
 
 /// `2024-07-01T00:00:00Z` → `20240701`; absent/garbage → 0.

@@ -62,20 +62,30 @@ impl fmt::Display for Rir {
 impl FromStr for Rir {
     type Err = borges_types::ParseError;
 
+    /// Case-insensitive, surrounding whitespace ignored.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "ARIN" => Ok(Rir::Arin),
-            "RIPE" | "RIPENCC" | "RIPE-NCC" => Ok(Rir::RipeNcc),
-            "APNIC" => Ok(Rir::Apnic),
-            "LACNIC" => Ok(Rir::Lacnic),
-            "AFRINIC" => Ok(Rir::Afrinic),
-            "NIR" | "JPNIC" | "TWNIC" | "KRNIC" | "CNNIC" | "IDNIC" | "VNNIC" => Ok(Rir::Nir),
-            _ => Err(borges_types::ParseError::new(
-                "rir",
-                s,
-                "unknown registry source",
-            )),
-        }
+        const NAMES: [(&str, Rir); 14] = [
+            ("ARIN", Rir::Arin),
+            ("RIPE", Rir::RipeNcc),
+            ("RIPENCC", Rir::RipeNcc),
+            ("RIPE-NCC", Rir::RipeNcc),
+            ("APNIC", Rir::Apnic),
+            ("LACNIC", Rir::Lacnic),
+            ("AFRINIC", Rir::Afrinic),
+            ("NIR", Rir::Nir),
+            ("JPNIC", Rir::Nir),
+            ("TWNIC", Rir::Nir),
+            ("KRNIC", Rir::Nir),
+            ("CNNIC", Rir::Nir),
+            ("IDNIC", Rir::Nir),
+            ("VNNIC", Rir::Nir),
+        ];
+        let t = s.trim();
+        NAMES
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(t))
+            .map(|&(_, rir)| rir)
+            .ok_or_else(|| borges_types::ParseError::new("rir", s, "unknown registry source"))
     }
 }
 
