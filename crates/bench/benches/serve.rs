@@ -9,7 +9,8 @@
 //! amortize: mapping materialization over the medium (~11k ASN) world.
 //! The client-count sweep shows how the fixed worker pool scales on
 //! loopback, where the per-request network cost is near zero and the
-//! measured time is parse + route + render + syscall overhead.
+//! measured time is connection setup and teardown, parse, route and
+//! render, and the one send that carries each whole response.
 //!
 //! Each iteration runs `clients × REQUESTS_PER_CLIENT` round trips:
 //! every client thread opens a fresh connection per request (the server

@@ -12,6 +12,12 @@
 //! Responses carry no `Date` or other environment-dependent headers, so
 //! a handler's output is byte-identical across runs, worker counts, and
 //! hosts — the serving determinism keystone builds on this.
+//!
+//! Every response reaches its writer in one `write_all` of one buffer
+//! ([`Response::write_to`]): on a socket that is one send system call
+//! unless the kernel takes only part of it, so the status line, headers
+//! and body leave together instead of one segment per header for the
+//! peer's read to wake on.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -278,13 +284,15 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body. Header order is fixed
-    /// and no environment-dependent header (`Date`, `Server`) is ever
-    /// emitted: identical handler output means identical bytes on the
-    /// wire.
+    /// Serializes status line, headers, and body into one buffer and
+    /// hands it to `writer` in a single `write_all`, so a socket sees
+    /// one send per response. Header order is fixed and no
+    /// environment-dependent header (`Date`, `Server`) is ever emitted:
+    /// identical handler output means identical bytes on the wire.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        let mut bytes = Vec::with_capacity(192 + self.body.len());
         write!(
-            writer,
+            bytes,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             self.reason(),
@@ -292,16 +300,17 @@ impl Response {
             self.body.len()
         )?;
         if let Some(allow) = self.allow {
-            write!(writer, "Allow: {allow}\r\n")?;
+            write!(bytes, "Allow: {allow}\r\n")?;
         }
         if let Some(id) = &self.request_id {
-            write!(writer, "x-borges-request-id: {id}\r\n")?;
+            write!(bytes, "x-borges-request-id: {id}\r\n")?;
         }
         if let Some(seconds) = self.retry_after {
-            write!(writer, "Retry-After: {seconds}\r\n")?;
+            write!(bytes, "Retry-After: {seconds}\r\n")?;
         }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(&self.body)?;
+        bytes.extend_from_slice(b"\r\n");
+        bytes.extend_from_slice(&self.body);
+        writer.write_all(&bytes)?;
         writer.flush()
     }
 }
@@ -434,42 +443,66 @@ mod tests {
         assert_eq!(req.path, "/");
     }
 
+    /// A `Write` that keeps the bytes and counts the `write` calls that
+    /// delivered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serializes `response` and asserts it arrived in exactly one
+    /// `write` call.
+    fn written(response: &Response) -> String {
+        let mut out = CountingWriter::default();
+        response.write_to(&mut out).unwrap();
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(out.writes, 1, "{text:?} took {} writes", out.writes);
+        text
+    }
+
     #[test]
     fn responses_serialize_deterministically() {
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
         assert_eq!(
-            text,
+            written(&Response::json(200, "{}")),
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
         );
-        let mut shed = Vec::new();
-        Response {
+        let text = written(&Response {
             retry_after: Some(1),
             ..Response::error(503, "overloaded")
-        }
-        .write_to(&mut shed)
-        .unwrap();
-        let text = String::from_utf8(shed).unwrap();
+        });
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{text}"
         );
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
         assert!(text.ends_with("{\"error\":\"overloaded\"}"), "{text}");
+        assert_eq!(
+            written(&Response::text(200, Vec::new())),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: 0\r\n\
+             Connection: close\r\n\r\n"
+        );
     }
 
     #[test]
     fn request_id_header_rides_between_connection_and_retry_after() {
-        let mut out = Vec::new();
-        Response {
+        let text = written(&Response {
             request_id: Some("w2-17".to_string()),
             retry_after: Some(1),
             ..Response::json(200, "{}")
-        }
-        .write_to(&mut out)
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        });
         assert_eq!(
             text,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
@@ -479,15 +512,11 @@ mod tests {
 
     #[test]
     fn allow_header_rides_first_after_connection() {
-        let mut out = Vec::new();
-        Response {
+        let text = written(&Response {
             allow: Some("GET"),
             request_id: Some("w0-1".to_string()),
             ..Response::error(405, "method not allowed")
-        }
-        .write_to(&mut out)
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        });
         assert_eq!(
             text,
             "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\

@@ -217,16 +217,17 @@ impl AccessLogWriter {
         })
     }
 
-    /// Appends one line (terminator added) and flushes it to the OS,
-    /// so the staging file always ends on a record boundary short of a
-    /// mid-write crash.
+    /// Appends one line (terminator added) and flushes it to the OS.
+    /// Line and terminator go out in one `write_all`, so the staging
+    /// file always ends on a record boundary short of a crash inside
+    /// that one write.
     pub fn append_line(&self, line: &str) -> io::Result<()> {
+        let record = format!("{line}\n");
         let mut guard = self.file.lock();
         let file = guard
             .as_mut()
             .ok_or_else(|| io::Error::other("access log already finished"))?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
+        file.write_all(record.as_bytes())?;
         file.flush()
     }
 
@@ -336,6 +337,17 @@ mod tests {
         assert_eq!(ring.total(), 2);
     }
 
+    /// `write` system calls made by the calling thread so far, where the
+    /// kernel reports them (`/proc/thread-self/io` on Linux).
+    fn thread_write_syscalls() -> Option<u64> {
+        let io = fs::read_to_string("/proc/thread-self/io").ok()?;
+        io.lines()
+            .find_map(|line| line.strip_prefix("syscw:"))?
+            .trim()
+            .parse()
+            .ok()
+    }
+
     #[test]
     fn access_log_writer_stages_then_lands_atomically() {
         let dir = std::env::temp_dir().join(format!("borges-accesslog-{}", std::process::id()));
@@ -344,7 +356,11 @@ mod tests {
         let path = dir.join("access.jsonl");
 
         let writer = AccessLogWriter::create(&path).unwrap();
+        let before = thread_write_syscalls();
         writer.append_line(&record("w0-1", 1).to_json()).unwrap();
+        if let (Some(before), Some(after)) = (before, thread_write_syscalls()) {
+            assert_eq!(after - before, 1, "line and terminator in one write");
+        }
         writer.append_line(&record("w0-2", 2).to_json()).unwrap();
         assert!(
             !path.exists(),
