@@ -1,10 +1,12 @@
 //! Persistent-store bench: what a `serve --store` cold start costs
 //! next to the full compile it replaces.
 //!
-//! Four legs over the medium world (~11k ASNs): encoding the compiled
+//! Six legs over the medium world (~11k ASNs): encoding the compiled
 //! world to artifact bytes, decoding + validating those bytes back
 //! (checksums, digest, semantic checks), replaying the decoded world
-//! into a pipeline, and — the yardstick — the full
+//! into a pipeline, the two integrity kernels alone over the artifact
+//! bytes (the whole-file SHA-256 and one CRC32 pass, which encode and
+//! decode each run once), and — the yardstick — the full
 //! crawl-to-evidence compile. The artifact size is printed so the
 //! wall-time numbers can be read against the I/O they imply.
 //!
@@ -14,7 +16,7 @@
 use borges_bench::{ingest_scraped, medium_world, SEED};
 use borges_core::pipeline::{Borges, IngestOptions};
 use borges_llm::SimLlm;
-use borges_store::{decode_world, encode_world};
+use borges_store::{crc32, decode_world, encode_world, sha256};
 use borges_websim::{Scraper, SimWebClient};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -42,6 +44,12 @@ fn bench_store(c: &mut Criterion) {
     });
     group.bench_function("replay", |b| {
         b.iter(|| black_box(Borges::from_world(&loaded.world, 1).expect("replay")))
+    });
+    group.bench_function("sha256", |b| {
+        b.iter(|| black_box(sha256::sha256(black_box(&bytes))))
+    });
+    group.bench_function("crc32", |b| {
+        b.iter(|| black_box(crc32::crc32(black_box(&bytes))))
     });
     // The yardstick is what `serve` without `--store` actually does at
     // boot: crawl + extract + compile. (The sim's LLM answers in

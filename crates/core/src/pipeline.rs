@@ -575,6 +575,9 @@ pub struct Borges {
     /// through [`Borges::to_world`] so the epoch participates in the
     /// artifact's content address.
     world_epoch: u64,
+    /// The content address a store load verified for this world
+    /// ([`CompiledWorld::digest`]); see [`Borges::verified_digest`].
+    verified_digest: Option<String>,
     /// The provenance table behind [`Borges::evidence`], built on its
     /// first call. `map` never builds it, with or without `--base`, and
     /// it is never persisted.
@@ -1112,6 +1115,7 @@ impl Borges {
             fingerprints,
             delta,
             world_epoch: 0,
+            verified_digest: None,
             evidence: OnceLock::new(),
         };
         borges.stamp_metrics(tel);
@@ -1340,6 +1344,7 @@ impl Borges {
         CompiledWorld {
             state: self.snapshot_state(),
             epoch: self.world_epoch,
+            digest: None,
             extras: ServingExtras {
                 oid_w_groups: wire_groups(&self.oid_w_groups),
                 oid_p_groups: wire_groups(&self.oid_p_groups),
@@ -1499,6 +1504,7 @@ impl Borges {
             web_cache: extras.web_cache,
             delta: None,
             world_epoch: world.epoch,
+            verified_digest: world.digest.clone(),
             evidence: OnceLock::new(),
         })
     }
@@ -1509,11 +1515,22 @@ impl Borges {
         self.world_epoch
     }
 
+    /// The hex content address of this world's artifact when it is
+    /// already known: the digest the store verified, for a pipeline
+    /// [`Borges::from_world`] rebuilt from a decoded artifact and whose
+    /// epoch has not been stamped since. `None` otherwise; then only
+    /// encoding [`Borges::to_world`] gives the address.
+    pub fn verified_digest(&self) -> Option<&str> {
+        self.verified_digest.as_deref()
+    }
+
     /// Stamps the timeline epoch. Called by the timeline layer *before*
     /// the artifact is encoded, so the epoch participates in the
-    /// content address and survives [`Borges::from_world`].
+    /// content address and survives [`Borges::from_world`]. Forgets the
+    /// verified digest, which the new epoch invalidates.
     pub fn set_world_epoch(&mut self, epoch: u64) {
         self.world_epoch = epoch;
+        self.verified_digest = None;
     }
 
     /// Stamps the incremental-run reuse accounting as
@@ -2299,6 +2316,7 @@ mod tests {
                 ..ServingExtras::default()
             },
             epoch: 0,
+            digest: None,
         };
         let borges = Borges::from_world(&world, 1).unwrap();
         let (a10, a20, a99) = (Asn::new(10), Asn::new(20), Asn::new(99));

@@ -90,7 +90,11 @@ pub struct ServingExtras {
 /// The full persistable compiled world: the incremental-remap state
 /// plus the serving extras. This is what `borges-store` frames into an
 /// on-disk artifact.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality compares the persisted content (`state`, `extras`,
+/// `epoch`) and ignores [`CompiledWorld::digest`], which records where
+/// a value came from, not what it is.
+#[derive(Debug, Clone, Default)]
 pub struct CompiledWorld {
     /// Interner slots, edge segments, fingerprints, LLM memos.
     pub state: SnapshotState,
@@ -101,6 +105,20 @@ pub struct CompiledWorld {
     /// before the artifact is written, so the epoch participates in the
     /// content address and a relabeled chain link is detectable.
     pub epoch: u64,
+    /// The hex content address `borges-store` verified when it decoded
+    /// this world, carried into [`Borges::from_world`] so a cold start
+    /// need not encode the world again to learn it. `None` for a world
+    /// captured from a live pipeline. Never persisted; code that edits
+    /// a decoded world must reset it.
+    ///
+    /// [`Borges::from_world`]: crate::pipeline::Borges::from_world
+    pub digest: Option<String>,
+}
+
+impl PartialEq for CompiledWorld {
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state && self.extras == other.extras && self.epoch == other.epoch
+    }
 }
 
 impl CompiledWorld {
@@ -114,11 +132,12 @@ impl CompiledWorld {
     /// replay indexes by it).
     pub fn validate(&self) -> Result<(), String> {
         self.state.validate()?;
-        let mut seen = std::collections::BTreeSet::new();
-        for slot in &self.state.slots {
-            if !seen.insert(slot.asn) {
-                return Err(format!("duplicate interner slot for AS{}", slot.asn));
-            }
+        // Sorting a copy finds a duplicate far faster than building a
+        // set of the 10k+ ASNs would.
+        let mut asns: Vec<u32> = self.state.slots.iter().map(|slot| slot.asn).collect();
+        asns.sort_unstable();
+        if let Some(pair) = asns.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("duplicate interner slot for AS{}", pair[0]));
         }
         let len = self.state.slots.len() as u64;
         for (feature, segments) in [
@@ -172,6 +191,7 @@ mod tests {
             },
             extras: ServingExtras::default(),
             epoch: 0,
+            digest: None,
         }
     }
 

@@ -114,9 +114,14 @@ pub struct ServingWorld {
 
 impl ServingWorld {
     /// Wraps a pipeline as serving world `epoch` with an LRU of
-    /// `lru_capacity` mappings.
+    /// `lru_capacity` mappings. A pipeline rebuilt from a verified
+    /// artifact brings its digest along; any other is encoded once to
+    /// learn it.
     pub fn new(borges: Borges, lru_capacity: usize, epoch: u64) -> ServingWorld {
-        let digest = borges_store::world_digest(&borges.to_world());
+        let digest = match borges.verified_digest() {
+            Some(digest) => digest.to_string(),
+            None => borges_store::world_digest(&borges.to_world()),
+        };
         ServingWorld {
             borges,
             cache: MappingCache::new(lru_capacity),

@@ -2,29 +2,41 @@
 //! container and back, plus the file-level load/store/verify entry
 //! points the CLI and server use.
 //!
-//! ## Payload layout (schema 2)
+//! ## Payload layout (schema 3)
 //!
-//! Every section payload is a fixed sequence of little-endian records,
-//! in declaration order of the Rust types below:
+//! Every section payload is a fixed sequence of records, in declaration
+//! order of the Rust types below:
 //!
 //! ```text
 //! meta          inner schema: str, epoch: u64
 //! slots         [asn: u32, live: bool]
 //! segments      oid_w, oid_p, na, rr, favicons — each [key: str, fp: u64,
 //!               edges: [a: u32, b: u32]]
-//! fingerprints  whois_org, whois_aut, pdb_org, pdb_net, site — each
-//!               [key: str, fp: u64]
+//! fingerprints  whois_org, pdb_org — each shared-key flag, then
+//!               [fp: u64] (flag 1) or [key: str, fp: u64] (flag 0);
+//!               whois_aut, pdb_net, site — each [key: str, fp: u64]
 //! memos         ner: [asn: u32, fp: u64, findings: [u32]],
 //!               favicon: [favicon: u64, fp: u64, named: option<str>]
 //! serving       the ServingExtras fields: groups as [[u32]], NER rows,
 //!               R&R groups (final URL as str), favicon groups, and the
-//!               funnel counters (usize counters as u64)
+//!               funnel counters (usize counters as varint u64)
 //! ```
 //!
-//! `[T]` is a `u32` count followed by that many `T`; `str` is a `u32`
-//! byte length followed by UTF-8; `bool` is one byte, 0 or 1; an option
-//! is a tag byte, 0 or 1, followed by the value when the tag is 1; a
-//! URL is its canonical string.
+//! A `u32` (ASN, dense id, finding) is an unsigned LEB128 varint of at
+//! most 5 bytes, and a `usize` counter one of at most 10; a `u64`
+//! (fingerprint, favicon hash, epoch, the `u64` stats counters) is 8
+//! little-endian bytes, since uniformly spread hashes would only grow
+//! as varints. `[T]` is a varint `u32` count followed by that many `T`;
+//! `str` is a varint `u32` byte length followed by UTF-8; `bool` is one
+//! byte, 0 or 1; an option is a tag byte, 0 or 1, followed by the value
+//! when the tag is 1; a URL is its canonical string.
+//!
+//! The `whois_org` and `pdb_org` fingerprint lists are keyed by the
+//! same org ids as the `oid_w` and `oid_p` segments. When a list's keys
+//! equal its segments' keys, in order, the flag is 1 and the list is
+//! written without its key column: a count, which must equal the
+//! segment count, then the fingerprints. Otherwise the flag is 0 and
+//! the list is written whole.
 //!
 //! ## Canonical encoding
 //!
@@ -35,10 +47,14 @@
 //! is live. The decoder keeps that true for *any* bytes it accepts, not
 //! only for bytes this writer produced: the six sections must appear in
 //! order with nothing after them, a section must end exactly where its
-//! last record does, bool and option tags must be 0 or 1, strings must
-//! be UTF-8, and a URL must render back to its stored text. Every value
-//! the decoder accepts therefore has exactly one encoding. A count is
-//! checked against the bytes left before anything is allocated for it.
+//! last record does, a varint must be in its shortest form, fit its
+//! type and end inside its section, bool, option and shared-key flags
+//! must be 0 or 1, a shared-key list must be as long as its segment
+//! list, an explicit list must not repeat its segment keys (the shared
+//! form is the canonical one), strings must be UTF-8, and a URL must
+//! render back to its stored text. Every value the decoder accepts
+//! therefore has exactly one encoding. A count is checked against the
+//! bytes left before anything is allocated for it.
 
 use crate::atomic::write_atomic;
 use crate::error::StoreError;
@@ -58,7 +74,7 @@ use borges_websim::ScrapeStats;
 use std::path::Path;
 
 /// The world payload schema this reader writes and understands.
-pub const STORE_SCHEMA_VERSION: u32 = 2;
+pub const STORE_SCHEMA_VERSION: u32 = 3;
 
 const SECTION_META: &str = "meta";
 const SECTION_SLOTS: &str = "slots";
@@ -109,8 +125,8 @@ pub struct ArtifactInfo {
     pub total_len: u64,
 }
 
-/// Bounds-checked little-endian reader over one section's payload.
-/// Every failure is a [`StoreError::Decode`] naming the section.
+/// Bounds-checked reader over one section's payload. Every failure is
+/// a [`StoreError::Decode`] naming the section.
 struct Reader<'a> {
     section: &'static str,
     bytes: &'a [u8],
@@ -147,8 +163,8 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// A 0/1 byte: a bool or an option tag. Any other value has no
-    /// canonical meaning and is refused.
+    /// A 0/1 byte: a bool, an option tag or a shared-key flag. Any
+    /// other value has no canonical meaning and is refused.
     fn flag(&mut self, what: &str) -> Result<bool, StoreError> {
         match self.array::<1>()?[0] {
             0 => Ok(false),
@@ -160,14 +176,44 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A `u32` record count, refused when even the smallest records
+    /// An unsigned LEB128 varint of at most `bits` bits, refused unless
+    /// it is the value's shortest encoding and ends inside the section.
+    fn varint(&mut self, bits: u32) -> Result<u64, StoreError> {
+        let start = self.pos;
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let Some(&byte) = self.bytes.get(self.pos) else {
+                self.pos = start;
+                return Err(self.fail("varint runs past the end of the section".into()));
+            };
+            self.pos += 1;
+            let low = u64::from(byte & 0x7F);
+            if shift >= bits || (shift + 7 > bits && low >> (bits - shift) != 0) {
+                self.pos = start;
+                return Err(self.fail(format!("varint overflows u{bits}")));
+            }
+            value |= low << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    self.pos = start;
+                    return Err(self.fail("varint is non-minimal (a trailing zero byte)".into()));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A varint record count, refused when even the smallest records
     /// (`min_len` bytes each) could not fit in what is left — so a
     /// length prefix never sizes an allocation on its own say-so.
     fn count(&mut self, min_len: usize) -> Result<usize, StoreError> {
-        let n = u32::from_le_bytes(self.array()?) as usize;
+        let start = self.pos;
+        let n = u32::get(self)? as usize;
         let left = self.remaining();
         if n.saturating_mul(min_len) > left {
-            self.pos -= 4;
+            self.pos = start;
             return Err(self.fail(format!(
                 "count {n} of records at least {min_len} bytes each exceeds the \
                  {left} bytes left"
@@ -187,7 +233,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// One value's fixed little-endian layout inside a section payload.
+/// One value's layout inside a section payload.
 trait Record: Sized {
     /// The fewest bytes one encoded value occupies; bounds a count
     /// before allocating for it.
@@ -196,13 +242,23 @@ trait Record: Sized {
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError>;
 }
 
+/// Writes `value` as an unsigned LEB128 varint, low 7 bits first.
+fn put_varint(mut value: u64, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
 impl Record for u32 {
-    const MIN_LEN: usize = 4;
+    const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        put_varint(u64::from(*self), out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        Ok(u32::from_le_bytes(r.array()?))
+        // `varint(32)` refuses anything at or above 2^32.
+        Ok(r.varint(u32::BITS)? as u32)
     }
 }
 
@@ -216,15 +272,15 @@ impl Record for u64 {
     }
 }
 
-/// Stats counters are `usize` in memory and `u64` on disk, so the
-/// artifact does not depend on the writer's pointer width.
+/// Stats counters are `usize` in memory and a varint `u64` on disk, so
+/// the artifact does not depend on the writer's pointer width.
 impl Record for usize {
-    const MIN_LEN: usize = 8;
+    const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
-        (*self as u64).put(out);
+        put_varint(*self as u64, out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let value = u64::get(r)?;
+        let value = r.varint(u64::BITS)?;
         usize::try_from(value).map_err(|_| r.fail(format!("counter {value} overflows usize")))
     }
 }
@@ -240,7 +296,7 @@ impl Record for bool {
 }
 
 impl Record for String {
-    const MIN_LEN: usize = 4;
+    const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
         put_len(self.len(), out);
         out.extend_from_slice(self.as_bytes());
@@ -259,7 +315,7 @@ impl Record for String {
 /// A URL is stored as its canonical string and must parse back to a
 /// URL with exactly that rendering.
 impl Record for Url {
-    const MIN_LEN: usize = 4;
+    const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
         self.canonical().put(out);
     }
@@ -294,7 +350,7 @@ impl<T: Record> Record for Option<T> {
 }
 
 impl<T: Record> Record for Vec<T> {
-    const MIN_LEN: usize = 4;
+    const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
         put_len(self.len(), out);
         for item in self {
@@ -311,11 +367,74 @@ impl<T: Record> Record for Vec<T> {
     }
 }
 
-/// Writes a collection length as the format's `u32` count.
+/// Writes a collection length as the format's varint `u32` count.
 fn put_len(len: usize, out: &mut Vec<u8>) {
     u32::try_from(len)
         .expect("a world section holds fewer than 2^32 records of any one kind")
         .put(out);
+}
+
+/// Whether a fingerprint list is keyed exactly by its segments' keys,
+/// in order — the case its shared-key form covers.
+fn keys_shared(fps: &[KeyFp], segments: &[SegmentRecord]) -> bool {
+    fps.len() == segments.len() && fps.iter().zip(segments).all(|(f, s)| f.key == s.key)
+}
+
+/// Writes a fingerprint list behind its shared-key flag: without the
+/// key column when [`keys_shared`] holds, whole otherwise.
+fn put_fps(fps: &[KeyFp], segments: &[SegmentRecord], out: &mut Vec<u8>) {
+    let shared = keys_shared(fps, segments);
+    shared.put(out);
+    put_len(fps.len(), out);
+    for f in fps {
+        if shared {
+            f.fp.put(out);
+        } else {
+            f.put(out);
+        }
+    }
+}
+
+/// Reads what [`put_fps`] wrote for a list keyed like `segments` (the
+/// `feature` segments), refusing both forms wherever the other one is
+/// the canonical encoding.
+fn get_fps(
+    r: &mut Reader<'_>,
+    segments: &[SegmentRecord],
+    feature: &str,
+) -> Result<Vec<KeyFp>, StoreError> {
+    let start = r.pos;
+    if r.flag("shared-key flag")? {
+        // The count must equal the segment count, which already bounds
+        // the allocation below.
+        let count_at = r.pos;
+        let n = u32::get(r)? as usize;
+        if n != segments.len() {
+            r.pos = count_at;
+            return Err(r.fail(format!(
+                "shared-key list holds {n} fingerprints, but there are {} {feature} segments",
+                segments.len()
+            )));
+        }
+        segments
+            .iter()
+            .map(|s| {
+                Ok(KeyFp {
+                    key: s.key.clone(),
+                    fp: u64::get(r)?,
+                })
+            })
+            .collect()
+    } else {
+        let fps = Vec::get(r)?;
+        if keys_shared(&fps, segments) {
+            r.pos = start;
+            return Err(r.fail(format!(
+                "explicit keys equal the {feature} segment keys; the shared-key form is canonical"
+            )));
+        }
+        Ok(fps)
+    }
 }
 
 /// Implements [`Record`] for a struct as its fields in the order
@@ -478,15 +597,11 @@ pub fn encode_world(world: &CompiledWorld) -> Vec<u8> {
             }
         }),
         section(SECTION_FINGERPRINTS, |out| {
-            for fps in [
-                &state.whois_org_fps,
-                &state.whois_aut_fps,
-                &state.pdb_org_fps,
-                &state.pdb_net_fps,
-                &state.site_fps,
-            ] {
-                fps.put(out);
-            }
+            put_fps(&state.whois_org_fps, &state.oid_w, out);
+            state.whois_aut_fps.put(out);
+            put_fps(&state.pdb_org_fps, &state.oid_p, out);
+            state.pdb_net_fps.put(out);
+            state.site_fps.put(out);
         }),
         section(SECTION_MEMOS, |out| {
             state.ner_memo.put(out);
@@ -553,9 +668,9 @@ fn world_from_container(container: &Container) -> Result<CompiledWorld, StoreErr
     r.finish()?;
 
     let mut r = read(SECTION_FINGERPRINTS)?;
-    let whois_org_fps = Vec::get(&mut r)?;
+    let whois_org_fps = get_fps(&mut r, &oid_w, "oid_w")?;
     let whois_aut_fps = Vec::get(&mut r)?;
-    let pdb_org_fps = Vec::get(&mut r)?;
+    let pdb_org_fps = get_fps(&mut r, &oid_p, "oid_p")?;
     let pdb_net_fps = Vec::get(&mut r)?;
     let site_fps = Vec::get(&mut r)?;
     r.finish()?;
@@ -588,6 +703,7 @@ fn world_from_container(container: &Container) -> Result<CompiledWorld, StoreErr
             favicon_memo,
         },
         extras,
+        digest: Some(sha256::hex(&container.digest)),
     };
     // Checksums prove the bytes are the ones written; validation proves
     // the written world was sane (inner schema tag, unique interner
@@ -603,7 +719,8 @@ fn world_from_container(container: &Container) -> Result<CompiledWorld, StoreErr
 
 /// Parses, integrity-checks, and semantically validates artifact
 /// bytes. Never panics: every malformed input maps to a typed
-/// [`StoreError`].
+/// [`StoreError`]. The decoded world carries the digest it was
+/// verified against ([`CompiledWorld::digest`]).
 pub fn decode_world(bytes: &[u8]) -> Result<LoadedWorld, StoreError> {
     let container = decode_container(bytes, STORE_SCHEMA_VERSION)?;
     Ok(LoadedWorld {
@@ -632,7 +749,13 @@ pub fn write_artifact(path: &Path, world: &CompiledWorld) -> Result<String, Stor
 /// digest, and full decode — exactly what the loader would trust.
 pub fn verify_artifact(path: &Path) -> Result<ArtifactInfo, StoreError> {
     let bytes = std::fs::read(path).map_err(|err| StoreError::from_io(path, err))?;
-    let container = decode_container(&bytes, STORE_SCHEMA_VERSION)?;
+    verify_bytes(&bytes)
+}
+
+/// [`verify_artifact`] over bytes already in memory, so a caller that
+/// keeps them (`catalog_add`) acts on exactly the bytes verified.
+pub(crate) fn verify_bytes(bytes: &[u8]) -> Result<ArtifactInfo, StoreError> {
+    let container = decode_container(bytes, STORE_SCHEMA_VERSION)?;
     // The semantic decode too, so `store verify` catches a
     // well-checksummed file whose payload is nonsense.
     let world = world_from_container(&container)?;

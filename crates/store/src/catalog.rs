@@ -6,7 +6,7 @@
 //! even before opening it — and makes `add` idempotent: re-adding the
 //! same world is a no-op landing on the same name.
 
-use crate::artifact::{verify_artifact, ArtifactInfo};
+use crate::artifact::{verify_artifact, verify_bytes, ArtifactInfo};
 use crate::atomic::write_atomic;
 use crate::error::StoreError;
 use std::path::{Path, PathBuf};
@@ -36,14 +36,16 @@ impl CatalogEntry {
 }
 
 /// Copies the artifact at `artifact_path` into `catalog_dir` under its
-/// content address, verifying it first. Returns the digest. The copy
-/// goes through the crash-safe write protocol, so a crash cannot leave
-/// a partial entry under a valid-looking name.
+/// content address, verifying it first. Returns the digest. The file
+/// is read once and the bytes verified are the bytes written, so a
+/// source replaced mid-add cannot land unverified. The copy goes
+/// through the crash-safe write protocol, so a crash cannot leave a
+/// partial entry under a valid-looking name.
 pub fn catalog_add(catalog_dir: &Path, artifact_path: &Path) -> Result<String, StoreError> {
-    let info = verify_artifact(artifact_path)?;
-    std::fs::create_dir_all(catalog_dir).map_err(|err| StoreError::from_io(catalog_dir, err))?;
     let bytes =
         std::fs::read(artifact_path).map_err(|err| StoreError::from_io(artifact_path, err))?;
+    let info = verify_bytes(&bytes)?;
+    std::fs::create_dir_all(catalog_dir).map_err(|err| StoreError::from_io(catalog_dir, err))?;
     let dest = catalog_path(catalog_dir, &info.digest);
     write_atomic(&dest, &bytes).map_err(|err| StoreError::from_io(&dest, err))?;
     Ok(info.digest)

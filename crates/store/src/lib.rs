@@ -24,9 +24,12 @@
 //!   which is what lets `borges serve --store` degrade to a full
 //!   bundle recompile with the degradation on the ledger instead of
 //!   serving a damaged world or dying.
-//! - **Payloads** ([`artifact`]): fixed-layout little-endian records,
-//!   read by a strict bounds-checked decoder that accepts only bytes
-//!   it would itself have written.
+//! - **Payloads** ([`artifact`]): varint-packed records, read by a
+//!   strict bounds-checked decoder that accepts only bytes it would
+//!   itself have written.
+//! - **Integrity kernels** ([`crc32`], [`sha256`]): slicing-by-8 CRC32
+//!   and SHA-256 on the CPU's SHA extensions where it has them, each
+//!   tested against its portable reference.
 //! - **Determinism** ([`artifact`]): encoding is canonical, so
 //!   [`world_digest`] of a loaded world equals the digest of the file
 //!   it came from, and a world loaded from the store is byte-identical
@@ -202,6 +205,33 @@ mod tests {
         assert_eq!(entries.len(), 2);
         let flagged: Vec<bool> = entries.iter().map(|e| e.addressed_correctly()).collect();
         assert_eq!(flagged.iter().filter(|ok| **ok).count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn catalog_add_writes_exactly_the_bytes_it_verified() {
+        let dir = scratch("catalog-bytes");
+        let artifact = dir.join("out.world");
+        let catalog = dir.join("catalog");
+        let bytes = encode_world(&compiled().to_world());
+        std::fs::write(&artifact, &bytes).unwrap();
+
+        let digest = catalog_add(&catalog, &artifact).unwrap();
+        let entry = catalog_path(&catalog, &digest);
+        assert_eq!(std::fs::read(&entry).unwrap(), bytes);
+        assert_eq!(verify_artifact(&entry).unwrap().digest, digest);
+
+        // A damaged source is refused before anything is written: the
+        // catalog directory is not even created.
+        let mut damaged = bytes.clone();
+        let middle = damaged.len() / 2;
+        damaged[middle] ^= 0x01;
+        std::fs::write(&artifact, &damaged).unwrap();
+        let fresh = dir.join("fresh-catalog");
+        assert!(catalog_add(&fresh, &artifact).is_err());
+        assert!(!fresh.exists());
+        assert!(catalog_add(&catalog, &artifact).is_err());
+        assert_eq!(std::fs::read_dir(&catalog).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

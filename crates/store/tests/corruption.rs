@@ -7,15 +7,17 @@
 //! determined by the damaged region, never as a decoded-but-wrong
 //! world and never as a panic.
 
-use borges_core::delta::{FaviconMemoRecord, SlotRecord, SNAPSHOT_STATE_SCHEMA};
+use borges_core::delta::{
+    FaviconMemoRecord, KeyFp, SegmentRecord, SlotRecord, SNAPSHOT_STATE_SCHEMA,
+};
 use borges_core::pipeline::Borges;
 use borges_core::world::RrGroupRecord;
 use borges_core::{CompiledWorld, SnapshotState};
 use borges_llm::SimLlm;
 use borges_store::format::{decode_container, encode_container};
 use borges_store::{
-    decode_world, element_offsets, encode_world, Corruptor, StoreError, FORMAT_VERSION,
-    STORE_SCHEMA_VERSION,
+    decode_world, element_offsets, encode_world, load_artifact, verify_artifact, Corruptor,
+    StoreError, FORMAT_VERSION, STORE_SCHEMA_VERSION,
 };
 use borges_synthnet::{GeneratorConfig, SyntheticInternet};
 use borges_websim::SimWebClient;
@@ -142,12 +144,15 @@ fn schema_and_format_version_skew_is_schema_mismatch() {
     // Rewrite the versions and re-stamp the header CRC so the header
     // is self-consistent — the skew must then be caught as a version
     // check, not a checksum failure.
-    let restamp = |field_offset: usize, value: u32| -> StoreError {
+    let restamped = |field_offset: usize, value: u32| -> Vec<u8> {
         let mut doctored = bytes.to_vec();
         doctored[field_offset..field_offset + 4].copy_from_slice(&value.to_le_bytes());
         let crc = borges_store::crc32::crc32(&doctored[..20]);
         doctored[20..24].copy_from_slice(&crc.to_le_bytes());
-        decode_world(&doctored).unwrap_err()
+        doctored
+    };
+    let restamp = |field_offset: usize, value: u32| -> StoreError {
+        decode_world(&restamped(field_offset, value)).unwrap_err()
     };
     match restamp(8, FORMAT_VERSION + 1) {
         StoreError::SchemaMismatch { found, expected } => {
@@ -155,6 +160,24 @@ fn schema_and_format_version_skew_is_schema_mismatch() {
         }
         other => panic!("format skew gave {other:?}"),
     }
+    // The schema every artifact before this one was written in: the
+    // loader and `store verify` both refuse it before reading a payload.
+    let previous = STORE_SCHEMA_VERSION - 1;
+    match restamp(12, previous) {
+        StoreError::SchemaMismatch { found, expected } => {
+            assert_eq!((found, expected), (previous, STORE_SCHEMA_VERSION));
+        }
+        other => panic!("previous schema gave {other:?}"),
+    }
+    let dir = std::env::temp_dir().join(format!("borges-store-skew-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("previous.world");
+    std::fs::write(&path, restamped(12, previous)).unwrap();
+    let verified = verify_artifact(&path).map(|_| ()).unwrap_err();
+    let loaded = load_artifact(&path).map(|_| ()).unwrap_err();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(verified.kind(), "schema_mismatch", "{verified}");
+    assert_eq!(loaded.kind(), "schema_mismatch", "{loaded}");
     match restamp(12, STORE_SCHEMA_VERSION + 7) {
         StoreError::SchemaMismatch { found, expected } => {
             assert_eq!(
@@ -181,11 +204,32 @@ fn reframed(bytes: &[u8], section: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec
     encode_container(STORE_SCHEMA_VERSION, &container.sections)
 }
 
-/// A two-slot world whose payload offsets are known by construction:
-/// the first slot's `live` byte is at slots offset 8, the favicon
-/// memo's option tag at memos offset 24 (after two counts and two
-/// u64s), and the meta section starts with the inner-schema string.
+/// A two-slot world whose payload offsets are known by construction.
+/// Every count, length and ASN below is a one-byte varint, so:
+/// - slots `[2, 10, 1, 20, 1]` put the first ASN at offset 1 and its
+///   `live` byte at 2;
+/// - the favicon memo's option tag is at memos offset 18, after two
+///   counts and two u64s;
+/// - the meta section starts with the inner schema's length byte;
+/// - the serving section opens with three empty-list counts, so the
+///   first NER counter is at offset 3;
+/// - the segments section ends with the empty favicons list's count;
+/// - in the fingerprints section, `whois_org` (keys ORG-A and ORG-B
+///   against the one `oid_w` segment ORG-A) is written whole, with its
+///   flag at 0 and then 2 × 14 bytes of records; `whois_aut` is the
+///   empty list at 30; and `pdb_org` (key 7, the one `oid_p` segment's
+///   key) is written shared, its flag at 31, its count at 32 and its
+///   fingerprint at 33..41.
 fn handmade_artifact() -> Vec<u8> {
+    let segment = |key: &str| SegmentRecord {
+        key: key.to_string(),
+        fp: 3,
+        edges: Vec::new(),
+    };
+    let key_fp = |key: &str, fp| KeyFp {
+        key: key.to_string(),
+        fp,
+    };
     let mut world = CompiledWorld {
         state: SnapshotState {
             schema: SNAPSHOT_STATE_SCHEMA.to_string(),
@@ -199,6 +243,10 @@ fn handmade_artifact() -> Vec<u8> {
                     live: true,
                 },
             ],
+            oid_w: vec![segment("ORG-A")],
+            oid_p: vec![segment("7")],
+            whois_org_fps: vec![key_fp("ORG-A", 1), key_fp("ORG-B", 2)],
+            pdb_org_fps: vec![key_fp("7", 4)],
             favicon_memo: vec![FaviconMemoRecord {
                 favicon: 7,
                 fp: 9,
@@ -234,15 +282,15 @@ fn malformed_payloads_behind_valid_checksums_are_decode_errors() {
     // that must catch it, so a later, coarser check (a short read after
     // an unchecked count) cannot stand in for the one under test.
     let bytes = handmade_artifact();
-    let cases: [(&str, &str, &str, Edit); 6] = [
+    let cases: [(&str, &str, &str, Edit); 14] = [
         ("count larger than the payload", "slots", "exceeds", |p| {
-            p[..4].copy_from_slice(&1000u32.to_le_bytes())
+            p.splice(0..1, [0xE8, 0x07]); // 1000
         }),
-        ("bool of 2", "slots", "bool byte is 2", |p| p[8] = 2),
+        ("bool of 2", "slots", "bool byte is 2", |p| p[2] = 2),
         ("option tag of 2", "memos", "option tag byte is 2", |p| {
-            p[24] = 2
+            p[18] = 2
         }),
-        ("invalid UTF-8", "meta", "not UTF-8", |p| p[4] = 0xFF),
+        ("invalid UTF-8", "meta", "not UTF-8", |p| p[1] = 0xFF),
         ("non-canonical URL", "serving", "not a canonical URL", |p| {
             let at = p
                 .windows(8)
@@ -251,6 +299,54 @@ fn malformed_payloads_behind_valid_checksums_are_decode_errors() {
             p[at..at + 8].copy_from_slice(b"HTTPS://");
         }),
         ("trailing byte", "meta", "trailing", |p| p.push(0)),
+        ("non-minimal varint", "slots", "non-minimal", |p| {
+            p.splice(1..2, [0x8A, 0x00]); // AS10 in two bytes
+        }),
+        ("varint past u32", "slots", "overflows u32", |p| {
+            p.splice(1..2, [0xFF, 0xFF, 0xFF, 0xFF, 0x1F]); // 2^33 - 1
+        }),
+        (
+            "varint past u32 in six bytes",
+            "slots",
+            "overflows u32",
+            |p| {
+                p.splice(1..2, [0x8A, 0x80, 0x80, 0x80, 0x80, 0x00]);
+            },
+        ),
+        ("varint past u64", "serving", "overflows u64", |p| {
+            p.splice(
+                3..4,
+                [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            );
+        }),
+        (
+            "varint cut at the end of the section",
+            "segments",
+            "past the end",
+            |p| {
+                *p.last_mut().unwrap() = 0x80; // the favicons count, continued
+            },
+        ),
+        (
+            "bad shared-key flag",
+            "fingerprints",
+            "shared-key flag byte is 2",
+            |p| p[0] = 2,
+        ),
+        (
+            "shared-key flag over mismatched key lists",
+            "fingerprints",
+            "shared-key list holds 2 fingerprints, but there are 1 oid_w segments",
+            |p| p[0] = 1,
+        ),
+        (
+            "explicit keys equal to the segment keys",
+            "fingerprints",
+            "explicit keys equal the oid_p segment keys",
+            |p| {
+                p.splice(31..33, [0, 1, 1, b'7']);
+            },
+        ),
     ];
     for (case, section, check, edit) in cases {
         let (got_section, detail) = decode_error(&reframed(&bytes, section, edit));

@@ -703,14 +703,15 @@ mod tests {
 
     #[test]
     fn world_from_another_store_schema_is_a_schema_error() {
-        // Stamp the tip's world as an older store schema would have
-        // written it: schema field set to 1, header CRC re-stamped so
-        // the header is self-consistent.
+        // Stamp the tip's world as the previous store schema would
+        // have written it: schema field set to that version, header CRC
+        // re-stamped so the header is self-consistent.
+        let previous = borges_store::STORE_SCHEMA_VERSION - 1;
         let (_dir, mut timeline) = three_epoch_timeline("old-schema");
         let tip = timeline.links()[2].clone();
         let path = timeline.world_path(&tip);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+        bytes[12..16].copy_from_slice(&previous.to_le_bytes());
         let crc = borges_store::crc32::crc32(&bytes[..20]);
         bytes[20..24].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -722,7 +723,7 @@ mod tests {
         assert!(message.contains("epoch 2"), "{message}");
         let expected = format!("version {}", borges_store::STORE_SCHEMA_VERSION);
         assert!(
-            message.contains("version 1") && message.contains(&expected),
+            message.contains(&format!("version {previous}")) && message.contains(&expected),
             "{message}"
         );
         assert_eq!(timeline.load_epoch(2).unwrap_err().kind(), "schema");

@@ -267,6 +267,7 @@ fn a_link_outside_the_universe_is_the_one_accepted_difference() {
             ..ServingExtras::default()
         },
         epoch: 0,
+        digest: None,
     };
     let borges = Borges::from_world(&world, 1).unwrap();
     let (a10, a20) = (Asn::new(10), Asn::new(20));

@@ -41,7 +41,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x65f87bb57a235a1e,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
-            0xe260e10719b7b5f2,
+            0x529490eebe09b77a,
         ],
     ),
     (
@@ -52,7 +52,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f67c3971f6ae481,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
-            0xe260e10719b7b5f2,
+            0x529490eebe09b77a,
         ],
     ),
     (
@@ -63,7 +63,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0xa0bd9f6fbfff1ecb,
             0x6237f7cada08d410,
             0x0a3b4064dbdf59ab,
-            0x7b2824ddbff167ed,
+            0xb91f2f4fd17359d5,
         ],
     ),
     (
@@ -74,7 +74,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x5de090637512479e,
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
-            0x44b2cc3c9d3b09df,
+            0x46fe9213703969a8,
         ],
     ),
     (
@@ -85,7 +85,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x84ea05de6d550c3d,
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
-            0x44b2cc3c9d3b09df,
+            0x46fe9213703969a8,
         ],
     ),
     (
@@ -96,7 +96,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f8a333d59fd3b9d,
             0xcd7ab885535842a0,
             0x42a0c865fcfe53bd,
-            0x33fecc70b7944784,
+            0x3bc1801b6015c368,
         ],
     ),
     (
@@ -107,7 +107,7 @@ const GOLDEN: &[(&str, Digests)] = &[
             0x1f249d5305b19545,
             0xcd7ab885535842a0,
             0x42a0c865fcfe53bd,
-            0x85ce258d41b66f13,
+            0x123c590dd9e3dc53,
         ],
     ),
 ];

@@ -15,18 +15,27 @@
 //!    store can degrade without changing answers.
 //! 4. **Fail-closed loading** — damage anywhere in the file surfaces
 //!    as a typed `StoreError`, never as an `Ok` with different bytes.
+//! 5. **Carried digest** — a world rebuilt from a verified artifact or
+//!    timeline epoch reports that artifact's digest without encoding
+//!    itself again; a reloaded or installed world reports a fresh one.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use borges_core::mapfile;
-use borges_core::pipeline::{Borges, FeatureSet};
+use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
+use borges_core::SnapshotState;
 use borges_llm::SimLlm;
-use borges_serve::{ServeClient, Server, ServerConfig};
+use borges_serve::{
+    FlightRecorder, Reloader, ServeClient, Server, ServerConfig, ServerHooks, TimelineState,
+};
 use borges_store::{
     decode_world, encode_world, load_artifact, verify_artifact, world_digest, write_artifact,
     Corruptor,
 };
-use borges_synthnet::{GeneratorConfig, SyntheticInternet};
+use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
+use borges_telemetry::{MetricsRegistry, Telemetry};
+use borges_timeline::Timeline;
 use borges_websim::SimWebClient;
 
 fn compiled() -> Borges {
@@ -218,4 +227,117 @@ fn seeded_damage_anywhere_is_detected_or_harmless() {
         let cut = corruptor.truncate(&clean);
         decode_world(&cut).expect_err("truncation must never load");
     }
+}
+
+/// The `world_digest` a server's `/healthz` reports.
+fn healthz_digest(server: &Server) -> String {
+    let response = ServeClient::new(server.local_addr())
+        .get("/healthz")
+        .expect("healthz");
+    let body = response.body_text();
+    let at = body
+        .find("\"world_digest\":\"")
+        .expect("healthz carries a digest")
+        + 16;
+    body[at..at + 64].to_string()
+}
+
+#[test]
+fn healthz_digest_is_the_verified_one_after_a_load_and_a_fresh_one_after_a_swap() {
+    let dir = tmpdir("carried-digest");
+    let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(314159));
+    let (t1, _) = churn(&t0, 10.0, 23);
+    let llm = SimLlm::new(314159);
+    let compile = |world: &SyntheticInternet, prior: Option<&SnapshotState>| {
+        Borges::ingest(
+            &world.whois,
+            &world.pdb,
+            WebSource::Crawl(&SimWebClient::browser(&world.web)),
+            &llm,
+            &IngestOptions {
+                prior,
+                ..IngestOptions::default()
+            },
+            &Telemetry::disabled(),
+        )
+    };
+
+    // A store boot: the pipeline carries the digest the load verified.
+    let path = dir.join("w.world");
+    let written = write_artifact(&path, &compile(&t0, None).to_world()).expect("write");
+    let loaded = load_artifact(&path).expect("load artifact");
+    let replayed = Borges::from_world(&loaded.world, 1).expect("replay world");
+    assert_eq!(replayed.verified_digest(), Some(written.as_str()));
+    let mut restamped = Borges::from_world(&loaded.world, 1).expect("replay world");
+    restamped.set_world_epoch(5);
+    assert_eq!(
+        restamped.verified_digest(),
+        None,
+        "a new epoch is a new world"
+    );
+
+    // A remap reload re-ingests T+1 against the serving world's state.
+    let reload_digest = world_digest(&compile(&t1, Some(&replayed.snapshot_state())).to_world());
+    let next = t1.clone();
+    let reloader: Reloader = Box::new(move |current: &Borges, _store: Option<&str>| {
+        let llm = SimLlm::new(314159);
+        let state = current.snapshot_state();
+        Ok(Borges::ingest(
+            &next.whois,
+            &next.pdb,
+            WebSource::Crawl(&SimWebClient::browser(&next.web)),
+            &llm,
+            &IngestOptions {
+                prior: Some(&state),
+                ..IngestOptions::default()
+            },
+            &Telemetry::disabled(),
+        ))
+    });
+    let config = ServerConfig {
+        threads: 2,
+        read_timeout: Duration::from_millis(700),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(config, replayed, Some(reloader)).expect("bind loopback");
+    assert_eq!(healthz_digest(&server), written);
+
+    // Neither a reloaded nor an installed world has a verified digest,
+    // so the server hashes each.
+    let reload = ServeClient::new(server.local_addr())
+        .post("/v1/admin/reload", b"")
+        .expect("reload");
+    assert_eq!(reload.status, 200, "{}", reload.body_text());
+    assert_ne!(reload_digest, written);
+    assert_eq!(healthz_digest(&server), reload_digest);
+    let installed = compile(&t0, None);
+    let installed_digest = world_digest(&installed.to_world());
+    server.install(installed);
+    assert_eq!(healthz_digest(&server), installed_digest);
+    server.stop();
+
+    // A timeline epoch, at boot and as a `?at=` load.
+    let mut timeline = Timeline::open(&dir.join("chain")).expect("open timeline");
+    for world in [&t0, &t1] {
+        timeline.append(&mut compile(world, None)).expect("append");
+    }
+    let links = timeline.links().to_vec();
+    let tip = timeline.load_epoch(1).expect("load the tip");
+    assert_eq!(tip.verified_digest(), Some(links[1].world_digest.as_str()));
+    let state = TimelineState::new(timeline, 4, 16);
+    let at_zero = state
+        .world_at(0, &MetricsRegistry::new(), &FlightRecorder::new(8))
+        .expect("resolve ?at=0");
+    assert_eq!(at_zero.digest, links[0].world_digest);
+    let server = Server::start_with_timeline(
+        ServerConfig::default(),
+        tip,
+        None,
+        ServerHooks::default(),
+        Some(Arc::new(state)),
+    )
+    .expect("bind loopback");
+    assert_eq!(healthz_digest(&server), links[1].world_digest);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
