@@ -51,17 +51,17 @@ USAGE:
       chaos. A missing or damaged base, or an empty timeline, fails
       before the bundle is read, naming the store or timeline error
       kind. Remaps chain: the world one publishes is the next one's base.
-      --threads defaults to the machine's available parallelism. At 2
-      or more, every remote call (crawl fetches, NER and favicon LLM
-      calls) runs on one I/O pool, NER overlapping the crawl;
-      --threads 1 runs the sequential reference. Output is
-      byte-identical to --threads 1 at every setting, including under
-      --fault-rate chaos.
-      --max-in-flight N sizes the I/O pool: how many remote calls wait
-      on the network at once (default 4). It needs the pool, so
-      --threads 1 rejects it. Scheduler accounting lands in the run
-      ledger's worker rows (ingest_* stages), never in canonical
-      outputs.
+      Every remote call (crawl fetches, NER and favicon LLM calls)
+      runs on one I/O pool, NER overlapping the crawl. --threads
+      sizes CPU work and defaults to the machine's available
+      parallelism; at 2 or more the pool keeps --max-in-flight calls
+      waiting on the network at once (default 4, at most 64), and
+      --threads 1 runs it at budget 1: one call at a time, in
+      canonical order, the reference. --threads 1 rejects
+      --max-in-flight. Output is byte-identical to --threads 1 at
+      every setting, including under --fault-rate chaos. Scheduler
+      accounting lands in the run ledger's worker rows (ingest_*
+      stages), never in canonical outputs.
       --fault-rate R injects seeded transient transport faults (R in
       [0,1]) at both the crawl and the LLM boundary; --retries N caps
       recovery at N retries per call (default 4; 0 disables recovery);
@@ -106,10 +106,10 @@ USAGE:
       byte-identical either way.
       --addr defaults to 127.0.0.1:8080; port 0 picks an ephemeral
       port. --threads N fixed worker threads (default: available
-      parallelism); at 2 or more the compile and each reload run on
-      the I/O pool, as map does, and at --threads 1 they run the
-      sequential reference, whose re-crawl fetches one page at a time,
-      in order. A reload remaps against the serving world.
+      parallelism); the compile and each reload run on the I/O pool,
+      as map does: at its default budget of 4 at 2 or more threads,
+      and at --threads 1 at budget 1, one remote call at a time, in
+      order. A reload remaps against the serving world.
       --queue-depth N bounds the accept queue (default
       64) — overflow is shed with 503 + Retry-After; --lru N caches
       that many materialized feature subsets per world (default 16;
@@ -407,11 +407,28 @@ fn chaos_opts(opts: &Options) -> Result<Option<ChaosOpts>, CliError> {
     }))
 }
 
+/// The widest `--max-in-flight` budget `map` accepts: 16 times the
+/// default, and 8 times the widest budget the ingest bench measures.
+/// The pool starts one thread per unit of budget, so a larger value
+/// would exhaust threads rather than hide more latency.
+const MAX_IN_FLIGHT: usize = 64;
+
+/// The I/O pool's in-flight budget at `threads`: 1 at `--threads 1`,
+/// the reference, and otherwise [`borges_parallel::DEFAULT_IN_FLIGHT`].
+fn default_budget(threads: usize) -> usize {
+    if threads > 1 {
+        borges_parallel::DEFAULT_IN_FLIGHT
+    } else {
+        1
+    }
+}
+
 /// `map`'s ingest options: the retry policy from the resilience flags,
-/// and at `--threads` 2 or more the I/O pool, sized by
-/// `--max-in-flight`. That knob sizes the pool, which `--threads 1`
-/// does not run, so there it is a usage error: a mistaken invocation
-/// fails before any I/O rather than silently ignoring a knob.
+/// and the I/O pool's budget, which `--max-in-flight` sets at
+/// `--threads` 2 or more. `--threads 1` pins the budget to 1, so there
+/// the knob is a usage error, as are 0 and budgets above
+/// [`MAX_IN_FLIGHT`]: a mistaken invocation fails before any I/O
+/// rather than silently ignoring a knob or starting a thread per unit.
 fn ingest_opts<'a>(
     opts: &Options,
     chaos: &Option<ChaosOpts>,
@@ -420,12 +437,12 @@ fn ingest_opts<'a>(
     let max_in_flight = opts.optional("max-in-flight")?;
     if threads == 1 && max_in_flight.is_some() {
         return Err(CliError::Usage(
-            "--max-in-flight sizes the I/O pool, which only runs at --threads 2 or more \
+            "--max-in-flight sets the I/O pool's budget, which --threads 1 pins to 1 \
              (this run has --threads 1)"
                 .to_string(),
         ));
     }
-    let in_flight = match max_in_flight {
+    let pool = match max_in_flight {
         Some(n) => match n.parse::<usize>() {
             Ok(0) => {
                 return Err(CliError::Usage(
@@ -434,6 +451,12 @@ fn ingest_opts<'a>(
                         .to_string(),
                 ))
             }
+            Ok(n) if n > MAX_IN_FLIGHT => {
+                return Err(CliError::Usage(format!(
+                    "--max-in-flight {n} is above the limit of {MAX_IN_FLIGHT}: \
+                     the pool starts one thread per call in flight"
+                )))
+            }
             Ok(n) => n,
             Err(_) => {
                 return Err(CliError::Usage(format!(
@@ -441,18 +464,18 @@ fn ingest_opts<'a>(
                 )))
             }
         },
-        None => borges_parallel::DEFAULT_IN_FLIGHT,
+        None => default_budget(threads),
     };
     Ok(IngestOptions {
         policy: chaos.as_ref().map(|c| c.policy),
-        pool: (threads > 1).then_some(in_flight),
+        pool,
         ..IngestOptions::default()
     })
 }
 
-/// The run ledger's label for how `map` ingested.
-fn pipeline_label(ingest: &IngestOptions<'_>) -> &'static str {
-    match (ingest.pool.is_some(), ingest.policy.is_some()) {
+/// The run ledger's label for how `map` ingested at `threads`.
+fn pipeline_label(threads: usize, ingest: &IngestOptions<'_>) -> &'static str {
+    match (threads > 1, ingest.policy.is_some()) {
         (false, false) => "sequential",
         (false, true) => "resilient",
         (true, false) => "parallel",
@@ -605,7 +628,7 @@ fn map(opts: &Options) -> Result<String, CliError> {
     let chaos = chaos_opts(opts)?;
     let threads = parse_threads(opts)?;
     let mut ingest = ingest_opts(opts, &chaos, threads)?;
-    let label = pipeline_label(&ingest);
+    let label = pipeline_label(threads, &ingest);
 
     // One telemetry context per run, on a virtual clock: spans, metrics,
     // and narration all flow through it. Enabling it unconditionally is
@@ -636,11 +659,7 @@ fn map(opts: &Options) -> Result<String, CliError> {
             plan.transient_rate, plan.seed
         ));
     }
-    tel.verbose(match (ingest.pool, ingest.policy) {
-        (Some(in_flight), _) => format!("pooled pipeline: {in_flight} calls in flight"),
-        (None, Some(_)) => "resilient sequential pipeline".to_string(),
-        (None, None) => "sequential pipeline".to_string(),
-    });
+    tel.verbose(format!("pooled pipeline: {} calls in flight", ingest.pool));
     let borges = ingest_bundle(&bundle, &llm, chaos.as_ref(), &ingest, &tel);
     let coverage = match chaos {
         Some(_) => coverage_lines(&borges),
@@ -775,8 +794,8 @@ const EPOCH_LRU_CAPACITY: usize = 4;
 
 /// Loads the bundle at `data` and ingests it, remapping against `prior`
 /// when one is given: `serve`'s cold compile and its reload. The ingest
-/// runs on the I/O pool at `threads` 2 or more and is the sequential
-/// reference at 1.
+/// runs on the I/O pool at the budget `threads` implies: the default
+/// at 2 or more, 1 at 1.
 fn compile_bundle(
     data: &str,
     seed: u64,
@@ -789,7 +808,7 @@ fn compile_bundle(
         &CachingModel::new(SimLlm::new(seed)),
         None,
         &IngestOptions {
-            pool: (threads > 1).then_some(borges_parallel::DEFAULT_IN_FLIGHT),
+            pool: default_budget(threads),
             prior,
             ..IngestOptions::default()
         },
@@ -1801,8 +1820,18 @@ mod tests {
                 map(&["--threads", "2", "--max-in-flight", "nope"]),
                 "--max-in-flight",
             ),
-            // The pool knob at --threads 1 would silently do nothing:
-            // the sequential reference runs no pool.
+            // The pool starts a thread per unit of budget: a budget
+            // above the limit is refused before any pool starts.
+            (
+                map(&["--threads", "2", "--max-in-flight", "65"]),
+                "--max-in-flight",
+            ),
+            (
+                map(&["--threads", "2", "--max-in-flight", "100000"]),
+                "--max-in-flight",
+            ),
+            // The budget knob at --threads 1 would silently do nothing:
+            // the reference runs at budget 1.
             (
                 map(&["--threads", "1", "--max-in-flight", "4"]),
                 "--max-in-flight",

@@ -3,9 +3,9 @@
 //! [`Borges::ingest`] executes every stage once — organization keys
 //! (§4.1), LLM extraction (§4.2), the web crawl and both web inferences
 //! (§4.3) — and caches their merge evidence. [`Borges::run`] is its
-//! sequential reference over a crawl. [`Borges::mapping`] then materializes
-//! the AS-to-Organization mapping for **any subset of features**
-//! (Table 6 evaluates all 16 combinations).
+//! reference over a crawl, one remote call at a time. [`Borges::mapping`]
+//! then materializes the AS-to-Organization mapping for **any subset of
+//! features** (Table 6 evaluates all 16 combinations).
 //!
 //! ## Evidence compilation
 //!
@@ -43,7 +43,7 @@ use borges_resilience::{
 use borges_telemetry::{
     CacheReport, CacheStats, CoverageRow, CrawlFunnel, DeltaEdgeRow, DeltaRecordRow, DeltaReport,
     EvidenceSummary, FaviconFunnel, NerFunnel, ResilienceRow, RrFunnel, RunReport, Span, Telemetry,
-    TimelineReport, WorkerTiming, RUN_REPORT_SCHEMA,
+    TimelineReport, Verbosity, WorkerTiming, RUN_REPORT_SCHEMA,
 };
 use borges_types::{Asn, AsnInterner};
 use borges_websim::{
@@ -637,7 +637,10 @@ fn annotate_favicon(span: &Span, favicon: &FaviconInference, incremental: bool) 
 #[derive(Clone, Copy)]
 pub enum WebSource<'a> {
     /// Crawl every PeeringDB website through this client: the trace has
-    /// a `crawl` stage and the ledger a redirect-cache row.
+    /// a `crawl` stage and the ledger a redirect-cache row. The fetches
+    /// run on the I/O pool, each host's one at a time in input order,
+    /// so the client may keep state per host (a cache, fault episodes,
+    /// breakers) but none across hosts.
     Crawl(&'a (dyn WebClient + Sync)),
     /// A report scraped earlier, by ablations and benches (among them
     /// the benchmark harness's remap, which re-crawls with
@@ -648,9 +651,9 @@ pub enum WebSource<'a> {
 }
 
 /// How an ingest runs: everything [`Borges::ingest`] takes besides its
-/// inputs. The default is the sequential reference — bare stack, no
-/// pool, full compile.
-#[derive(Debug, Clone, Default)]
+/// inputs. The default is the reference — bare stack, an in-flight
+/// budget of 1, full compile.
+#[derive(Debug, Clone)]
 pub struct IngestOptions<'a> {
     /// The NER stage's input and output filters (§4.2).
     pub ner: NerConfig,
@@ -661,19 +664,31 @@ pub struct IngestOptions<'a> {
     /// poison the other's budget accounting), all at
     /// [`BreakerConfig::standard`].
     pub policy: Option<RetryPolicy>,
-    /// The I/O pool's in-flight budget (DESIGN.md §14): every remote
-    /// call — crawl fetches, NER and favicon completions — waits on the
-    /// network from one pool of this many workers, NER overlapping the
-    /// crawl ([`DEFAULT_IN_FLIGHT`] is the CLI's default). `None` sends
-    /// every remote call one at a time, in canonical order: the
-    /// sequential reference.
-    pub pool: Option<usize>,
+    /// The I/O pool's in-flight budget (DESIGN.md §14), at least 1 (0
+    /// runs as 1): every remote call — crawl fetches, NER and favicon
+    /// completions — waits on the network from one pool of this many
+    /// workers, NER overlapping the crawl. The default, 1, is the
+    /// reference: one remote call at a time, in canonical order.
+    /// [`DEFAULT_IN_FLIGHT`] is the CLI's budget at `--threads` 2 or
+    /// more. No canonical output depends on it.
+    pub pool: usize,
     /// Persisted state of an earlier snapshot. `Some` makes the ingest an
     /// incremental remap: the LLM stages replay its memos for records
     /// whose text did not change, the interner evolves from its slots,
     /// and every edge segment whose member fingerprint is untouched is
     /// reused.
     pub prior: Option<&'a SnapshotState>,
+}
+
+impl Default for IngestOptions<'_> {
+    fn default() -> Self {
+        IngestOptions {
+            ner: NerConfig::default(),
+            policy: None,
+            pool: 1,
+            prior: None,
+        }
+    }
 }
 
 /// One remote call of an ingest, queued on the I/O pool.
@@ -744,18 +759,14 @@ impl<'m> LlmStack<'m> {
         }
     }
 
-    /// Sends `requests` and returns the replies in request order: one at
-    /// a time, or on a pool of `in_flight` workers, each request its own
-    /// key.
+    /// Sends `requests` on a pool of `in_flight` workers, each request
+    /// its own key, and returns the replies in request order.
     fn send(
         &self,
         requests: &[ChatRequest],
-        in_flight: Option<usize>,
+        in_flight: usize,
     ) -> Vec<Result<ChatResponse, TransportError>> {
         let model = self.model();
-        let Some(in_flight) = in_flight else {
-            return requests.iter().map(|r| model.complete(r)).collect();
-        };
         let indices: Vec<usize> = (0..requests.len()).collect();
         let mut replies = Vec::with_capacity(requests.len());
         stream_indexed(
@@ -785,17 +796,17 @@ struct Front<'w> {
     /// The crawl's redirect-cache counters (zero without a crawl).
     web_cache: CacheStats,
     ner: NerResult,
-    /// The registry side of the compile, when the front derived it.
-    pre: Option<Precompiled>,
-    /// The pool's scheduler accounting, when the pool ran.
-    ledger: Option<StreamLedger>,
+    /// The registry side of the compile, derived while calls waited.
+    pre: Precompiled,
+    /// The pool's scheduler accounting.
+    ledger: StreamLedger,
 }
 
-/// Stamps one pooled run's scheduler accounting into the
-/// worker-timing ledger (stage names from [`borges_telemetry::ingest`]).
-/// Ledger rows only — the canonical trace and metrics snapshot must
-/// stay byte-identical to the sequential run, and the worker ledger is
-/// exactly the schedule-variant surface both exclude (DESIGN.md §8).
+/// Stamps one run's scheduler accounting into the worker-timing ledger
+/// (stage names from [`borges_telemetry::ingest`]). Ledger rows only —
+/// the canonical trace and metrics snapshot must stay byte-identical
+/// at every budget, and the worker ledger is exactly the
+/// schedule-variant surface both exclude (DESIGN.md §8).
 fn record_ingest_ledger(tel: &Telemetry, ledger: &StreamLedger) {
     if !tel.is_enabled() {
         return;
@@ -831,14 +842,12 @@ impl Borges {
     /// both web inferences, and the compile of all merge evidence. The
     /// one body behind every constructor; `opts` says how it runs:
     ///
-    /// - **Front.** Only the crawl and NER stages have two
-    ///   implementations. Without `opts.pool` every remote call is sent
-    ///   one at a time, in canonical order, live on the telemetry clock:
-    ///   the sequential reference. With it, every fetch and NER request
-    ///   runs on one pool of `in_flight` workers, interleaved so the LLM
-    ///   waits overlap the crawl; fetches stay FIFO per host
-    ///   (DESIGN.md §14). The `rr` stage, the favicon stage, the
-    ///   compile and the metrics exist once.
+    /// - **Pool.** Every fetch and NER request runs on one pool of
+    ///   `opts.pool` workers, interleaved so the LLM waits overlap the
+    ///   crawl, with fetches FIFO per host; the favicon calls follow on
+    ///   a pool of the same size (DESIGN.md §14). At budget 1, the
+    ///   default, every remote call is sent one at a time, in canonical
+    ///   order: the reference the wider budgets reproduce.
     /// - **Resilience.** `opts.policy` wraps every boundary in retries
     ///   and circuit breakers. The retry spend of each boundary is
     ///   stamped into the matching stats block, and [`Borges::coverage`]
@@ -851,18 +860,16 @@ impl Borges {
     ///   spans; [`Borges::delta`] and the `borges_delta_*` counters
     ///   account the reuse.
     ///
-    /// Determinism contract: the mapping, canonical trace and metrics
-    /// snapshot depend on the inputs, `opts.ner`, `opts.policy` and
-    /// whether a prior is given — never on the pool or its budget — over
-    /// the bare stack and under transport faults the policy recovers (it
-    /// then erases them entirely). Under unrecoverable outages the pooled
-    /// front may legitimately differ from the sequential one (breaker
-    /// open windows time out on per-call clocks). A remap is **byte-identical** to the full
+    /// Determinism contract: the mapping, canonical trace, metrics
+    /// snapshot and breaker events depend on the inputs, `opts.ner`,
+    /// `opts.policy` and whether a prior is given — never on the
+    /// budget or the schedule — over the bare stack, under faults the
+    /// policy recovers (it then erases them entirely) and under faults
+    /// it does not. A remap is **byte-identical** to the full
     /// ingest of the same inputs, because both run the same derivation
     /// code and the remap only skips work proven unchanged. Scheduling
-    /// shows up only in [`WorkerTiming`] ledger rows: when the pool
-    /// runs, its `ingest_*` rows (stage names from
-    /// [`borges_telemetry::ingest`]).
+    /// shows up only in the pool's `ingest_*` [`WorkerTiming`] ledger
+    /// rows (stage names from [`borges_telemetry::ingest`]).
     pub fn ingest(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -872,15 +879,13 @@ impl Borges {
         tel: &Telemetry,
     ) -> Self {
         let (borges, ledger) = Self::ingest_body(whois, pdb, web, model, opts, tel);
-        if let Some(ledger) = &ledger {
-            record_ingest_ledger(tel, ledger);
-        }
+        record_ingest_ledger(tel, &ledger);
         borges
     }
 
-    /// Runs every stage on the sequential reference ingest: crawls the
-    /// web through `web_client`, extracts siblings with `model`, and
-    /// caches all merge evidence.
+    /// Runs every stage on the reference ingest, one remote call at a
+    /// time (budget 1): crawls the web through `web_client`, extracts
+    /// siblings with `model`, and caches all merge evidence.
     pub fn run<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -891,13 +896,16 @@ impl Borges {
     }
 
     /// Like [`Borges::run`], recording a span per stage, stage-duration
-    /// histograms, and the stage funnels (as counters) into `tel`.
+    /// histograms, the stage funnels (as counters), and the pool's
+    /// `ingest_*` ledger rows into `tel`.
     ///
-    /// Everything traced here is derived from merged, order-canonical
-    /// stats, so under a [`SimClock`](borges_resilience::SimClock) the
-    /// canonical journal and the metrics snapshot are identical to what
-    /// [`Borges::run_parallel_traced`] emits — the determinism contract
-    /// of DESIGN.md §8, pinned by `tests/telemetry.rs`.
+    /// Everything canonical traced here is derived from merged,
+    /// order-canonical stats, so under a
+    /// [`SimClock`](borges_resilience::SimClock) the canonical journal
+    /// and the metrics snapshot are identical to what
+    /// [`Borges::run_parallel_traced`] emits at its wider budget — the
+    /// determinism contract of DESIGN.md §8, pinned by
+    /// `tests/telemetry.rs`.
     pub fn run_traced<C: WebClient + Sync>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
@@ -915,11 +923,11 @@ impl Borges {
         )
     }
 
-    /// Like [`Borges::run`], on the pooled ingest: every remote call —
-    /// crawl fetches, NER and favicon completions — runs on one pool of
-    /// [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl. Produces
-    /// results identical to the sequential run — only wall-clock time
-    /// changes. [`Borges::ingest`] takes other budgets.
+    /// Like [`Borges::run`], at the CLI's default budget: every remote
+    /// call — crawl fetches, NER and favicon completions — runs on one
+    /// pool of [`DEFAULT_IN_FLIGHT`] workers, NER overlapping the crawl.
+    /// Produces results identical to [`Borges::run`]'s budget 1 — only
+    /// wall-clock time changes. [`Borges::ingest`] takes other budgets.
     ///
     /// `threads` is ignored. It stays in the signature only because the
     /// benchmark harness (`perfbench/`) calls this with one.
@@ -962,7 +970,7 @@ impl Borges {
             WebSource::Crawl(&web_client),
             model,
             &IngestOptions {
-                pool: Some(DEFAULT_IN_FLIGHT),
+                pool: DEFAULT_IN_FLIGHT,
                 ..IngestOptions::default()
             },
             tel,
@@ -971,8 +979,8 @@ impl Borges {
     }
 
     /// Incrementally re-maps snapshot T+1 against persisted snapshot-T
-    /// `state`: [`Borges::ingest`] over the re-crawled T+1 `report`, with
-    /// the LLM calls sent one at a time. Byte-identical to a full ingest
+    /// `state`: [`Borges::ingest`] over the re-crawled T+1 `report`, at
+    /// budget 1 (one LLM call at a time). Byte-identical to a full ingest
     /// of the same inputs. `threads` is ignored, as in
     /// [`Borges::run_parallel`]. Only the benchmark harness (`perfbench/`)
     /// calls this; the CLI's remap, `map --base`, runs [`Borges::ingest`]
@@ -1019,7 +1027,7 @@ impl Borges {
         model: &(dyn ChatModel + Sync),
         opts: &IngestOptions<'_>,
         tel: &Telemetry,
-    ) -> (Self, Option<StreamLedger>) {
+    ) -> (Self, StreamLedger) {
         let prior = opts.prior;
         let ner_memo = prior.map(SnapshotState::ner_memo_map).unwrap_or_default();
         let root = if prior.is_some() { "remap" } else { "run" };
@@ -1030,12 +1038,7 @@ impl Borges {
             ner,
             pre,
             ledger,
-        } = match opts.pool {
-            None => Self::front_sequential(pdb, web, model, opts, &ner_memo, tel, root),
-            Some(in_flight) => Self::front_pooled(
-                whois, pdb, web, model, opts, in_flight, &ner_memo, tel, root,
-            ),
-        };
+        } = Self::front(whois, pdb, web, model, opts, &ner_memo, tel, root);
 
         let rr = stage(tel, &root, "rr", |span| {
             let rr = rr_inference(&report);
@@ -1048,9 +1051,9 @@ impl Borges {
         let favicon = stage(tel, &root, "favicon", |span| {
             // The stage's retrying model has one breaker, whose failure
             // streak must count the calls in plan order: resilient runs
-            // send them one at a time, live on the telemetry clock.
+            // send them at budget 1, live on the telemetry clock.
             let stack = LlmStack::new(model, opts.policy, tel.clock(), tel, "favicon");
-            let in_flight = opts.pool.filter(|_| opts.policy.is_none());
+            let in_flight = if opts.policy.is_some() { 1 } else { opts.pool };
             let plan = favicon::plan(&report, true, &favicon_memo);
             let replies = stack.send(plan.requests(), in_flight);
             let mut favicon = plan.fold(replies);
@@ -1060,12 +1063,11 @@ impl Borges {
         });
 
         // The compile: funnels and span fields come from the merged
-        // stats, never per item inside workers, so every front emits an
+        // stats, never per item inside workers, so every budget emits an
         // identical trace and metrics snapshot.
         let fingerprints = SourceFingerprints::capture(whois, pdb, &report);
         let compile = if prior.is_some() { "apply" } else { "compile" };
         let (compiled, oid_w_groups, oid_p_groups, delta) = stage(tel, &root, compile, |span| {
-            let pre = pre.unwrap_or_else(|| Precompiled::build(whois, pdb, prior));
             let (compiled, [oid_w, oid_p, na, rr_delta, favicons]) =
                 CompiledEvidence::build(pre.interner, pre.registry, prior, &ner, &rr, &favicon);
             span.field("asns", compiled.interner.live_len());
@@ -1123,96 +1125,37 @@ impl Borges {
         (borges, ledger)
     }
 
-    /// The sequential reference front: opens the root span, then runs
-    /// the `crawl` stage (when `web` asks for a crawl) and the `ner`
-    /// stage live, sending every call one at a time in canonical order.
-    /// Under a retry policy the web client sits behind a
-    /// [`RetryingWebClient`] and NER behind a [`RetryingModel`] of its
-    /// own, both sleeping on the telemetry clock, so virtual backoff
-    /// spend shows in the stage durations. That clock is shared across
-    /// hosts, so the crawl is [`Scraper::crawl_in_order`], never the
-    /// pooled [`Scraper::crawl`].
-    fn front_sequential<'w>(
-        pdb: &PdbSnapshot,
-        web: WebSource<'w>,
-        model: &(dyn ChatModel + Sync),
-        opts: &IngestOptions<'_>,
-        ner_memo: &BTreeMap<Asn, NerMemoEntry>,
-        tel: &Telemetry,
-        root: &str,
-    ) -> Front<'w> {
-        let root = tel.span(root);
-        let (report, web_cache) = match web {
-            WebSource::Scraped(report) => (Cow::Borrowed(report), CacheStats::default()),
-            WebSource::Crawl(client) => {
-                let retrying = opts.policy.map(|policy| {
-                    RetryingWebClient::new(client, policy)
-                        .with_breakers(BreakerConfig::standard())
-                        .with_clock(tel.clock())
-                        .with_telemetry(tel.clone())
-                });
-                let scraper = Scraper::new(retrying.as_ref().map_or(client, |r| r));
-                let report = stage(tel, &root, "crawl", |span| {
-                    let mut report =
-                        scraper.crawl_in_order(pdb.nets().map(|n| (n.asn, n.website.as_str())));
-                    if let Some(retrying) = &retrying {
-                        report.stats.resilience = retrying.stats();
-                    }
-                    annotate_crawl(span, &report.stats);
-                    report
-                });
-                (Cow::Owned(report), scraper.cache_stats())
-            }
-        };
-        let ner = stage(tel, &root, "ner", |span| {
-            let stack = LlmStack::new(model, opts.policy, tel.clock(), tel, "ner");
-            let plan = ner::plan(pdb, opts.ner, ner_memo);
-            let replies = stack.send(plan.requests(), None);
-            let mut ner = plan.fold(replies);
-            ner.stats.resilience = stack.stats();
-            annotate_ner(span, &ner, opts.prior.is_some());
-            ner
-        });
-        Front {
-            root,
-            report,
-            web_cache,
-            ner,
-            pre: None,
-            ledger: None,
-        }
-    }
-
-    /// The pooled front (DESIGN.md §14), in two phases that keep the
-    /// canonical surfaces schedule-independent.
+    /// The ingest's front (DESIGN.md §14): the `crawl` and `ner`
+    /// stages, in two phases that keep the canonical surfaces
+    /// independent of the budget and the schedule.
     ///
     /// **Phase A** runs every crawl fetch and every NER request on one
-    /// pool of `in_flight` workers, interleaved; nothing touches
-    /// the telemetry clock or opens spans. Fetches keep their per-host
+    /// pool of `opts.pool` workers, interleaved; nothing touches the
+    /// telemetry clock or opens spans. Fetches keep their per-host
     /// keys; each NER request gets a key of its own, so per-host FIFO
     /// applies only to fetches. Resilient fetches back off on private
-    /// per-call clocks (a [`RetryingWebClient`] without a shared clock),
-    /// and resilient NER runs through a [`RetryingModel`] on a private
-    /// [`SimClock`]; both totals are accumulated. Resilient NER
-    /// requests share one key instead: the model's single breaker counts
-    /// one failure streak across calls, so they must run one at a time
-    /// in plan order, as in the sequential front. Backoff schedules
-    /// depend only on (attempt, key), never on absolute time, so the
-    /// spend equals what the sequential front's shared clock would have
-    /// accumulated.
+    /// per-call clocks (a [`RetryingWebClient`]), and resilient NER runs
+    /// through a [`RetryingModel`] on a private [`SimClock`], recording
+    /// into a telemetry context on that clock; both backoff totals are
+    /// accumulated. Resilient NER requests share one key instead: the
+    /// model's single breaker counts one failure streak across calls, so
+    /// they run one at a time in plan order. Backoff schedules depend
+    /// only on (attempt, key), never on absolute time.
     ///
-    /// **Phase B** then opens the root span at virtual t=0 and replays
-    /// the `crawl` and `ner` stages, sleeping each one's accumulated
-    /// virtual backoff inside its span, so timestamps and stage-duration
-    /// histograms land exactly where the sequential front puts them.
+    /// **Phase B** then opens the root span and replays the `crawl` and
+    /// `ner` stages on the telemetry clock, sleeping each one's
+    /// accumulated virtual backoff inside its span. As the `ner` stage
+    /// opens, the NER stack's metrics and breaker events join the run's
+    /// telemetry, the events shifted by the clock's reading there: a
+    /// trip lands inside `ner`, where a live NER stage run after the
+    /// crawl would stamp it.
     #[allow(clippy::too_many_arguments)]
-    fn front_pooled<'w>(
+    fn front<'w>(
         whois: &WhoisRegistry,
         pdb: &PdbSnapshot,
         web: WebSource<'w>,
         model: &(dyn ChatModel + Sync),
         opts: &IngestOptions<'_>,
-        in_flight: usize,
         ner_memo: &BTreeMap<Asn, NerMemoEntry>,
         tel: &Telemetry,
         root: &str,
@@ -1236,7 +1179,12 @@ impl Borges {
         };
         let ner_plan = ner::plan(pdb, opts.ner, ner_memo);
         let ner_clock = Arc::new(SimClock::new());
-        let ner_model = LlmStack::new(model, opts.policy, ner_clock.clone(), tel, "ner");
+        let ner_tel = if tel.is_enabled() {
+            Telemetry::new(ner_clock.clone(), Verbosity::Quiet)
+        } else {
+            Telemetry::disabled()
+        };
+        let ner_model = LlmStack::new(model, opts.policy, ner_clock.clone(), &ner_tel, "ner");
         let serial_ner = opts.policy.is_some();
         let calls = interleave(entries, ner_plan.requests().len());
 
@@ -1245,7 +1193,7 @@ impl Borges {
         let mut pre = None;
         let ledger = stream_indexed(
             &calls,
-            in_flight,
+            opts.pool,
             |call| match call {
                 // Fetch keys are even and NER keys odd, so the two kinds
                 // never share a FIFO queue.
@@ -1297,6 +1245,7 @@ impl Borges {
             (WebSource::Crawl(_), None) => unreachable!("a crawl has a scraper"),
         };
         let ner = stage(tel, &root, "ner", |span| {
+            tel.absorb(&ner_tel, tel.now_ms());
             tel.clock().sleep_ms(ner_clock.now_ms());
             annotate_ner(span, &ner, opts.prior.is_some());
             ner
@@ -1306,8 +1255,8 @@ impl Borges {
             report,
             web_cache,
             ner,
-            pre: Some(pre),
-            ledger: Some(ledger),
+            pre,
+            ledger,
         }
     }
 

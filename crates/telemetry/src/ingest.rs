@@ -6,8 +6,8 @@
 //! [`crate::WorkerTiming`] ledger rows rather than metrics.
 //! Ledger rows are the one schedule-variant surface the determinism
 //! contract already carves out (DESIGN.md §8); metrics snapshots must
-//! stay byte-identical between sequential and pooled runs, so pool
-//! concurrency data may never touch the metrics registry.
+//! stay byte-identical at every in-flight budget, so pool concurrency
+//! data may never touch the metrics registry.
 //!
 //! These constants are the `stage` values those rows carry. They live in
 //! borges-telemetry so the pipeline (writer) and the CLI / run-report

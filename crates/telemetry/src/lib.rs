@@ -186,6 +186,29 @@ impl Telemetry {
         }
     }
 
+    /// Folds what `recorded` holds into this context, as if the clock
+    /// `recorded` ran on had started at `offset_ms` on this one:
+    /// counters and histograms add up, and breaker events land
+    /// `offset_ms` later. Spans, worker rows and narration are not
+    /// carried over. This is how a stage recorded before its place on
+    /// the run clock was known joins the run.
+    pub fn absorb(&self, recorded: &Telemetry, offset_ms: u64) {
+        self.with_inner(|i| {
+            i.metrics.absorb(&recorded.metrics_snapshot());
+            i.breaker_events
+                .lock()
+                .extend(
+                    recorded
+                        .breaker_events()
+                        .into_iter()
+                        .map(|event| BreakerEvent {
+                            at_ms: event.at_ms + offset_ms,
+                            ..event
+                        }),
+                );
+        });
+    }
+
     /// All breaker transitions recorded so far, in arrival order.
     pub fn breaker_events(&self) -> Vec<BreakerEvent> {
         self.with_inner(|i| i.breaker_events.lock().clone())
@@ -289,6 +312,41 @@ mod tests {
         assert!(tel.narration().is_empty());
         assert_eq!(tel.now_ms(), 0);
         assert_eq!(tel.verbosity(), Verbosity::Quiet);
+    }
+
+    #[test]
+    fn absorb_adds_metrics_and_shifts_breaker_events() {
+        let tel = Telemetry::sim(Verbosity::Quiet);
+        tel.counter("x_total", 1);
+        tel.observe_ms("y_ms", 5);
+        let recorded = Telemetry::sim(Verbosity::Quiet);
+        recorded.counter("x_total", 2);
+        recorded.counter("z_total", 0);
+        recorded.observe_ms("y_ms", 700);
+        recorded.record_breaker_event(BreakerEvent {
+            boundary: "llm.ner".to_string(),
+            at_ms: 40,
+            ..BreakerEvent::default()
+        });
+        drop(recorded.span("not carried"));
+        tel.absorb(&recorded, 1_000);
+
+        let direct = MetricsRegistry::new();
+        direct.counter("x_total", 3);
+        direct.counter("z_total", 0);
+        direct.observe_ms("y_ms", 5);
+        direct.observe_ms("y_ms", 700);
+        assert_eq!(tel.metrics_snapshot(), direct.snapshot());
+        let events = tel.breaker_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].boundary.as_str(), events[0].at_ms),
+            ("llm.ner", 1_040)
+        );
+        assert!(tel.trace_records().is_empty());
+
+        // A disabled context absorbs nothing.
+        Telemetry::disabled().absorb(&recorded, 1);
     }
 
     #[test]

@@ -207,6 +207,26 @@ impl MetricsRegistry {
         self.observe_ms(&labeled(family, labels), ms);
     }
 
+    /// Adds every series of `snapshot` into this registry: counters
+    /// sum, histograms merge bucket by bucket.
+    pub fn absorb(&self, snapshot: &MetricsSnapshot) {
+        for c in &snapshot.counters {
+            self.counter(&c.name, c.value);
+        }
+        let mut histograms = self.histograms.lock();
+        for h in &snapshot.histograms {
+            let mut buckets = [0; BUCKETS];
+            for (mine, theirs) in buckets.iter_mut().zip(&h.buckets) {
+                *mine = *theirs;
+            }
+            *histograms.entry(h.name.clone()).or_default() += Histogram {
+                buckets,
+                count: h.count,
+                sum_ms: h.sum_ms,
+            };
+        }
+    }
+
     /// Reads one live counter without freezing a snapshot (0 when the
     /// counter has never been incremented). The serving layer uses this
     /// for its accounting invariants (`shed + served == accepted`) and

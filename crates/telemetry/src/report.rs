@@ -311,7 +311,11 @@ pub struct BreakerEvent {
     pub key: String,
     /// Transition name (`open`).
     pub transition: String,
-    /// Clock reading at the transition.
+    /// Clock reading at the end of the call that tripped the breaker.
+    /// `llm.*` events read the run clock (the telemetry's clock, on
+    /// which the trace's spans are stamped); `web` events read the
+    /// tripping fetch's own clock, so they give the time into its
+    /// backoff.
     pub at_ms: u64,
 }
 

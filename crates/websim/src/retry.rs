@@ -7,42 +7,35 @@
 //! per fetch. Everything the stack spends is tallied in a
 //! [`ResilienceStats`] the scraper folds into its funnel.
 //!
-//! Backoff sleeps on one of two clocks:
-//!
-//! * **A shared clock** ([`RetryingWebClient::with_clock`]): every call
-//!   sleeps on it and breaker windows elapse on it. The sequential
-//!   front passes the telemetry clock, so backoff spend shows in the
-//!   trace, and crawls in order, since calls on one clock entangle.
-//! * **A private clock per call** (the default): each logical fetch
-//!   backs off on a fresh [`SimClock`] starting at zero. Backoff delays
-//!   depend only on the attempt and the per-host jitter key, and the
-//!   deadline is measured from the call's own start, so a call's
-//!   schedule and duration are those the shared clock would give it,
-//!   whatever runs alongside. [`RetryingWebClient::backoff_total_ms`]
-//!   sums the per-call spends, which the pooled front replays onto the
-//!   run clock afterwards. Breaker streaks are still shared per host,
-//!   and a host's fetches run in order under the pool's per-host FIFO;
-//!   only open-window *timing* differs from a shared clock, which
-//!   matters only once a breaker trips (outage plans).
+//! Each logical fetch backs off on a private [`SimClock`] of its own,
+//! starting at zero. Backoff delays depend only on the attempt and the
+//! per-host jitter key, and the deadline is measured from the call's
+//! own start, so a call's schedule, duration and outcome do not depend
+//! on what runs alongside it. [`RetryingWebClient::backoff_total_ms`]
+//! sums the per-call spends, which the ingest replays onto the run
+//! clock afterwards. Breaker streaks are shared per host, and a host's
+//! fetches run in order under the pool's per-host FIFO, so the client
+//! keeps no state across hosts: a crawl gives the same result at every
+//! in-flight budget. A breaker that one fetch trips stays open until a
+//! later fetch's own clock reads past the window's end, and its breaker
+//! event carries the tripping fetch's clock reading: the time into its
+//! backoff.
 
 use crate::client::{FetchResult, WebClient};
 use borges_resilience::{
-    stable_hash, BreakerConfig, BreakerRegistry, Clock, ResilienceStats, RetryPolicy, SimClock,
+    stable_hash, BreakerConfig, BreakerRegistry, ResilienceStats, RetryPolicy, SimClock,
     TransportError,
 };
 use borges_telemetry::Telemetry;
 use borges_types::Url;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A [`WebClient`] middleware that retries transient transport failures
 /// and (optionally) fast-fails hosts whose circuit breaker is open.
 pub struct RetryingWebClient<C> {
     inner: C,
     policy: RetryPolicy,
-    /// The shared clock; `None` backs each call off on its own.
-    clock: Option<Arc<dyn Clock>>,
     breakers: Option<BreakerRegistry>,
     stats: Mutex<ResilienceStats>,
     backoff_total_ms: AtomicU64,
@@ -56,7 +49,6 @@ impl<C: WebClient> RetryingWebClient<C> {
         RetryingWebClient {
             inner,
             policy,
-            clock: None,
             breakers: None,
             stats: Mutex::new(ResilienceStats::default()),
             backoff_total_ms: AtomicU64::new(0),
@@ -70,20 +62,11 @@ impl<C: WebClient> RetryingWebClient<C> {
         self
     }
 
-    /// Backs every call off on `clock`, one clock shared across calls (a
-    /// production deployment passes [`borges_resilience::SystemClock`]).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
     /// Attaches a telemetry context: every logical fetch records attempt,
     /// recovery, and abandonment counters, a call-duration histogram
     /// (backoff spend included), and a breaker event whenever a host's
-    /// breaker opens, at the clock's absolute time when shared and at
-    /// the call's own time when private. Pair with
-    /// [`RetryingWebClient::with_clock`] on the telemetry's own clock so
-    /// trace timestamps and backoff agree.
+    /// breaker opens, stamped on the tripping fetch's own clock (the
+    /// time into its backoff), not on the telemetry's clock.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -113,10 +96,8 @@ impl<C: WebClient> WebClient for RetryingWebClient<C> {
     fn fetch(&self, url: &Url) -> Result<FetchResult, TransportError> {
         let host = url.host().as_str();
         let breaker = self.breakers.as_ref().map(|r| r.breaker(host));
-        let private = SimClock::new();
-        let clock = self.clock.as_deref().unwrap_or(&private);
         let call = self.policy.guarded(
-            clock,
+            &SimClock::new(),
             stable_hash(host.as_bytes()),
             breaker.as_deref(),
             || self.inner.fetch(url),
@@ -135,7 +116,7 @@ mod tests {
     use crate::client::SimWebClient;
     use crate::flaky::FlakyWebClient;
     use crate::hosting::SimWeb;
-    use borges_resilience::EpisodePlan;
+    use borges_resilience::{CircuitBreaker, Clock, EpisodePlan};
 
     fn web(hosts: usize) -> SimWeb {
         let mut b = SimWeb::builder();
@@ -189,7 +170,6 @@ mod tests {
     #[test]
     fn chaos_breaker_fast_fails_a_dead_host_then_reprobes() {
         let web = web(1);
-        let clock = Arc::new(SimClock::new());
         let client = RetryingWebClient::new(
             FlakyWebClient::new(
                 SimWebClient::browser(&web),
@@ -213,8 +193,7 @@ mod tests {
         .with_breakers(BreakerConfig {
             failure_threshold: 4,
             open_ms: 1_000_000,
-        })
-        .with_clock(clock);
+        });
         let url: Url = "https://h0.example/".parse().unwrap();
 
         // First logical call: 3 real attempts, breaker still closed.
@@ -257,7 +236,6 @@ mod tests {
             failure_threshold: 4,
             open_ms: 1_000_000,
         })
-        .with_clock(tel.clock())
         .with_telemetry(tel.clone());
         let url: Url = "https://h0.example/".parse().unwrap();
         assert!(client.fetch(&url).is_err());
@@ -271,8 +249,8 @@ mod tests {
         );
         assert_eq!(snap.counter("borges_web_abandoned_total"), 2);
         assert_eq!(snap.counter("borges_web_breaker_trips_total"), 1);
-        // Backoff slept on the shared clock → the histogram saw real
-        // (virtual) durations.
+        // Backoff slept on each fetch's own clock → the histogram saw
+        // real (virtual) durations.
         let hist = snap.histogram("borges_web_call_ms").unwrap();
         assert_eq!(hist.count, 2);
         assert!(hist.sum_ms > 0, "backoff spend lands in the histogram");
@@ -309,33 +287,32 @@ mod tests {
 
     #[test]
     fn chaos_per_call_outcomes_and_stats_match_the_staged_client() {
-        // Same fault tape through a shared clock and through private
-        // per-call clocks, sequentially: every outcome, the stats block,
-        // and the total backoff must agree.
+        // Same fault tape through private per-call clocks and through the
+        // guarded loop on one shared clock, sequentially: every outcome,
+        // the stats block, and the total backoff must agree.
         let web = web(120);
         let plan = EpisodePlan::calibrated(5);
         let policy = RetryPolicy::standard(5);
-        let clock = Arc::new(SimClock::new());
-        let shared = RetryingWebClient::new(
-            FlakyWebClient::new(SimWebClient::browser(&web), plan),
-            policy,
-        )
-        .with_clock(clock.clone());
+        let clock = SimClock::new();
+        let shared = FlakyWebClient::new(SimWebClient::browser(&web), plan);
+        let mut expected = ResilienceStats::default();
         let private = RetryingWebClient::new(
             FlakyWebClient::new(SimWebClient::browser(&web), plan),
             policy,
         );
         for i in 0..120 {
             let url: Url = format!("https://h{i}.example/").parse().unwrap();
-            assert_eq!(private.fetch(&url), shared.fetch(&url), "host {i}");
+            let key = stable_hash(url.host().as_str().as_bytes());
+            let call = policy.guarded(&clock, key, None, || shared.fetch(&url));
+            expected.record(&call);
+            assert_eq!(private.fetch(&url), call.outcome.result, "host {i}");
         }
-        assert_eq!(private.stats(), shared.stats());
+        assert_eq!(private.stats(), expected);
         assert!(private.stats().recovered > 0, "chaos actually retried");
         // The shared clock only ever advances by backoff sleeps, so its
         // final reading is the total the private clocks summed.
         assert!(private.backoff_total_ms() > 0);
         assert_eq!(private.backoff_total_ms(), clock.now_ms());
-        assert_eq!(shared.backoff_total_ms(), clock.now_ms());
     }
 
     #[test]
@@ -381,35 +358,48 @@ mod tests {
 
     #[test]
     fn chaos_breaker_streaks_trip_like_the_staged_client() {
-        // The dead-host setup of the shared-clock breaker test, on
-        // private clocks: the per-host streak trips at the same fetch.
+        // The dead-host setup of the fast-fail test, on private clocks,
+        // against the guarded loop on one shared clock with one breaker:
+        // the per-host streak trips at the same fetch, and the open
+        // breaker fast-fails the same attempts.
         let web = web(1);
-        let client = RetryingWebClient::new(
-            FlakyWebClient::new(
-                SimWebClient::browser(&web),
-                EpisodePlan {
-                    transient_rate: 1.0,
-                    permanent_rate: 0.0,
-                    max_burst: 40,
-                    seed: 2,
-                },
-            ),
-            RetryPolicy {
-                max_attempts: 3,
-                base_delay_ms: 10,
-                max_delay_ms: 10,
-                deadline_ms: u64::MAX,
-                jitter_seed: 2,
-            },
-        )
-        .with_breakers(BreakerConfig {
+        let plan = EpisodePlan {
+            transient_rate: 1.0,
+            permanent_rate: 0.0,
+            max_burst: 40,
+            seed: 2,
+        };
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_delay_ms: 10,
+            max_delay_ms: 10,
+            deadline_ms: u64::MAX,
+            jitter_seed: 2,
+        };
+        let config = BreakerConfig {
             failure_threshold: 4,
             open_ms: 1_000_000,
-        });
+        };
+        let client = RetryingWebClient::new(
+            FlakyWebClient::new(SimWebClient::browser(&web), plan),
+            policy,
+        )
+        .with_breakers(config);
+        let shared = FlakyWebClient::new(SimWebClient::browser(&web), plan);
+        let clock = SimClock::new();
+        let breaker = CircuitBreaker::new(config);
+        let mut expected = ResilienceStats::default();
         let url: Url = "https://h0.example/".parse().unwrap();
-        assert!(client.fetch(&url).is_err());
-        assert!(client.fetch(&url).is_err());
+        for fetch in 0..3 {
+            let call = policy.guarded(&clock, stable_hash(b"h0.example"), Some(&breaker), || {
+                shared.fetch(&url)
+            });
+            expected.record(&call);
+            assert_eq!(client.fetch(&url), call.outcome.result, "fetch {fetch}");
+        }
+        assert_eq!(client.stats(), expected);
         assert_eq!(client.stats().breaker_trips, 1);
+        assert!(client.stats().breaker_fast_fails > 0);
         assert_eq!(client.open_hosts(), vec!["h0.example".to_string()]);
     }
 }

@@ -9,9 +9,9 @@
 //! reachable sites → unique final URLs → unique favicons).
 //!
 //! [`Scraper::crawl`] waits on up to [`DEFAULT_IN_FLIGHT`] fetches at
-//! once, one host at a time, and folds the outcomes in input order, so
-//! its report is the one [`Scraper::crawl_in_order`] produces by sending
-//! every fetch one at a time.
+//! once, one host at a time, and folds the outcomes in input order
+//! through a [`ReportAssembler`], so its report is the one sending every
+//! fetch one at a time, in input order, would produce.
 //!
 //! The crawl degrades gracefully: an entry whose fetch fails at the
 //! transport layer (after whatever retries the client stack performs) is
@@ -210,37 +210,12 @@ impl<C: WebClient> Scraper<C> {
         }
     }
 
-    /// Crawls a batch of `(asn, raw website field)` pairs one entry at a
-    /// time, in input order: the reference fold [`Scraper::crawl`] must
-    /// reproduce.
-    ///
-    /// Entries with empty or unparseable website fields are counted in the
-    /// stats but produce no observation — exactly how a scraper must treat
-    /// operator junk. Entries whose fetch fails at the transport layer are
-    /// likewise counted ([`ScrapeStats::entries_abandoned`]) and skipped:
-    /// the crawl completes on partial evidence rather than dying.
-    ///
-    /// This is the crawl for a client with state shared across hosts,
-    /// such as a [`crate::RetryingWebClient`] backing off on one clock:
-    /// only a sequential crawl gives it the sequential call order.
-    pub fn crawl_in_order<'a>(
-        &self,
-        entries: impl IntoIterator<Item = (Asn, &'a str)>,
-    ) -> ScrapeReport {
-        let mut assembler = ReportAssembler::new();
-        for (asn, raw) in entries {
-            assembler.push(asn, self.resolve(&CrawlEntry::new(asn, raw)));
-        }
-        assembler.finish()
-    }
-
     /// Fetches one crawl entry through the cache — the per-entry unit of
     /// crawl work. Public so the pooled ingest engine can schedule
     /// resolutions individually (per-host FIFO, within an in-flight
-    /// budget, alongside its LLM calls) and feed the
-    /// outcomes to a [`ReportAssembler`], as both crawls here do. In a
-    /// production deployment the pool is where the headless browsers
-    /// sit.
+    /// budget, alongside its LLM calls) and feed the outcomes to a
+    /// [`ReportAssembler`], as [`Scraper::crawl`] does. In a production
+    /// deployment the pool is where the headless browsers sit.
     pub fn resolve(&self, entry: &CrawlEntry) -> Resolution {
         match &entry.website {
             Website::Empty => Resolution::Empty,
@@ -256,19 +231,24 @@ impl<C: WebClient> Scraper<C> {
 impl<C: WebClient + Sync> Scraper<C> {
     /// Crawls a batch of `(asn, raw website field)` pairs on a pool of
     /// [`DEFAULT_IN_FLIGHT`] workers, each waiting on one fetch; the
-    /// report and [`Scraper::cache_stats`] are those of
-    /// [`Scraper::crawl_in_order`], byte for byte.
+    /// report and [`Scraper::cache_stats`] are those of resolving every
+    /// entry one at a time, in input order, byte for byte.
+    ///
+    /// Entries with empty or unparseable website fields are counted in
+    /// the stats but produce no observation — exactly how a scraper must
+    /// treat operator junk. Entries whose fetch fails at the transport
+    /// layer are likewise counted ([`ScrapeStats::entries_abandoned`])
+    /// and skipped: the crawl completes on partial evidence rather than
+    /// dying.
     ///
     /// Entries are keyed by host ([`CrawlEntry::key`]): a host's fetches
     /// start one at a time, in input order, while different hosts
     /// overlap. The URL cache, negative caching and everything else the
     /// client keeps *per host* (a [`crate::FlakyWebClient`]'s fault
-    /// episodes, the breakers of a [`crate::RetryingWebClient`] backing
-    /// off on private clocks) therefore see each host's sequential call
-    /// sequence, and the outcomes are folded in input order. The client
-    /// must keep no state across hosts: one that does, such as a
-    /// [`crate::RetryingWebClient`] on a shared clock, belongs on
-    /// [`Scraper::crawl_in_order`].
+    /// episodes, the breakers of a [`crate::RetryingWebClient`]) therefore
+    /// see each host's sequential call sequence, and the outcomes are
+    /// folded in input order. The client must keep no state across
+    /// hosts.
     pub fn crawl<'a>(&self, entries: impl IntoIterator<Item = (Asn, &'a str)>) -> ScrapeReport {
         let entries: Vec<CrawlEntry> = entries
             .into_iter()
@@ -352,10 +332,9 @@ pub enum Resolution {
 /// Incrementally folds resolved entries into a [`ScrapeReport`].
 ///
 /// `push` entries in canonical input order (a pool's reassembly buffer
-/// guarantees it), then `finish`. Every crawl path — both of
-/// [`Scraper`]'s and the pooled ingest's — folds through this one
-/// assembler, so any crawl that pushes in input order produces a
-/// byte-identical report.
+/// guarantees it), then `finish`. Every crawl path — [`Scraper::crawl`]
+/// and the pooled ingest — folds through this one assembler, so any
+/// crawl that pushes in input order produces a byte-identical report.
 #[derive(Debug, Default)]
 pub struct ReportAssembler {
     report: ScrapeReport,
@@ -436,6 +415,16 @@ mod tests {
 
     fn icon(name: &str) -> FaviconHash {
         FaviconHash::of_bytes(name.as_bytes())
+    }
+
+    /// The reference fold: every entry resolved one at a time, in input
+    /// order, through one assembler.
+    fn fold_in_order<C: WebClient>(scraper: &Scraper<C>, entries: &[(Asn, &str)]) -> ScrapeReport {
+        let mut assembler = ReportAssembler::new();
+        for &(asn, raw) in entries {
+            assembler.push(asn, scraper.resolve(&CrawlEntry::new(asn, raw)));
+        }
+        assembler.finish()
     }
 
     fn web() -> SimWeb {
@@ -615,7 +604,7 @@ mod tests {
             (Asn::new(97), "not a url at all"),
         ];
         let reference = Scraper::new(SimWebClient::browser(&web));
-        let sequential = reference.crawl_in_order(entries.clone());
+        let sequential = fold_in_order(&reference, &entries);
         assert_eq!(reference.cache_stats().hits, 1);
         for run in 0..4 {
             let scraper = Scraper::new(SimWebClient::browser(&web));
@@ -718,7 +707,7 @@ mod tests {
             "two fetches were in flight on one host"
         );
         let reference = Scraper::new(SimWebClient::browser(&web));
-        assert_eq!(report, reference.crawl_in_order(entries));
+        assert_eq!(report, fold_in_order(&reference, &entries));
         assert_eq!(scraper.cache_stats(), reference.cache_stats());
     }
 

@@ -1,12 +1,10 @@
 //! Golden digests: the pipeline's outputs pinned across commits.
 //!
 //! The other keystones compare two ways of computing a world with each
-//! other (pooled against sequential, remap against full compile). A
-//! change that moves both sides alike passes them all. This file pins
-//! each case's outputs to digests recorded once, so any byte that moves
-//! fails here — including under unrecoverable outages, where the pooled
-//! and sequential paths may legitimately differ and no sibling test
-//! covers them.
+//! other (a wide in-flight budget against budget 1, remap against full
+//! compile). A change that moves both sides alike passes them all. This
+//! file pins each case's outputs to digests recorded once, so any byte
+//! that moves fails here.
 //!
 //! Per case it digests, with `borges_resilience::stable_hash`:
 //! the canonical trace, the metrics exposition, the run ledger with its
@@ -86,6 +84,17 @@ const GOLDEN: &[(&str, Digests)] = &[
             0xe4878fc15046b2a0,
             0x062c5d2c0cbe157d,
             0x46fe9213703969a8,
+        ],
+    ),
+    (
+        "resilient_ner_breaker",
+        [
+            0x4319252956fb2bb8,
+            0xf0435473404d6162,
+            0xcd3d9842610e72db,
+            0x0a000c14a5f05ad2,
+            0x4b18d7712d3179fa,
+            0xf649b0cafa9ac8f8,
         ],
     ),
     (
@@ -230,7 +239,7 @@ fn golden_pool() {
         SimWebClient::browser(&world.web),
         &SimLlm::new(LLM_SEED),
         &IngestOptions {
-            pool: Some(3),
+            pool: 3,
             ..IngestOptions::default()
         },
         &tel,
@@ -285,7 +294,7 @@ fn golden_pool_resilient_outages() {
         &model,
         &IngestOptions {
             policy: Some(RetryPolicy::standard(OUTAGE_SEED)),
-            pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
+            pool: borges_parallel::DEFAULT_IN_FLIGHT,
             ..IngestOptions::default()
         },
         &tel,
@@ -294,6 +303,66 @@ fn golden_pool_resilient_outages() {
         "pool_resilient_outages",
         digests(&borges, &tel, "parallel-resilient", 2),
     );
+}
+
+/// Heavy transient faults with one retry trip the NER breaker. Its
+/// event is stamped on the run clock inside the `ner` stage, at every
+/// budget: the row was recorded from the retired front that sent every
+/// call one at a time and ran the NER stage live on the run clock.
+#[test]
+fn golden_resilient_ner_breaker() {
+    let world = world();
+    let plan = EpisodePlan {
+        transient_rate: 0.6,
+        permanent_rate: 0.0,
+        max_burst: 3,
+        seed: 1,
+    };
+    for pool in [1, 4] {
+        let (web, model) = flaky(&world, plan);
+        let tel = Telemetry::sim(Verbosity::Quiet);
+        let borges = crawl(
+            &world,
+            web,
+            &model,
+            &IngestOptions {
+                policy: Some(RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::standard(1)
+                }),
+                pool,
+                ..IngestOptions::default()
+            },
+            &tel,
+        );
+        let records = tel.trace_records();
+        let ner = records
+            .iter()
+            .find(|r| r.path == "run/ner")
+            .expect("a ner stage");
+        let trips: Vec<u64> = tel
+            .breaker_events()
+            .iter()
+            .filter(|e| e.boundary == "llm.ner")
+            .map(|e| e.at_ms)
+            .collect();
+        assert!(
+            !trips.is_empty(),
+            "budget {pool}: the NER breaker never tripped"
+        );
+        for at_ms in trips {
+            assert!(
+                (ner.start_ms..=ner.end_ms).contains(&at_ms),
+                "budget {pool}: trip at {at_ms} ms outside run/ner {}..{} ms",
+                ner.start_ms,
+                ner.end_ms
+            );
+        }
+        check(
+            "resilient_ner_breaker",
+            digests(&borges, &tel, "resilient", 1),
+        );
+    }
 }
 
 #[test]
@@ -337,7 +406,7 @@ fn golden_crawled_remap() {
         SimWebClient::browser(&successor.web),
         &SimLlm::new(LLM_SEED),
         &IngestOptions {
-            pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
+            pool: borges_parallel::DEFAULT_IN_FLIGHT,
             prior: Some(&state),
             ..IngestOptions::default()
         },

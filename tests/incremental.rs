@@ -24,12 +24,12 @@ use std::collections::BTreeMap;
 /// How an ingest sends its calls.
 #[derive(Debug, Clone, Copy)]
 enum Execution {
-    /// One call at a time over the bare stack.
+    /// Budget 1, one call at a time, over the bare stack.
     Sequential,
     /// The I/O pool at its default budget.
     Pool,
-    /// One call at a time behind a retry policy, over a model that
-    /// injects calibrated transient faults.
+    /// Budget 1 behind a retry policy, over a model that injects
+    /// calibrated transient faults.
     Resilient,
 }
 
@@ -55,7 +55,7 @@ fn ingest(
         Execution::Pool => (
             &flawless,
             IngestOptions {
-                pool: Some(borges_parallel::DEFAULT_IN_FLIGHT),
+                pool: borges_parallel::DEFAULT_IN_FLIGHT,
                 ..IngestOptions::default()
             },
         ),

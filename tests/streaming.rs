@@ -1,25 +1,27 @@
 //! The streaming-ingest determinism contract, pinned end to end.
 //!
-//! `Borges::ingest` with a pool (the engine behind
-//! `Borges::run_parallel`) runs every remote call of an ingest on one
-//! pool of `in_flight` workers — NER overlapping the crawl — and must
-//! be **invisible** in every canonical output.
+//! `Borges::ingest` runs every remote call of an ingest on one pool of
+//! `in_flight` workers — NER overlapping the crawl — and the budget
+//! must be **invisible** in every canonical output. Budget 1, the
+//! default (`Borges::run`, `map --threads 1`), sends one call at a time
+//! in canonical order: the reference the wider budgets are held to.
 //! Three contracts (DESIGN.md §14):
 //!
 //! 1. **Schedule-independence.** Mapfiles (all 16 feature combinations),
 //!    the canonical trace journal, and the metrics snapshot are
-//!    byte-identical to the sequential run at every in-flight budget,
-//!    and the pool sends exactly the requests the sequential run
-//!    sends. The standalone re-crawl (`Scraper::crawl`, on the same
-//!    scheduler) reports exactly what a one-at-a-time crawl reports,
-//!    bare and under chaos.
+//!    byte-identical to budget 1 at every in-flight budget, and every
+//!    budget sends exactly the requests budget 1 sends. The standalone
+//!    re-crawl (`Scraper::crawl`, on the same scheduler) reports exactly
+//!    what a one-at-a-time fold reports, bare and under chaos.
 //! 2. **Chaos-independence.** Under recoverable transport faults (the
-//!    `tests/chaos.rs` model) the pooled resilient run reproduces the
-//!    sequential resilient run bit for bit, and coverage stays complete.
-//! 3. **Accounting.** Under unrecoverable outages the run still
-//!    completes with `abandoned + succeeded == attempted` per feature,
-//!    and the scheduler's own ledger rows balance: per-worker completion
-//!    counts sum to the entries plus the NER calls.
+//!    `tests/chaos.rs` model) the resilient run at budgets 3 and 4
+//!    reproduces budget 1 bit for bit, and coverage stays complete.
+//! 3. **Outages.** Under unrecoverable outages, with and without
+//!    retries, budgets 1, 3 and 8 still agree byte for byte, ledger
+//!    included; the run completes with `abandoned + succeeded ==
+//!    attempted` per feature and invents no merge; and the scheduler's
+//!    own ledger rows balance: per-worker completion counts sum to the
+//!    entries plus the NER calls.
 
 use borges_core::mapfile;
 use borges_core::pipeline::{Borges, FeatureSet, IngestOptions, WebSource};
@@ -27,7 +29,9 @@ use borges_llm::{ChatModel, ChatRequest, ChatResponse, FlakyModel, SimLlm};
 use borges_resilience::{EpisodePlan, RetryPolicy, TransportError};
 use borges_synthnet::{churn, GeneratorConfig, SyntheticInternet};
 use borges_telemetry::{ingest, RunReport, Telemetry, Verbosity};
-use borges_websim::{FlakyWebClient, ScrapeReport, Scraper, SimWebClient, WebClient};
+use borges_websim::{
+    CrawlEntry, FlakyWebClient, ReportAssembler, ScrapeReport, Scraper, SimWebClient, WebClient,
+};
 use std::sync::Mutex;
 
 fn world() -> SyntheticInternet {
@@ -37,7 +41,7 @@ fn world() -> SyntheticInternet {
 fn opts(in_flight: usize, policy: Option<RetryPolicy>) -> IngestOptions<'static> {
     IngestOptions {
         policy,
-        pool: Some(in_flight),
+        pool: in_flight,
         ..IngestOptions::default()
     }
 }
@@ -234,10 +238,12 @@ fn streaming_resilient_run_is_byte_identical_under_recoverable_chaos() {
 
 #[test]
 fn streaming_outage_runs_account_for_every_loss() {
-    // Permanent outages and no retry budget: equivalence to the staged
-    // run is off the table (breaker open-window timing diverges under
-    // per-call clocks — DESIGN.md §14), but the accounting contract
-    // still holds and nothing is silently dropped.
+    // Permanent outages, with no retry budget and with the standard one:
+    // every fetch backs off on its own clock and the NER calls run in
+    // plan order, so nothing depends on the schedule. Budgets 3 and 8
+    // reproduce budget 1 byte for byte — trace, metrics, the ledger
+    // without its `ingest_*` scheduler rows, and every mapfile — and the
+    // accounting contract holds: nothing is silently dropped.
     let world = world();
     let reference = Borges::run(
         &world.whois,
@@ -247,35 +253,55 @@ fn streaming_outage_runs_account_for_every_loss() {
     )
     .full();
     for seed in 1..=3u64 {
-        let llm = FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(seed ^ 0xFACE));
-        let degraded = crawl(
-            &world,
-            FlakyWebClient::new(
-                SimWebClient::browser(&world.web),
-                EpisodePlan::with_outages(seed),
-            ),
-            &llm,
-            &opts(4, Some(RetryPolicy::none())),
-            &Telemetry::disabled(),
-        );
-        let coverage = degraded.coverage();
-        assert!(
-            coverage.accounted(),
-            "seed {seed}: abandoned + succeeded != attempted"
-        );
-        assert!(
-            coverage.total_abandoned() > 0,
-            "seed {seed}: outages must cost something"
-        );
-        // Partial evidence never invents a sibling relation.
-        let full = degraded.full();
-        assert_eq!(full.asn_count(), reference.asn_count(), "seed {seed}");
-        for (_, members) in full.clusters() {
-            for pair in members.windows(2) {
-                assert!(
-                    reference.same_org(pair[0], pair[1]),
-                    "seed {seed}: degraded streaming run invented a merge {pair:?}"
+        for policy in [RetryPolicy::none(), RetryPolicy::standard(seed)] {
+            let run = |in_flight: usize| {
+                let llm =
+                    FlakyModel::new(SimLlm::flawless(), EpisodePlan::with_outages(seed ^ 0xFACE));
+                let tel = Telemetry::sim(Verbosity::Quiet);
+                let degraded = crawl(
+                    &world,
+                    FlakyWebClient::new(
+                        SimWebClient::browser(&world.web),
+                        EpisodePlan::with_outages(seed),
+                    ),
+                    &llm,
+                    &opts(in_flight, Some(policy)),
+                    &tel,
                 );
+                let mut ledger = degraded.run_report(&tel, "resilient", 1);
+                ledger.workers.retain(|w| !w.stage.starts_with("ingest_"));
+                let outputs = (fingerprint(&degraded, &tel), ledger.to_json_pretty());
+                (degraded, outputs)
+            };
+            let label = format!("seed {seed}, {} attempts", policy.max_attempts);
+            let (degraded, expected) = run(1);
+            for in_flight in [3, 8] {
+                assert_eq!(
+                    run(in_flight).1,
+                    expected,
+                    "{label}: budget {in_flight} diverged from budget 1"
+                );
+            }
+
+            let coverage = degraded.coverage();
+            assert!(
+                coverage.accounted(),
+                "{label}: abandoned + succeeded != attempted"
+            );
+            assert!(
+                coverage.total_abandoned() > 0,
+                "{label}: outages must cost something"
+            );
+            // Partial evidence never invents a sibling relation.
+            let full = degraded.full();
+            assert_eq!(full.asn_count(), reference.asn_count(), "{label}");
+            for (_, members) in full.clusters() {
+                for pair in members.windows(2) {
+                    assert!(
+                        reference.same_org(pair[0], pair[1]),
+                        "{label}: degraded streaming run invented a merge {pair:?}"
+                    );
+                }
             }
         }
     }
@@ -285,44 +311,49 @@ fn streaming_outage_runs_account_for_every_loss() {
 fn streaming_scheduler_ledger_rows_balance_and_roundtrip() {
     let world = world();
     let llm = SimLlm::new(99);
-    let tel = Telemetry::sim(Verbosity::Quiet);
-    let max_in_flight = 3;
-    let streamed = crawl(
-        &world,
-        SimWebClient::browser(&world.web),
-        &llm,
-        &opts(max_in_flight, None),
-        &tel,
-    );
-    // The pool carries every crawl entry and every NER call.
-    let calls = (world.pdb.nets().count() + streamed.ner.stats.llm_calls) as u64;
-    let timings = tel.worker_timings();
-
-    let worker_total: u64 = timings
-        .iter()
-        .filter(|t| t.stage == ingest::WORKER_STAGE)
-        .map(|t| t.items)
-        .sum();
-    assert_eq!(
-        worker_total, calls,
-        "per-worker completions must sum to the entries plus the NER calls"
-    );
-    let in_flight = timings
-        .iter()
-        .find(|t| t.stage == ingest::IN_FLIGHT_STAGE)
-        .expect("in-flight high-water row");
-    assert!((1..=max_in_flight as u64).contains(&in_flight.items));
-    assert!(timings.iter().any(|t| t.stage == ingest::REASSEMBLY_STAGE));
-
-    // The rows survive the run-report JSON roundtrip (what the CI
-    // ingest-equivalence job greps).
-    let json = streamed.run_report(&tel, "streaming", 1).to_json_pretty();
-    let report = RunReport::from_json(&json).expect("run report parses");
-    for stage in ingest::ALL_STAGES {
-        assert!(
-            report.workers.iter().any(|t| t.stage == stage),
-            "{stage}: {json}"
+    // Budget 1 is the reference `map --threads 1` runs: one worker, one
+    // call in flight.
+    for max_in_flight in [1, 3] {
+        let tel = Telemetry::sim(Verbosity::Quiet);
+        let streamed = crawl(
+            &world,
+            SimWebClient::browser(&world.web),
+            &llm,
+            &opts(max_in_flight, None),
+            &tel,
         );
+        // The pool carries every crawl entry and every NER call.
+        let calls = (world.pdb.nets().count() + streamed.ner.stats.llm_calls) as u64;
+        let timings = tel.worker_timings();
+
+        let workers: Vec<u64> = timings
+            .iter()
+            .filter(|t| t.stage == ingest::WORKER_STAGE)
+            .map(|t| t.items)
+            .collect();
+        assert_eq!(workers.len(), max_in_flight, "one row per worker");
+        assert_eq!(
+            workers.iter().sum::<u64>(),
+            calls,
+            "per-worker completions must sum to the entries plus the NER calls"
+        );
+        let in_flight = timings
+            .iter()
+            .find(|t| t.stage == ingest::IN_FLIGHT_STAGE)
+            .expect("in-flight high-water row");
+        assert!((1..=max_in_flight as u64).contains(&in_flight.items));
+        assert!(timings.iter().any(|t| t.stage == ingest::REASSEMBLY_STAGE));
+
+        // The rows survive the run-report JSON roundtrip (what the CI
+        // ingest-equivalence job greps).
+        let json = streamed.run_report(&tel, "streaming", 1).to_json_pretty();
+        let report = RunReport::from_json(&json).expect("run report parses");
+        for stage in ingest::ALL_STAGES {
+            assert!(
+                report.workers.iter().any(|t| t.stage == stage),
+                "{stage}: {json}"
+            );
+        }
     }
 }
 
@@ -400,9 +431,9 @@ fn from_scrape_streaming_matches_from_scrape() {
 }
 
 /// Crawls `world` twice over fresh clients from `client`: pooled with
-/// `Scraper::crawl`, and one fetch at a time with
-/// `Scraper::crawl_in_order`. Asserts the reports and the URL-cache
-/// counters agree, and returns the report.
+/// `Scraper::crawl`, and one entry at a time, in input order, by folding
+/// `Scraper::resolve` through a `ReportAssembler`. Asserts the reports
+/// and the URL-cache counters agree, and returns the report.
 fn assert_pooled_crawl_is_the_in_order_fold<C: WebClient + Sync>(
     world: &SyntheticInternet,
     client: impl Fn() -> C,
@@ -410,7 +441,11 @@ fn assert_pooled_crawl_is_the_in_order_fold<C: WebClient + Sync>(
 ) -> ScrapeReport {
     let entries = || world.pdb.nets().map(|n| (n.asn, n.website.as_str()));
     let sequential = Scraper::new(client());
-    let expected = sequential.crawl_in_order(entries());
+    let mut assembler = ReportAssembler::new();
+    for (asn, raw) in entries() {
+        assembler.push(asn, sequential.resolve(&CrawlEntry::new(asn, raw)));
+    }
+    let expected = assembler.finish();
     let pooled = Scraper::new(client());
     assert_eq!(pooled.crawl(entries()), expected, "{label}: report");
     assert_eq!(
