@@ -749,13 +749,7 @@ pub fn write_artifact(path: &Path, world: &CompiledWorld) -> Result<String, Stor
 /// digest, and full decode — exactly what the loader would trust.
 pub fn verify_artifact(path: &Path) -> Result<ArtifactInfo, StoreError> {
     let bytes = std::fs::read(path).map_err(|err| StoreError::from_io(path, err))?;
-    verify_bytes(&bytes)
-}
-
-/// [`verify_artifact`] over bytes already in memory, so a caller that
-/// keeps them (`catalog_add`) acts on exactly the bytes verified.
-pub(crate) fn verify_bytes(bytes: &[u8]) -> Result<ArtifactInfo, StoreError> {
-    let container = decode_container(bytes, STORE_SCHEMA_VERSION)?;
+    let container = decode_container(&bytes, STORE_SCHEMA_VERSION)?;
     // The semantic decode too, so `store verify` catches a
     // well-checksummed file whose payload is nonsense.
     let world = world_from_container(&container)?;

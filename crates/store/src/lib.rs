@@ -10,7 +10,7 @@
 //! - **Format** ([`format`]): a length-prefixed sectioned container —
 //!   magic, versioned CRC32-guarded header, named CRC32-guarded
 //!   sections, whole-file SHA-256 footer. The digest doubles as the
-//!   artifact's *content address* in a catalog directory.
+//!   artifact's *content address* in a timeline's `worlds/`.
 //! - **Write protocol** ([`atomic`]): sibling tmp → fsync → atomic
 //!   rename → directory fsync. Every durable artifact the CLI writes
 //!   (mapfiles, states, traces, reports — not just world stores) goes
@@ -45,7 +45,6 @@
 
 pub mod artifact;
 pub mod atomic;
-pub mod catalog;
 pub mod crc32;
 pub mod error;
 pub mod format;
@@ -57,7 +56,6 @@ pub use artifact::{
     write_artifact, ArtifactInfo, LoadedWorld, STORE_SCHEMA_VERSION,
 };
 pub use atomic::{staging_path, write_atomic};
-pub use catalog::{catalog_add, catalog_ls, catalog_path, CatalogEntry, ARTIFACT_EXT};
 pub use error::StoreError;
 pub use format::{element_offsets, FORMAT_VERSION};
 pub use inject::{simulate_torn_rename, Corruptor};
@@ -176,62 +174,6 @@ mod tests {
         // stray staging file.
         write_artifact(&path, &borges.to_world()).unwrap();
         assert!(load_artifact(&path).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn catalog_add_ls_round_trip() {
-        let dir = scratch("catalog");
-        let artifact = dir.join("out.world");
-        let catalog = dir.join("catalog");
-        let borges = compiled();
-        let digest = write_artifact(&artifact, &borges.to_world()).unwrap();
-
-        let added = catalog_add(&catalog, &artifact).unwrap();
-        assert_eq!(added, digest);
-        // Idempotent: same world, same address.
-        assert_eq!(catalog_add(&catalog, &artifact).unwrap(), digest);
-
-        let entries = catalog_ls(&catalog).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert!(entries[0].addressed_correctly());
-        assert_eq!(entries[0].file_name, format!("{digest}.world"));
-
-        // A renamed (mis-addressed) but internally intact artifact is
-        // flagged.
-        let rogue = catalog.join(format!("{}.world", "0".repeat(64)));
-        std::fs::copy(catalog_path(&catalog, &digest), &rogue).unwrap();
-        let entries = catalog_ls(&catalog).unwrap();
-        assert_eq!(entries.len(), 2);
-        let flagged: Vec<bool> = entries.iter().map(|e| e.addressed_correctly()).collect();
-        assert_eq!(flagged.iter().filter(|ok| **ok).count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn catalog_add_writes_exactly_the_bytes_it_verified() {
-        let dir = scratch("catalog-bytes");
-        let artifact = dir.join("out.world");
-        let catalog = dir.join("catalog");
-        let bytes = encode_world(&compiled().to_world());
-        std::fs::write(&artifact, &bytes).unwrap();
-
-        let digest = catalog_add(&catalog, &artifact).unwrap();
-        let entry = catalog_path(&catalog, &digest);
-        assert_eq!(std::fs::read(&entry).unwrap(), bytes);
-        assert_eq!(verify_artifact(&entry).unwrap().digest, digest);
-
-        // A damaged source is refused before anything is written: the
-        // catalog directory is not even created.
-        let mut damaged = bytes.clone();
-        let middle = damaged.len() / 2;
-        damaged[middle] ^= 0x01;
-        std::fs::write(&artifact, &damaged).unwrap();
-        let fresh = dir.join("fresh-catalog");
-        assert!(catalog_add(&fresh, &artifact).is_err());
-        assert!(!fresh.exists());
-        assert!(catalog_add(&catalog, &artifact).is_err());
-        assert_eq!(std::fs::read_dir(&catalog).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

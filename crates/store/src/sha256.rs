@@ -1,5 +1,5 @@
 //! SHA-256 (FIPS 180-4) — the artifact's whole-file content digest,
-//! which doubles as its content address in a catalog directory.
+//! which doubles as its content address in a timeline's `worlds/`.
 //!
 //! Hand-rolled for the same reason as [`crate::crc32`]: no registry
 //! access. On an x86-64 CPU with the SHA extensions (SHA-NI, detected

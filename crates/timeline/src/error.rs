@@ -2,9 +2,9 @@
 //!
 //! Mirrors the store's philosophy: every way a timeline directory can
 //! be wrong — unreadable manifest, foreign schema, a chain whose links
-//! do not connect, a missing or tampered world artifact, a delta file
-//! whose digest moved — maps to a typed error with a stable `kind()`
-//! string, and the walker never panics on hostile bytes.
+//! do not connect, a missing or tampered world artifact — maps to a
+//! typed error with a stable `kind()` string, and the walker never
+//! panics on hostile bytes.
 
 use borges_store::StoreError;
 use std::fmt;
@@ -33,7 +33,9 @@ pub enum TimelineError {
         /// What failed to parse.
         detail: String,
     },
-    /// The manifest parses but tags a schema this reader does not speak.
+    /// The manifest parses but tags a schema this reader does not speak
+    /// (for instance a chain written by an older release): version skew,
+    /// not tampering.
     SchemaMismatch {
         /// The schema string found.
         found: String,
@@ -76,18 +78,6 @@ pub enum TimelineError {
         /// The store-level or chain-level mismatch.
         detail: String,
     },
-    /// A link records a delta digest but the delta file is gone.
-    MissingDelta {
-        /// Epoch of the link.
-        epoch: u64,
-    },
-    /// A link's delta file exists but its digest or shape moved.
-    TamperedDelta {
-        /// Epoch of the link.
-        epoch: u64,
-        /// What about it is wrong.
-        detail: String,
-    },
     /// No chain link exists at (or below, for floor resolution) the
     /// requested epoch.
     UnknownEpoch {
@@ -120,8 +110,6 @@ impl TimelineError {
             TimelineError::BrokenChain { .. } => "broken_chain",
             TimelineError::MissingWorld { .. } => "missing_world",
             TimelineError::TamperedWorld { .. } => "tampered_world",
-            TimelineError::MissingDelta { .. } => "missing_delta",
-            TimelineError::TamperedDelta { .. } => "tampered_delta",
             TimelineError::UnknownEpoch { .. } => "unknown_epoch",
             TimelineError::Empty => "empty",
             TimelineError::InvalidRange { .. } => "invalid_range",
@@ -144,9 +132,12 @@ impl fmt::Display for TimelineError {
             TimelineError::Missing { path } => write!(f, "no timeline directory at {path}"),
             TimelineError::Io { path, detail } => write!(f, "io error at {path}: {detail}"),
             TimelineError::Corrupt { detail } => write!(f, "CORRUPT manifest: {detail}"),
-            TimelineError::SchemaMismatch { found } => {
-                write!(f, "CORRUPT manifest: unknown schema {found:?}")
-            }
+            TimelineError::SchemaMismatch { found } => write!(
+                f,
+                "manifest schema {found:?}, this reader speaks {:?}; republish \
+                 the timeline with this release",
+                crate::TIMELINE_SCHEMA
+            ),
             TimelineError::BrokenChain { epoch, detail } => {
                 write!(f, "CORRUPT chain at epoch {epoch}: {detail}")
             }
@@ -172,15 +163,6 @@ impl fmt::Display for TimelineError {
                 f,
                 "CORRUPT chain at epoch {epoch}: world {digest} tampered: {detail}"
             ),
-            TimelineError::MissingDelta { epoch } => {
-                write!(f, "CORRUPT chain at epoch {epoch}: delta file missing")
-            }
-            TimelineError::TamperedDelta { epoch, detail } => {
-                write!(
-                    f,
-                    "CORRUPT chain at epoch {epoch}: delta tampered: {detail}"
-                )
-            }
             TimelineError::UnknownEpoch { at } => write!(f, "no chain link at epoch {at}"),
             TimelineError::Empty => write!(f, "timeline has no links"),
             TimelineError::InvalidRange { t1, t2 } => {
@@ -233,7 +215,6 @@ mod tests {
                 },
                 "missing_world",
             ),
-            (TimelineError::MissingDelta { epoch: 1 }, "missing_delta"),
             (TimelineError::UnknownEpoch { at: 7 }, "unknown_epoch"),
             (TimelineError::Empty, "empty"),
             (
@@ -261,8 +242,9 @@ mod tests {
                 epoch: 2,
                 digest: "abc".into(),
             },
-            TimelineError::TamperedDelta {
+            TimelineError::TamperedWorld {
                 epoch: 1,
+                digest: "abc".into(),
                 detail: "digest moved".into(),
             },
         ] {

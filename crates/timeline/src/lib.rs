@@ -13,56 +13,55 @@
 //! ```text
 //! timeline.json            append-only manifest (schema-tagged chain)
 //! worlds/<digest>.world    content-addressed snapshots (store format)
-//! deltas/<epoch>.delta     per-link assignment deltas (JSON)
 //! ```
 //!
-//! Each manifest link records `{epoch, world_digest, parent_digest,
-//! delta_digest}`. The genesis link has no parent and no delta; every
-//! later link names its parent's content address, forming a hash chain:
-//! relabel an epoch, swap a world file, or touch a delta and
-//! [`Timeline::verify`] refuses with a typed [`TimelineError`].
+//! Each manifest link records `{epoch, world_digest, parent_digest}`.
+//! The genesis link has no parent; every later link names its parent's
+//! content address, forming a hash chain: relabel an epoch or swap a
+//! world file and [`Timeline::verify`] refuses with a typed
+//! [`TimelineError`].
 //!
-//! ## The composition invariant
+//! ## Two-step append
 //!
-//! [`Timeline::diff`] does **not** load both endpoint worlds and
-//! compare them; it loads `t1`, composes the per-link deltas up to
-//! `t2`, and diffs against the reconstruction. Because
-//! [`AsOrgMapping`](borges_core::mapping::AsOrgMapping) construction is
-//! fully normalizing, the reconstruction is *equal* to the directly
-//! materialized `t2` mapping — cluster ids included — so the composed
-//! diff is byte-identical to a direct diff of the two worlds. Tests pin
-//! this against [`Timeline::diff_direct`].
+//! [`Timeline::append`] writes the new world under its content address,
+//! then atomically rewrites the manifest; it opens no earlier world. A
+//! crash between the two steps leaves the old manifest and an orphan
+//! world that no link names, which every reader ignores; re-running the
+//! append lands the same link on the same file.
+//!
+//! ## Reading motion
+//!
+//! The worlds are the only history. [`Timeline::diff`] loads both
+//! endpoint worlds and diffs their mappings; [`Timeline::org_lineage`]
+//! loads every epoch and classifies each neighbouring pair.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod delta;
 pub mod error;
 pub mod lineage;
 
-pub use delta::{assignments, mapping_from_assignments, AssignmentDelta, DeltaRow, DELTA_SCHEMA};
 pub use error::TimelineError;
 pub use lineage::{classify, render_diff_json, LineageStep, OrgLineage};
 
 use borges_core::diff::{diff as mapping_diff, MappingDiff};
 use borges_core::mapping::AsOrgMapping;
 use borges_core::pipeline::Borges;
-use borges_store::{
-    encode_world, encoded_digest, load_artifact, sha256, verify_artifact, StoreError, ARTIFACT_EXT,
-};
+use borges_store::{encode_world, encoded_digest, load_artifact, verify_artifact, StoreError};
 use borges_types::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the manifest this reader writes and accepts.
-pub const TIMELINE_SCHEMA: &str = "borges.timeline.v1";
+pub const TIMELINE_SCHEMA: &str = "borges.timeline.v2";
 
 /// Manifest file name inside the timeline directory.
 pub const MANIFEST_FILE: &str = "timeline.json";
 
 const WORLDS_DIR: &str = "worlds";
-const DELTAS_DIR: &str = "deltas";
+
+/// File extension of a chained world artifact.
+const ARTIFACT_EXT: &str = "world";
 
 /// One link of the chain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,8 +72,6 @@ pub struct TimelineLink {
     pub world_digest: String,
     /// Content address of the parent epoch's world (`None` at genesis).
     pub parent_digest: Option<String>,
-    /// SHA-256 of this link's delta file (`None` at genesis).
-    pub delta_digest: Option<String>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -86,12 +83,9 @@ struct Manifest {
 /// What [`Timeline::verify`] certifies when it returns `Ok`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Number of chain links checked.
+    /// Number of chain links checked, each with a world artifact that
+    /// passed store-level verification.
     pub links: usize,
-    /// World artifacts that passed store-level verification.
-    pub worlds_ok: usize,
-    /// Delta files whose digest and shape checked out.
-    pub deltas_ok: usize,
 }
 
 /// An open timeline directory.
@@ -165,51 +159,26 @@ impl Timeline {
             .join(format!("{}.{ARTIFACT_EXT}", link.world_digest))
     }
 
-    fn delta_path(&self, epoch: u64) -> PathBuf {
-        self.dir.join(DELTAS_DIR).join(format!("{epoch}.delta"))
-    }
-
     /// Appends the pipeline's current world as the next epoch: stamps
     /// the epoch into the world (so it participates in the content
-    /// address), writes the artifact and the delta against the parent,
-    /// then atomically rewrites the manifest. Returns the new link.
+    /// address), writes the artifact, then atomically rewrites the
+    /// manifest. Returns the new link.
     pub fn append(&mut self, borges: &mut Borges) -> Result<TimelineLink, TimelineError> {
         let epoch = self.tip().map(|l| l.epoch + 1).unwrap_or(0);
         borges.set_world_epoch(epoch);
-        let world = borges.to_world();
+        let bytes = encode_world(&borges.to_world());
+        let link = TimelineLink {
+            epoch,
+            world_digest: encoded_digest(&bytes),
+            parent_digest: self.tip().map(|parent| parent.world_digest.clone()),
+        };
 
         let worlds_dir = self.dir.join(WORLDS_DIR);
         std::fs::create_dir_all(&worlds_dir).map_err(|e| TimelineError::from_io(&worlds_dir, e))?;
-        let bytes = encode_world(&world);
-        let digest = encoded_digest(&bytes);
-        let world_path = worlds_dir.join(format!("{digest}.{ARTIFACT_EXT}"));
+        let world_path = self.world_path(&link);
         borges_store::write_atomic(&world_path, &bytes)
             .map_err(|e| StoreError::from_io(&world_path, e))?;
 
-        let parent = self.tip().cloned();
-        let delta_digest = match &parent {
-            None => None,
-            Some(parent_link) => {
-                let parent_mapping = self.mapping_of_link(parent_link)?;
-                let child_mapping = borges.full();
-                let delta = AssignmentDelta::between(&parent_mapping, &child_mapping);
-                let bytes = delta.encode();
-                let deltas_dir = self.dir.join(DELTAS_DIR);
-                std::fs::create_dir_all(&deltas_dir)
-                    .map_err(|e| TimelineError::from_io(&deltas_dir, e))?;
-                let path = self.delta_path(epoch);
-                borges_store::write_atomic(&path, &bytes)
-                    .map_err(|e| TimelineError::from_io(&path, e))?;
-                Some(sha256::hex(&sha256::sha256(&bytes)))
-            }
-        };
-
-        let link = TimelineLink {
-            epoch,
-            world_digest: digest,
-            parent_digest: parent.map(|p| p.world_digest),
-            delta_digest,
-        };
         self.links.push(link.clone());
         self.write_manifest()?;
         Ok(link)
@@ -285,46 +254,13 @@ impl Timeline {
         })
     }
 
-    fn mapping_of_link(&self, link: &TimelineLink) -> Result<AsOrgMapping, TimelineError> {
-        Ok(self.load_epoch(link.epoch)?.full())
-    }
-
-    /// Reads, digest-checks, and decodes one link's delta file.
-    fn read_delta(&self, link: &TimelineLink) -> Result<AssignmentDelta, TimelineError> {
-        let expected = link
-            .delta_digest
-            .as_ref()
-            .ok_or(TimelineError::BrokenChain {
-                epoch: link.epoch,
-                detail: "non-genesis link has no delta digest".to_string(),
-            })?;
-        let path = self.delta_path(link.epoch);
-        if !path.exists() {
-            return Err(TimelineError::MissingDelta { epoch: link.epoch });
-        }
-        let bytes = std::fs::read(&path).map_err(|e| TimelineError::from_io(&path, e))?;
-        let actual = sha256::hex(&sha256::sha256(&bytes));
-        if &actual != expected {
-            return Err(TimelineError::TamperedDelta {
-                epoch: link.epoch,
-                detail: format!("digest is {actual}, chain says {expected}"),
-            });
-        }
-        AssignmentDelta::decode(&bytes).map_err(|detail| TimelineError::TamperedDelta {
-            epoch: link.epoch,
-            detail,
-        })
-    }
-
     /// Integrity-checks the whole chain: every world artifact
-    /// re-verifies against its chained content address and epoch, and
-    /// every delta file against its chained digest. Any tampering —
-    /// a flipped byte, a relabeled epoch, a deleted file — surfaces as
-    /// a typed error.
+    /// re-verifies against its chained content address and epoch. Any
+    /// tampering — a flipped byte, a relabeled epoch, a deleted file —
+    /// surfaces as a typed error. A world that no link names is not
+    /// part of the chain and is not read.
     pub fn verify(&self) -> Result<VerifyReport, TimelineError> {
         check_chain(&self.links)?;
-        let mut worlds_ok = 0;
-        let mut deltas_ok = 0;
         for link in &self.links {
             let path = self.world_path(link);
             if !path.exists() {
@@ -348,64 +284,26 @@ impl Timeline {
                     detail: format!("world carries epoch {}", info.epoch),
                 });
             }
-            worlds_ok += 1;
-            if link.parent_digest.is_some() {
-                self.read_delta(link)?;
-                deltas_ok += 1;
-            }
         }
         Ok(VerifyReport {
             links: self.links.len(),
-            worlds_ok,
-            deltas_ok,
         })
     }
 
-    /// The assignment map at exactly `epoch`, built by loading the
-    /// genesis-nearest world once and composing deltas forward — the
-    /// cheap path the diff/lineage queries share.
-    fn composed_assignments(
-        &self,
-        base_epoch: u64,
-        target_epoch: u64,
-        base: &AsOrgMapping,
-    ) -> Result<BTreeMap<u32, u32>, TimelineError> {
-        let mut assign = assignments(base);
-        for link in &self.links {
-            if link.epoch > base_epoch && link.epoch <= target_epoch {
-                self.read_delta(link)?.apply(&mut assign);
-            }
-        }
-        Ok(assign)
-    }
-
-    /// The difference between two chain epochs, computed by composing
-    /// per-link deltas from `t1` to `t2`. Byte-identical to
-    /// [`Timeline::diff_direct`] — the reconstruction invariant — which
-    /// tests pin.
+    /// The difference between two chain epochs: both worlds loaded,
+    /// their full mappings diffed.
     pub fn diff(&self, t1: u64, t2: u64) -> Result<MappingDiff, TimelineError> {
         if t1 > t2 {
             return Err(TimelineError::InvalidRange { t1, t2 });
         }
-        let from = self.link_at(t1)?.clone();
+        // An unknown epoch is the caller's error, reported before either
+        // world is read.
+        self.link_at(t1)?;
         self.link_at(t2)?;
-        let base = self.mapping_of_link(&from)?;
-        let assign = self.composed_assignments(t1, t2, &base)?;
-        let reconstructed = mapping_from_assignments(&assign);
-        Ok(mapping_diff(&base, &reconstructed))
-    }
-
-    /// The same difference computed the obvious way: load both worlds,
-    /// diff their mappings. The oracle the composed path is pinned to.
-    pub fn diff_direct(&self, t1: u64, t2: u64) -> Result<MappingDiff, TimelineError> {
-        if t1 > t2 {
-            return Err(TimelineError::InvalidRange { t1, t2 });
-        }
-        let before_link = self.link_at(t1)?.clone();
-        let after_link = self.link_at(t2)?.clone();
-        let before = self.mapping_of_link(&before_link)?;
-        let after = self.mapping_of_link(&after_link)?;
-        Ok(mapping_diff(&before, &after))
+        Ok(mapping_diff(
+            &self.load_epoch(t1)?.full(),
+            &self.load_epoch(t2)?.full(),
+        ))
     }
 
     /// Walks the whole chain and narrates what happened to `asn`'s
@@ -415,22 +313,19 @@ impl Timeline {
         if self.links.is_empty() {
             return Err(TimelineError::Empty);
         }
-        let genesis = &self.links[0];
-        let mut prev = self.mapping_of_link(genesis)?;
-        let mut steps = vec![lineage::classify(genesis.epoch, None, &prev, None, asn)];
-        let mut assign = assignments(&prev);
-        for link in &self.links[1..] {
-            self.read_delta(link)?.apply(&mut assign);
-            let cur = mapping_from_assignments(&assign);
-            let d = mapping_diff(&prev, &cur);
+        let mut steps = Vec::with_capacity(self.links.len());
+        let mut prev: Option<AsOrgMapping> = None;
+        for link in &self.links {
+            let cur = self.load_epoch(link.epoch)?.full();
+            let d = prev.as_ref().map(|p| mapping_diff(p, &cur));
             steps.push(lineage::classify(
                 link.epoch,
-                Some(&prev),
+                prev.as_ref(),
                 &cur,
-                Some(&d),
+                d.as_ref(),
                 asn,
             ));
-            prev = cur;
+            prev = Some(cur);
         }
         Ok(OrgLineage {
             asn: asn.value(),
@@ -459,14 +354,14 @@ fn world_error(link: &TimelineLink, err: StoreError) -> TimelineError {
 }
 
 /// Chain-shape validation: epochs strictly increase, genesis has no
-/// parent/delta, and every later link names its parent's digest.
+/// parent, and every later link names its parent's digest.
 fn check_chain(links: &[TimelineLink]) -> Result<(), TimelineError> {
     for (i, link) in links.iter().enumerate() {
         if i == 0 {
-            if link.parent_digest.is_some() || link.delta_digest.is_some() {
+            if link.parent_digest.is_some() {
                 return Err(TimelineError::BrokenChain {
                     epoch: link.epoch,
-                    detail: "genesis link must have no parent or delta".to_string(),
+                    detail: "genesis link must have no parent".to_string(),
                 });
             }
             continue;
@@ -482,12 +377,6 @@ fn check_chain(links: &[TimelineLink]) -> Result<(), TimelineError> {
             return Err(TimelineError::BrokenChain {
                 epoch: link.epoch,
                 detail: "parent digest does not match previous link".to_string(),
-            });
-        }
-        if link.delta_digest.is_none() {
-            return Err(TimelineError::BrokenChain {
-                epoch: link.epoch,
-                detail: "non-genesis link has no delta digest".to_string(),
             });
         }
     }
@@ -572,18 +461,21 @@ mod tests {
         let epochs: Vec<u64> = timeline.links().iter().map(|l| l.epoch).collect();
         assert_eq!(epochs, vec![0, 1, 2]);
         assert!(timeline.links()[0].parent_digest.is_none());
-        assert!(timeline.links()[0].delta_digest.is_none());
         for i in 1..3 {
             assert_eq!(
                 timeline.links()[i].parent_digest.as_deref(),
                 Some(timeline.links()[i - 1].world_digest.as_str())
             );
-            assert!(timeline.links()[i].delta_digest.is_some());
         }
         let report = timeline.verify().unwrap();
         assert_eq!(report.links, 3);
-        assert_eq!(report.worlds_ok, 3);
-        assert_eq!(report.deltas_ok, 2);
+        // The manifest and the worlds are the whole chain.
+        let mut entries: Vec<String> = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, [MANIFEST_FILE, WORLDS_DIR]);
 
         // Reopen: same chain, still verifies.
         let reopened = Timeline::open(&dir).unwrap();
@@ -626,23 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn composed_diff_is_identical_to_direct_diff() {
-        let (_dir, timeline) = three_epoch_timeline("compose");
-        for (t1, t2) in [(0, 1), (1, 2), (0, 2), (2, 2)] {
-            let composed = timeline.diff(t1, t2).unwrap();
-            let direct = timeline.diff_direct(t1, t2).unwrap();
-            assert_eq!(composed, direct, "({t1},{t2})");
-            assert_eq!(
-                lineage::render_diff_json(t1, t2, &composed),
-                lineage::render_diff_json(t1, t2, &direct),
-                "rendered bytes ({t1},{t2})"
-            );
-        }
-        assert!(timeline.diff(2, 2).unwrap().is_empty());
-        assert_eq!(timeline.diff(2, 0).unwrap_err().kind(), "invalid_range");
-    }
-
-    #[test]
     fn diff_shows_the_scripted_acquisition_and_spinoff() {
         let (_dir, timeline) = three_epoch_timeline("script");
         let d01 = timeline.diff(0, 1).unwrap();
@@ -660,6 +535,9 @@ mod tests {
                 .any(|s| s.pieces.iter().flatten().any(|&a| a == Asn::new(36926))),
             "digicel spinoff must appear between epochs 1 and 2"
         );
+        assert!(timeline.diff(2, 2).unwrap().is_empty());
+        assert_eq!(timeline.diff(2, 0).unwrap_err().kind(), "invalid_range");
+        assert_eq!(timeline.diff(0, 7).unwrap_err().kind(), "unknown_epoch");
     }
 
     #[test]
@@ -686,7 +564,7 @@ mod tests {
     #[test]
     fn tampered_world_is_detected() {
         let (dir, timeline) = three_epoch_timeline("tamper-world");
-        let path = timeline.world_path(&timeline.links()[1]);
+        let path = timeline.world_path(&timeline.links()[2]);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -695,10 +573,20 @@ mod tests {
         assert_eq!(err.kind(), "tampered_world", "{err}");
         assert!(err.to_string().contains("CORRUPT"));
         // Loading that epoch also refuses.
-        let reopened = Timeline::open(&dir).unwrap();
-        assert_eq!(reopened.load_epoch(1).unwrap_err().kind(), "tampered_world");
+        let mut reopened = Timeline::open(&dir).unwrap();
+        assert_eq!(reopened.load_epoch(2).unwrap_err().kind(), "tampered_world");
         // Other epochs still load.
         reopened.load_epoch(0).unwrap();
+        // An append reads no earlier world, so it lands on the damaged
+        // tip; the damage stays reported at its own epoch.
+        let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
+        let link = reopened.append(&mut compile(&w)).unwrap();
+        assert_eq!(link.epoch, 3);
+        let err = reopened.verify().unwrap_err();
+        assert_eq!(err.kind(), "tampered_world", "{err}");
+        assert!(err.to_string().contains("epoch 2"), "{err}");
+        assert_eq!(reopened.load_epoch(2).unwrap_err().kind(), "tampered_world");
+        reopened.load_epoch(3).unwrap();
     }
 
     #[test]
@@ -728,10 +616,15 @@ mod tests {
         );
         assert_eq!(timeline.load_epoch(2).unwrap_err().kind(), "schema");
         timeline.load_epoch(1).unwrap();
-        // A chained append re-reads its parent, the tip.
+        // An append reads no earlier world, so it lands on the old tip;
+        // verify and the load still name that epoch's kind.
         let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
-        let err = timeline.append(&mut compile(&w)).unwrap_err();
+        assert_eq!(timeline.append(&mut compile(&w)).unwrap().epoch, 3);
+        let err = timeline.verify().unwrap_err();
         assert_eq!(err.kind(), "schema", "{err}");
+        assert!(err.to_string().contains("epoch 2"), "{err}");
+        assert_eq!(timeline.load_epoch(2).unwrap_err().kind(), "schema");
+        timeline.load_epoch(3).unwrap();
     }
 
     #[test]
@@ -742,17 +635,23 @@ mod tests {
     }
 
     #[test]
-    fn tampered_delta_is_detected() {
-        let (dir, timeline) = three_epoch_timeline("tamper-delta");
-        let path = dir.join(DELTAS_DIR).join("1.delta");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = timeline.verify().unwrap_err();
-        assert_eq!(err.kind(), "tampered_delta", "{err}");
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(timeline.verify().unwrap_err().kind(), "missing_delta");
+    fn an_append_torn_before_the_manifest_rename_keeps_the_old_chain() {
+        let (dir, mut timeline) = three_epoch_timeline("torn-append");
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let before = std::fs::read(&manifest_path).unwrap();
+        let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
+        let mut borges = compile(&w);
+        let link = timeline.append(&mut borges).unwrap();
+        // The crash: the world landed, the manifest rename did not.
+        std::fs::write(&manifest_path, &before).unwrap();
+
+        let mut reopened = Timeline::open(&dir).unwrap();
+        assert_eq!(reopened.links(), &timeline.links()[..3]);
+        assert!(reopened.world_path(&link).exists(), "the orphan world");
+        assert_eq!(reopened.verify().unwrap().links, 3);
+        // Re-running the append lands the identical link.
+        assert_eq!(reopened.append(&mut borges).unwrap(), link);
+        assert_eq!(reopened.verify().unwrap().links, 4);
     }
 
     #[test]
@@ -780,13 +679,14 @@ mod tests {
             "swapped digest must break the chain"
         );
 
-        // Foreign schema.
-        std::fs::write(
-            &manifest_path,
-            honest.replace(TIMELINE_SCHEMA, "borges.timeline.v99"),
-        )
-        .unwrap();
-        assert_eq!(Timeline::open(&dir).unwrap_err().kind(), "schema");
+        // Foreign schema, the previous manifest schema among them: version
+        // skew, not tampering.
+        for foreign in ["borges.timeline.v1", "borges.timeline.v99"] {
+            std::fs::write(&manifest_path, honest.replace(TIMELINE_SCHEMA, foreign)).unwrap();
+            let err = Timeline::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), "schema", "{foreign}: {err}");
+            assert!(!err.to_string().contains("CORRUPT"), "{err}");
+        }
 
         // Garbage.
         std::fs::write(&manifest_path, b"not json").unwrap();
@@ -804,12 +704,6 @@ mod tests {
         let forged = honest.replace("\"epoch\": 2", "\"epoch\": 5");
         assert_ne!(honest, forged);
         std::fs::write(&manifest_path, &forged).unwrap();
-        // Also rename the delta file so the relabeled link finds one.
-        std::fs::rename(
-            dir.join(DELTAS_DIR).join("2.delta"),
-            dir.join(DELTAS_DIR).join("5.delta"),
-        )
-        .unwrap();
         let reopened = Timeline::open(&dir).unwrap();
         let err = reopened.verify().unwrap_err();
         assert_eq!(err.kind(), "tampered_world", "{err}");

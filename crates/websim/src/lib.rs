@@ -25,9 +25,8 @@
 //!   episodes (timeouts, resets, 503/429) for chaos testing the crawl;
 //! * [`retry`] — [`retry::RetryingWebClient`], the recovery stack
 //!   (deterministic backoff, budgets, per-host circuit breakers) that
-//!   absorbs recoverable faults and accounts for the rest. It backs off
-//!   on one shared clock for a crawl in order, or on a private clock
-//!   per fetch for the pooled crawl.
+//!   absorbs recoverable faults and accounts for the rest. Each fetch
+//!   backs off on a private clock of its own.
 //!
 //! Everything is deterministic; the "web" is a value you construct.
 
