@@ -429,6 +429,14 @@ mod tests {
     fn three_epoch_timeline(name: &str) -> (Scratch, Timeline) {
         let dir = scratch(name);
         let mut timeline = Timeline::open(&dir).unwrap();
+        for world in three_epoch_worlds() {
+            timeline.append(&mut compile(&world)).unwrap();
+        }
+        (dir, timeline)
+    }
+
+    /// The worlds behind [`three_epoch_timeline`], epoch by epoch.
+    fn three_epoch_worlds() -> [SyntheticInternet; 3] {
         let w0 = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
         let w1 = w0
             .evolve(
@@ -449,10 +457,7 @@ mod tests {
                 79,
             )
             .unwrap();
-        for world in [&w0, &w1, &w2] {
-            timeline.append(&mut compile(world)).unwrap();
-        }
-        (dir, timeline)
+        [w0, w1, w2]
     }
 
     #[test]
@@ -535,6 +540,27 @@ mod tests {
                 .any(|s| s.pieces.iter().flatten().any(|&a| a == Asn::new(36926))),
             "digicel spinoff must appear between epochs 1 and 2"
         );
+    }
+
+    #[test]
+    fn composed_diff_is_identical_to_direct_diff() {
+        let (_dir, timeline) = three_epoch_timeline("compose");
+        // The direct diff compares mappings compiled in memory; the
+        // timeline's diff is composed from the worlds it stored.
+        let direct: Vec<AsOrgMapping> = three_epoch_worlds()
+            .iter()
+            .map(|w| compile(w).full())
+            .collect();
+        for (t1, t2) in [(0, 1), (1, 2), (0, 2), (2, 2)] {
+            let composed = timeline.diff(t1, t2).unwrap();
+            let expected = mapping_diff(&direct[t1 as usize], &direct[t2 as usize]);
+            assert_eq!(composed, expected, "({t1},{t2})");
+            assert_eq!(
+                lineage::render_diff_json(t1, t2, &composed),
+                lineage::render_diff_json(t1, t2, &expected),
+                "rendered bytes ({t1},{t2})"
+            );
+        }
         assert!(timeline.diff(2, 2).unwrap().is_empty());
         assert_eq!(timeline.diff(2, 0).unwrap_err().kind(), "invalid_range");
         assert_eq!(timeline.diff(0, 7).unwrap_err().kind(), "unknown_epoch");
