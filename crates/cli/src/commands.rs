@@ -24,16 +24,18 @@ borges — AS-to-Organization mappings (Borges reproduction)
 USAGE:
   borges generate --out DIR [--scale tiny|medium|paper|large|million] [--seed N]
                   [--no-truth] [--evolve EVENTS]
-      Generate a synthetic-Internet dataset bundle. The large (~130k
-      ASNs) and million (~1M ASNs) scales stream records straight to
-      disk in bounded memory instead of materializing the world.
+      Generate a synthetic-Internet dataset bundle, streaming records
+      straight to disk in bounded memory; a seed names one world at
+      every scale, up to large (~130k ASNs) and million (~1M ASNs).
       --evolve applies scripted corporate events to the generated world
-      and writes the *successor* snapshot instead (tiny/medium/paper
-      only). EVENTS is a comma list of
+      in memory and writes the *successor* snapshot instead
+      (tiny/medium/paper only). EVENTS is a comma list of
       acquisition:ACQUIRER:TARGET, rebrand:BRAND:NEW, or
       spinoff:BRAND:CC+CC:NEW (brands as lower-case labels, CC as ISO
       country codes). Generating the same seed with and without
-      --evolve yields a before/after snapshot pair for `--timeline`.
+      --evolve yields a before/after snapshot pair for `--timeline`
+      that differs only in the records of the organizations the events
+      name.
   borges map --data DIR --out FILE [--base FILE|DIR] [--features all|none|LIST]
              [--seed N] [--threads N] [--max-in-flight N] [--fault-rate R]
              [--retries N] [--chaos-seed N] [--trace-out FILE] [--metrics-out FILE]
@@ -207,57 +209,55 @@ fn generate(opts: &Options) -> Result<String, CliError> {
         Some(spec) => Some(parse_evolution_events(spec)?),
         None => None,
     };
-    // tiny/medium/paper materialize the world in memory (cheap at those
-    // scales, and other code paths want the in-memory value); large and
-    // million stream every dataset file to disk in bounded memory.
-    let (config, streamed) = match opts.optional("scale")?.unwrap_or("medium") {
-        "tiny" => (GeneratorConfig::tiny(seed), false),
-        "medium" => (GeneratorConfig::medium(seed), false),
-        "paper" => (GeneratorConfig::paper(seed), false),
-        "large" => (GeneratorConfig::large(seed), true),
-        "million" => (GeneratorConfig::million(seed), true),
+    let scale = opts.optional("scale")?.unwrap_or("medium");
+    let config = match scale {
+        "tiny" => GeneratorConfig::tiny(seed),
+        "medium" => GeneratorConfig::medium(seed),
+        "paper" => GeneratorConfig::paper(seed),
+        "large" => GeneratorConfig::large(seed),
+        "million" => GeneratorConfig::million(seed),
         other => return Err(CliError::Usage(format!("unknown scale {other:?}"))),
     };
-    if evolve_events.is_some() && streamed {
-        return Err(CliError::Usage(
-            "--evolve needs an in-memory world; use --scale tiny, medium, or paper".to_string(),
-        ));
-    }
-    let summary = if streamed {
-        narrator.verbose(format!(
-            "streaming ~{} ASNs to disk (seed {seed})",
-            config.approx_asn_count()
-        ));
-        let report = generate_to_dir(&config, dir).map_err(CliError::failed)?;
-        format!(
-            "generated {} ASNs ({} PeeringDB networks, {} web hosts) into {} [streamed]\n",
-            report.asns,
-            report.pdb_nets,
-            report.web_hosts,
-            dir.display()
-        )
-    } else {
-        narrator.verbose(format!("generating world (seed {seed})"));
-        let mut world = SyntheticInternet::generate(&config);
-        let mut evolved = "";
-        if let Some(events) = &evolve_events {
-            narrator.verbose(format!("applying {} corporate event(s)", events.len()));
-            // Re-emission is seeded off the base seed, so a given
-            // (seed, events) pair names one successor snapshot.
-            world = world
-                .evolve(events, seed + 1)
-                .map_err(|e| CliError::Usage(format!("--evolve: {e}")))?;
-            evolved = " [evolved]";
+    // Every scale streams its records straight to disk in bounded
+    // memory; evolving needs the whole world in memory, which the two
+    // largest scales do not fit.
+    let summary = match &evolve_events {
+        Some(_) if matches!(scale, "large" | "million") => {
+            return Err(CliError::Usage(
+                "--evolve needs an in-memory world; use --scale tiny, medium, or paper".to_string(),
+            ))
         }
-        save(&world, dir).map_err(CliError::failed)?;
-        format!(
-            "generated {} ASNs ({} PeeringDB networks, {} web hosts) into {}{}\n",
-            world.whois.asn_count(),
-            world.pdb.net_count(),
-            world.web.host_count(),
-            dir.display(),
-            evolved
-        )
+        Some(events) => {
+            narrator.verbose(format!(
+                "generating world (seed {seed}), applying {} corporate event(s)",
+                events.len()
+            ));
+            let world = SyntheticInternet::generate(&config)
+                .evolve(events)
+                .map_err(|e| CliError::Usage(format!("--evolve: {e}")))?;
+            save(&world, dir).map_err(CliError::failed)?;
+            format!(
+                "generated {} ASNs ({} PeeringDB networks, {} web hosts) into {} [evolved]\n",
+                world.whois.asn_count(),
+                world.pdb.net_count(),
+                world.web.host_count(),
+                dir.display(),
+            )
+        }
+        None => {
+            narrator.verbose(format!(
+                "streaming ~{} ASNs to disk (seed {seed})",
+                config.approx_asn_count()
+            ));
+            let report = generate_to_dir(&config, dir).map_err(CliError::failed)?;
+            format!(
+                "generated {} ASNs ({} PeeringDB networks, {} web hosts) into {}\n",
+                report.asns,
+                report.pdb_nets,
+                report.web_hosts,
+                dir.display()
+            )
+        }
     };
     if opts.boolean("no-truth") {
         for oracle in ["truth.psv", "labels.psv"] {
@@ -2387,9 +2387,7 @@ mod tests {
             "-q",
         ]))
         .unwrap();
-        // The same seed plus a scripted acquisition. Not a minimal
-        // delta: `--evolve` re-emits every dataset view from a fresh
-        // RNG, so most registry records differ besides the event.
+        // The same seed plus a scripted acquisition.
         run(&args(&[
             "generate",
             "--out",
@@ -2431,6 +2429,13 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("timeline: epoch 1 appended"), "{out}");
+        // The evolved bundle keeps every record the acquisition did not
+        // touch, so the remap's delta is small.
+        let dirty: usize = out
+            .lines()
+            .find_map(|l| l.strip_prefix("delta: ")?.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no delta: row in {out}"));
+        assert!(dirty < 100, "{out}");
 
         let tl = timeline.to_str().unwrap();
         let out = run(&args(&["timeline", "verify", tl])).unwrap();

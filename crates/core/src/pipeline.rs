@@ -901,7 +901,7 @@ impl Borges {
     ///
     /// Everything canonical traced here is derived from merged,
     /// order-canonical stats, so under a
-    /// [`SimClock`](borges_resilience::SimClock) the canonical journal
+    /// [`SimClock`] the canonical journal
     /// and the metrics snapshot are identical to what
     /// [`Borges::run_parallel_traced`] emits at its wider budget — the
     /// determinism contract of DESIGN.md §8, pinned by

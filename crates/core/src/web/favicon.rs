@@ -134,7 +134,7 @@ pub fn favicon_inference(report: &ScrapeReport, model: &dyn ChatModel) -> Favico
 /// Like [`favicon_inference`], with the Appendix D.2 blocklist optionally
 /// disabled (the ablation companion of
 /// [`rr_inference_with`](crate::web::rr::rr_inference_with)). Sends the
-/// [`plan`]'s requests one at a time, in plan order.
+/// plan's requests one at a time, in plan order.
 pub fn favicon_inference_with(
     report: &ScrapeReport,
     model: &dyn ChatModel,

@@ -9,7 +9,7 @@
 //! - [`http`] — a defensive parser and deterministic response writer
 //!   over `std::net`: every byte stream becomes a response or a clean
 //!   4xx/5xx, never a panic or an unbounded read.
-//! - [`world`] — the [`ServingWorld`](world::ServingWorld): one
+//! - [`world`] — the [`ServingWorld`]: one
 //!   compiled pipeline plus a per-world LRU of materialized mappings,
 //!   immutable behind an `Arc` so hot-swap is a pointer write.
 //! - [`handlers`] — routing and the read-only endpoints (`/v1/map`,

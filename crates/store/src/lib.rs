@@ -7,7 +7,7 @@
 //! JSON that nothing validated beyond serde. This crate closes both
 //! gaps with one artifact:
 //!
-//! - **Format** ([`format`]): a length-prefixed sectioned container —
+//! - **Format** ([`mod@format`]): a length-prefixed sectioned container —
 //!   magic, versioned CRC32-guarded header, named CRC32-guarded
 //!   sections, whole-file SHA-256 footer. The digest doubles as the
 //!   artifact's *content address* in a timeline's `worlds/`.

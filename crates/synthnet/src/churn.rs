@@ -1,13 +1,14 @@
 //! Small, controlled snapshot churn for incremental-remap testing.
 //!
-//! [`SyntheticInternet::evolve`] models *corporate* events but re-emits
-//! every dataset view with a fresh RNG, so even a single acquisition
-//! re-randomizes dates and decorations across the whole world — useless
-//! for measuring how an incremental pipeline behaves when only a small
-//! fraction of records move. [`churn`] is the complementary tool: it
-//! mutates a chosen percentage of records **in place** and leaves every
-//! other byte of the emitted views untouched, so a T → T+1 pair with
-//! 1% churn really is 99% identical at the record level.
+//! [`SyntheticInternet::evolve`] models *corporate* events: it changes
+//! the records of the organizations an event names and no others, so
+//! how many records move, and of which kinds, follows from the events.
+//! [`churn`] is the complementary tool for measuring how an incremental
+//! pipeline behaves as a dial of records move: it mutates a chosen
+//! percentage of records, spread over the whole world and cycling
+//! through every mutation kind, **in place**, and leaves every other
+//! byte of the emitted views untouched, so a T → T+1 pair with 1% churn
+//! really is 99% identical at the record level.
 //!
 //! Selection and mutation are pure functions of `(seed, asn)`: the same
 //! call always produces the same successor world, which is what lets the

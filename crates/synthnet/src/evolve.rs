@@ -8,15 +8,17 @@
 //! org split, PeeringDB keeps the old records, but the acquired brand's
 //! website starts redirecting to its new owner).
 //!
-//! Two snapshots of the same world can then be mapped independently and
-//! compared with `borges_core::diff`-style tooling downstream.
+//! The successor runs through the same emission pass as
+//! [`SyntheticInternet::generate`], whose records are keyed by the config
+//! seed and each unit's ASN, so it differs from its base only in the
+//! records of the organizations its events name (and in the topology,
+//! which is drawn over the whole organization list). Two snapshots of the
+//! same world can then be mapped independently and compared with
+//! `borges_core::diff`-style tooling downstream.
 
-use crate::generate::{collect_populations, compute_asrank, emit_pdb, emit_web, emit_whois};
 use crate::naming::COUNTRIES;
 use crate::orgmodel::{GroundTruth, OrgKind, TruthOrg, TruthOrgId, WebPlan};
 use crate::SyntheticInternet;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
 
@@ -219,36 +221,16 @@ pub fn apply_events(
 }
 
 impl SyntheticInternet {
-    /// Produces the successor snapshot after `events`, re-emitting every
-    /// dataset view with `seed` (registry churn like `changed` dates and
-    /// website-string decoration re-randomizes; the structural lag
-    /// semantics are deterministic).
-    pub fn evolve(
-        &self,
-        events: &[EvolutionEvent],
-        seed: u64,
-    ) -> Result<SyntheticInternet, EvolveError> {
+    /// Produces the successor snapshot after `events`. Registry records
+    /// keep their ids, dates and decorations wherever the events leave
+    /// their units alone; the structural lag semantics are those of each
+    /// [`EvolutionEvent`].
+    pub fn evolve(&self, events: &[EvolutionEvent]) -> Result<SyntheticInternet, EvolveError> {
         let orgs = apply_events(self.truth.to_orgs(), events)?;
-        let truth = GroundTruth::new(orgs);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let whois = emit_whois(&truth, &mut rng);
-        let (pdb, text_labels) = emit_pdb(&truth, &mut rng);
-        let web = emit_web(&truth);
-        let populations = collect_populations(&truth);
-        let topology = crate::topogen::emit_topology(&truth, &mut rng);
-        let asrank = compute_asrank(&topology);
-        Ok(SyntheticInternet {
-            config: self.config.clone(),
-            truth,
-            whois,
-            pdb,
-            web,
-            topology,
-            populations,
-            asrank,
-            hypergiants: self.hypergiants.clone(),
-            text_labels,
-        })
+        Ok(SyntheticInternet::emit(
+            &self.config,
+            GroundTruth::new(orgs),
+        ))
     }
 }
 
@@ -257,6 +239,7 @@ mod tests {
     use super::*;
     use crate::{GeneratorConfig, SyntheticInternet};
     use borges_types::Asn;
+    use std::collections::BTreeSet;
 
     fn world() -> SyntheticInternet {
         SyntheticInternet::generate(&GeneratorConfig::tiny(17))
@@ -267,13 +250,10 @@ mod tests {
         let before = world();
         assert!(!before.truth.are_siblings(Asn::new(174), Asn::new(3320)));
         let after = before
-            .evolve(
-                &[EvolutionEvent::Acquisition {
-                    acquirer: "telekom".into(),
-                    target: "cogent".into(),
-                }],
-                18,
-            )
+            .evolve(&[EvolutionEvent::Acquisition {
+                acquirer: "telekom".into(),
+                target: "cogent".into(),
+            }])
             .unwrap();
         // Truth updates instantly…
         assert!(after.truth.are_siblings(Asn::new(174), Asn::new(3320)));
@@ -298,13 +278,10 @@ mod tests {
     fn rebrand_redirects_old_site_to_new() {
         let before = world();
         let after = before
-            .evolve(
-                &[EvolutionEvent::Rebrand {
-                    brand: "cogent".into(),
-                    new_brand: "zentransit".into(),
-                }],
-                18,
-            )
+            .evolve(&[EvolutionEvent::Rebrand {
+                brand: "cogent".into(),
+                new_brand: "zentransit".into(),
+            }])
             .unwrap();
         use borges_websim::{SimWebClient, WebClient};
         let client = SimWebClient::browser(&after.web);
@@ -322,14 +299,11 @@ mod tests {
         // Digicel sells its Kenya operation.
         assert!(before.truth.are_siblings(Asn::new(36926), Asn::new(23520)));
         let after = before
-            .evolve(
-                &[EvolutionEvent::Spinoff {
-                    brand: "digicel".into(),
-                    countries: vec!["KE".into()],
-                    new_brand: "savannanet".into(),
-                }],
-                18,
-            )
+            .evolve(&[EvolutionEvent::Spinoff {
+                brand: "digicel".into(),
+                countries: vec!["KE".into()],
+                new_brand: "savannanet".into(),
+            }])
             .unwrap();
         assert!(!after.truth.are_siblings(Asn::new(36926), Asn::new(23520)));
         assert_eq!(after.truth.org_count(), before.truth.org_count() + 1);
@@ -340,13 +314,10 @@ mod tests {
     fn unknown_brands_are_rejected() {
         let before = world();
         let err = before
-            .evolve(
-                &[EvolutionEvent::Acquisition {
-                    acquirer: "telekom".into(),
-                    target: "no-such-brand".into(),
-                }],
-                18,
-            )
+            .evolve(&[EvolutionEvent::Acquisition {
+                acquirer: "telekom".into(),
+                target: "no-such-brand".into(),
+            }])
             .unwrap_err();
         assert_eq!(err, EvolveError::UnknownBrand("no-such-brand".into()));
     }
@@ -355,13 +326,10 @@ mod tests {
     fn brand_collisions_are_rejected() {
         let before = world();
         let err = before
-            .evolve(
-                &[EvolutionEvent::Rebrand {
-                    brand: "cogent".into(),
-                    new_brand: "digicel".into(),
-                }],
-                18,
-            )
+            .evolve(&[EvolutionEvent::Rebrand {
+                brand: "cogent".into(),
+                new_brand: "digicel".into(),
+            }])
             .unwrap_err();
         assert_eq!(err, EvolveError::BrandTaken("digicel".into()));
     }
@@ -370,19 +338,16 @@ mod tests {
     fn evolution_preserves_asn_universe() {
         let before = world();
         let after = before
-            .evolve(
-                &[
-                    EvolutionEvent::Acquisition {
-                        acquirer: "lumen".into(),
-                        target: "orange".into(),
-                    },
-                    EvolutionEvent::Rebrand {
-                        brand: "claro".into(),
-                        new_brand: "clarowave".into(),
-                    },
-                ],
-                18,
-            )
+            .evolve(&[
+                EvolutionEvent::Acquisition {
+                    acquirer: "lumen".into(),
+                    target: "orange".into(),
+                },
+                EvolutionEvent::Rebrand {
+                    brand: "claro".into(),
+                    new_brand: "clarowave".into(),
+                },
+            ])
             .unwrap();
         assert_eq!(after.truth.asn_count(), before.truth.asn_count());
         assert_eq!(after.whois.asn_count(), before.whois.asn_count());
@@ -392,22 +357,167 @@ mod tests {
     fn chained_events_apply_in_order() {
         let before = world();
         let after = before
-            .evolve(
-                &[
-                    EvolutionEvent::Acquisition {
-                        acquirer: "telekom".into(),
-                        target: "cogent".into(),
-                    },
-                    EvolutionEvent::Rebrand {
-                        brand: "telekom".into(),
-                        new_brand: "magentanet".into(),
-                    },
-                ],
-                18,
-            )
+            .evolve(&[
+                EvolutionEvent::Acquisition {
+                    acquirer: "telekom".into(),
+                    target: "cogent".into(),
+                },
+                EvolutionEvent::Rebrand {
+                    brand: "telekom".into(),
+                    new_brand: "magentanet".into(),
+                },
+            ])
             .unwrap();
         assert!(after.truth.are_siblings(Asn::new(174), Asn::new(3320)));
         let org = after.truth.org(after.truth.org_of(Asn::new(3320)).unwrap());
         assert_eq!(org.brand, "magentanet");
+    }
+
+    /// Every host a web plan names.
+    fn plan_hosts(plan: &WebPlan) -> Vec<String> {
+        match plan {
+            WebPlan::Own { host, .. } | WebPlan::Dead { host } => vec![host.clone()],
+            WebPlan::RedirectToHost {
+                reported_host,
+                target_host,
+                via,
+                ..
+            } => [reported_host, target_host]
+                .into_iter()
+                .chain(via)
+                .cloned()
+                .collect(),
+            WebPlan::None | WebPlan::Social { .. } => Vec::new(),
+        }
+    }
+
+    /// The ASNs of `before`'s organizations branded `brands`, and every
+    /// host that an organization holding one of them names, in either
+    /// world: what an event on those brands may touch.
+    fn footprint(
+        before: &SyntheticInternet,
+        after: &SyntheticInternet,
+        brands: &[&str],
+    ) -> (BTreeSet<Asn>, BTreeSet<String>) {
+        let asns: BTreeSet<Asn> = before
+            .truth
+            .orgs()
+            .filter(|o| brands.contains(&o.brand.as_str()))
+            .flat_map(|o| o.units.iter().map(|u| u.asn))
+            .collect();
+        let hosts = [before, after]
+            .iter()
+            .flat_map(|w| w.truth.orgs())
+            .filter(|o| o.units.iter().any(|u| asns.contains(&u.asn)))
+            .flat_map(|o| o.units.iter().flat_map(|u| plan_hosts(&u.web)))
+            .collect();
+        (asns, hosts)
+    }
+
+    /// Every WHOIS, PeeringDB and web record of `world` outside the
+    /// footprint, rendered for comparison.
+    fn records_outside(
+        world: &SyntheticInternet,
+        (asns, hosts): &(BTreeSet<Asn>, BTreeSet<String>),
+    ) -> Vec<String> {
+        let whois_orgs: BTreeSet<_> = world
+            .whois
+            .aut_nums()
+            .filter(|a| asns.contains(&a.asn))
+            .map(|a| a.org.clone())
+            .collect();
+        let pdb_orgs: BTreeSet<_> = world
+            .pdb
+            .nets()
+            .filter(|n| asns.contains(&n.asn))
+            .map(|n| n.org_id)
+            .collect();
+        let mut out: Vec<String> = Vec::new();
+        out.extend(
+            world
+                .whois
+                .aut_nums()
+                .filter(|a| !asns.contains(&a.asn))
+                .map(|a| format!("{a:?}")),
+        );
+        out.extend(
+            world
+                .whois
+                .orgs()
+                .filter(|o| !whois_orgs.contains(&o.id))
+                .map(|o| format!("{o:?}")),
+        );
+        out.extend(
+            world
+                .pdb
+                .nets()
+                .filter(|n| !asns.contains(&n.asn))
+                .map(|n| format!("{n:?}")),
+        );
+        out.extend(
+            world
+                .pdb
+                .orgs()
+                .filter(|o| !pdb_orgs.contains(&o.id))
+                .map(|o| format!("{o:?}")),
+        );
+        out.extend(
+            world
+                .web
+                .hosts()
+                .filter(|(h, _)| !hosts.contains(h.as_str()))
+                .map(|(h, n)| format!("{h}: {n:?}")),
+        );
+        out
+    }
+
+    #[test]
+    fn one_event_touches_only_the_organizations_it_names() {
+        let before = world();
+        let cases = [
+            (
+                EvolutionEvent::Acquisition {
+                    acquirer: "telekom".into(),
+                    target: "cogent".into(),
+                },
+                vec!["telekom", "cogent"],
+            ),
+            (
+                EvolutionEvent::Rebrand {
+                    brand: "cogent".into(),
+                    new_brand: "zentransit".into(),
+                },
+                vec!["cogent"],
+            ),
+            (
+                EvolutionEvent::Spinoff {
+                    brand: "digicel".into(),
+                    countries: vec!["KE".into()],
+                    new_brand: "savannanet".into(),
+                },
+                vec!["digicel"],
+            ),
+        ];
+        for (event, brands) in cases {
+            let after = before.evolve(std::slice::from_ref(&event)).unwrap();
+            let footprint = footprint(&before, &after, &brands);
+            let outside = records_outside(&before, &footprint);
+            assert!(
+                outside.len() > 1_000,
+                "{event:?}: footprint covers most of the world"
+            );
+            assert_eq!(
+                outside,
+                records_outside(&after, &footprint),
+                "{event:?} changed a record outside {brands:?}"
+            );
+            // With no footprint every record compares, and the event shows.
+            let no_footprint = Default::default();
+            assert_ne!(
+                records_outside(&before, &no_footprint),
+                records_outside(&after, &no_footprint),
+                "{event:?} moved no record"
+            );
+        }
     }
 }

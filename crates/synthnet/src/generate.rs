@@ -7,12 +7,18 @@
 //!    providers, small multi-AS orgs, singletons), deciding for each ASN
 //!    how it will *appear* in each dataset (WHOIS fragmentation, PeeringDB
 //!    registration/consolidation, free-text behaviour, website behaviour).
-//! 2. **Emission pass** — derives the WHOIS registry, the PeeringDB
-//!    snapshot, the simulated web, the APNIC-like population table and the
-//!    AS-Rank ordering from those plans.
+//!    One RNG seeded with the config seed drives it.
+//! 2. **Emission pass** (`Emission`) — derives the WHOIS registry, the
+//!    PeeringDB snapshot, the simulated web, the APNIC-like population
+//!    table and the AS-Rank ordering from those plans. Each WHOIS and
+//!    PeeringDB record's id and draws are keyed by the config seed and
+//!    the unit's ASN; the topology draws from its own stream.
 //!
-//! Everything is driven by one seeded RNG; the same
-//! [`GeneratorConfig`] always yields the same world.
+//! The same [`GeneratorConfig`] always yields the same world, and the
+//! emission pass is the one routine behind [`SyntheticInternet::generate`],
+//! [`SyntheticInternet::evolve`] and [`crate::stream::generate_to_dir`]:
+//! a seed names one world whichever of them writes it, and an evolved
+//! snapshot keeps every record its events did not touch.
 
 use crate::config::GeneratorConfig;
 use crate::dist::{lognormal, sample_distinct, weighted_idx};
@@ -22,6 +28,7 @@ use crate::orgmodel::{
 };
 use crate::scripted;
 use crate::textgen::{self, SiblingMention};
+use crate::topogen::{emit_topology, OrgTopo};
 use borges_peeringdb::{PdbNetwork, PdbOrganization, PdbSnapshot};
 use borges_topology::AsGraph;
 use borges_types::{Asn, CountryCode, PdbOrgId, WhoisOrgId};
@@ -83,30 +90,45 @@ impl SyntheticInternet {
         gen_small_multi(config, &mut rng, &mut alloc, &mut next_id, &mut orgs);
         gen_singletons(config, &mut rng, &mut alloc, &mut next_id, &mut orgs);
 
-        distribute_remaining_population(config, &mut rng, &mut orgs);
+        distribute_remaining_population(config, &mut orgs);
+        Self::emit(config, GroundTruth::new(orgs))
+    }
 
-        let truth = GroundTruth::new(orgs);
-        let whois = emit_whois(&truth, &mut rng);
-        let (pdb, text_labels) = emit_pdb(&truth, &mut rng);
-        let web = emit_web(&truth);
-        let populations = collect_populations(&truth);
-        let topology = crate::topogen::emit_topology(&truth, &mut rng);
-        let asrank = compute_asrank(&topology);
-        let hypergiants = scripted::hypergiant_roster()
-            .into_iter()
-            .map(|(n, a)| (n.to_string(), a))
-            .collect();
+    /// Runs the emission pass over `truth` and keeps every view in
+    /// memory.
+    pub(crate) fn emit(config: &GeneratorConfig, truth: GroundTruth) -> Self {
+        let mut out = Collected::default();
+        let mut emission = Emission::new(config.seed, &mut out);
+        for org in truth.orgs() {
+            emission.org(org, &mut out);
+        }
+        let (topology, text_labels) = emission.seal(&mut out);
 
+        let whois = WhoisRegistry::builder()
+            .extend(out.whois_orgs, out.auts)
+            .build()
+            .expect("generator emits a consistent WHOIS view");
+        let pdb = PdbSnapshot::builder()
+            .extend(out.pdb_orgs, out.nets)
+            .build()
+            .expect("generator emits a consistent PeeringDB view");
+        let mut web = SimWeb::builder();
+        for (host, node) in out.web {
+            web = web.node(host.parse().expect("valid host literal"), node);
+        }
         SyntheticInternet {
             config: config.clone(),
+            populations: collect_populations(&truth),
+            asrank: compute_asrank(&topology),
             truth,
             whois,
             pdb,
-            web,
+            web: web.build(),
             topology,
-            populations,
-            asrank,
-            hypergiants,
+            hypergiants: scripted::hypergiant_roster()
+                .into_iter()
+                .map(|(n, a)| (n.to_string(), a))
+                .collect(),
             text_labels,
         }
     }
@@ -124,11 +146,11 @@ impl SyntheticInternet {
 /// Receives [`TruthOrg`]s one at a time as the truth pass produces them.
 ///
 /// [`SyntheticInternet::generate`] materializes them into a `Vec`; the
-/// streaming path ([`crate::stream::generate_to_dir`]) writes each
-/// organization's records straight to disk and drops it, so a
-/// million-ASN world never exists in memory at once. Both paths drive
-/// the *same* truth-pass code with the same RNG draws, so the ground
-/// truth is identical regardless of the sink.
+/// streaming path ([`crate::stream::generate_to_dir`]) runs each
+/// organization through the emission pass straight to disk and drops
+/// it, so a million-ASN world never exists in memory at once. Both
+/// paths drive the *same* truth-pass code with the same RNG draws, so
+/// the ground truth is identical regardless of the sink.
 pub(crate) trait OrgSink {
     /// Accepts the next organization, in generation order.
     fn accept(&mut self, org: TruthOrg);
@@ -701,11 +723,7 @@ pub(crate) fn gen_singletons<S: OrgSink>(
 /// Scales the placeholder singleton populations so the world total matches
 /// `config.total_users` without disturbing the scripted/conglomerate
 /// numbers.
-fn distribute_remaining_population(
-    config: &GeneratorConfig,
-    _rng: &mut StdRng,
-    orgs: &mut [TruthOrg],
-) {
+fn distribute_remaining_population(config: &GeneratorConfig, orgs: &mut [TruthOrg]) {
     let fixed: u64 = orgs
         .iter()
         .filter(|o| o.kind != OrgKind::Singleton)
@@ -747,6 +765,20 @@ pub(crate) fn scale_users(users: u64, scale: f64) -> u64 {
 // Emission pass
 // ---------------------------------------------------------------------
 
+// Every WHOIS and PeeringDB draw is keyed by the config seed, its
+// dataset's salt and the ASN of the unit it describes; the topology
+// draws from a stream of its own. No draw depends on another
+// organization, so an organization's records are the same whichever
+// organizations precede it.
+const WHOIS_SALT: u64 = 0x0077_686f_6973; // "whois"
+const PDB_SALT: u64 = 0x0070_6462; // "pdb"
+const TOPO_SALT: u64 = 0x746f_706f; // "topo"
+
+/// The RNG of `salt`'s dataset for the unit numbered `asn`.
+fn keyed_rng(seed: u64, salt: u64, asn: Asn) -> StdRng {
+    StdRng::seed_from_u64(seed ^ salt ^ u64::from(asn.value()).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
 fn rir_of(country: &CountryInfo) -> Rir {
     match country.code {
         "US" | "CA" | "PR" => Rir::Arin,
@@ -759,203 +791,189 @@ fn rir_of(country: &CountryInfo) -> Rir {
     }
 }
 
-/// Per-organization WHOIS record emission.
-///
-/// Carries the handle serial counter across organizations so that both
-/// the materialized path ([`emit_whois`]) and the streaming path can
-/// produce records one organization at a time with identical draws.
-pub(crate) struct WhoisEmitter {
-    serial: usize,
+/// Where the emission pass delivers records: memory for
+/// [`SyntheticInternet::generate`] and [`SyntheticInternet::evolve`],
+/// files for [`crate::stream::generate_to_dir`].
+pub(crate) trait RecordSink {
+    /// A WHOIS organization.
+    fn whois_org(&mut self, org: WhoisOrg);
+    /// A WHOIS aut-num.
+    fn aut_num(&mut self, aut: AutNum);
+    /// A PeeringDB organization.
+    fn pdb_org(&mut self, org: PdbOrganization);
+    /// A PeeringDB network.
+    fn pdb_net(&mut self, net: PdbNetwork);
+    /// A host of the simulated web.
+    fn web_node(&mut self, host: &str, node: SiteNode);
 }
 
-impl WhoisEmitter {
-    pub(crate) fn new() -> Self {
-        WhoisEmitter { serial: 1 }
+/// The emission pass: derives every dataset view from the truth, one
+/// organization at a time, in the truth's organization order.
+///
+/// A record's id and draws are a function of the config seed and the
+/// unit it describes; an organization-level record (the WHOIS parent,
+/// the consolidated PeeringDB organization) takes the ASN of the first
+/// unit filed under it. What crosses organizations is the web's host
+/// dedup and the per-organization topology summaries, both replayed at
+/// [`Emission::seal`], and the IE oracle it returns.
+pub(crate) struct Emission {
+    seed: u64,
+    web: WebEmitter,
+    topo: Vec<OrgTopo>,
+    labels: BTreeMap<Asn, Vec<Asn>>,
+}
+
+impl Emission {
+    /// Starts the pass, emitting the always-present social-platform
+    /// pages.
+    pub(crate) fn new(seed: u64, out: &mut impl RecordSink) -> Self {
+        Emission {
+            seed,
+            web: WebEmitter::new(out),
+            topo: Vec::new(),
+            labels: BTreeMap::new(),
+        }
     }
 
-    /// Appends `org`'s WHOIS org records and aut-num records to the
-    /// output vectors (two RNG draws per unit, for the `changed` date).
-    pub(crate) fn org_records(
-        &mut self,
-        org: &TruthOrg,
-        rng: &mut StdRng,
-        orgs: &mut Vec<WhoisOrg>,
-        auts: &mut Vec<AutNum>,
-    ) {
-        let hq = &COUNTRIES[org.hq_country];
-        let parent_rir = rir_of(hq);
-        let parent_handle = WhoisOrgId::new(naming::whois_handle(
-            &org.brand,
-            self.serial,
-            parent_rir.as_str(),
-        ));
-        self.serial += 1;
-        let mut parent_emitted = false;
+    /// Emits `org`'s WHOIS and PeeringDB records and own web pages.
+    pub(crate) fn org(&mut self, org: &TruthOrg, out: &mut impl RecordSink) {
+        whois_records(self.seed, org, out);
+        pdb_records(self.seed, org, &mut self.labels, out);
+        self.web.accept(org, out);
+        self.topo.push(OrgTopo::of(org));
+    }
 
-        for unit in &org.units {
-            let cinfo = &COUNTRIES[unit.country];
-            let rir = rir_of(cinfo);
-            let changed = 20_050_101u32 / 10_000 * 10_000
-                + rng.random_range(0..20u32) * 10_000
-                + rng.random_range(101..1231u32);
-            let handle = if unit.whois_own_org {
-                let h = WhoisOrgId::new(naming::whois_handle(
-                    &format!("{}{}", org.brand, cinfo.token),
-                    self.serial,
-                    rir.as_str(),
-                ));
-                self.serial += 1;
-                orgs.push(WhoisOrg {
-                    id: h.clone(),
-                    name: unit.legal_name.as_str().into(),
-                    country: cinfo.country_code(),
-                    source: rir,
-                    changed,
-                });
-                h
-            } else {
-                if !parent_emitted {
-                    orgs.push(WhoisOrg {
-                        id: parent_handle.clone(),
+    /// Emits the deferred web passes and returns the topology and the IE
+    /// oracle: for each PeeringDB network, the sibling ASNs its text
+    /// embeds. Call once, after every organization.
+    pub(crate) fn seal(self, out: &mut impl RecordSink) -> (AsGraph, BTreeMap<Asn, Vec<Asn>>) {
+        self.web.seal(out);
+        let topology = emit_topology(
+            &self.topo,
+            &mut StdRng::seed_from_u64(self.seed ^ TOPO_SALT),
+        );
+        (topology, self.labels)
+    }
+}
+
+/// `org`'s WHOIS organizations and aut-nums. A unit with
+/// `whois_own_org` gets its own organization; the rest share the
+/// organization's parent record, emitted with the first of them and
+/// keyed by its ASN.
+fn whois_records(seed: u64, org: &TruthOrg, out: &mut impl RecordSink) {
+    let hq = &COUNTRIES[org.hq_country];
+    let mut parent: Option<WhoisOrgId> = None;
+    for unit in &org.units {
+        let cinfo = &COUNTRIES[unit.country];
+        let rir = rir_of(cinfo);
+        let mut rng = keyed_rng(seed, WHOIS_SALT, unit.asn);
+        let changed = 20_050_101u32 / 10_000 * 10_000
+            + rng.random_range(0..20u32) * 10_000
+            + rng.random_range(101..1231u32);
+        let serial = unit.asn.value() as usize;
+        let handle = if unit.whois_own_org {
+            let h = WhoisOrgId::new(naming::whois_handle(
+                &format!("{}{}", org.brand, cinfo.token),
+                serial,
+                rir.as_str(),
+            ));
+            out.whois_org(WhoisOrg {
+                id: h.clone(),
+                name: unit.legal_name.as_str().into(),
+                country: cinfo.country_code(),
+                source: rir,
+                changed,
+            });
+            h
+        } else {
+            parent
+                .get_or_insert_with(|| {
+                    let parent_rir = rir_of(hq);
+                    let h = WhoisOrgId::new(naming::whois_handle(
+                        &org.brand,
+                        serial,
+                        parent_rir.as_str(),
+                    ));
+                    out.whois_org(WhoisOrg {
+                        id: h.clone(),
                         name: org.display_name.as_str().into(),
                         country: hq.country_code(),
                         source: parent_rir,
                         changed,
                     });
-                    parent_emitted = true;
-                }
-                parent_handle.clone()
-            };
-            let aut_name: String = unit
-                .legal_name
-                .chars()
-                .filter(|c| c.is_ascii_alphanumeric())
-                .collect::<String>()
-                .to_uppercase();
-            auts.push(AutNum {
-                asn: unit.asn,
-                name: aut_name.chars().take(16).collect(),
-                org: handle,
-                source: rir,
-                changed,
-            });
-        }
-    }
-}
-
-pub(crate) fn emit_whois(truth: &GroundTruth, rng: &mut StdRng) -> WhoisRegistry {
-    let mut orgs: Vec<WhoisOrg> = Vec::new();
-    let mut auts: Vec<AutNum> = Vec::new();
-    let mut emitter = WhoisEmitter::new();
-    for org in truth.orgs() {
-        emitter.org_records(org, rng, &mut orgs, &mut auts);
-    }
-
-    WhoisRegistry::builder()
-        .extend(orgs, auts)
-        .build()
-        .expect("generator emits a consistent WHOIS view")
-}
-
-/// Per-organization PeeringDB record emission.
-///
-/// Carries the org/net primary-key counters across organizations, like
-/// [`WhoisEmitter`] does for the handle serial.
-pub(crate) struct PdbEmitter {
-    org_id: u64,
-    net_id: u64,
-}
-
-impl PdbEmitter {
-    pub(crate) fn new() -> Self {
-        PdbEmitter {
-            org_id: 1,
-            net_id: 1,
-        }
-    }
-
-    /// Appends `org`'s PeeringDB organizations and networks to the
-    /// output vectors, recording embedded sibling labels into `labels`.
-    pub(crate) fn org_records(
-        &mut self,
-        org: &TruthOrg,
-        rng: &mut StdRng,
-        orgs: &mut Vec<PdbOrganization>,
-        nets: &mut Vec<PdbNetwork>,
-        labels: &mut BTreeMap<Asn, Vec<Asn>>,
-    ) {
-        let registered: Vec<&TruthUnit> = org.units.iter().filter(|u| u.in_pdb).collect();
-        if registered.is_empty() {
-            return;
-        }
-        // One consolidated org for the `pdb_own_org == false` members.
-        let consolidated: Vec<&&TruthUnit> = registered.iter().filter(|u| !u.pdb_own_org).collect();
-        let consolidated_org = if consolidated.is_empty() {
-            None
-        } else {
-            let id = PdbOrgId::new(self.org_id);
-            self.org_id += 1;
-            orgs.push(PdbOrganization {
-                id,
-                name: org.display_name.clone(),
-                website: String::new(),
-                country: COUNTRIES[org.hq_country].code.to_string(),
-            });
-            Some(id)
+                    h
+                })
+                .clone()
         };
+        let aut_name: String = unit
+            .legal_name
+            .chars()
+            .filter(|c| c.is_ascii_alphanumeric())
+            .collect::<String>()
+            .to_uppercase();
+        out.aut_num(AutNum {
+            asn: unit.asn,
+            name: aut_name.chars().take(16).collect(),
+            org: handle,
+            source: rir,
+            changed,
+        });
+    }
+}
 
-        for unit in registered {
-            let oid = if unit.pdb_own_org {
-                let id = PdbOrgId::new(self.org_id);
-                self.org_id += 1;
-                orgs.push(PdbOrganization {
+/// `org`'s PeeringDB organizations and networks. A network's id is its
+/// ASN. A unit with `pdb_own_org` gets its own organization; the rest
+/// share one consolidated organization, emitted with the first of them
+/// and numbered by its ASN. Sibling ASNs a network's text embeds go to
+/// `labels`.
+fn pdb_records(
+    seed: u64,
+    org: &TruthOrg,
+    labels: &mut BTreeMap<Asn, Vec<Asn>>,
+    out: &mut impl RecordSink,
+) {
+    let mut consolidated: Option<PdbOrgId> = None;
+    for unit in org.units.iter().filter(|u| u.in_pdb) {
+        let id = PdbOrgId::new(u64::from(unit.asn.value()));
+        let org_id = if unit.pdb_own_org {
+            out.pdb_org(PdbOrganization {
+                id,
+                name: unit.legal_name.clone(),
+                website: String::new(),
+                country: COUNTRIES[unit.country].code.to_string(),
+            });
+            id
+        } else {
+            *consolidated.get_or_insert_with(|| {
+                out.pdb_org(PdbOrganization {
                     id,
-                    name: unit.legal_name.clone(),
+                    name: org.display_name.clone(),
                     website: String::new(),
-                    country: COUNTRIES[unit.country].code.to_string(),
+                    country: COUNTRIES[org.hq_country].code.to_string(),
                 });
                 id
-            } else {
-                consolidated_org.expect("consolidated org exists")
-            };
-
-            let lang = language_of(unit.country);
-            let (notes, aka, embedded) = render_text(&unit.text, &org.brand, lang);
-            if !embedded.is_empty() {
-                labels.insert(unit.asn, embedded);
-            }
-            let website = render_website(&unit.web, &org.brand, rng);
-            nets.push(PdbNetwork {
-                id: self.net_id,
-                org_id: oid,
-                asn: unit.asn,
-                name: unit.legal_name.clone(),
-                aka,
-                notes,
-                website,
-            });
-            self.net_id += 1;
+            })
+        };
+        let lang = language_of(unit.country);
+        let (notes, aka, embedded) = render_text(&unit.text, &org.brand, lang);
+        if !embedded.is_empty() {
+            labels.insert(unit.asn, embedded);
         }
+        let website = render_website(
+            &unit.web,
+            &org.brand,
+            &mut keyed_rng(seed, PDB_SALT, unit.asn),
+        );
+        out.pdb_net(PdbNetwork {
+            id: u64::from(unit.asn.value()),
+            org_id,
+            asn: unit.asn,
+            name: unit.legal_name.clone(),
+            aka,
+            notes,
+            website,
+        });
     }
-}
-
-pub(crate) fn emit_pdb(
-    truth: &GroundTruth,
-    rng: &mut StdRng,
-) -> (PdbSnapshot, BTreeMap<Asn, Vec<Asn>>) {
-    let mut orgs: Vec<PdbOrganization> = Vec::new();
-    let mut nets: Vec<PdbNetwork> = Vec::new();
-    let mut labels: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
-    let mut emitter = PdbEmitter::new();
-    for org in truth.orgs() {
-        emitter.org_records(org, rng, &mut orgs, &mut nets, &mut labels);
-    }
-
-    let snapshot = PdbSnapshot::builder()
-        .extend(orgs, nets)
-        .build()
-        .expect("generator emits a consistent PeeringDB view");
-    (snapshot, labels)
 }
 
 /// Renders a [`TextPlan`] into `(notes, aka, embedded sibling ASNs)`.
@@ -1030,18 +1048,17 @@ enum DeferredWeb {
     Dead(String),
 }
 
-/// Per-organization web emission.
+/// Web emission, one organization at a time.
 ///
-/// The materialized [`emit_web`] runs three *global* passes over the
-/// world (own pages, then redirects/dead hosts, then orphan redirect
-/// targets) so that redirect targets always resolve and a host that is
-/// both a redirect source and a target keeps its redirect. To emit the
-/// same web one organization at a time, this emitter streams `Own`
-/// pages immediately and defers the other two passes into bounded
-/// buffers (a few fields per redirect/dead plan — not whole
-/// organizations) that [`WebEmitter::seal`] replays at the end. The
-/// first-writer-wins dedup order is exactly that of the global passes.
-pub(crate) struct WebEmitter {
+/// The web is three passes over the world: own pages, then redirects
+/// and dead hosts, then orphan redirect targets, so that redirect
+/// targets always resolve and a host that is both a redirect source and
+/// a target keeps its redirect. This emitter emits `Own` pages as each
+/// organization arrives and defers the other two passes into buffers (a
+/// few fields per redirect/dead plan, not whole organizations) that
+/// [`WebEmitter::seal`] replays at the end. The first writer of a host
+/// wins.
+struct WebEmitter {
     registered: BTreeSet<String>,
     deferred: Vec<DeferredWeb>,
     /// `(target_host, favicon)` for the orphan-target pass.
@@ -1050,11 +1067,11 @@ pub(crate) struct WebEmitter {
 
 impl WebEmitter {
     /// Creates the emitter and emits the always-present social-platform
-    /// pages through `emit`.
-    pub(crate) fn new(emit: &mut impl FnMut(&str, SiteNode)) -> Self {
+    /// pages.
+    fn new(out: &mut impl RecordSink) -> Self {
         let mut registered: BTreeSet<String> = BTreeSet::new();
         for platform in SOCIAL_PLATFORMS {
-            emit(
+            out.web_node(
                 platform,
                 SiteNode::page(
                     platform,
@@ -1071,7 +1088,7 @@ impl WebEmitter {
     }
 
     /// Emits `org`'s own pages and buffers its redirect/dead plans.
-    pub(crate) fn accept(&mut self, org: &TruthOrg, emit: &mut impl FnMut(&str, SiteNode)) {
+    fn accept(&mut self, org: &TruthOrg, out: &mut impl RecordSink) {
         for unit in &org.units {
             match &unit.web {
                 WebPlan::Own {
@@ -1084,7 +1101,7 @@ impl WebEmitter {
                             Some(path) => format!("https://{host}{path}"),
                             None => format!("https://{host}/"),
                         };
-                        emit(
+                        out.web_node(
                             host,
                             SiteNode::Page {
                                 canonical: canonical.parse().expect("valid canonical url"),
@@ -1120,7 +1137,7 @@ impl WebEmitter {
 
     /// Replays the deferred redirect/dead pass, then the orphan-target
     /// pass. Call once, after every organization has been accepted.
-    pub(crate) fn seal(self, emit: &mut impl FnMut(&str, SiteNode)) {
+    fn seal(self, out: &mut impl RecordSink) {
         let mut registered = self.registered;
 
         // Second pass: redirects and dead hosts.
@@ -1140,7 +1157,7 @@ impl WebEmitter {
                     match via {
                         Some(mid) => {
                             if registered.insert(reported_host.clone()) {
-                                emit(
+                                out.web_node(
                                     reported_host,
                                     SiteNode::Redirect {
                                         to: format!("https://{mid}/")
@@ -1151,7 +1168,7 @@ impl WebEmitter {
                                 );
                             }
                             if registered.insert(mid.clone()) {
-                                emit(
+                                out.web_node(
                                     mid,
                                     SiteNode::Redirect {
                                         to: format!("https://{target_host}/")
@@ -1164,7 +1181,7 @@ impl WebEmitter {
                         }
                         None => {
                             if registered.insert(reported_host.clone()) {
-                                emit(
+                                out.web_node(
                                     reported_host,
                                     SiteNode::Redirect {
                                         to: format!("https://{target_host}/")
@@ -1179,7 +1196,7 @@ impl WebEmitter {
                 }
                 DeferredWeb::Dead(host) => {
                     if registered.insert(host.clone()) {
-                        emit(host, SiteNode::Down);
+                        out.web_node(host, SiteNode::Down);
                     }
                 }
             }
@@ -1194,29 +1211,45 @@ impl WebEmitter {
         // redirect.
         for (target_host, favicon) in &self.orphans {
             if registered.insert(target_host.clone()) {
-                emit(target_host, SiteNode::page(target_host, *favicon));
+                out.web_node(target_host, SiteNode::page(target_host, *favicon));
             }
         }
     }
 }
 
-pub(crate) fn emit_web(truth: &GroundTruth) -> SimWeb {
-    let mut nodes: Vec<(String, SiteNode)> = Vec::new();
-    let mut push = |host: &str, node: SiteNode| nodes.push((host.to_string(), node));
-    let mut emitter = WebEmitter::new(&mut push);
-    for org in truth.orgs() {
-        emitter.accept(org, &mut push);
-    }
-    emitter.seal(&mut push);
-
-    let mut builder = SimWeb::builder();
-    for (host, node) in nodes {
-        builder = builder.node(host.parse().expect("valid host literal"), node);
-    }
-    builder.build()
+/// The in-memory [`RecordSink`]: every record, in emission order.
+#[derive(Default)]
+struct Collected {
+    whois_orgs: Vec<WhoisOrg>,
+    auts: Vec<AutNum>,
+    pdb_orgs: Vec<PdbOrganization>,
+    nets: Vec<PdbNetwork>,
+    web: Vec<(String, SiteNode)>,
 }
 
-pub(crate) fn collect_populations(truth: &GroundTruth) -> BTreeMap<Asn, PopulationRecord> {
+impl RecordSink for Collected {
+    fn whois_org(&mut self, org: WhoisOrg) {
+        self.whois_orgs.push(org);
+    }
+
+    fn aut_num(&mut self, aut: AutNum) {
+        self.auts.push(aut);
+    }
+
+    fn pdb_org(&mut self, org: PdbOrganization) {
+        self.pdb_orgs.push(org);
+    }
+
+    fn pdb_net(&mut self, net: PdbNetwork) {
+        self.nets.push(net);
+    }
+
+    fn web_node(&mut self, host: &str, node: SiteNode) {
+        self.web.push((host.to_string(), node));
+    }
+}
+
+fn collect_populations(truth: &GroundTruth) -> BTreeMap<Asn, PopulationRecord> {
     let mut map = BTreeMap::new();
     for org in truth.orgs() {
         for unit in &org.units {

@@ -4,10 +4,14 @@
 //! materializes every [`TruthOrg`] — and every WHOIS/PeeringDB/web record
 //! derived from it — before writing anything, which caps world size at
 //! whatever fits in RAM several times over. [`generate_to_dir`] instead
-//! drives the *same* truth pass (same RNG, same draw sequence, so
-//! `truth.psv`, `labels.psv` and `populations.psv` are byte-identical to
-//! the materialized path) into a sink that emits each organization's
-//! records straight to disk and drops the organization.
+//! drives the *same* truth pass and the *same* emission pass
+//! (`Emission`) into files, one organization at a time, dropping each
+//! organization once its records are written. It writes the same world:
+//! the bundle loads to the materialized world's registry, snapshot, web
+//! and AS-Rank, and its oracle, population, topology and config files
+//! are byte-identical to what [`crate::io::save`] writes. Only the two
+//! record files' layout differs: the stream writes records compact and in
+//! emission order, `save` sorted and pretty.
 //!
 //! What stays in memory is bounded and small per ASN:
 //!
@@ -23,33 +27,23 @@
 //! No full-world `Vec<TruthOrg>`, registry, snapshot or web is ever
 //! built. Two-section files (`as2org.txt`, `peeringdb.json`) are written
 //! as main-file + temporary second section, stitched at the end.
-//!
-//! The emission RNGs are per-dataset (derived from the config seed), so
-//! the WHOIS `changed` dates, PeeringDB website decorations and topology
-//! wiring *differ* from the materialized path's interleaved draws — the
-//! streamed bundle is its own deterministic world, loadable through
-//! [`DatasetBundle::load`](crate::io::DatasetBundle::load) like any
-//! other.
 
 use crate::config::GeneratorConfig;
 use crate::generate::{
     compute_asrank, gen_conglomerates, gen_gov_mega, gen_singletons, gen_small_multi, gen_transit,
-    scale_users, singleton_scale, AsnAllocator, OrgSink, PdbEmitter, WebEmitter, WhoisEmitter,
+    scale_users, singleton_scale, AsnAllocator, Emission, OrgSink, RecordSink,
 };
 use crate::io::IoError;
 use crate::naming::COUNTRIES;
 use crate::orgmodel::{OrgKind, TruthOrg};
 use crate::scripted;
-use crate::topogen::{emit_topology_from, OrgTopo};
 use borges_peeringdb::{PdbNetwork, PdbOrganization};
 use borges_topology::serial1;
-use borges_types::Asn;
-use borges_websim::SnapshotWriter;
+use borges_websim::{SiteNode, SnapshotWriter};
 use borges_whois::as2org_format::{AUT_HEADER, ORG_HEADER};
 use borges_whois::{AutNum, WhoisOrg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -73,18 +67,12 @@ pub struct StreamReport {
     pub total_users: u64,
 }
 
-// Per-dataset RNG streams. The truth pass uses the raw seed (shared with
-// the materialized path); each emission stream gets its own salt so
-// record draws in one dataset can never perturb another.
-const WHOIS_SALT: u64 = 0x0077_686f_6973; // "whois"
-const PDB_SALT: u64 = 0x0070_6462; // "pdb"
-const TOPO_SALT: u64 = 0x746f_706f; // "topo"
-
 /// Generates the world described by `config` directly into `dir` (created
 /// if missing), one organization at a time. Returns the record counts.
 ///
-/// Deterministic in `config`; the ground-truth files are byte-identical
-/// to what [`crate::io::save`] writes for the same config.
+/// Deterministic in `config`, and the same world as
+/// [`SyntheticInternet::generate`](crate::SyntheticInternet::generate)
+/// (see the module docs).
 pub fn generate_to_dir(config: &GeneratorConfig, dir: &Path) -> Result<StreamReport, IoError> {
     std::fs::create_dir_all(dir).map_err(|e| IoError::Fs(dir.display().to_string(), e))?;
 
@@ -119,47 +107,103 @@ struct PopRow {
     singleton: bool,
 }
 
-/// The streaming sink: open writers plus the bounded accumulators.
-struct StreamSink {
-    dir: PathBuf,
-
+/// The record files: the on-disk [`RecordSink`]. A write failure is kept
+/// and every later record dropped; [`StreamSink::seal`] returns it.
+struct Files {
     // WHOIS: org section in the main file, aut section in a tmp file,
     // stitched at seal (the CAIDA format is two-sectioned).
-    whois_rng: StdRng,
-    whois: WhoisEmitter,
-    whois_org_buf: Vec<WhoisOrg>,
-    whois_aut_buf: Vec<AutNum>,
     as2org: BufWriter<File>,
     as2org_aut: BufWriter<File>,
-    whois_org_count: usize,
+    whois_orgs: usize,
 
     // PeeringDB: same two-section treatment for the org/net tables.
-    pdb_rng: StdRng,
-    pdb: PdbEmitter,
-    pdb_org_buf: Vec<PdbOrganization>,
-    pdb_net_buf: Vec<PdbNetwork>,
     pdb_orgs_w: BufWriter<File>,
     pdb_nets_w: BufWriter<File>,
-    pdb_org_count: usize,
-    pdb_net_count: usize,
-    labels: BTreeMap<Asn, Vec<Asn>>,
+    pdb_orgs: usize,
+    pdb_nets: usize,
 
-    // Web: own pages stream; redirect/dead plans defer inside the emitter.
-    web: WebEmitter,
-    web_writer: SnapshotWriter<BufWriter<File>>,
-    web_err: Option<std::io::Error>,
+    web: SnapshotWriter<BufWriter<File>>,
+    error: Option<IoError>,
+}
+
+impl Files {
+    /// Keeps the first failure, naming `file`.
+    fn keep(&mut self, file: &str, result: std::io::Result<()>) {
+        if let (None, Err(e)) = (&self.error, result) {
+            self.error = Some(IoError::Fs(file.to_string(), e));
+        }
+    }
+
+    /// Writes one JSON record into a comma-separated table.
+    fn json_row(
+        out: &mut BufWriter<File>,
+        first: bool,
+        row: &impl serde::Serialize,
+    ) -> std::io::Result<()> {
+        if !first {
+            out.write_all(b",")?;
+        }
+        let json = serde_json::to_string(row).expect("pdb record serialization cannot fail");
+        out.write_all(json.as_bytes())
+    }
+}
+
+impl RecordSink for Files {
+    fn whois_org(&mut self, o: WhoisOrg) {
+        let r = writeln!(
+            self.as2org,
+            "{}|{}|{}|{}|{}",
+            o.id, o.changed, o.name, o.country, o.source
+        );
+        self.keep("as2org.txt", r);
+        self.whois_orgs += 1;
+    }
+
+    fn aut_num(&mut self, a: AutNum) {
+        let r = writeln!(
+            self.as2org_aut,
+            "{}|{}|{}|{}||{}",
+            a.asn.value(),
+            a.changed,
+            a.name,
+            a.org,
+            a.source
+        );
+        self.keep("as2org.txt", r);
+    }
+
+    fn pdb_org(&mut self, org: PdbOrganization) {
+        let r = Self::json_row(&mut self.pdb_orgs_w, self.pdb_orgs == 0, &org);
+        self.keep("peeringdb.json", r);
+        self.pdb_orgs += 1;
+    }
+
+    fn pdb_net(&mut self, net: PdbNetwork) {
+        let r = Self::json_row(&mut self.pdb_nets_w, self.pdb_nets == 0, &net);
+        self.keep("peeringdb.json", r);
+        self.pdb_nets += 1;
+    }
+
+    fn web_node(&mut self, host: &str, node: SiteNode) {
+        let r = self.web.node(host, &node);
+        self.keep("web.json", r);
+    }
+}
+
+/// The streaming sink: the emission pass over the record files, plus the
+/// oracle accumulators.
+struct StreamSink {
+    dir: PathBuf,
+    emission: Emission,
+    files: Files,
 
     // Ground truth + population accumulators (compact rows).
     org_names: Vec<String>,
     truth_rows: Vec<(u32, u32)>,
     pop_rows: Vec<PopRow>,
 
-    // Topology summaries for the relationship-graph pass at seal.
-    topo: Vec<OrgTopo>,
-
     orgs: usize,
     asns: usize,
-    error: Option<IoError>,
 }
 
 fn create(dir: &Path, name: &str) -> Result<BufWriter<File>, IoError> {
@@ -184,185 +228,64 @@ impl StreamSink {
             .map_err(fs_err("peeringdb.json"))?;
         let pdb_nets_w = create(dir, "peeringdb.json.net.tmp")?;
 
-        let mut web_writer =
-            SnapshotWriter::new(create(dir, "web.json")?).map_err(fs_err("web.json"))?;
-        let mut web_err = None;
-        let web = WebEmitter::new(&mut |host, node| {
-            if web_err.is_none() {
-                web_err = web_writer.node(host, &node).err();
-            }
-        });
-        if let Some(e) = web_err {
-            return Err(IoError::Fs("web.json".to_string(), e));
+        let web = SnapshotWriter::new(create(dir, "web.json")?).map_err(fs_err("web.json"))?;
+        let mut files = Files {
+            as2org,
+            as2org_aut,
+            whois_orgs: 0,
+            pdb_orgs_w,
+            pdb_nets_w,
+            pdb_orgs: 0,
+            pdb_nets: 0,
+            web,
+            error: None,
+        };
+        let emission = Emission::new(config.seed, &mut files);
+        if let Some(e) = files.error.take() {
+            return Err(e);
         }
 
         Ok(StreamSink {
             dir: dir.to_path_buf(),
-            whois_rng: StdRng::seed_from_u64(config.seed ^ WHOIS_SALT),
-            whois: WhoisEmitter::new(),
-            whois_org_buf: Vec::new(),
-            whois_aut_buf: Vec::new(),
-            as2org,
-            as2org_aut,
-            whois_org_count: 0,
-            pdb_rng: StdRng::seed_from_u64(config.seed ^ PDB_SALT),
-            pdb: PdbEmitter::new(),
-            pdb_org_buf: Vec::new(),
-            pdb_net_buf: Vec::new(),
-            pdb_orgs_w,
-            pdb_nets_w,
-            pdb_org_count: 0,
-            pdb_net_count: 0,
-            labels: BTreeMap::new(),
-            web,
-            web_writer,
-            web_err: None,
+            emission,
+            files,
             org_names: Vec::new(),
             truth_rows: Vec::new(),
             pop_rows: Vec::new(),
-            topo: Vec::new(),
             orgs: 0,
             asns: 0,
-            error: None,
         })
-    }
-
-    /// Emits every record derived from one organization, then lets the
-    /// organization drop.
-    fn consume(&mut self, org: &TruthOrg) -> Result<(), IoError> {
-        self.orgs += 1;
-        self.asns += org.units.len();
-        debug_assert_eq!(org.id.0, self.org_names.len(), "org ids must be dense");
-        self.org_names.push(org.display_name.clone());
-        for unit in &org.units {
-            self.truth_rows.push((unit.asn.value(), org.id.0 as u32));
-            if unit.users > 0 {
-                self.pop_rows.push(PopRow {
-                    asn: unit.asn.value(),
-                    users: unit.users,
-                    country: unit.country as u16,
-                    singleton: org.kind == OrgKind::Singleton,
-                });
-            }
-        }
-
-        // WHOIS records.
-        self.whois_org_buf.clear();
-        self.whois_aut_buf.clear();
-        self.whois.org_records(
-            org,
-            &mut self.whois_rng,
-            &mut self.whois_org_buf,
-            &mut self.whois_aut_buf,
-        );
-        for o in &self.whois_org_buf {
-            writeln!(
-                self.as2org,
-                "{}|{}|{}|{}|{}",
-                o.id, o.changed, o.name, o.country, o.source
-            )
-            .map_err(fs_err("as2org.txt"))?;
-        }
-        self.whois_org_count += self.whois_org_buf.len();
-        for a in &self.whois_aut_buf {
-            writeln!(
-                self.as2org_aut,
-                "{}|{}|{}|{}||{}",
-                a.asn.value(),
-                a.changed,
-                a.name,
-                a.org,
-                a.source
-            )
-            .map_err(fs_err("as2org.txt"))?;
-        }
-
-        // PeeringDB records.
-        self.pdb_org_buf.clear();
-        self.pdb_net_buf.clear();
-        self.pdb.org_records(
-            org,
-            &mut self.pdb_rng,
-            &mut self.pdb_org_buf,
-            &mut self.pdb_net_buf,
-            &mut self.labels,
-        );
-        for o in &self.pdb_org_buf {
-            if self.pdb_org_count > 0 {
-                self.pdb_orgs_w
-                    .write_all(b",")
-                    .map_err(fs_err("peeringdb.json"))?;
-            }
-            let json = serde_json::to_string(o).expect("pdb org serialization cannot fail");
-            self.pdb_orgs_w
-                .write_all(json.as_bytes())
-                .map_err(fs_err("peeringdb.json"))?;
-            self.pdb_org_count += 1;
-        }
-        for n in &self.pdb_net_buf {
-            if self.pdb_net_count > 0 {
-                self.pdb_nets_w
-                    .write_all(b",")
-                    .map_err(fs_err("peeringdb.json"))?;
-            }
-            let json = serde_json::to_string(n).expect("pdb net serialization cannot fail");
-            self.pdb_nets_w
-                .write_all(json.as_bytes())
-                .map_err(fs_err("peeringdb.json"))?;
-            self.pdb_net_count += 1;
-        }
-
-        // Web pages (Own pages now; redirects/dead defer to seal).
-        {
-            let StreamSink {
-                web,
-                web_writer,
-                web_err,
-                ..
-            } = self;
-            web.accept(org, &mut |host, node| {
-                if web_err.is_none() {
-                    *web_err = web_writer.node(host, &node).err();
-                }
-            });
-        }
-        if let Some(e) = self.web_err.take() {
-            return Err(IoError::Fs("web.json".to_string(), e));
-        }
-
-        // Topology summary.
-        self.topo.push(OrgTopo::of(org));
-        Ok(())
     }
 
     /// Finishes every file: stitches the two-section formats, replays the
     /// deferred web passes, scales and writes populations, emits the
     /// topology and ranking, and writes the oracle files.
-    fn seal(mut self, config: &GeneratorConfig) -> Result<StreamReport, IoError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
+    fn seal(self, config: &GeneratorConfig) -> Result<StreamReport, IoError> {
         let StreamSink {
             dir,
-            mut as2org,
-            as2org_aut,
-            mut pdb_orgs_w,
-            pdb_nets_w,
-            web,
-            mut web_writer,
-            mut web_err,
+            emission,
+            mut files,
             mut truth_rows,
             org_names,
-            labels: label_map,
             mut pop_rows,
-            topo,
             orgs,
             asns,
-            whois_org_count,
-            pdb_org_count,
-            pdb_net_count,
-            ..
         } = self;
+        let (topology, label_map) = emission.seal(&mut files);
+        let Files {
+            mut as2org,
+            as2org_aut,
+            whois_orgs,
+            mut pdb_orgs_w,
+            pdb_nets_w,
+            pdb_orgs,
+            pdb_nets,
+            web,
+            error,
+        } = files;
+        if let Some(e) = error {
+            return Err(e);
+        }
 
         // as2org.txt: append the aut section after its header.
         writeln!(as2org, "{AUT_HEADER}").map_err(fs_err("as2org.txt"))?;
@@ -384,16 +307,7 @@ impl StreamSink {
             .map_err(fs_err("peeringdb.json"))?;
         pdb_main.flush().map_err(fs_err("peeringdb.json"))?;
 
-        // web.json: deferred redirect/dead/orphan passes, then close.
-        web.seal(&mut |host, node| {
-            if web_err.is_none() {
-                web_err = web_writer.node(host, &node).err();
-            }
-        });
-        if let Some(e) = web_err {
-            return Err(IoError::Fs("web.json".to_string(), e));
-        }
-        let web_hosts = web_writer.finish().map_err(fs_err("web.json"))?;
+        let web_hosts = web.finish().map_err(fs_err("web.json"))?;
 
         // truth.psv: rows sorted by ASN, names from the org table.
         truth_rows.sort_unstable();
@@ -447,9 +361,7 @@ impl StreamSink {
         }
         pops.flush().map_err(fs_err("populations.psv"))?;
 
-        // Topology + AS-Rank from the per-org summaries.
-        let mut topo_rng = StdRng::seed_from_u64(config.seed ^ TOPO_SALT);
-        let topology = emit_topology_from(&topo, &mut topo_rng);
+        // Topology + AS-Rank.
         let mut rel = create(&dir, "as-rel.txt")?;
         rel.write_all(serial1::serialize(&topology).as_bytes())
             .map_err(fs_err("as-rel.txt"))?;
@@ -476,9 +388,9 @@ impl StreamSink {
         Ok(StreamReport {
             orgs,
             asns,
-            whois_orgs: whois_org_count,
-            pdb_orgs: pdb_org_count,
-            pdb_nets: pdb_net_count,
+            whois_orgs,
+            pdb_orgs,
+            pdb_nets,
             web_hosts,
             total_users,
         })
@@ -486,13 +398,28 @@ impl StreamSink {
 }
 
 impl OrgSink for StreamSink {
+    /// Emits every record derived from one organization, then lets the
+    /// organization drop.
     fn accept(&mut self, org: TruthOrg) {
-        if self.error.is_some() {
+        if self.files.error.is_some() {
             return;
         }
-        if let Err(e) = self.consume(&org) {
-            self.error = Some(e);
+        self.orgs += 1;
+        self.asns += org.units.len();
+        debug_assert_eq!(org.id.0, self.org_names.len(), "org ids must be dense");
+        for unit in &org.units {
+            self.truth_rows.push((unit.asn.value(), org.id.0 as u32));
+            if unit.users > 0 {
+                self.pop_rows.push(PopRow {
+                    asn: unit.asn.value(),
+                    users: unit.users,
+                    country: unit.country as u16,
+                    singleton: org.kind == OrgKind::Singleton,
+                });
+            }
         }
+        self.emission.org(&org, &mut self.files);
+        self.org_names.push(org.display_name);
     }
 }
 
@@ -535,6 +462,7 @@ mod tests {
     use crate::io::tests::{sidecar_config, sidecar_rows, sidecar_topology};
     use crate::io::{save, DatasetBundle};
     use crate::SyntheticInternet;
+    use borges_types::Asn;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -594,29 +522,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&b);
     }
 
+    /// One world per seed: the stream and `generate` run the same truth
+    /// and emission passes, so the streamed bundle loads to the
+    /// materialized world, and every file but the three `save` lays out
+    /// sorted and pretty agrees to the byte.
     #[test]
     fn ground_truth_is_byte_identical_to_the_materialized_path() {
-        let config = GeneratorConfig::tiny(23);
-        let streamed = tmpdir("truth-s");
-        let materialized = tmpdir("truth-m");
-        generate_to_dir(&config, &streamed).unwrap();
-        let world = SyntheticInternet::generate(&config);
-        save(&world, &materialized).unwrap();
-        // The truth pass shares the RNG stream with the materialized
-        // path, so the oracle files (and the population table, which is
-        // pure truth) must agree to the byte.
-        for name in [
-            "truth.psv",
-            "labels.psv",
-            "populations.psv",
-            "hypergiants.psv",
-        ] {
-            let s = std::fs::read(streamed.join(name)).unwrap();
-            let m = std::fs::read(materialized.join(name)).unwrap();
-            assert_eq!(s, m, "{name} diverged between streaming and materialized");
+        use borges_websim::snapshot as websnap;
+        use borges_whois::as2org_format;
+        for config in [GeneratorConfig::tiny(23), GeneratorConfig::medium(7)] {
+            let streamed = tmpdir("truth-s");
+            let materialized = tmpdir("truth-m");
+            let report = generate_to_dir(&config, &streamed).unwrap();
+            let world = SyntheticInternet::generate(&config);
+            save(&world, &materialized).unwrap();
+            assert_eq!(
+                report,
+                StreamReport {
+                    orgs: world.truth.org_count(),
+                    asns: world.truth.asn_count(),
+                    whois_orgs: world.whois.org_count(),
+                    pdb_orgs: world.pdb.org_count(),
+                    pdb_nets: world.pdb.net_count(),
+                    web_hosts: world.web.host_count(),
+                    total_users: world.total_users(),
+                }
+            );
+            let bundle = DatasetBundle::load(&streamed).unwrap();
+            assert_eq!(
+                as2org_format::serialize(&bundle.whois),
+                as2org_format::serialize(&world.whois),
+                "WHOIS diverged at seed {}",
+                config.seed
+            );
+            assert_eq!(bundle.pdb.to_json(), world.pdb.to_json());
+            assert_eq!(websnap::to_json(&bundle.web), websnap::to_json(&world.web));
+            assert_eq!(bundle.asrank, world.asrank);
+            for name in [
+                "as-rel.txt",
+                "populations.psv",
+                "hypergiants.psv",
+                "truth.psv",
+                "labels.psv",
+                "config.json",
+            ] {
+                let s = std::fs::read(streamed.join(name)).unwrap();
+                let m = std::fs::read(materialized.join(name)).unwrap();
+                assert_eq!(s, m, "{name} diverged between streaming and materialized");
+            }
+            let _ = std::fs::remove_dir_all(&streamed);
+            let _ = std::fs::remove_dir_all(&materialized);
         }
-        let _ = std::fs::remove_dir_all(&streamed);
-        let _ = std::fs::remove_dir_all(&materialized);
     }
 
     #[test]

@@ -18,16 +18,16 @@
 //! consolidation Borges measures.
 
 use crate::dist::weighted_idx;
-use crate::orgmodel::{GroundTruth, OrgKind};
+use crate::orgmodel::OrgKind;
 use borges_topology::{AsGraph, AsGraphBuilder};
 use borges_types::Asn;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The per-organization summary topology emission actually needs: the
-/// category and the unit ASNs in declaration order (the first is the
-/// flagship). The streaming generator buffers one of these per org —
-/// a few bytes per ASN — instead of whole [`crate::orgmodel::TruthOrg`]s.
+/// The per-organization summary topology emission needs: the category
+/// and the unit ASNs in declaration order (the first is the flagship).
+/// The emission pass keeps one of these per organization, a few bytes
+/// per ASN, rather than whole [`crate::orgmodel::TruthOrg`]s.
 pub(crate) struct OrgTopo {
     pub(crate) kind: OrgKind,
     pub(crate) asns: Vec<Asn>,
@@ -42,16 +42,9 @@ impl OrgTopo {
     }
 }
 
-/// Builds the relationship graph for a world.
-pub(crate) fn emit_topology(truth: &GroundTruth, rng: &mut StdRng) -> AsGraph {
-    let summaries: Vec<OrgTopo> = truth.orgs().map(OrgTopo::of).collect();
-    emit_topology_from(&summaries, rng)
-}
-
-/// [`emit_topology`] over pre-extracted per-org summaries, in the same
-/// org order with the same RNG draw sequence (the two entry points are
-/// draw-for-draw identical).
-pub(crate) fn emit_topology_from(orgs: &[OrgTopo], rng: &mut StdRng) -> AsGraph {
+/// Builds the relationship graph over the per-organization summaries,
+/// in the truth's organization order.
+pub(crate) fn emit_topology(orgs: &[OrgTopo], rng: &mut StdRng) -> AsGraph {
     let mut builder = AsGraphBuilder::new();
 
     // Classify provider pools.

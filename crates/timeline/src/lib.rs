@@ -179,15 +179,19 @@ impl Timeline {
         borges_store::write_atomic(&world_path, &bytes)
             .map_err(|e| StoreError::from_io(&world_path, e))?;
 
-        self.links.push(link.clone());
-        self.write_manifest()?;
+        // The handle takes the link only once the manifest names it, so
+        // a failed write leaves it where the disk is.
+        let mut links = self.links.clone();
+        links.push(link.clone());
+        self.write_manifest(links.clone())?;
+        self.links = links;
         Ok(link)
     }
 
-    fn write_manifest(&self) -> Result<(), TimelineError> {
+    fn write_manifest(&self, links: Vec<TimelineLink>) -> Result<(), TimelineError> {
         let manifest = Manifest {
             schema: TIMELINE_SCHEMA.to_string(),
-            links: self.links.clone(),
+            links,
         };
         let bytes = serde_json::to_string_pretty(&manifest)
             .expect("manifest serializes")
@@ -439,23 +443,17 @@ mod tests {
     fn three_epoch_worlds() -> [SyntheticInternet; 3] {
         let w0 = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
         let w1 = w0
-            .evolve(
-                &[EvolutionEvent::Acquisition {
-                    acquirer: "cogent".into(),
-                    target: "orange".into(),
-                }],
-                78,
-            )
+            .evolve(&[EvolutionEvent::Acquisition {
+                acquirer: "cogent".into(),
+                target: "orange".into(),
+            }])
             .unwrap();
         let w2 = w1
-            .evolve(
-                &[EvolutionEvent::Spinoff {
-                    brand: "digicel".into(),
-                    countries: vec!["KE".into(), "NG".into()],
-                    new_brand: "sahelwave".into(),
-                }],
-                79,
-            )
+            .evolve(&[EvolutionEvent::Spinoff {
+                brand: "digicel".into(),
+                countries: vec!["KE".into(), "NG".into()],
+                new_brand: "sahelwave".into(),
+            }])
             .unwrap();
         [w0, w1, w2]
     }
@@ -678,6 +676,33 @@ mod tests {
         // Re-running the append lands the identical link.
         assert_eq!(reopened.append(&mut borges).unwrap(), link);
         assert_eq!(reopened.verify().unwrap().links, 4);
+    }
+
+    #[test]
+    fn a_failed_manifest_write_leaves_the_handle_on_the_old_chain() {
+        let dir = scratch("failed-manifest");
+        let mut timeline = Timeline::open(&dir).unwrap();
+        let w = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
+        let genesis = timeline.append(&mut compile(&w)).unwrap();
+        // A non-empty directory where the manifest is renamed to makes
+        // the rename fail.
+        let manifest_path = dir.join(MANIFEST_FILE);
+        std::fs::remove_file(&manifest_path).unwrap();
+        std::fs::create_dir_all(manifest_path.join("blocker")).unwrap();
+
+        let mut borges = compile(&w);
+        timeline.append(&mut borges).unwrap_err();
+        assert_eq!(timeline.links(), std::slice::from_ref(&genesis));
+        assert_eq!(timeline.tip(), Some(&genesis));
+
+        // Once the manifest can be written, the retry appends the epoch
+        // the failed append tried.
+        std::fs::remove_dir_all(&manifest_path).unwrap();
+        let link = timeline.append(&mut borges).unwrap();
+        assert_eq!(link.epoch, 1);
+        assert_eq!(link.parent_digest.as_deref(), Some(&*genesis.world_digest));
+        assert_eq!(timeline.verify().unwrap().links, 2);
+        assert_eq!(Timeline::open(&dir).unwrap().links(), timeline.links());
     }
 
     #[test]

@@ -54,9 +54,7 @@ fn main() {
     for e in &events {
         println!("  {e:?}");
     }
-    let after_world = before_world
-        .evolve(&events, 43)
-        .expect("events apply cleanly");
+    let after_world = before_world.evolve(&events).expect("events apply cleanly");
     println!(
         "snapshot t₁: {} organizations (truth)",
         after_world.truth.org_count()

@@ -34,89 +34,89 @@ const GOLDEN: &[(&str, Digests)] = &[
     (
         "sequential",
         [
-            0xc84e21e2ef983df4,
-            0x1692991c6ee1298e,
-            0x65f87bb57a235a1e,
+            0xca69bf4f90b7da55,
+            0x149bf321775b7b91,
+            0xc4498b5bac62e3bb,
             0x6237f7cada08d410,
-            0x0a3b4064dbdf59ab,
-            0x529490eebe09b77a,
+            0x69a0854262726fa0,
+            0xc099a996d63a54ba,
         ],
     ),
     (
         "pool",
         [
-            0xc84e21e2ef983df4,
-            0x1692991c6ee1298e,
-            0x1f67c3971f6ae481,
+            0xca69bf4f90b7da55,
+            0x149bf321775b7b91,
+            0xd0e37b7cfdf3bbc7,
             0x6237f7cada08d410,
-            0x0a3b4064dbdf59ab,
-            0x529490eebe09b77a,
+            0x69a0854262726fa0,
+            0xc099a996d63a54ba,
         ],
     ),
     (
         "resilient_chaos",
         [
-            0xf093353cfc1bcfbb,
-            0x43066648e9d05631,
-            0xa0bd9f6fbfff1ecb,
+            0x638770edc3ffcfe7,
+            0x5cc69f055e6ff33c,
+            0x22c429ab255a0b22,
             0x6237f7cada08d410,
-            0x0a3b4064dbdf59ab,
-            0xb91f2f4fd17359d5,
+            0x69a0854262726fa0,
+            0xcbd2633640a935a3,
         ],
     ),
     (
         "resilient_outages",
         [
-            0xb0039b30594b579c,
-            0x75d33c15c62522b5,
-            0x5de090637512479e,
+            0xb4c2e73efb1f916e,
+            0x62e9283ad228895a,
+            0x675797cbdb9b5ea3,
             0xe4878fc15046b2a0,
-            0x062c5d2c0cbe157d,
-            0x46fe9213703969a8,
+            0x8cf49a99572d6f4f,
+            0x43ad39817338465f,
         ],
     ),
     (
         "pool_resilient_outages",
         [
-            0xb0039b30594b579c,
-            0x75d33c15c62522b5,
-            0x84ea05de6d550c3d,
+            0xb4c2e73efb1f916e,
+            0x62e9283ad228895a,
+            0x8f0483980f170878,
             0xe4878fc15046b2a0,
-            0x062c5d2c0cbe157d,
-            0x46fe9213703969a8,
+            0x8cf49a99572d6f4f,
+            0x43ad39817338465f,
         ],
     ),
     (
         "resilient_ner_breaker",
         [
-            0x4319252956fb2bb8,
-            0xf0435473404d6162,
-            0xcd3d9842610e72db,
-            0x0a000c14a5f05ad2,
-            0x4b18d7712d3179fa,
-            0xf649b0cafa9ac8f8,
+            0xd37d697882e93dae,
+            0x0924a40f4c22f000,
+            0x3c0633e0780b170a,
+            0x7bb6b012c2f7ab19,
+            0x490c65509cbd8644,
+            0xae65f8f6d7fdf055,
         ],
     ),
     (
         "remap",
         [
             0x29b633f571665666,
-            0xf3cbec3f07844e86,
-            0x1f8a333d59fd3b9d,
-            0xcd7ab885535842a0,
-            0x42a0c865fcfe53bd,
-            0x3bc1801b6015c368,
+            0x3a40301871f938fe,
+            0x9853a1643e78b154,
+            0x6b5dde26e30b040b,
+            0xe92dae65a45b21b2,
+            0xdf3246e784d9effa,
         ],
     ),
     (
         "crawled_remap",
         [
-            0xaee38c9a5e60e355,
-            0x04758fbc707eee3a,
-            0x1f249d5305b19545,
-            0xcd7ab885535842a0,
-            0x42a0c865fcfe53bd,
-            0x123c590dd9e3dc53,
+            0x3b8638b186b2193f,
+            0x6e5770d982747876,
+            0xafb7db2cadf1c479,
+            0x6b5dde26e30b040b,
+            0xe92dae65a45b21b2,
+            0x448c09c97b0758c6,
         ],
     ),
 ];

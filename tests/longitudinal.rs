@@ -24,13 +24,10 @@ fn map(world: &SyntheticInternet) -> AsOrgMapping {
 fn acquisition_surfaces_as_a_merge_in_the_mapping_diff() {
     let before_world = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
     let after_world = before_world
-        .evolve(
-            &[EvolutionEvent::Acquisition {
-                acquirer: "cogent".into(),
-                target: "orange".into(),
-            }],
-            78,
-        )
+        .evolve(&[EvolutionEvent::Acquisition {
+            acquirer: "cogent".into(),
+            target: "orange".into(),
+        }])
         .unwrap();
 
     let before = map(&before_world);
@@ -60,14 +57,11 @@ fn acquisition_surfaces_as_a_merge_in_the_mapping_diff() {
 fn spinoff_surfaces_as_a_split() {
     let before_world = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
     let after_world = before_world
-        .evolve(
-            &[EvolutionEvent::Spinoff {
-                brand: "digicel".into(),
-                countries: vec!["KE".into(), "NG".into()],
-                new_brand: "sahelwave".into(),
-            }],
-            78,
-        )
+        .evolve(&[EvolutionEvent::Spinoff {
+            brand: "digicel".into(),
+            countries: vec!["KE".into(), "NG".into()],
+            new_brand: "sahelwave".into(),
+        }])
         .unwrap();
     let before = map(&before_world);
     let after = map(&after_world);
@@ -86,13 +80,10 @@ fn spinoff_surfaces_as_a_split() {
 fn rebrand_is_structurally_invisible() {
     let before_world = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
     let after_world = before_world
-        .evolve(
-            &[EvolutionEvent::Rebrand {
-                brand: "telekom".into(),
-                new_brand: "magenta".into(),
-            }],
-            78,
-        )
+        .evolve(&[EvolutionEvent::Rebrand {
+            brand: "telekom".into(),
+            new_brand: "magenta".into(),
+        }])
         .unwrap();
     let before = map(&before_world);
     let after = map(&after_world);
@@ -111,13 +102,10 @@ fn mapping_releases_diff_through_the_file_format() {
     // the diff needs.
     let before_world = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
     let after_world = before_world
-        .evolve(
-            &[EvolutionEvent::Acquisition {
-                acquirer: "telekom".into(),
-                target: "orange".into(),
-            }],
-            78,
-        )
+        .evolve(&[EvolutionEvent::Acquisition {
+            acquirer: "telekom".into(),
+            target: "orange".into(),
+        }])
         .unwrap();
     let before = map(&before_world);
     let after = map(&after_world);

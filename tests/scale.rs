@@ -1,8 +1,10 @@
 //! Internet-scale worlds: the streaming generator must be invisible in
-//! the output. A bundle written by `generate_to_dir` loads, maps, and
-//! carries the same ground truth the materialized generator would have
-//! written, and streaming generation is deterministic.
+//! the output. A bundle written by `generate_to_dir` is the world the
+//! materialized generator builds: it maps to the same mapfiles and
+//! carries the same ground truth, and streaming generation is
+//! deterministic.
 
+use borges_core::mapfile;
 use borges_core::pipeline::{Borges, FeatureSet};
 use borges_llm::SimLlm;
 use borges_synthnet::io::{save, DatasetBundle};
@@ -24,8 +26,7 @@ fn streamed_bundle_maps_like_the_materialized_one() {
     let materialized = SyntheticInternet::generate(&config);
     assert_eq!(report.asns, materialized.truth.asn_count());
 
-    // The oracle files are byte-identical across the two writers; the
-    // scraped datasets are each its own deterministic world.
+    // The oracle files are byte-identical across the two writers.
     let materialized_dir = tmpdir("materialized");
     save(&materialized, &materialized_dir).expect("materialized save");
     for oracle in [
@@ -41,19 +42,34 @@ fn streamed_bundle_maps_like_the_materialized_one() {
         );
     }
 
-    // The streamed bundle is a first-class pipeline input: it loads,
-    // maps, and the scripted ground truth survives the trip (Lumen's
-    // WHOIS fragments reunite through the evidence).
+    // The streamed bundle is a first-class pipeline input: it loads and
+    // maps to exactly the in-memory world's mapfiles, and the scripted
+    // ground truth survives the trip (Lumen's WHOIS fragments reunite
+    // through the evidence).
     let bundle = DatasetBundle::load(&streamed_dir).expect("streamed bundle loads");
     let llm = SimLlm::new(5);
-    let borges = Borges::run(
+    let streamed = Borges::run(
         &bundle.whois,
         &bundle.pdb,
         SimWebClient::browser(&bundle.web),
         &llm,
     );
+    let in_memory = Borges::run(
+        &materialized.whois,
+        &materialized.pdb,
+        SimWebClient::browser(&materialized.web),
+        &llm,
+    );
+    for features in FeatureSet::all_combinations() {
+        assert_eq!(
+            mapfile::serialize(&streamed.mapping(features)),
+            mapfile::serialize(&in_memory.mapping(features)),
+            "{} mapfile diverged between the streamed and in-memory worlds",
+            features.label()
+        );
+    }
     assert!(
-        borges
+        streamed
             .mapping(FeatureSet::ALL)
             .same_org(Asn::new(3356), Asn::new(209)),
         "Lumen family"

@@ -70,23 +70,17 @@ fn tmpdir(name: &str) -> TmpDir {
 fn scripted_chain(dir: &std::path::Path) -> Timeline {
     let t0 = SyntheticInternet::generate(&GeneratorConfig::tiny(77));
     let t1 = t0
-        .evolve(
-            &[EvolutionEvent::Acquisition {
-                acquirer: "cogent".into(),
-                target: "orange".into(),
-            }],
-            78,
-        )
+        .evolve(&[EvolutionEvent::Acquisition {
+            acquirer: "cogent".into(),
+            target: "orange".into(),
+        }])
         .unwrap();
     let t2 = t1
-        .evolve(
-            &[EvolutionEvent::Spinoff {
-                brand: "digicel".into(),
-                countries: vec!["KE".into(), "NG".into()],
-                new_brand: "sahelwave".into(),
-            }],
-            79,
-        )
+        .evolve(&[EvolutionEvent::Spinoff {
+            brand: "digicel".into(),
+            countries: vec!["KE".into(), "NG".into()],
+            new_brand: "sahelwave".into(),
+        }])
         .unwrap();
     let mut timeline = Timeline::open(dir).unwrap();
     for world in [&t0, &t1, &t2] {
